@@ -95,7 +95,7 @@ def exp_by_quadratures(group, phi, alpha, t_grid, config=None, max_doublings=SQU
             )
             break
         except ChartDomainError as err:
-            reached = getattr(err, "t_achieved", 0.0) * 2.0**doublings
+            reached = err.t_achieved * 2.0**doublings
             if doublings >= max_doublings:
                 raise ChartDomainError(
                     f"exponential continuation failed past t={reached:g} "
@@ -255,7 +255,8 @@ def heisenberg_scan(n_xi_samples=64, seed=1234, n_candidates=128):
     covector annihilates the image of ad_xi, then compares the computed
     classification against two candidate closed-form boundaries: "admissible
     iff a1 = a2" and "admissible iff a1 = a2 = 0".  The report counts
-    agreements for both and flags the reading that matches.  The sample mixes
+    agreements for both, flags the reading that matches, and reports the
+    boundary that reading gives (None when neither matches).  The sample mixes
     a deterministic corner grid (which contains the separating directions
     with a1 = a2 != 0) with seeded Gaussian draws.
     """
@@ -293,19 +294,20 @@ def heisenberg_scan(n_xi_samples=64, seed=1234, n_candidates=128):
             }
         )
     n = len(samples)
+    matching = (
+        "a1 = a2 = 0" if agree_origin == n else ("a1 = a2" if agree_pair == n else "neither")
+    )
     report = {
         "schema": 1,
         "algebra": "heis3",
         "n_samples": int(n),
         "seed": int(seed),
-        "boundary_found": "admissible iff a1 = a2 = 0",
+        "boundary_found": None if matching == "neither" else f"admissible iff {matching}",
         "readings": {
             "a1 = a2": {"agreements": int(agree_pair), "fraction": agree_pair / n},
             "a1 = a2 = 0": {"agreements": int(agree_origin), "fraction": agree_origin / n},
         },
-        "matching_reading": (
-            "a1 = a2 = 0" if agree_origin == n else ("a1 = a2" if agree_pair == n else "neither")
-        ),
+        "matching_reading": matching,
         "samples": rows,
     }
     return report

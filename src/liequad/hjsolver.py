@@ -222,7 +222,6 @@ class CompleteSolutionChart:
         self.trans = self.integrals.kernel.T
         self.k = self.integrals.deficiency
         self.ell = self.integrals.rank
-        self._validity = None
         if check:
             self.check_hypotheses()
 
@@ -336,34 +335,6 @@ class CompleteSolutionChart:
             p, x = self.invert(lam, n, x_init=x_init, warm_g=from_node.p.g)
         lu = scipy.linalg.lu_factor(self._system_matrix(p))
         return _ChartNode(self, p, x, lu, lam, n)
-
-    def validity_radius(self, n_probes=16, bisect_steps=8, seed=2718):
-        """Largest rho (bisection) with inversion converging on a probe sphere."""
-        if self._validity is not None:
-            return self._validity
-        rng = np.random.default_rng(seed)
-        dirs = rng.standard_normal((n_probes, self.ell + self.k))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-
-        def ok(rho):
-            for d in dirs:
-                try:
-                    self.invert(rho * d[: self.ell], rho * d[self.ell :])
-                except (ChartDomainError, ValueError):
-                    return False
-            return True
-
-        lo, hi = 0.0, 0.25
-        while ok(hi) and hi < 64.0:
-            lo, hi = hi, 2.0 * hi
-        for _ in range(bisect_steps):
-            mid = 0.5 * (lo + hi)
-            if ok(mid):
-                lo = mid
-            else:
-                hi = mid
-        self._validity = lo
-        return lo
 
     # -- quadratures -------------------------------------------------------
 
@@ -674,18 +645,15 @@ def integrate_by_quadratures(
             break
         t_front, p_front = sample.diagnostics["frontier"]
         if m == 0 and t_front == 0.0:
-            err = ChartDomainError(
-                f"no progress from t={t_base:g} even after re-centering"
+            raise ChartDomainError(
+                f"no progress from t={t_base:g} even after re-centering", t_achieved=t_base
             )
-            err.t_achieved = t_base
-            raise err
         recenters += 1
         if recenters > recenter_limit:
-            err = ChartDomainError(
-                f"re-centering limit exceeded (reached t={t_base + t_front:g})"
+            raise ChartDomainError(
+                f"re-centering limit exceeded (reached t={t_base + t_front:g})",
+                t_achieved=t_base + t_front,
             )
-            err.t_achieved = t_base + t_front
-            raise err
         t_base += t_front
         p_base = p_front
     return TrajectorySample(

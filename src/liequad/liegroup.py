@@ -13,6 +13,7 @@ the vector [Re(entries row-major), Im(entries row-major)].
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -49,116 +50,175 @@ def oracle_call_count():
 
 
 class ChartDomainError(RuntimeError):
-    """Gauss-Newton failed to invert chart coordinates: point left the chart."""
+    """Gauss-Newton failed to invert chart coordinates: point left the chart.
+
+    ``t_achieved`` is the time a flow had reached when it failed (0.0 when the
+    failure is not part of a flow).
+    """
+
+    def __init__(self, *args, t_achieved=0.0):
+        super().__init__(*args)
+        self.t_achieved = t_achieved
 
 
 # -- membership constraints --------------------------------------------------
 #
 # Each constraint exposes residual(mat) -> vector and jacobian(mat) -> matrix
-# with columns indexed by the group's real flat coordinates.
+# with columns indexed by the group's real flat coordinates.  A constraint on
+# a square block takes the block as an array of positions in the row-major
+# entry list of the matrix.
+
+
+def _leading_block(n, N):
+    """Row-major entry positions of the leading n x n block of an N x N matrix."""
+    return np.arange(N * N).reshape(N, N)[:n, :n]
 
 
 class _Orthogonal:
-    def __init__(self, N):
-        self.N = N
-        self.rows = [(a, b) for a in range(N) for b in range(a, N)]
+    """B^T B = I for a real block B.
+
+    The Jacobian is linear in the flat coordinates u: J = T u for a constant
+    tensor T built here, so each call is one contraction.  The residual is
+    one gather of the upper triangle of B^T B.
+    """
+
+    def __init__(self, block, flat_dim):
+        self.block = np.asarray(block)
+        n = self.block.shape[0]
+        rows = np.triu_indices(n)
+        self._triu = rows[0] * n + rows[1]
+        self._eye_rows = (rows[0] == rows[1]).astype(float)
+        T = np.zeros((len(self._triu), flat_dim, flat_dim))
+        for r, (a, b) in enumerate(zip(*rows)):
+            for i in range(n):
+                T[r, self.block[i, a], self.block[i, b]] += 1.0
+                T[r, self.block[i, b], self.block[i, a]] += 1.0
+        self._T = T.reshape(-1, flat_dim)
+        self._shape = T.shape[:2]
 
     def residual(self, g):
-        M = g.T @ g - np.eye(self.N)
-        return np.array([M[a, b] for a, b in self.rows])
+        B = np.asarray(g).reshape(-1)[self.block]
+        return B.T.dot(B).reshape(-1)[self._triu] - self._eye_rows
 
     def jacobian(self, g):
-        N = self.N
-        J = np.zeros((len(self.rows), N * N))
-        for r, (a, b) in enumerate(self.rows):
-            for i in range(N):
-                J[r, i * N + a] += g[i, b]
-                J[r, i * N + b] += g[i, a]
-        return J
+        return (self._T @ np.asarray(g).reshape(-1)).reshape(self._shape)
 
 
 class _Unitary:
+    """g^H g = I for a complex N x N matrix: Re on and above, Im above the diagonal.
+
+    Like ``_Orthogonal``: one contraction with a constant tensor for the
+    Jacobian, one gather from g^H g for the residual.  Both read the complex
+    entries as interleaved (re, im) pairs, so neither splits g.
+    """
+
     def __init__(self, N):
         self.N = N
-        self.re_rows = [(a, b) for a in range(N) for b in range(a, N)]
-        self.im_rows = [(a, b) for a in range(N) for b in range(a + 1, N)]
-
-    def residual(self, g):
-        M = g.conj().T @ g - np.eye(self.N)
-        re = [M[a, b].real for a, b in self.re_rows]
-        im = [M[a, b].imag for a, b in self.im_rows]
-        return np.array(re + im)
-
-    def jacobian(self, g):
-        N = self.N
-        A, B = g.real, g.imag
-        nre, nim = len(self.re_rows), len(self.im_rows)
-        J = np.zeros((nre + nim, 2 * N * N))
-        for r, (a, b) in enumerate(self.re_rows):
+        n2 = N * N
+        re_a, re_b = np.triu_indices(N)
+        im_a, im_b = np.triu_indices(N, 1)
+        # positions of Re M_ab and Im M_ab in the interleaved view of M
+        self._gather = np.concatenate([2 * (re_a * N + re_b), 2 * (im_a * N + im_b) + 1])
+        self._eye_rows = np.concatenate([(re_a == re_b).astype(float), np.zeros(len(im_a))])
+        # T[row, flat column, interleaved position]: A_k sits at 2k, B_k at 2k + 1
+        nre = len(re_a)
+        T = np.zeros((nre + len(im_a), 2 * n2, 2 * n2))
+        for r, (a, b) in enumerate(zip(re_a, re_b)):
             for i in range(N):
-                J[r, i * N + b] += A[i, a]
-                J[r, i * N + a] += A[i, b]
-                J[r, N * N + i * N + b] += B[i, a]
-                J[r, N * N + i * N + a] += B[i, b]
-        for r, (a, b) in enumerate(self.im_rows):
+                # Re (g^H g)_{ab} = sum_i A_ia A_ib + B_ia B_ib
+                ia, ib = i * N + a, i * N + b
+                T[r, ib, 2 * ia] += 1.0
+                T[r, ia, 2 * ib] += 1.0
+                T[r, n2 + ib, 2 * ia + 1] += 1.0
+                T[r, n2 + ia, 2 * ib + 1] += 1.0
+        for r, (a, b) in enumerate(zip(im_a, im_b)):
             for i in range(N):
                 # Im (g^H g)_{ab} = sum_i A_ia B_ib - B_ia A_ib
-                J[nre + r, i * N + a] += B[i, b]
-                J[nre + r, i * N + b] += -B[i, a]
-                J[nre + r, N * N + i * N + b] += A[i, a]
-                J[nre + r, N * N + i * N + a] += -A[i, b]
-        return J
+                ia, ib = i * N + a, i * N + b
+                T[nre + r, ia, 2 * ib + 1] += 1.0
+                T[nre + r, ib, 2 * ia + 1] -= 1.0
+                T[nre + r, n2 + ib, 2 * ia] += 1.0
+                T[nre + r, n2 + ia, 2 * ib] -= 1.0
+        self._T = T.reshape(-1, 2 * n2)
+        self._shape = T.shape[:2]
+
+    def residual(self, g):
+        g = np.asarray(g, dtype=complex)
+        M = g.conj().T.dot(g)
+        return M.reshape(-1).view(float)[self._gather] - self._eye_rows
+
+    def jacobian(self, g):
+        u = np.asarray(g, dtype=complex).reshape(-1).view(float)
+        return (self._T @ u).reshape(self._shape)
 
 
 def _adjugate(g):
-    N = g.shape[0]
-    d = np.linalg.det(g)
-    if abs(d) > 1e-3:
-        # group iterates stay near |det| = 1, where adj = det * inv
-        return d * np.linalg.inv(g)
-    adj = np.empty_like(g)
-    for i in range(N):
-        for j in range(N):
-            minor = np.delete(np.delete(g, j, axis=0), i, axis=1)
-            adj[i, j] = (-1) ** (i + j) * np.linalg.det(minor) if N > 1 else 1.0
-    return adj
+    """adj(g) of a 2x2 or 3x3 matrix by closed-form cofactors: g @ adj(g) = det(g) I."""
+    if g.shape[0] == 2:
+        a, b, c, d = g.reshape(-1).tolist()
+        return np.array([[d, -b], [-c, a]])
+    a, b, c, d, e, f, p, q, s = g.reshape(-1).tolist()
+    return np.array([
+        [e * s - f * q, c * q - b * s, b * f - c * e],
+        [f * p - d * s, a * s - c * p, c * d - a * f],
+        [d * q - e * p, b * p - a * q, a * e - b * d],
+    ])
+
+
+def _det(g):
+    """det(g) of a 2x2 or 3x3 matrix in closed form."""
+    if g.shape[0] == 2:
+        a, b, c, d = g.reshape(-1).tolist()
+        return a * d - b * c
+    a, b, c, d, e, f, p, q, s = g.reshape(-1).tolist()
+    return a * (e * s - f * q) - b * (d * s - f * p) + c * (d * q - e * p)
 
 
 class _UnitDet:
-    def __init__(self, N, complex_entries=False):
-        self.N = N
+    """det B = 1 for a real or complex 2x2 or 3x3 block B (Re and Im parts if complex)."""
+
+    def __init__(self, block, flat_dim, complex_entries=False):
+        self.block = np.asarray(block)
+        if self.block.shape not in ((2, 2), (3, 3)):
+            raise ValueError(f"unit determinant needs a 2x2 or 3x3 block, got {self.block.shape}")
         self.complex_entries = complex_entries
+        # d det / d B_ij = adj(B)_ji: scatter adj(B) row-major to the columns of B^T
+        self._adj_cols = self.block.T.reshape(-1)
+        self._adj_im_cols = self._adj_cols + flat_dim // 2
+        self._flat_dim = flat_dim
 
     def residual(self, g):
-        d = np.linalg.det(g)
+        d = _det(np.asarray(g).reshape(-1)[self.block])
         if self.complex_entries:
             return np.array([d.real - 1.0, d.imag])
         return np.array([d - 1.0])
 
     def jacobian(self, g):
-        N = self.N
-        D = _adjugate(g).T  # D[i, j] = d det / d g_{ij}
+        adj = _adjugate(np.asarray(g).reshape(-1)[self.block]).reshape(-1)
         if not self.complex_entries:
-            return D.reshape(1, -1)
-        J = np.zeros((2, 2 * N * N))
-        J[0, : N * N] = D.real.reshape(-1)
-        J[0, N * N :] = -D.imag.reshape(-1)
-        J[1, : N * N] = D.imag.reshape(-1)
-        J[1, N * N :] = D.real.reshape(-1)
+            J = np.zeros((1, self._flat_dim))
+            J[0, self._adj_cols] = adj
+            return J
+        J = np.zeros((2, self._flat_dim))
+        J[0, self._adj_cols] = adj.real
+        J[0, self._adj_im_cols] = -adj.imag
+        J[1, self._adj_cols] = adj.imag
+        J[1, self._adj_im_cols] = adj.real
         return J
 
 
 class _Pattern:
-    """Affine entry constraints: flat[index] == value."""
+    """Affine entry constraints on a real matrix: flat[index] == value."""
 
     def __init__(self, flat_dim, pairs):
         self.pairs = list(pairs)
+        self.idx = np.array([idx for idx, _ in self.pairs], dtype=int)
+        self.val = np.array([val for _, val in self.pairs], dtype=float)
         self.J = np.zeros((len(self.pairs), flat_dim))
-        for r, (idx, _) in enumerate(self.pairs):
-            self.J[r, idx] = 1.0
+        self.J[np.arange(len(self.pairs)), self.idx] = 1.0
 
-    def residual_flat(self, u):
-        return np.array([u[idx] - val for idx, val in self.pairs])
+    def residual(self, g):
+        return np.asarray(g).reshape(-1)[self.idx] - self.val
 
     def jacobian(self, _g):
         return self.J
@@ -208,6 +268,7 @@ class MatrixGroup:
         self._expand = np.linalg.pinv(self._basis_flat.T)
         self._basis_stack = np.stack([np.asarray(X) for X in basis])
         self._check_bracket_consistency()
+        self.n_membership = len(self.membership_vector(self.identity().matrix))
 
     def _flat_stack(self, mats):
         """Rows of flat() applied to a stack of matrices."""
@@ -268,18 +329,10 @@ class MatrixGroup:
     # membership --------------------------------------------------------------
 
     def membership_vector(self, matrix):
-        parts = []
-        u = None
-        for con in self.constraints:
-            if isinstance(con, _Pattern):
-                u = self.flat(matrix) if u is None else u
-                parts.append(con.residual_flat(u))
-            else:
-                parts.append(con.residual(matrix))
-        return np.concatenate(parts)
+        return np.concatenate([con.residual(matrix) for con in self.constraints])
 
     def membership_jacobian(self, matrix):
-        return np.vstack([con.jacobian(matrix) for con in self.constraints])
+        return np.concatenate([con.jacobian(matrix) for con in self.constraints])
 
     def membership_residual(self, matrix):
         return float(np.linalg.norm(self.membership_vector(matrix)))
@@ -406,7 +459,8 @@ def make_group(key):
         alg = make_algebra("so3")
         return MatrixGroup(
             "so3", alg, _so3_basis(),
-            [_Orthogonal(3), _UnitDet(3)], _project_polar_real,
+            [_Orthogonal(_leading_block(3, 3), 9), _UnitDet(_leading_block(3, 3), 9)],
+            _project_polar_real,
         )
     if key == "su2":
         alg = make_algebra("su2")
@@ -416,7 +470,8 @@ def make_group(key):
         basis = np.stack([-0.5j * s1, -0.5j * s2, -0.5j * s3])
         return MatrixGroup(
             "su2", alg, basis,
-            [_Unitary(2), _UnitDet(2, complex_entries=True)], _project_polar_unitary,
+            [_Unitary(2), _UnitDet(_leading_block(2, 2), 8, complex_entries=True)],
+            _project_polar_unitary,
         )
     if key == "sl2r":
         alg = make_algebra("sl2r")
@@ -425,7 +480,9 @@ def make_group(key):
             np.array([[0.0, 1.0], [1.0, 0.0]]),
             np.array([[0.0, 1.0], [-1.0, 0.0]]),
         ])
-        return MatrixGroup("sl2r", alg, basis, [_UnitDet(2)], _project_unit_det)
+        return MatrixGroup(
+            "sl2r", alg, basis, [_UnitDet(_leading_block(2, 2), 4)], _project_unit_det
+        )
     if key == "heis3":
         alg = make_algebra("heis3")
         E = np.zeros((3, 3, 3))
@@ -498,6 +555,13 @@ class GraphChart:
     (rows = flat tangent basis at g0), so the selected entries have linearly
     independent differentials.  Inversion runs Gauss-Newton on the defining
     equations plus the entry equations; no exponential anywhere.
+
+    Built once per chart: the selected entries, the Gauss-Newton matrix whose
+    trailing rows select those entries, and the LAPACK ``gelsy`` routine with
+    its workspace size.  Per iteration only the membership rows of that
+    matrix are overwritten with the constraint Jacobian at the iterate, and
+    the step is one ``gelsy`` call with the driver and ``rcond`` (machine
+    epsilon) of ``scipy.linalg.lstsq(..., lapack_driver="gelsy")``.
     """
 
     def __init__(self, group, g0=None):
@@ -512,13 +576,47 @@ class GraphChart:
         self._flat0 = group.flat(self.g0.matrix)
         self._x0sel = self._flat0[self.selected]
         self._validity = None
+        k = group.n_membership
+        m, n = k + group.dim, group.flat_dim
+        if m < n:
+            # gelsy takes a right-hand side of length m, so the membership and
+            # entry equations must together fix every flat coordinate
+            raise ValueError(
+                f"{group.name}: {k} membership and {group.dim} entry equations "
+                f"cannot fix {n} flat coordinates"
+            )
+        self._jac = np.zeros((m, n))
+        self._jac[k + np.arange(group.dim), self.selected] = 1.0
+        self._gelsy, gelsy_lwork = scipy.linalg.get_lapack_funcs(
+            ("gelsy", "gelsy_lwork"), (self._jac,)
+        )
+        self._rcond = np.finfo(self._gelsy.dtype).eps
+        work, info = gelsy_lwork(m, n, 1, self._rcond)
+        if info != 0:
+            raise ValueError(f"gelsy workspace query failed (info {info})")
+        self._lwork = int(work)
 
     def to_coords(self, g):
         gm = g.matrix if isinstance(g, GroupElement) else np.asarray(g)
         return self.group.flat(gm)[self.selected] - self._x0sel
 
+    def _step(self, u, r):
+        """Least-squares Gauss-Newton step at u for residual r."""
+        J = self._jac
+        J[: self.group.n_membership] = self.group.membership_jacobian(self.group.unflat(u))
+        jpvt = np.zeros(J.shape[1], dtype=np.int32)
+        _qr, x, _jpvt, _rank, info = self._gelsy(
+            J, -r, jpvt, self._rcond, self._lwork, overwrite_a=False, overwrite_b=True
+        )
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of gelsy")
+        return x[: J.shape[1]]
+
     def from_coords(self, x, warm=None):
-        """Invert the chart by Gauss-Newton; ChartDomainError on failure."""
+        """Invert the chart by Gauss-Newton; ChartDomainError on failure.
+
+        Non-finite coordinates or warm starts raise ValueError.
+        """
         grp = self.group
         target = np.asarray(x, float) + self._x0sel
         u = grp.flat(warm.matrix) if warm is not None else self._flat0.copy()
@@ -528,23 +626,21 @@ class GraphChart:
             return np.concatenate([grp.membership_vector(m), uu[self.selected] - target])
 
         r = full_residual(u)
-        rn = np.linalg.norm(r)
-        sel_rows = np.zeros((len(self.selected), grp.flat_dim))
-        for i, idx in enumerate(self.selected):
-            sel_rows[i, idx] = 1.0
+        rn = math.sqrt(r @ r)
         slow = 0
         for _ in range(NEWTON_MAXIT):
             if rn <= GRAPH_NEWTON_TOL:
                 # the residual already bounds the membership defect, so wrap
                 # the matrix directly instead of re-validating
                 return GroupElement(grp.unflat(u), grp)
-            J = np.vstack([grp.membership_jacobian(grp.unflat(u)), sel_rows])
-            step = scipy.linalg.lstsq(J, -r, lapack_driver="gelsy")[0]
+            if not math.isfinite(rn):
+                raise ValueError(f"{grp.name} graph chart residual is not finite")
+            step = self._step(u, r)
             t = 1.0
             for _bt in range(16):
                 u_try = u + t * step
                 r_try = full_residual(u_try)
-                rn_try = np.linalg.norm(r_try)
+                rn_try = math.sqrt(r_try @ r_try)
                 if rn_try < rn:
                     # converging solves contract fast; persistent slow decrease
                     # means the target is outside the chart, so abort early

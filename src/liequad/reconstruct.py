@@ -43,7 +43,10 @@ from .liegroup import (
     GraphChart,
     GroupElement,
     MatrixGroup,
+    _leading_block,
+    _Orthogonal,
     _Pattern,
+    _UnitDet,
     make_group,
     matrix_exp_oracle,
 )
@@ -1200,33 +1203,6 @@ def _hat3(v):
     )
 
 
-class _BlockOrthogonal:
-    """Orthogonality and unit determinant of the leading 3x3 block of a 5x5 matrix."""
-
-    def __init__(self):
-        self.rows = [(a, b) for a in range(3) for b in range(a, 3)]
-
-    def residual(self, g):
-        B = g[:3, :3]
-        M = B.T @ B - np.eye(3)
-        return np.append(
-            np.array([M[a, b] for a, b in self.rows]), np.linalg.det(B) - 1.0
-        )
-
-    def jacobian(self, g):
-        B = g[:3, :3]
-        J = np.zeros((len(self.rows) + 1, 25))
-        for r, (a, b) in enumerate(self.rows):
-            for i in range(3):
-                J[r, i * 5 + a] += B[i, b]
-                J[r, i * 5 + b] += B[i, a]
-        adj = np.linalg.det(B) * np.linalg.inv(B)
-        for i in range(3):
-            for j in range(3):
-                J[-1, i * 5 + j] = adj[j, i]
-        return J
-
-
 def _product_group():
     """Rotations times a translation line, as block matrices of size five."""
     c = np.zeros((4, 4, 4))
@@ -1264,7 +1240,10 @@ def _product_group():
             flat[idx] = val
         return flat.reshape(5, 5)
 
-    return MatrixGroup("so3xr", alg, basis, [_BlockOrthogonal(), pat], project)
+    block = _leading_block(3, 5)
+    return MatrixGroup(
+        "so3xr", alg, basis, [_Orthogonal(block, 25), _UnitDet(block, 25), pat], project
+    )
 
 
 def make_product_scenario(rate=0.7):

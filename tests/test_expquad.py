@@ -211,6 +211,7 @@ def test_heis3_plane_isotropy_is_exact_under_roundoff():
 def test_heisenberg_scan_flags_the_matching_reading():
     rep = heisenberg_scan(n_xi_samples=32, seed=7)
     assert rep["matching_reading"] == "a1 = a2 = 0"
+    assert rep["boundary_found"] == f"admissible iff {rep['matching_reading']}"
     n = rep["n_samples"]
     assert rep["readings"]["a1 = a2 = 0"]["agreements"] == n
     assert rep["readings"]["a1 = a2"]["agreements"] < n
