@@ -25,7 +25,7 @@ import numpy as np
 
 from .liealg import CasimirForm, casimir_check
 from .liegroup import GroupElement
-from .numutil import central_gradient
+from .numutil import central_jacobian
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,6 @@ class CotangentBundle:
     def from_ambient(self, y):
         m = self.group.unflat(y[: self.group.flat_dim])
         return PhasePoint(self.group.element(m), y[self.group.flat_dim :])
-
-    def ambient_velocity(self, p, w):
-        """Ambient derivative matching ambient_coords of the tangent (v, beta)."""
-        return np.concatenate(
-            [self.group.flat(self.group.tangent_matrix(p.g, w.v)), w.beta]
-        )
 
     # -- canonical structures ---------------------------------------------
 
@@ -223,14 +217,14 @@ def build_mixed_field(bundle, terms, grads=None, n_check=16, seed=23):
             # step scaled with |mu| keeps the roundoff term of the central
             # difference bounded for quadratic-growth momenta
             grad_fns.append(
-                lambda mu, h=h: central_gradient(
-                    h, mu, step=1e-6 * max(1.0, float(np.linalg.norm(mu)))
+                lambda mu, h=h: central_jacobian(
+                    h, mu, step=1e-6 * max(1.0, float(np.linalg.norm(mu))), richardson=True
                 )
             )
         else:
             for _ in range(n_check):
                 mu = rng.standard_normal(n)
-                fd = central_gradient(h, mu)
+                fd = central_jacobian(h, mu, richardson=True)
                 if np.linalg.norm(np.asarray(grad(mu)) - fd) > 1e-6 * max(1.0, np.linalg.norm(fd)):
                     raise ValueError("analytic gradient disagrees with finite differences")
             grad_fns.append(grad)

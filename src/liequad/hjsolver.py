@@ -14,8 +14,8 @@ import numpy as np
 import scipy.linalg
 
 from .cotangent import PhasePoint, TangentPhaseVector
-from .liegroup import NEWTON_MAXIT, NEWTON_TOL, ChartDomainError, GraphChart
-from .numutil import gauss_legendre, nullspace, numerical_rank
+from .liegroup import NEWTON_MAXIT, NEWTON_TOL, ChartDomainError, GraphChart, damped_newton
+from .numutil import central_jacobian, gauss_legendre, nullspace, numerical_rank
 
 GN_TOL = 1e-10
 GN_MAXIT = 20
@@ -277,35 +277,15 @@ class CompleteSolutionChart:
             x = np.asarray(x_init, float).copy()
         warm = warm_g if warm_g is not None else ints.center.g
         scale = max(1.0, float(np.linalg.norm(lam)), float(np.linalg.norm(n)))
-        p = ints.point(x, warm=warm)
-        r = self._residual(p, x, lam, n)
-        rn = np.linalg.norm(r)
-        slow = 0
-        for _ in range(NEWTON_MAXIT):
-            if rn <= NEWTON_TOL * scale:
-                return p, x
-            A = self._system_matrix(p)
-            step = np.linalg.solve(A, -r)
-            t = 1.0
-            for _bt in range(16):
-                x_try = x + t * step
-                try:
-                    p_try = ints.point(x_try, warm=p.g)
-                except (ChartDomainError, ValueError):
-                    t *= 0.5
-                    continue
-                r_try = self._residual(p_try, x_try, lam, n)
-                rn_try = np.linalg.norm(r_try)
-                if rn_try < rn:
-                    # persistent slow decrease means (lam, n) is out of reach
-                    slow = slow + 1 if rn_try > 0.25 * rn else 0
-                    p, x, r, rn = p_try, x_try, r_try, rn_try
-                    break
-                t *= 0.5
-            else:
-                break
-            if slow >= 5:
-                break
+
+        def trial(xx, p):
+            p = ints.point(xx, warm=warm if p is None else p.g)
+            return self._residual(p, xx, lam, n), p
+
+        def step(_x, r, p):
+            return np.linalg.solve(self._system_matrix(p), -r)
+
+        x, _r, rn, p = damped_newton(x, trial, step, NEWTON_TOL * scale, NEWTON_MAXIT, 16)
         if rn <= NEWTON_TOL * scale:
             return p, x
         raise ChartDomainError(
@@ -550,39 +530,26 @@ class CompleteSolutionChart:
         return float(np.linalg.norm(node.n + step)) >= 0.9 * floor.radius
 
     def _gauss_newton(self, lam, node_from, phi_from, target, floor=None):
-        node = node_from
-        phi = np.asarray(phi_from, float).copy()
-        r = phi - target
-        rn = np.linalg.norm(r)
-        for _ in range(GN_MAXIT):
-            if rn <= GN_TOL:
-                return node, phi
-            J = self.linearizing_jacobian(node)
-            step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-            t = 1.0
-            improved = False
-            for _bt in range(8):
-                cand = node.n + t * step
-                try:
-                    # solve the geometry first: it fails fast out of domain,
-                    # while the increment integral is the expensive part
-                    node_try = self._node(lam, cand, from_node=node)
-                    dphi = self._phi_increment(lam, node.n, cand, warm_node=node)
-                except (ChartDomainError, ValueError):
-                    if floor is not None:
-                        floor.radius = min(floor.radius, float(np.linalg.norm(cand)))
-                    t *= 0.5
-                    continue
-                phi_try = phi + dphi
-                r_try = phi_try - target
-                rn_try = np.linalg.norm(r_try)
-                if rn_try < rn or rn_try <= GN_TOL:
-                    node, phi, r, rn = node_try, phi_try, r_try, rn_try
-                    improved = True
-                    break
-                t *= 0.5
-            if not improved:
-                break
+        def trial(cand, state):
+            if state is None:
+                phi = np.asarray(phi_from, float).copy()
+                return phi - target, (node_from, phi)
+            node, phi = state
+            try:
+                # solve the geometry first: it fails fast out of domain,
+                # while the increment integral is the expensive part
+                node_try = self._node(lam, cand, from_node=node)
+                phi_try = phi + self._phi_increment(lam, node.n, cand, warm_node=node)
+            except (ChartDomainError, ValueError):
+                if floor is not None:
+                    floor.radius = min(floor.radius, float(np.linalg.norm(cand)))
+                raise
+            return phi_try - target, (node_try, phi_try)
+
+        def step(_n, r, state):
+            return np.linalg.lstsq(self.linearizing_jacobian(state[0]), -r, rcond=None)[0]
+
+        _n, _r, rn, (node, phi) = damped_newton(node_from.n, trial, step, GN_TOL, GN_MAXIT, 8)
         if rn <= AUDIT_TOL:
             return node, phi
         raise ChartDomainError(f"fiber solve did not meet the audit tolerance ({rn:.3e})")
@@ -679,7 +646,6 @@ def hj_residual(bundle, section, lam, n, fd_step=1e-5, order=16):
     """
     lam = np.asarray(lam, float)
     n = np.asarray(n, float)
-    k = len(n)
     nodes, weights = gauss_legendre(order)
     grp = bundle.group
 
@@ -701,18 +667,11 @@ def hj_residual(bundle, section, lam, n, fd_step=1e-5, order=16):
             total += w * path_theta(nn, s, fd_step)
         return total
 
+    grad = central_jacobian(potential, n, fd_step * max(1.0, float(np.linalg.norm(n))))
+    dg = central_jacobian(lambda nn: grp.flat(section(lam, nn).g.matrix), n, fd_step)
+    p = section(lam, n)
     worst = 0.0
-    for j in range(k):
-        e = np.zeros(k)
-        e[j] = fd_step * max(1.0, float(np.linalg.norm(n)))
-        grad = (potential(n + e) - potential(n - e)) / (2.0 * e[j])
-        p = section(lam, n)
-        dgj = np.zeros(k)
-        dgj[j] = fd_step
-        pp = section(lam, n + dgj)
-        pm = section(lam, n - dgj)
-        dg = (grp.flat(pp.g.matrix) - grp.flat(pm.g.matrix)) / (2.0 * fd_step)
-        v = grp.body_coords(p.g, grp.unflat(dg))
-        form_j = float(p.alpha @ v)
-        worst = max(worst, abs(grad - form_j))
+    for j in range(len(n)):
+        form_j = float(p.alpha @ grp.body_coords(p.g, grp.unflat(dg[:, j])))
+        worst = max(worst, abs(grad[j] - form_j))
     return worst

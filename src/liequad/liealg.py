@@ -29,7 +29,7 @@ _GENERIC_SEED = 1234
 class LieAlgebra:
     """A real Lie algebra described by its structure constants."""
 
-    def __init__(self, name, structure_constants, basis_labels=None):
+    def __init__(self, name, structure_constants):
         c = np.asarray(structure_constants, dtype=float)
         if c.ndim != 3 or len(set(c.shape)) != 1:
             raise ValueError("structure constants must be an (n, n, n) array")
@@ -43,7 +43,6 @@ class LieAlgebra:
         self.name = name
         self.c = c
         self.dim = n
-        self.basis_labels = list(basis_labels) if basis_labels else [f"e{i}" for i in range(n)]
         self._killing = None
         self._generic_isotropy = None
         self._generic_centralizer = None
@@ -179,13 +178,13 @@ def _heis_constants():
 def make_algebra(key):
     """Catalogue algebras: "so3", "su2", "sl2r", "heis3", "rn:<k>"."""
     if key == "so3":
-        return LieAlgebra("so3", _eps_constants(), ["x", "y", "z"])
+        return LieAlgebra("so3", _eps_constants())
     if key == "su2":
-        return LieAlgebra("su2", _eps_constants(), ["x", "y", "z"])
+        return LieAlgebra("su2", _eps_constants())
     if key == "sl2r":
-        return LieAlgebra("sl2r", _sl2_constants(), ["h", "s", "a"])
+        return LieAlgebra("sl2r", _sl2_constants())
     if key == "heis3":
-        return LieAlgebra("heis3", _heis_constants(), ["x", "y", "z"])
+        return LieAlgebra("heis3", _heis_constants())
     if key.startswith("rn:"):
         try:
             k = int(key.split(":", 1)[1])

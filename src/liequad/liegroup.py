@@ -402,6 +402,11 @@ class MatrixGroup:
         gm = g.matrix if isinstance(g, GroupElement) else np.asarray(g)
         return gm @ self.algebra_matrix(v_body)
 
+    def _flat_tangents(self, g):
+        """Rows: flat images of the tangent basis g X_i at g."""
+        gm = g.matrix if isinstance(g, GroupElement) else np.asarray(g)
+        return self._flat_stack(np.einsum("ij,njk->nik", gm, self._basis_stack))
+
     def body_coords(self, g, tangent):
         """Body coordinates of a tangent matrix at g: expand g^-1 dg."""
         gm = g.matrix if isinstance(g, GroupElement) else np.asarray(g)
@@ -545,6 +550,54 @@ def matrix_exp_oracle(group, xi, t=1.0):
     return group.element(acc)
 
 
+# -- damped Newton ------------------------------------------------------------
+
+
+def damped_newton(x, trial, step, tol, maxit, halvings):
+    """Backtracking Newton iteration shared by every implicit solve.
+
+    ``trial(x, state)`` returns ``(r, state)``: the residual at x and whatever
+    the caller wants back at an accepted iterate (``state`` is None on the
+    first call, the last accepted state after that, for warm starts).
+    ``step(x, r, state)`` returns the full step.  Each step is halved until
+    |r| drops, a trial that raises ChartDomainError or ValueError counting as
+    no drop; the solve ends at |r| <= tol, after ``maxit`` steps, when every
+    halving fails, or after five accepted steps in a row that cut |r| by less
+    than 4x (a converging solve contracts fast; slow decrease means the root
+    is out of reach).  A non-finite |r| raises ValueError.
+
+    Returns ``(x, r, |r|, state)``; acceptance is the caller's call.
+    """
+    r, state = trial(x, None)
+    rn = math.sqrt(r @ r)
+    slow = 0
+    for _ in range(maxit):
+        if rn <= tol:
+            break
+        if not math.isfinite(rn):
+            raise ValueError("Newton residual is not finite")
+        dx = step(x, r, state)
+        t = 1.0
+        for _bt in range(halvings):
+            x_try = x + t * dx
+            try:
+                r_try, state_try = trial(x_try, state)
+            except (ChartDomainError, ValueError):
+                t *= 0.5
+                continue
+            rn_try = math.sqrt(r_try @ r_try)
+            if rn_try < rn:
+                slow = slow + 1 if rn_try > 0.25 * rn else 0
+                x, r, rn, state = x_try, r_try, rn_try, state_try
+                break
+            t *= 0.5
+        else:
+            break
+        if slow >= 5:
+            break
+    return x, r, rn, state
+
+
 # -- graph chart --------------------------------------------------------------
 
 
@@ -567,8 +620,7 @@ class GraphChart:
     def __init__(self, group, g0=None):
         self.group = group
         self.g0 = g0 if g0 is not None else group.identity()
-        D = np.stack([group.flat(group.tangent_matrix(self.g0, e)) for e in np.eye(group.dim)])
-        _q, R, piv = scipy.linalg.qr(D, mode="economic", pivoting=True)
+        _q, R, piv = scipy.linalg.qr(group._flat_tangents(self.g0), mode="economic", pivoting=True)
         diag = np.abs(np.diag(R))
         if diag.size < group.dim or diag[-1] <= RANK_RTOL * diag[0]:
             raise ValueError("degenerate tangent basis: cannot select chart entries")
@@ -621,38 +673,16 @@ class GraphChart:
         target = np.asarray(x, float) + self._x0sel
         u = grp.flat(warm.matrix) if warm is not None else self._flat0.copy()
 
-        def full_residual(uu):
+        def trial(uu, _state):
             m = grp.unflat(uu)
-            return np.concatenate([grp.membership_vector(m), uu[self.selected] - target])
+            return np.concatenate([grp.membership_vector(m), uu[self.selected] - target]), None
 
-        r = full_residual(u)
-        rn = math.sqrt(r @ r)
-        slow = 0
-        for _ in range(NEWTON_MAXIT):
-            if rn <= GRAPH_NEWTON_TOL:
-                # the residual already bounds the membership defect, so wrap
-                # the matrix directly instead of re-validating
-                return GroupElement(grp.unflat(u), grp)
-            if not math.isfinite(rn):
-                raise ValueError(f"{grp.name} graph chart residual is not finite")
-            step = self._step(u, r)
-            t = 1.0
-            for _bt in range(16):
-                u_try = u + t * step
-                r_try = full_residual(u_try)
-                rn_try = math.sqrt(r_try @ r_try)
-                if rn_try < rn:
-                    # converging solves contract fast; persistent slow decrease
-                    # means the target is outside the chart, so abort early
-                    slow = slow + 1 if rn_try > 0.25 * rn else 0
-                    u, r, rn = u_try, r_try, rn_try
-                    break
-                t *= 0.5
-            else:
-                break
-            if slow >= 5:
-                break
+        u, _r, rn, _ = damped_newton(
+            u, trial, lambda uu, r, _state: self._step(uu, r), GRAPH_NEWTON_TOL, NEWTON_MAXIT, 16
+        )
         if rn <= GRAPH_NEWTON_TOL:
+            # the residual already bounds the membership defect, so wrap the
+            # matrix directly instead of re-validating
             return GroupElement(grp.unflat(u), grp)
         raise ChartDomainError(
             f"{grp.name} graph chart inversion did not converge (residual {rn:.3e})"
@@ -660,10 +690,7 @@ class GraphChart:
 
     def tangent_coords_matrix(self, g):
         """Matrix M with M @ v_body = d(to_coords)/dt along tangent g X(v)."""
-        grp = self.group
-        gm = g.matrix if isinstance(g, GroupElement) else np.asarray(g)
-        tangents = np.einsum("ij,njk->nik", gm, grp._basis_stack)
-        return grp._flat_stack(tangents)[:, self.selected].T
+        return self.group._flat_tangents(g)[:, self.selected].T
 
     def validity_radius(self, n_probes=16, bisect_steps=8, seed=2718):
         """Largest r (bisection) with chart inversion converging on a probe sphere."""

@@ -51,35 +51,26 @@ def nullspace(mat, rtol=RANK_RTOL, scale=0.0):
     return vt[rank:].T.copy()
 
 
-def central_gradient(f, x, step=1e-6, richardson=True):
-    """Central-difference gradient of scalar f at x, one Richardson level by default."""
+def central_jacobian(f, x, step=1e-6, richardson=False):
+    """Central-difference Jacobian of f at x, columns along the axis of x.
+
+    A scalar f gives its gradient.  ``richardson`` adds one extrapolation
+    level from a second stencil at half the step.
+    """
     x = np.asarray(x, dtype=float)
-    n = x.size
 
     def cd(h):
-        g = np.empty(n)
-        for i in range(n):
-            e = np.zeros(n)
+        cols = []
+        for i in range(x.size):
+            e = np.zeros(x.size)
             e[i] = h
-            g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
-        return g
+            cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * h))
+        return np.stack(cols, axis=-1)
 
+    coarse = cd(step)
     if not richardson:
-        return cd(step)
-    g1 = cd(step)
-    g2 = cd(step / 2.0)
-    return (4.0 * g2 - g1) / 3.0
-
-
-def central_jacobian(f, x, step=1e-6):
-    """Central-difference Jacobian of vector f at x (no Richardson)."""
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = step
-        cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * step))
-    return np.stack(cols, axis=-1)
+        return coarse
+    return (4.0 * cd(step / 2.0) - coarse) / 3.0
 
 
 def rk4_step(f, t, y, h):
@@ -88,8 +79,3 @@ def rk4_step(f, t, y, h):
     k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = f(t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def format_float(x):
-    """17 significant digits, enough to round-trip a float64 exactly."""
-    return format(float(x), ".17g")

@@ -47,10 +47,11 @@ from .liegroup import (
     _Orthogonal,
     _Pattern,
     _UnitDet,
+    damped_newton,
     make_group,
     matrix_exp_oracle,
 )
-from .numutil import nullspace
+from .numutil import central_jacobian, nullspace
 
 FLOW_RESIDUAL_TOL = 1e-5     # universal gate on reconstructed curves
 HORIZONTAL_TOL = 1e-6        # trivializing-submersion derivative along the field
@@ -196,6 +197,15 @@ class InvariantSystem:
         return float(np.linalg.norm(chart.to_coords(b) - chart.to_coords(a)))
 
 
+def _along_field(f, chart, u, du, step=FD_STEP):
+    """Centered derivative of f(point) along the field velocity du at chart coordinates u.
+
+    The step is scaled down by |du|, so the stencil moves at most ``step``.
+    """
+    h = step / max(1.0, float(np.linalg.norm(du)))
+    return (f(chart.from_coords(u + h * du)) - f(chart.from_coords(u - h * du))) / (2.0 * h)
+
+
 def quotient_field(sys):
     """The projected field on orbit coordinates, evaluated through the section.
 
@@ -213,11 +223,7 @@ def quotient_field(sys):
             # section images share one chart: the group part never moves
             chart = cache["chart"] = sys.chart_at(m)
         u = chart.to_coords(m)
-        du = sys.velocity(chart, u, point=m)
-        h = FD_STEP / max(1.0, float(np.linalg.norm(du)))
-        lp = sys.project(chart.from_coords(u + h * du))
-        lm = sys.project(chart.from_coords(u - h * du))
-        return (lp - lm) / (2.0 * h)
+        return _along_field(sys.project, chart, u, sys.velocity(chart, u, point=m))
 
     return Y
 
@@ -225,40 +231,27 @@ def quotient_field(sys):
 def projected_field_defect(sys, m, Y=None):
     """|push-forward of the field at m - projected field at project(m)|."""
     Y = Y or quotient_field(sys)
-    chart, u, du = sys.velocity_at(m)
-    h = FD_STEP / max(1.0, float(np.linalg.norm(du)))
-    lp = sys.project(chart.from_coords(u + h * du))
-    lm = sys.project(chart.from_coords(u - h * du))
-    return float(np.linalg.norm((lp - lm) / (2.0 * h) - Y(sys.project(m))))
+    rate = _along_field(sys.project, *sys.velocity_at(m))
+    return float(np.linalg.norm(rate - Y(sys.project(m))))
 
 
 # -- action generators and isotropy ---------------------------------------------
 
 
-def _center4(f, h):
-    """Fourth-order centered derivative of a curve at zero.
-
-    The wide step keeps roundoff small and the extrapolation removes the
-    second-order truncation term, so smooth curves differentiate to about
-    twelve digits.
-    """
-    a = (f(h) - f(-h)) / (2.0 * h)
-    b = (f(h / 2.0) - f(-h / 2.0)) / h
-    return (4.0 * b - a) / 3.0
-
-
 def fundamental_matrix(sys, m, step=1e-4):
-    """Columns: chart velocities at m of the one-parameter action flows."""
+    """Columns: chart velocities at m of the one-parameter action flows.
+
+    The wide step keeps roundoff small and the Richardson level removes the
+    second-order truncation term, so the columns come out to about twelve
+    digits.
+    """
     chart = sys.chart_at(m)
     u0 = chart.to_coords(m)
-    cols = []
-    for e in np.eye(sys.group.dim):
 
-        def along(t, e=e):
-            return chart.to_coords(sys.act(matrix_exp_oracle(sys.group, e, t), m)) - u0
+    def along(xi):
+        return chart.to_coords(sys.act(matrix_exp_oracle(sys.group, xi), m)) - u0
 
-        cols.append(_center4(along, step))
-    return np.stack(cols, axis=-1)
+    return central_jacobian(along, np.zeros(sys.group.dim), step, richardson=True)
 
 
 def isotropy_basis_at(sys, m, rtol=ISOTROPY_RTOL):
@@ -283,14 +276,7 @@ def momentum_defect(sys, m):
     u = chart.to_coords(m)
     W = fundamental_matrix(sys, m)
     O = sys.omega_matrix(chart, u, m)
-    cols = []
-    for e in np.eye(chart.dim):
-
-        def along(t, e=e):
-            return sys.momentum(chart.from_coords(u + t * e))
-
-        cols.append(_center4(along, 1e-4))
-    JK = np.stack(cols, axis=-1)
+    JK = central_jacobian(lambda x: sys.momentum(chart.from_coords(x)), u, 1e-4, richardson=True)
     return float(np.max(np.abs(W.T @ O - JK)))
 
 
@@ -342,11 +328,7 @@ def validate_invariant_system(sys, n_samples=12, seed=7):
         chart, u, du = sys.velocity_at(m)
         gm = sys.act(g, m)
         gchart = sys.chart_at(gm)
-        step = FD_STEP / max(1.0, float(np.linalg.norm(du)))
-        pushed = (
-            gchart.to_coords(sys.act(g, chart.from_coords(u + step * du)))
-            - gchart.to_coords(sys.act(g, chart.from_coords(u - step * du)))
-        ) / (2.0 * step)
+        pushed = _along_field(lambda mm: gchart.to_coords(sys.act(g, mm)), chart, u, du)
         dv = sys.velocity(gchart, gchart.to_coords(gm), point=gm)
         out["field_invariance"] = max(
             out["field_invariance"], float(np.linalg.norm(pushed - dv))
@@ -375,6 +357,12 @@ class HorizontalSubmersion:
     identity, with minimum-norm steps; on positive-dimensional stabilizers
     the steps stay orthogonal to the gauge directions, which fixes the
     representative deterministically.  The base point maps to the identity.
+
+    A point whose factor cannot be certified raises ReconstructionError:
+    either the residual stalls above ``GAUGE_ACCEPT``, or the solve (its
+    start or a difference probe) leaves the identity graph chart, in which
+    case the ChartDomainError is chained as the cause.  A non-finite
+    residual raises ValueError.
     """
 
     def __init__(self, sys, m0):
@@ -390,40 +378,25 @@ class HorizontalSubmersion:
 
     def __call__(self, m, warm=None):
         sys = self.sys
-        grp = sys.group
         target = sys.section(sys.project(m))
         chart = sys.chart_at(m)
         ref = chart.to_coords(m)
-        n = np.zeros(grp.dim) if warm is None else np.array(warm, float)
+        n = np.zeros(sys.group.dim) if warm is None else np.array(warm, float)
 
-        def residual(nn):
+        def trial(nn, _g):
             g = self.gchart.from_coords(nn, warm=self.gchart.g0)
             return chart.to_coords(sys.act(g, target)) - ref, g
 
-        r, g = residual(n)
-        rn = float(np.linalg.norm(r))
-        for _ in range(GAUGE_MAXIT):
-            if rn <= GAUGE_TOL:
-                return g
-            cols = []
-            for e in np.eye(grp.dim):
-                rp, _ = residual(n + FD_STEP * e)
-                rm, _ = residual(n - FD_STEP * e)
-                cols.append((rp - rm) / (2.0 * FD_STEP))
-            J = np.stack(cols, axis=-1)
+        def step(nn, r, _g):
+            J = central_jacobian(lambda x: trial(x, None)[0], nn, FD_STEP)
             # small singular values are stabilizer directions plus difference
             # noise; truncating them keeps the step minimal-norm and bounded
-            step = scipy.linalg.lstsq(J, -r, cond=GAUGE_COND, lapack_driver="gelsd")[0]
-            t = 1.0
-            for _bt in range(20):
-                r_try, g_try = residual(n + t * step)
-                rn_try = float(np.linalg.norm(r_try))
-                if rn_try < rn:
-                    n, r, rn, g = n + t * step, r_try, rn_try, g_try
-                    break
-                t *= 0.5
-            else:
-                break
+            return scipy.linalg.lstsq(J, -r, cond=GAUGE_COND, lapack_driver="gelsd")[0]
+
+        try:
+            _n, _r, rn, g = damped_newton(n, trial, step, GAUGE_TOL, GAUGE_MAXIT, 20)
+        except ChartDomainError as err:
+            raise ReconstructionError(f"group-factor solve left the identity chart: {err}") from err
         if rn <= GAUGE_ACCEPT:
             # stalls this small happen at ill-conditioned section points near
             # the domain edge; the residual still undercuts every consumer
@@ -474,20 +447,25 @@ def transversality_defect(sys, theta, m, step=FD_STEP):
     makes the two kernels span the tangent space.
     """
     chart = sys.chart_at(m)
-    u = chart.to_coords(m)
-    g_center = theta(m)
-    tchart = GraphChart(sys.group, g_center)
-    pi_cols, th_cols = [], []
-    for e in np.eye(chart.dim):
-        mp = chart.from_coords(u + step * e)
-        mm = chart.from_coords(u - step * e)
-        pi_cols.append((sys.project(mp) - sys.project(mm)) / (2.0 * step))
-        th_cols.append(
-            (tchart.to_coords(theta(mp)) - tchart.to_coords(theta(mm))) / (2.0 * step)
-        )
-    stack = np.vstack([np.stack(pi_cols, axis=-1), np.stack(th_cols, axis=-1)])
-    s = np.linalg.svd(stack, compute_uv=False)
+    tchart = GraphChart(sys.group, theta(m))
+
+    def both(x):
+        mx = chart.from_coords(x)
+        return np.concatenate([sys.project(mx), tchart.to_coords(theta(mx))])
+
+    s = np.linalg.svd(central_jacobian(both, chart.to_coords(m), step), compute_uv=False)
     return float(s[chart.dim - 1] / s[0])
+
+
+def _chart_ball(sys, m0, count, seed, radius):
+    """Seeded points at random directions and radii below ``radius`` in the chart at m0."""
+    chart = sys.chart_at(m0)
+    u0 = chart.to_coords(m0)
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        v = rng.standard_normal(chart.dim)
+        v *= radius * rng.uniform() / np.linalg.norm(v)
+        yield chart.from_coords(u0 + v)
 
 
 def build_theta(sys, m0, n_samples=64, seed=11, radius=0.1, use_exact=True):
@@ -508,15 +486,9 @@ def build_theta(sys, m0, n_samples=64, seed=11, radius=0.1, use_exact=True):
         raise ReconstructionError(
             f"group factor at the base point is not the identity (gap {ident_gap:.3e})"
         )
-    chart = sys.chart_at(m0)
-    u0 = chart.to_coords(m0)
-    rng = np.random.default_rng(seed)
     worst = 0.0
     worst_sec = 0.0
-    for _ in range(n_samples):
-        v = rng.standard_normal(chart.dim)
-        v *= radius * rng.uniform() / np.linalg.norm(v)
-        m = chart.from_coords(u0 + v)
+    for m in _chart_ball(sys, m0, n_samples, seed, radius):
         if sys.section_margin(sys.project(m)) <= 0:
             continue
         worst = max(worst, theta.defining_defect(m))
@@ -542,11 +514,8 @@ def _theta_rate_along_field(sys, theta, m, warm=None, step=ETA_FD_STEP):
     the group-factor evaluations stays far below the horizontality tolerance.
     """
     chart, u, du = sys.velocity_at(m)
-    h = step / max(1.0, float(np.linalg.norm(du)))
     g0 = theta(m, warm=warm)
-    gp = theta(chart.from_coords(u + h * du), warm=theta.coords_of(g0))
-    gm = theta(chart.from_coords(u - h * du), warm=theta.coords_of(g0))
-    D = (gp.matrix - gm.matrix) / (2.0 * h)
+    D = _along_field(lambda mm: theta(mm, warm=theta.coords_of(g0)).matrix, chart, u, du, step)
     return _algebra_fit(sys.group, D @ np.linalg.inv(g0.matrix))
 
 
@@ -638,14 +607,7 @@ def _default_quotient_integrator(sys):
 
 def check_theta_horizontal(sys, theta, p0, n_samples=8, seed=13, radius=0.05):
     """Max group-factor rate along the field near p0; error above tolerance."""
-    chart = sys.chart_at(p0)
-    u0 = chart.to_coords(p0)
-    rng = np.random.default_rng(seed)
-    pts = [p0]
-    for _ in range(n_samples - 1):
-        v = rng.standard_normal(chart.dim)
-        v *= radius * rng.uniform() / np.linalg.norm(v)
-        pts.append(chart.from_coords(u0 + v))
+    pts = [p0, *_chart_ball(sys, p0, n_samples - 1, seed, radius)]
     worst = 0.0
     for m in pts:
         worst = max(worst, float(np.linalg.norm(_theta_rate_along_field(sys, theta, m))))
@@ -819,16 +781,7 @@ def usual_reconstruct(
     def lift_rate(chart, u, m, t):
         """Velocities (lift, group body rate) at a stage point."""
         A = connection.matrix(chart, u)
-        pi_cols = []
-        for e in np.eye(chart.dim):
-            pi_cols.append(
-                (
-                    sys.project(chart.from_coords(u + FD_STEP * e))
-                    - sys.project(chart.from_coords(u - FD_STEP * e))
-                )
-                / (2.0 * FD_STEP)
-            )
-        Jpi = np.stack(pi_cols, axis=-1)
+        Jpi = central_jacobian(lambda x: sys.project(chart.from_coords(x)), u, FD_STEP)
         stack = np.vstack([Jpi, A])
         rhs = np.concatenate([Y(np.asarray(gamma(t), float)), np.zeros(grp.dim)])
         w = scipy.linalg.lstsq(stack, rhs, lapack_driver="gelsd")[0]
@@ -913,23 +866,10 @@ def usual_reconstruct(
 
 def check_vertical(sys, p0, n_samples=8, seed=13, radius=0.05):
     """Max quotient rate along the field near p0; error above tolerance."""
-    chart = sys.chart_at(p0)
-    u0 = chart.to_coords(p0)
-    rng = np.random.default_rng(seed)
-    pts = [p0]
-    for _ in range(n_samples - 1):
-        v = rng.standard_normal(chart.dim)
-        v *= radius * rng.uniform() / np.linalg.norm(v)
-        pts.append(chart.from_coords(u0 + v))
+    pts = [p0, *_chart_ball(sys, p0, n_samples - 1, seed, radius)]
     worst = 0.0
     for m in pts:
-        chart_m, u, du = sys.velocity_at(m)
-        h = FD_STEP / max(1.0, float(np.linalg.norm(du)))
-        rate = (
-            sys.project(chart_m.from_coords(u + h * du))
-            - sys.project(chart_m.from_coords(u - h * du))
-        ) / (2.0 * h)
-        worst = max(worst, float(np.linalg.norm(rate)))
+        worst = max(worst, float(np.linalg.norm(_along_field(sys.project, *sys.velocity_at(m)))))
     if worst > VERTICAL_TOL:
         raise VerticalityError(
             f"field moves the quotient coordinates (rate {worst:.3e}); it is not vertical"

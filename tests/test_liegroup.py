@@ -15,6 +15,7 @@ from liequad.liegroup import (
     _Pattern,
     _Unitary,
     _UnitDet,
+    damped_newton,
     forbid_exp_oracle,
     make_group,
     matrix_exp_oracle,
@@ -470,3 +471,74 @@ def test_chart_domain_error_carries_t_achieved():
     err = ChartDomainError("left the chart", t_achieved=2.5)
     assert err.t_achieved == 2.5
     assert str(err) == "left the chart"
+
+
+# -- damped Newton kernel ------------------------------------------------------
+
+
+def test_damped_newton_stall_abort_after_five_slow_steps():
+    # the step only halves the residual, so every accepted step is slow
+    calls = []
+
+    def trial(x, _state):
+        calls.append(x.copy())
+        return x, None
+
+    x, r, rn, _ = damped_newton(
+        np.array([1.0]), trial, lambda _x, r, _s: -0.5 * r, 1e-12, 50, 16
+    )
+    assert len(calls) == 6
+    assert rn == 0.5**5 and np.array_equal(x, r)
+
+
+def test_damped_newton_halves_a_trial_that_leaves_the_chart():
+    seen = []
+
+    def trial(x, state):
+        seen.append(float(x[0]))
+        if x[0] < -1.0:
+            raise ChartDomainError("left the chart")
+        return x, x[0]
+
+    # the doubled step from 4 lands at -4, outside; its half lands on the root
+    x, r, rn, state = damped_newton(
+        np.array([4.0]), trial, lambda _x, r, _s: -2.0 * r, 1e-12, 50, 16
+    )
+    assert seen == [4.0, -4.0, 0.0]
+    assert rn == 0.0 and x[0] == 0.0 and state == 0.0
+
+
+def test_damped_newton_rejects_non_finite_residual():
+    with pytest.raises(ValueError, match="not finite"):
+        damped_newton(
+            np.array([np.nan]), lambda x, _s: (x, None), lambda _x, r, _s: -r, 1e-12, 50, 16
+        )
+
+
+def test_damped_newton_maxit_bounds_the_steps():
+    steps = []
+
+    def step(_x, r, _state):
+        steps.append(1)
+        return -0.9 * r  # fast contraction: the stall abort never fires
+
+    x, _r, rn, _ = damped_newton(np.array([1.0]), lambda x, _s: (x, None), step, 1e-300, 7, 16)
+    assert len(steps) == 7
+    assert rn == abs(x[0]) > 0.0
+
+
+# -- chart set-up --------------------------------------------------------------
+
+
+def test_graph_chart_selection_matches_per_basis_reference():
+    rng = np.random.default_rng(18)
+    groups = [make_group(key) for key in ALL_KEYS] + [make_product_scenario().group]
+    for g in groups:
+        for _ in range(10):
+            g0 = random_element(g, rng, scale=1.0)
+            chart = GraphChart(g, g0)
+            # reference: one tangent matrix per basis vector
+            D = np.stack([g.flat(g.tangent_matrix(g0, e)) for e in np.eye(g.dim)])
+            _q, _R, piv = scipy.linalg.qr(D, mode="economic", pivoting=True)
+            assert np.array_equal(chart.selected, np.sort(piv[: g.dim])), g.name
+            assert np.array_equal(chart.tangent_coords_matrix(g0), D[:, chart.selected].T), g.name

@@ -9,7 +9,7 @@ from liequad.cotangent import (
     TangentPhaseVector,
     left_invariant_hamiltonian_field,
 )
-from liequad.liegroup import make_group, matrix_exp_oracle
+from liequad.liegroup import ChartDomainError, make_group, matrix_exp_oracle
 from liequad.reconstruct import (
     HorizontalityError,
     HorizontalSubmersion,
@@ -239,6 +239,30 @@ def test_factor_base_point_must_sit_on_section():
     off = sys_.act(matrix_exp_oracle(sys_.group, np.array([0.0, 0.0, 0.5])), sys_.section(np.array([2.0, 3.0, 1.0])))
     with pytest.raises(ReconstructionError):
         HorizontalSubmersion(sys_, off)
+
+
+def test_factor_solve_failures_are_typed():
+    # rotations of up to about 1.5 rad push some solves to the edge of the
+    # identity chart; each must either solve or raise ReconstructionError
+    sys_ = cached("pairs-momentum", lambda: make_so3_scenario(section="momentum"))
+    lam0 = np.array([2.0, 3.0, 1.0])
+    theta = cached("theta-pairs-momentum", lambda: build_theta(sys_, sys_.section(lam0)))
+    rng = np.random.default_rng(3)
+    solved = 0
+    for _ in range(40):
+        g = matrix_exp_oracle(sys_.group, 0.5 * rng.standard_normal(3))
+        m = sys_.act(g, sys_.section(lam0 + 0.2 * rng.standard_normal(3)))
+        try:
+            defect = theta.defining_defect(m)
+        except ReconstructionError:
+            continue
+        assert defect <= 1e-8
+        solved += 1
+    assert solved >= 36
+    # a warm start past the chart fails at the first chart inversion
+    with pytest.raises(ReconstructionError) as info:
+        theta(sys_.section(lam0), warm=np.full(3, 3.0))
+    assert isinstance(info.value.__cause__, ChartDomainError)
 
 
 # -- transport of the quotient motion -------------------------------------------
