@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .liealg import CasimirForm, casimir_check
-from .liegroup import GroupElement
+from .liegroup import GraphChart, GroupElement
 from .numutil import central_jacobian
 
 
@@ -144,6 +144,33 @@ class CotangentBundle:
             )
 
         return rhs
+
+
+class CotangentChart:
+    """Chart on the trivialized bundle: graph coordinates of g ++ body momentum.
+
+    Coordinates are relative to the center in the group factor and absolute
+    in the fiber, so one chart serves every point whose group part stays
+    near the center element.
+    """
+
+    def __init__(self, group, center_g):
+        self.gchart = GraphChart(group, center_g)
+        self.k = group.dim
+        self.dim = 2 * group.dim
+
+    def to_coords(self, p):
+        return np.concatenate([self.gchart.to_coords(p.g), p.alpha])
+
+    def from_coords(self, u, warm=None):
+        g = self.gchart.from_coords(u[: self.k], warm=warm)
+        return PhasePoint(g, np.asarray(u[self.k :], float))
+
+    def body_from_coords(self, p):
+        """diag(M(g)^-1, I): takes chart velocities at p to body coordinates (v, beta)."""
+        T = np.eye(self.dim)
+        T[: self.k, : self.k] = np.linalg.inv(self.gchart.tangent_coords_matrix(p.g))
+        return T
 
 
 class InvariantField:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cotangent import CotangentBundle, build_casimir_field
-from .hjsolver import QuadratureConfig, integrate_by_quadratures
+from .hjsolver import integrate_by_quadratures
 from .liealg import casimir_through_point, killing_casimir, make_algebra
 from .liegroup import ChartDomainError
 from .numutil import nullspace
@@ -59,7 +59,7 @@ class ExponentialCurve:
         return [e.matrix for e in self.elements]
 
 
-def exp_by_quadratures(group, phi, alpha, t_grid, config=None, max_doublings=SQUARING_LIMIT):
+def exp_by_quadratures(group, phi, alpha, t_grid, max_doublings=SQUARING_LIMIT):
     """Curve t -> exp(t phi(alpha)) from the chart of the fiber over alpha.
 
     Integrates the vertical field of the Casimir form phi on T*G from the
@@ -83,15 +83,13 @@ def exp_by_quadratures(group, phi, alpha, t_grid, config=None, max_doublings=SQU
     bundle = CotangentBundle(group)
     fld = build_casimir_field(bundle, phi)
     p0 = bundle.point(group.identity(), alpha)
-    config = config or QuadratureConfig()
 
     span = float(np.max(np.abs(ts))) if len(ts) else 0.0
     doublings = 0
     while True:
         try:
             traj = integrate_by_quadratures(
-                bundle, fld, p0, ts / 2.0**doublings,
-                config=config, check=(doublings == 0), recenter_limit=0,
+                bundle, fld, p0, ts / 2.0**doublings, check=(doublings == 0), recenter_limit=0,
             )
             break
         except ChartDomainError as err:
@@ -127,7 +125,7 @@ def exp_by_quadratures(group, phi, alpha, t_grid, config=None, max_doublings=SQU
     )
 
 
-def exp_semisimple(group, xi, t_grid, config=None, max_doublings=SQUARING_LIMIT):
+def exp_semisimple(group, xi, t_grid, max_doublings=SQUARING_LIMIT):
     """Exponential curve via the inverse Killing metric's Casimir form.
 
     Lowers xi to alpha with the Killing form and exponentiates with the form
@@ -141,8 +139,7 @@ def exp_semisimple(group, xi, t_grid, config=None, max_doublings=SQUARING_LIMIT)
     alpha = alg.killing_form() @ xi
     if not alg.is_coadjoint_regular(alpha):
         raise ValueError(f"{alg.name}: direction is not adjoint-regular")
-    return exp_by_quadratures(group, phi, alpha, t_grid, config=config,
-                              max_doublings=max_doublings)
+    return exp_by_quadratures(group, phi, alpha, t_grid, max_doublings=max_doublings)
 
 
 def _annihilator_search(algebra, xi, n_candidates=SEARCH_CANDIDATES, seed=SEARCH_SEED):
@@ -183,21 +180,19 @@ def _annihilator_search(algebra, xi, n_candidates=SEARCH_CANDIDATES, seed=SEARCH
     return None, majority >= PROOF_MAJORITY, stats
 
 
-def exp_general(group, xi, t_grid, config=None, max_doublings=SQUARING_LIMIT,
-                n_candidates=SEARCH_CANDIDATES, seed=SEARCH_SEED):
+def exp_general(group, xi, t_grid, max_doublings=SQUARING_LIMIT):
     """Exponential curve via a Casimir form built around a searched covector.
 
     Searches the annihilator of ad_xi's image for a coadjoint-regular alpha0
-    (deterministic seeded candidates, so failures reproduce), builds the
-    Casimir form through (xi, alpha0), and exponentiates.  Raises
-    NoAdmissibleCovectorError when no candidate qualifies, distinguishing a
-    proven-empty intersection from search exhaustion.
+    (``SEARCH_CANDIDATES`` candidates drawn with ``SEARCH_SEED``, so failures
+    reproduce), builds the Casimir form through (xi, alpha0), and
+    exponentiates.  Raises NoAdmissibleCovectorError when no candidate
+    qualifies, distinguishing a proven-empty intersection from search
+    exhaustion.
     """
     alg = group.algebra
     xi = np.asarray(xi, float)
-    alpha0, proven_empty, stats = _annihilator_search(
-        alg, xi, n_candidates=n_candidates, seed=seed
-    )
+    alpha0, proven_empty, stats = _annihilator_search(alg, xi)
     if alpha0 is None:
         if proven_empty:
             raise NoAdmissibleCovectorError(
@@ -214,8 +209,7 @@ def exp_general(group, xi, t_grid, config=None, max_doublings=SQUARING_LIMIT,
             proven_empty=False,
         )
     phi = casimir_through_point(alg, xi, alpha0)
-    curve = exp_by_quadratures(group, phi, alpha0, t_grid, config=config,
-                               max_doublings=max_doublings)
+    curve = exp_by_quadratures(group, phi, alpha0, t_grid, max_doublings=max_doublings)
     curve.diagnostics["alpha0"] = alpha0
     curve.diagnostics["search"] = stats
     return curve

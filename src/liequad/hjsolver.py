@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .cotangent import PhasePoint, TangentPhaseVector
-from .liegroup import NEWTON_MAXIT, NEWTON_TOL, ChartDomainError, GraphChart, damped_newton
+from .cotangent import CotangentChart, TangentPhaseVector
+from .liegroup import NEWTON_MAXIT, NEWTON_TOL, ChartDomainError, damped_newton
 from .numutil import central_jacobian, gauss_legendre, nullspace, numerical_rank
 
 GN_TOL = 1e-10
@@ -26,20 +26,14 @@ RATE_DRIFT_TOL = 1e-5
 HALVING_LIMIT = 12
 FAIL_BUDGET = 16
 RECENTER_LIMIT = 64
+QUAD_ORDER = 6          # Gauss-Legendre nodes per panel; the error estimate uses half
+QUAD_MAX_PANELS = 16
+QUAD_TOL = 1e-12
+LINMAP_FD_STEP = 1e-6   # relative step of the "fd" linearizing map
 
 
 class HypothesisError(ValueError):
     """An integrability hypothesis failed its numerical check."""
-
-
-@dataclass
-class QuadratureConfig:
-    """Knobs for the one-dimensional quadratures and finite differences."""
-
-    order: int = 6
-    max_panels: int = 16
-    quad_tol: float = 1e-12
-    fd_step: float = 1e-6
 
 
 @dataclass
@@ -75,15 +69,16 @@ class FirstIntegralsMap:
     Near a point whose body momentum has isotropy dimension k the raw pair
     (spatial, body) has rank 2n - k; the reduction projects the raw values
     onto the top left-singular directions of the chart Jacobian at the
-    center.  Phase-space coordinates are (entry chart of the group factor,
-    body momentum).
+    center.  Phase-space coordinates are those of the cotangent chart at the
+    center: (entry chart of the group factor, body momentum).
     """
 
     def __init__(self, bundle, center):
         self.bundle = bundle
         self.center = center
         self.dim = bundle.group.dim
-        self.chart = GraphChart(bundle.group, center.g)
+        self.phase_chart = CotangentChart(bundle.group, center.g)
+        self.chart = self.phase_chart.gchart
         self.x0 = np.concatenate([np.zeros(self.dim), center.alpha])
         self.raw0 = bundle.momentum_pair(center)
         J0 = self.raw_jacobian_coords(center)
@@ -101,24 +96,8 @@ class FirstIntegralsMap:
         self.kernel = Vt[ell:].T
         self.sigma_min = float(s[ell - 1])
 
-    def coords(self, p):
-        return np.concatenate([self.chart.to_coords(p.g), p.alpha])
-
-    def point(self, x, warm=None):
-        g = self.chart.from_coords(x[: self.dim], warm=warm)
-        return PhasePoint(g, np.asarray(x[self.dim :], float))
-
-    def body_from_coords(self, p, dx):
-        """Coordinate perturbation (dq, da) as a body tangent vector."""
-        M = self.chart.tangent_coords_matrix(p.g)
-        return TangentPhaseVector(np.linalg.solve(M, dx[: self.dim]), dx[self.dim :])
-
     def raw_jacobian_coords(self, p):
-        Jb = self.bundle.momentum_pair_jacobian_body(p)
-        M = self.chart.tangent_coords_matrix(p.g)
-        T = np.eye(2 * self.dim)
-        T[: self.dim, : self.dim] = np.linalg.inv(M)
-        return Jb @ T
+        return self.bundle.momentum_pair_jacobian_body(p) @ self.phase_chart.body_from_coords(p)
 
     def value(self, p):
         return self.reduce.T @ (self.bundle.momentum_pair(p) - self.raw0)
@@ -214,10 +193,9 @@ class CompleteSolutionChart:
     linearizing map by quadratures.
     """
 
-    def __init__(self, bundle, dyn_field, center, config=None, check=True):
+    def __init__(self, bundle, dyn_field, center, check=True):
         self.bundle = bundle
         self.field = dyn_field
-        self.config = config or QuadratureConfig()
         self.integrals = FirstIntegralsMap(bundle, center)
         self.trans = self.integrals.kernel.T
         self.k = self.integrals.deficiency
@@ -250,7 +228,7 @@ class CompleteSolutionChart:
                 p = ints.center
             else:
                 x = ints.x0 + radius * rng.standard_normal(2 * ints.dim)
-                p = ints.point(x, warm=ints.center.g)
+                p = ints.phase_chart.from_coords(x)
             w = self.field(p)
             img = self.bundle.momentum_pair_jacobian_body(p) @ w.concat()
             worst = max(worst, np.linalg.norm(img) / max(1.0, np.linalg.norm(w.concat())))
@@ -262,7 +240,7 @@ class CompleteSolutionChart:
         """(lam, n) of a phase point; meaningful near the center only."""
         ints = self.integrals
         lam = ints.value(p)
-        n = self.trans @ (ints.coords(p) - ints.x0)
+        n = self.trans @ (ints.phase_chart.to_coords(p) - ints.x0)
         return lam, n
 
     def invert(self, lam, n, x_init=None, warm_g=None):
@@ -279,7 +257,7 @@ class CompleteSolutionChart:
         scale = max(1.0, float(np.linalg.norm(lam)), float(np.linalg.norm(n)))
 
         def trial(xx, p):
-            p = ints.point(xx, warm=warm if p is None else p.g)
+            p = ints.phase_chart.from_coords(xx, warm=warm if p is None else p.g)
             return self._residual(p, xx, lam, n), p
 
         def step(_x, r, p):
@@ -321,13 +299,15 @@ class CompleteSolutionChart:
     def _segment_quad(self, integrand):
         """Adaptive quadrature with an embedded half-order error estimate.
 
-        Panels double globally until the estimate converges.  Integrands are
+        Panels of ``QUAD_ORDER`` Gauss-Legendre nodes, checked against
+        ``QUAD_ORDER // 2`` nodes, double globally up to ``QUAD_MAX_PANELS``
+        until the gap is within ``QUAD_TOL`` (relative).  Integrands are
         analytic inside the chart, so non-convergence at the panel cap is a
         domain failure, not a refinement problem; raising keeps the cost of
         probing past the chart boundary bounded.
         """
-        nodes_hi, weights_hi = gauss_legendre(self.config.order)
-        nodes_lo, weights_lo = gauss_legendre(max(2, self.config.order // 2))
+        nodes_hi, weights_hi = gauss_legendre(QUAD_ORDER)
+        nodes_lo, weights_lo = gauss_legendre(QUAD_ORDER // 2)
 
         def gl(nodes, weights, a, b):
             h = b - a
@@ -338,14 +318,14 @@ class CompleteSolutionChart:
 
         panels = 1
         err = np.inf
-        while panels <= self.config.max_panels:
+        while panels <= QUAD_MAX_PANELS:
             edges = np.linspace(0.0, 1.0, panels + 1)
             hi = lo = 0.0
             for a, b in zip(edges[:-1], edges[1:]):
                 hi = hi + gl(nodes_hi, weights_hi, a, b)
                 lo = lo + gl(nodes_lo, weights_lo, a, b)
             err = np.max(np.abs(np.atleast_1d(hi - lo)))
-            if err <= self.config.quad_tol * max(1.0, float(np.max(np.abs(np.atleast_1d(hi))))):
+            if err <= QUAD_TOL * max(1.0, float(np.max(np.abs(np.atleast_1d(hi))))):
                 return hi
             panels *= 2
         raise ChartDomainError(f"quadrature refinement exhausted (estimate gap {err:.3e})")
@@ -413,7 +393,7 @@ class CompleteSolutionChart:
             return self._phi_increment(lam, np.zeros(self.k), n)
         if method == "fd":
             lam = np.asarray(lam, float)
-            h = self.config.fd_step * max(1.0, float(np.linalg.norm(lam)))
+            h = LINMAP_FD_STEP * max(1.0, float(np.linalg.norm(lam)))
             out = np.zeros(self.ell)
             for j in range(self.ell):
                 e = np.zeros(self.ell)
@@ -570,7 +550,6 @@ def integrate_by_quadratures(
     dyn_field,
     p0,
     ts,
-    config=None,
     check=True,
     recenter_limit=RECENTER_LIMIT,
 ):
@@ -583,7 +562,6 @@ def integrate_by_quadratures(
     in the given order (ascending recommended).
     """
     ts = np.asarray(ts, float)
-    config = config or QuadratureConfig()
     points = []
     t_base = 0.0
     p_base = p0
@@ -592,9 +570,7 @@ def integrate_by_quadratures(
     audits = []
     first = True
     while idx < len(ts):
-        chart = CompleteSolutionChart(
-            bundle, dyn_field, p_base, config=config, check=(check and first)
-        )
+        chart = CompleteSolutionChart(bundle, dyn_field, p_base, check=(check and first))
         if check and first:
             drift = rate_drift(chart, p_base)
             if drift > RATE_DRIFT_TOL:

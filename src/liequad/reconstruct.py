@@ -34,14 +34,13 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from .cotangent import CotangentBundle, InvariantField, PhasePoint
+from .cotangent import CotangentBundle, CotangentChart, PhasePoint
 from .expquad import NoAdmissibleCovectorError, exp_general
 from .hjsolver import HypothesisError, TrajectorySample
 from .liealg import LieAlgebra, killing_casimir
 from .liegroup import (
     ChartDomainError,
     GraphChart,
-    GroupElement,
     MatrixGroup,
     _leading_block,
     _Orthogonal,
@@ -65,6 +64,7 @@ GAUGE_ACCEPT = 1e-10         # stall floor still below every downstream toleranc
 GAUGE_MAXIT = 40
 GAUGE_COND = 1e-6            # singular-value cutoff for gauge-fixing steps
 CONNECTION_TOL = 1e-6        # reproduction of action generators by a connection
+CONNECTION_SUBSTEPS = 2      # fourth-order steps per grid interval of the connection route
 TRANSVERSALITY_FLOOR = 1e-6  # relative smallest singular value of stacked Jacobians
 SECTION_EPS = 1e-9           # section domain margin floor
 FD_STEP = 1e-6
@@ -111,28 +111,6 @@ class FlatChart:
         return np.array(u, dtype=float)
 
 
-class CotangentChart:
-    """Chart on a trivialized cotangent bundle: group graph coords ++ fiber.
-
-    Coordinates are absolute in the fiber and relative to the center in the
-    group factor, so one chart serves every point whose group part stays
-    near the center element.
-    """
-
-    def __init__(self, bundle, center_g):
-        self.bundle = bundle
-        self.gchart = GraphChart(bundle.group, center_g)
-        self.k = bundle.group.dim
-        self.dim = 2 * self.k
-
-    def to_coords(self, p):
-        return np.concatenate([self.gchart.to_coords(p.g), p.alpha])
-
-    def from_coords(self, u):
-        g = self.gchart.from_coords(u[: self.k], warm=self.gchart.g0)
-        return PhasePoint(g, np.array(u[self.k :]))
-
-
 # -- scenario container ---------------------------------------------------------
 
 
@@ -159,8 +137,6 @@ class InvariantSystem:
         project,
         section,
         random_point,
-        labels,
-        point_components,
         section_margin=None,
         momentum=None,
         omega_matrix=None,
@@ -177,8 +153,6 @@ class InvariantSystem:
         self.project = project
         self.section = section
         self.random_point = random_point
-        self.labels = list(labels)
-        self.point_components = point_components
         self.section_margin = section_margin or (lambda lam: np.inf)
         self.momentum = momentum
         self.omega_matrix = omega_matrix
@@ -350,7 +324,27 @@ def validate_invariant_system(sys, n_samples=12, seed=7):
 # -- trivializing submersions -----------------------------------------------------
 
 
-class HorizontalSubmersion:
+class _GroupFactor:
+    """Group-factor map m -> g with act(g, section(project(m))) = m.
+
+    Subclasses define ``__call__(m, warm=None)``; ``warm`` is a start in the
+    graph chart of the group at the identity, as returned by ``coords_of``.
+    """
+
+    def __init__(self, sys):
+        self.sys = sys
+        self.gchart = GraphChart(sys.group)
+
+    def coords_of(self, g):
+        """Graph-chart coordinates of a group factor, for warm starts."""
+        return self.gchart.to_coords(g)
+
+    def defining_defect(self, m, warm=None):
+        back = self.sys.act(self(m, warm=warm), self.sys.section(self.sys.project(m)))
+        return float(self.sys.chart_distance(m, back))
+
+
+class HorizontalSubmersion(_GroupFactor):
     """Group-factor map of a section: solves act(g, section(project(m))) = m.
 
     The solve is Gauss-Newton over graph-chart coordinates of g near the
@@ -366,15 +360,13 @@ class HorizontalSubmersion:
     """
 
     def __init__(self, sys, m0):
-        self.sys = sys
-        self.m0 = m0
-        lam0 = sys.project(m0)
-        gap = sys.chart_distance(m0, sys.section(lam0))
+        gap = sys.chart_distance(m0, sys.section(sys.project(m0)))
         if gap > ACTION_TOL:
             raise ReconstructionError(
                 f"base point is off the section image (distance {gap:.3e})"
             )
-        self.gchart = GraphChart(sys.group)
+        super().__init__(sys)
+        self.m0 = m0
 
     def __call__(self, m, warm=None):
         sys = self.sys
@@ -406,17 +398,8 @@ class HorizontalSubmersion:
             "point outside the reachable neighborhood"
         )
 
-    def coords_of(self, g):
-        """Graph-chart coordinates of a solved group factor, for warm starts."""
-        return self.gchart.to_coords(g)
 
-    def defining_defect(self, m, warm=None):
-        g = self(m, warm=warm)
-        back = self.sys.act(g, self.sys.section(self.sys.project(m)))
-        return float(self.sys.chart_distance(m, back))
-
-
-class ClosedFormFactor:
+class ClosedFormFactor(_GroupFactor):
     """Group-factor map given in closed form by the scenario.
 
     Same calling surface as the solved map; the warm argument is accepted
@@ -424,19 +407,11 @@ class ClosedFormFactor:
     """
 
     def __init__(self, sys, fn):
-        self.sys = sys
+        super().__init__(sys)
         self.fn = fn
-        self.gchart = GraphChart(sys.group)
 
     def __call__(self, m, warm=None):
         return self.fn(m)
-
-    def coords_of(self, g):
-        return self.gchart.to_coords(g)
-
-    def defining_defect(self, m, warm=None):
-        back = self.sys.act(self(m), self.sys.section(self.sys.project(m)))
-        return float(self.sys.chart_distance(m, back))
 
 
 def transversality_defect(sys, theta, m, step=FD_STEP):
@@ -736,22 +711,16 @@ def connection_reproduction_defect(sys, connection, m, rng=None, n_dirs=4):
     return worst
 
 
-def usual_reconstruct(
-    sys,
-    connection,
-    p0,
-    t_grid,
-    quotient_integrator=None,
-    substeps=2,
-    check_connection=True,
-):
+def usual_reconstruct(sys, connection, p0, t_grid):
     """Reconstruct through a horizontal lift and the group equation.
 
-    Free-action scenarios only.  The quotient curve is lifted by enforcing
+    Free-action scenarios only.  The connection must first reproduce the
+    action generators at p0.  The quotient curve is lifted by enforcing
     zero connection value and matching projection (one projection correction
     per step), while the group factor integrates the left-translated
-    connection value of the field along the lift; both march on a fine grid
-    by fourth-order steps, the group leg re-projected through its graph
+    connection value of the field along the lift; both march by fourth-order
+    steps on a fine grid of two steps per grid interval
+    (``CONNECTION_SUBSTEPS``), the group leg re-projected through its graph
     chart each step.
     """
     if not sys.free:
@@ -761,18 +730,15 @@ def usual_reconstruct(
         )
     grp = sys.group
     ts = np.asarray(t_grid, float)
-    if check_connection:
-        rng = np.random.default_rng(5)
-        rep = connection_reproduction_defect(sys, connection, p0, rng=rng)
-        if rep > CONNECTION_TOL:
-            raise ReconstructionError(
-                f"connection does not reproduce action generators (defect {rep:.3e})"
-            )
-    else:
-        rep = None
+    rep = connection_reproduction_defect(sys, connection, p0, rng=np.random.default_rng(5))
+    if rep > CONNECTION_TOL:
+        raise ReconstructionError(
+            f"connection does not reproduce action generators (defect {rep:.3e})"
+        )
     Y = quotient_field(sys)
-    integrator = quotient_integrator or _default_quotient_integrator(sys)
-    gamma, t_reached = integrator(Y, sys.project(p0), (float(ts[0]), float(ts[-1])))
+    gamma, t_reached = _default_quotient_integrator(sys)(
+        Y, sys.project(p0), (float(ts[0]), float(ts[-1]))
+    )
     if t_reached < float(ts[-1]) - 1e-12:
         raise ReconstructionError(
             f"quotient curve left the section domain at t={t_reached:g}"
@@ -816,7 +782,7 @@ def usual_reconstruct(
 
     fine_ts = [float(ts[0])]
     for a, b in zip(ts[:-1], ts[1:]):
-        fine_ts.extend(np.linspace(a, b, substeps + 1)[1:])
+        fine_ts.extend(np.linspace(a, b, CONNECTION_SUBSTEPS + 1)[1:])
     fine_ts = np.asarray(fine_ts)
     nodes = [(sys.section(np.asarray(gamma(ts[0]), float)), None)]
     # the lift starts at the orbit representative of p0; g(0) carries p0 itself
@@ -852,9 +818,8 @@ def usual_reconstruct(
         "flow_residuals": flow_rows,
         "lift_projection_max": lift_gap,
         "membership_max": max(grp.membership_residual(s[1].matrix) for s in states),
+        "connection_reproduction": rep,
     }
-    if rep is not None:
-        diagnostics["connection_reproduction"] = rep
     sample = TrajectorySample(ts, points, diagnostics)
     if flow > FLOW_RESIDUAL_TOL:
         raise ReconstructionError(f"flow-equation defect {flow:.3e} exceeds the gate")
@@ -897,7 +862,7 @@ def momentum_eta(grad_h):
     return provider
 
 
-def vertical_integrate(sys, theta, p0, t_grid, eta_provider=None, chi=None, config=None):
+def vertical_integrate(sys, theta, p0, t_grid, eta_provider=None, chi=None):
     """Integrate an orbit-tangent field as a one-parameter group factor.
 
     The output is act(g0 exp(t (eta + chi)), section(lam)) with g0 and lam
@@ -920,7 +885,7 @@ def vertical_integrate(sys, theta, p0, t_grid, eta_provider=None, chi=None, conf
     grp = sys.group
     warnings = []
     try:
-        curve = exp_general(grp, zeta, ts, config=config)
+        curve = exp_general(grp, zeta, ts)
         factors = curve.elements
         provenance = "quadrature"
     except (NoAdmissibleCovectorError, ValueError, ChartDomainError, HypothesisError) as err:
@@ -979,7 +944,7 @@ def make_tstar_scenario(group, field=None):
     n = group.dim
 
     def chart_at(p):
-        return CotangentChart(bundle, p.g)
+        return CotangentChart(group, p.g)
 
     def velocity(chart, u, point=None):
         p = point if point is not None else chart.from_coords(u)
@@ -1001,15 +966,9 @@ def make_tstar_scenario(group, field=None):
 
     def omega_matrix(chart, u, point=None):
         p = point if point is not None else chart.from_coords(u)
-        S = np.zeros((2 * n, 2 * n))
-        S[:n, :n] = np.linalg.inv(chart.gchart.tangent_coords_matrix(p.g))
-        S[n:, n:] = np.eye(n)
+        S = chart.body_from_coords(p)
         return S.T @ bundle.omega_matrix(p) @ S
 
-    def point_components(p):
-        return np.concatenate([group.flat(p.g.matrix), p.alpha])
-
-    labels = _matrix_labels(group) + [f"alpha{i}" for i in range(n)]
     return InvariantSystem(
         name=f"tstar:{group.name}",
         group=group,
@@ -1021,23 +980,11 @@ def make_tstar_scenario(group, field=None):
         project=project,
         section=section,
         random_point=random_point,
-        labels=labels,
-        point_components=point_components,
         momentum=bundle.spatial_momentum,
         omega_matrix=omega_matrix,
         free=True,
         exact_theta=lambda p: p.g,
     )
-
-
-def _matrix_labels(group):
-    out = []
-    for i in range(group.N):
-        for j in range(group.N):
-            out.append(f"g{i}{j}")
-    if group.is_complex:
-        out = [f"{s}re" for s in out] + [f"{s}im" for s in out]
-    return out
 
 
 # -- scenario: vector pairs under rotations ------------------------------------------
@@ -1125,8 +1072,6 @@ def make_so3_scenario(field=None, section="position"):
         project=project,
         section=sec,
         random_point=random_point,
-        labels=["q0", "q1", "q2", "p0", "p1", "p2"],
-        point_components=lambda m: np.array(m),
         section_margin=margin,
         momentum=lambda m: np.cross(m[:3], m[3:]),
         omega_matrix=lambda ch, u, point=None: O,
@@ -1233,8 +1178,6 @@ def make_product_scenario(rate=0.7):
         project=project,
         section=sec,
         random_point=random_point,
-        labels=["q0", "q1", "q2", "u"],
-        point_components=lambda m: np.array(m),
         section_margin=margin,
         free=False,
     )

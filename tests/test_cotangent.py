@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from liequad.cotangent import (
     CotangentBundle,
+    CotangentChart,
     PhasePoint,
     TangentPhaseVector,
     build_casimir_field,
@@ -14,6 +17,7 @@ from liequad.cotangent import (
 from liequad.liealg import killing_casimir, central_casimir
 from liequad.liegroup import GraphChart, make_group, matrix_exp_oracle
 from liequad.numutil import nullspace
+from liequad.reconstruct import make_tstar_scenario
 
 GROUP_KEYS = ["so3", "su2", "sl2r", "heis3", "rn:3"]
 
@@ -350,3 +354,26 @@ def test_euler_rigid_body_dynamics():
     alpha = np.array([0.7, -0.2, 0.4])
     w = X(b.base_point(alpha))
     assert np.allclose(w.beta, np.cross(alpha, Q @ alpha), atol=1e-14)
+
+
+# -- the cotangent chart -------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", GROUP_KEYS)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), radius=st.floats(0.0, 0.3))
+def test_cotangent_chart_round_trip_and_body_velocity(key, seed, radius):
+    rng = np.random.default_rng(seed)
+    b = bundle_for(key)
+    X = left_invariant_hamiltonian_field(b, lambda a: a / np.array([1.0, 2.0, 3.0]))
+    sys_ = make_tstar_scenario(b.group, field=X)
+    chart = sys_.chart_at(random_point(b, rng))
+    assert isinstance(chart, CotangentChart)
+    v = rng.standard_normal(chart.dim)
+    u = radius * rng.uniform() * v / np.linalg.norm(v)
+    p = chart.from_coords(u)
+    assert np.max(np.abs(chart.to_coords(p) - u)) <= 1e-12
+    # chart velocity of the scenario, taken back to body coordinates
+    w = X(p).concat()
+    body = chart.body_from_coords(p) @ sys_.velocity(chart, u, point=p)
+    assert np.max(np.abs(body - w)) <= 1e-12 * max(1.0, np.linalg.norm(w))
