@@ -180,7 +180,7 @@ def _annihilator_search(algebra, xi, n_candidates=SEARCH_CANDIDATES, seed=SEARCH
     return None, majority >= PROOF_MAJORITY, stats
 
 
-def exp_general(group, xi, t_grid, max_doublings=SQUARING_LIMIT):
+def exp_general(group, xi, t_grid):
     """Exponential curve via a Casimir form built around a searched covector.
 
     Searches the annihilator of ad_xi's image for a coadjoint-regular alpha0
@@ -209,7 +209,7 @@ def exp_general(group, xi, t_grid, max_doublings=SQUARING_LIMIT):
             proven_empty=False,
         )
     phi = casimir_through_point(alg, xi, alpha0)
-    curve = exp_by_quadratures(group, phi, alpha0, t_grid, max_doublings=max_doublings)
+    curve = exp_by_quadratures(group, phi, alpha0, t_grid)
     curve.diagnostics["alpha0"] = alpha0
     curve.diagnostics["search"] = stats
     return curve

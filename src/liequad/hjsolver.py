@@ -22,6 +22,9 @@ GN_MAXIT = 20
 AUDIT_TOL = 1e-9
 ISOTROPY_TOL = 1e-8
 TANGENCY_TOL = 1e-8
+TANGENCY_SAMPLES = 8     # seeded chart points the tangency check draws around the center
+TANGENCY_SEED = 4321
+TANGENCY_RADIUS = 0.1
 RATE_DRIFT_TOL = 1e-5
 HALVING_LIMIT = 12
 FAIL_BUDGET = 16
@@ -176,9 +179,6 @@ class _ChartNode:
         dim = self.owner.integrals.dim
         return [TangentPhaseVector(B[:dim, j], B[dim:, j]) for j in range(B.shape[1])]
 
-    def omega(self, w1, w2):
-        return float(w1.concat() @ self.omat @ w2.concat())
-
     def theta(self, w):
         return self.owner.bundle.theta(self.p, w)
 
@@ -205,29 +205,29 @@ class CompleteSolutionChart:
 
     # -- hypothesis checks -----------------------------------------------
 
-    def check_hypotheses(self, n_samples=8, seed=4321, radius=0.1):
+    def check_hypotheses(self):
         d_iso = fiber_isotropy_defect(self.bundle, self.integrals.center)
         if d_iso > ISOTROPY_TOL:
             raise HypothesisError(
                 f"momentum fibers are not isotropic at the center (defect {d_iso:.3e})"
             )
-        d_tan = self.tangency_defect(n_samples=n_samples, seed=seed, radius=radius)
+        d_tan = self.tangency_defect()
         if d_tan > TANGENCY_TOL:
             raise HypothesisError(
                 f"the field is not tangent to the momentum fibers (defect {d_tan:.3e}); "
                 "the momentum pair is not conserved by this dynamics"
             )
 
-    def tangency_defect(self, n_samples=8, seed=4321, radius=0.1):
+    def tangency_defect(self):
         """Sup of |DF X| over sampled chart points (F the raw momentum pair)."""
         ints = self.integrals
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(TANGENCY_SEED)
         worst = 0.0
-        for i in range(n_samples + 1):
+        for i in range(TANGENCY_SAMPLES + 1):
             if i == 0:
                 p = ints.center
             else:
-                x = ints.x0 + radius * rng.standard_normal(2 * ints.dim)
+                x = ints.x0 + TANGENCY_RADIUS * rng.standard_normal(2 * ints.dim)
                 p = ints.phase_chart.from_coords(x)
             w = self.field(p)
             img = self.bundle.momentum_pair_jacobian_body(p) @ w.concat()

@@ -15,9 +15,10 @@ Three reconstruction routes are implemented.
   transport the section curve by the (constant) group factor of the initial
   point.  Requires the field to be tangent to the level sets of the
   trivializing submersion.
-* ``usual_reconstruct``: horizontally lift the quotient curve through a
-  principal connection and solve the group equation alongside.  Free actions
-  only.  The matrix exponential is permitted on this route.
+* ``usual_reconstruct``: the horizontal lift of the quotient curve through the
+  section is the section curve; the group factor solves g' = g eta, eta the
+  connection value of the field there, by RK4 re-projected onto the group.
+  Free actions only.  The matrix exponential is permitted on this route.
 * ``vertical_integrate``: for fields tangent to the orbits the whole motion
   is a one-parameter group factor acting on a frozen section point.  The
   factor is produced by the quadrature exponential when the direction
@@ -50,7 +51,7 @@ from .liegroup import (
     make_group,
     matrix_exp_oracle,
 )
-from .numutil import central_jacobian, nullspace
+from .numutil import central_jacobian, nullspace, rk4_step
 
 FLOW_RESIDUAL_TOL = 1e-5     # universal gate on reconstructed curves
 HORIZONTAL_TOL = 1e-6        # trivializing-submersion derivative along the field
@@ -64,14 +65,18 @@ GAUGE_ACCEPT = 1e-10         # stall floor still below every downstream toleranc
 GAUGE_MAXIT = 40
 GAUGE_COND = 1e-6            # singular-value cutoff for gauge-fixing steps
 CONNECTION_TOL = 1e-6        # reproduction of action generators by a connection
+CONNECTION_DIRS = 4          # sampled directions of the reproduction check
 CONNECTION_SUBSTEPS = 2      # fourth-order steps per grid interval of the connection route
 TRANSVERSALITY_FLOOR = 1e-6  # relative smallest singular value of stacked Jacobians
 SECTION_EPS = 1e-9           # section domain margin floor
 FD_STEP = 1e-6
+GENERATOR_FD_STEP = 1e-4     # Richardson step of the action-generator columns
 ETA_FD_STEP = 1e-5
 QUOTIENT_RTOL = 1e-11
 QUOTIENT_ATOL = 1e-13
 ISOTROPY_RTOL = 1e-8
+THETA_BALL = (64, 11, 0.1)   # (count, seed, radius) of the points certifying a factor map
+FIELD_CHECK_BALL = (7, 13, 0.05)  # points besides p0 of the horizontality and verticality checks
 
 
 class ReconstructionError(RuntimeError):
@@ -212,7 +217,7 @@ def projected_field_defect(sys, m, Y=None):
 # -- action generators and isotropy ---------------------------------------------
 
 
-def fundamental_matrix(sys, m, step=1e-4):
+def fundamental_matrix(sys, m):
     """Columns: chart velocities at m of the one-parameter action flows.
 
     The wide step keeps roundoff small and the Richardson level removes the
@@ -225,16 +230,16 @@ def fundamental_matrix(sys, m, step=1e-4):
     def along(xi):
         return chart.to_coords(sys.act(matrix_exp_oracle(sys.group, xi), m)) - u0
 
-    return central_jacobian(along, np.zeros(sys.group.dim), step, richardson=True)
+    return central_jacobian(along, np.zeros(sys.group.dim), GENERATOR_FD_STEP, richardson=True)
 
 
-def isotropy_basis_at(sys, m, rtol=ISOTROPY_RTOL):
+def isotropy_basis_at(sys, m):
     """Orthonormal basis (columns) of the directions whose generator dies at m."""
-    return nullspace(fundamental_matrix(sys, m), rtol=rtol)
+    return nullspace(fundamental_matrix(sys, m), rtol=ISOTROPY_RTOL)
 
 
-def isotropy_dimension_at(sys, m, rtol=ISOTROPY_RTOL):
-    return isotropy_basis_at(sys, m, rtol=rtol).shape[1]
+def isotropy_dimension_at(sys, m):
+    return isotropy_basis_at(sys, m).shape[1]
 
 
 def momentum_defect(sys, m):
@@ -366,7 +371,6 @@ class HorizontalSubmersion(_GroupFactor):
                 f"base point is off the section image (distance {gap:.3e})"
             )
         super().__init__(sys)
-        self.m0 = m0
 
     def __call__(self, m, warm=None):
         sys = self.sys
@@ -414,7 +418,7 @@ class ClosedFormFactor(_GroupFactor):
         return self.fn(m)
 
 
-def transversality_defect(sys, theta, m, step=FD_STEP):
+def transversality_defect(sys, theta, m):
     """Relative smallest singular value of the stacked quotient/factor Jacobians.
 
     The projection and the group-factor map are jointly immersive exactly
@@ -428,7 +432,7 @@ def transversality_defect(sys, theta, m, step=FD_STEP):
         mx = chart.from_coords(x)
         return np.concatenate([sys.project(mx), tchart.to_coords(theta(mx))])
 
-    s = np.linalg.svd(central_jacobian(both, chart.to_coords(m), step), compute_uv=False)
+    s = np.linalg.svd(central_jacobian(both, chart.to_coords(m), FD_STEP), compute_uv=False)
     return float(s[chart.dim - 1] / s[0])
 
 
@@ -443,7 +447,7 @@ def _chart_ball(sys, m0, count, seed, radius):
         yield chart.from_coords(u0 + v)
 
 
-def build_theta(sys, m0, n_samples=64, seed=11, radius=0.1, use_exact=True):
+def build_theta(sys, m0, use_exact=True):
     """Construct and certify the trivializing group-factor map based at m0.
 
     Scenarios with a closed-form group factor use it directly unless
@@ -463,7 +467,7 @@ def build_theta(sys, m0, n_samples=64, seed=11, radius=0.1, use_exact=True):
         )
     worst = 0.0
     worst_sec = 0.0
-    for m in _chart_ball(sys, m0, n_samples, seed, radius):
+    for m in _chart_ball(sys, m0, *THETA_BALL):
         if sys.section_margin(sys.project(m)) <= 0:
             continue
         worst = max(worst, theta.defining_defect(m))
@@ -509,7 +513,7 @@ def _algebra_fit(group, mat, tol=1e-6):
 # -- flow-equation gate --------------------------------------------------------
 
 
-def flow_residual_rows(sys, evaluate, ts, step=FD_STEP):
+def flow_residual_rows(sys, evaluate, ts):
     """Per-sample |centered-difference derivative - field| along a curve.
 
     ``evaluate`` must produce the curve point at any time in a small
@@ -517,23 +521,23 @@ def flow_residual_rows(sys, evaluate, ts, step=FD_STEP):
     is shifted inward so only interior evaluations occur.
     """
     ts = np.asarray(ts, float)
-    lo, hi = ts[0] + step, ts[-1] - step
+    lo, hi = ts[0] + FD_STEP, ts[-1] - FD_STEP
     rows = []
     for t in ts:
         tc = min(max(t, lo), hi)
         mc = evaluate(tc)
         chart = sys.chart_at(mc)
         dfd = (
-            chart.to_coords(evaluate(tc + step)) - chart.to_coords(evaluate(tc - step))
-        ) / (2.0 * step)
+            chart.to_coords(evaluate(tc + FD_STEP)) - chart.to_coords(evaluate(tc - FD_STEP))
+        ) / (2.0 * FD_STEP)
         du = sys.velocity(chart, chart.to_coords(mc), point=mc)
         rows.append(float(np.linalg.norm(dfd - du)))
     return np.asarray(rows)
 
 
-def flow_residual_max(sys, evaluate, ts, step=FD_STEP):
+def flow_residual_max(sys, evaluate, ts):
     """Sup over the grid of the per-sample flow-equation defect."""
-    return float(np.max(flow_residual_rows(sys, evaluate, ts, step)))
+    return float(np.max(flow_residual_rows(sys, evaluate, ts)))
 
 
 # -- quotient integration --------------------------------------------------------
@@ -580,9 +584,9 @@ def _default_quotient_integrator(sys):
 # -- two-step route ---------------------------------------------------------------
 
 
-def check_theta_horizontal(sys, theta, p0, n_samples=8, seed=13, radius=0.05):
+def check_theta_horizontal(sys, theta, p0):
     """Max group-factor rate along the field near p0; error above tolerance."""
-    pts = [p0, *_chart_ball(sys, p0, n_samples - 1, seed, radius)]
+    pts = [p0, *_chart_ball(sys, p0, *FIELD_CHECK_BALL)]
     worst = 0.0
     for m in pts:
         worst = max(worst, float(np.linalg.norm(_theta_rate_along_field(sys, theta, m))))
@@ -680,23 +684,17 @@ class ThetaConnection:
 
     def matrix(self, chart, u):
         """Matrix taking chart velocities to algebra coordinates."""
-        grp = self.sys.group
-        g0 = self.theta(chart.from_coords(u))
-        warm = self.theta.coords_of(g0)
+        theta = self.theta
+        g0 = theta(chart.from_coords(u))
+        warm = theta.coords_of(g0)
         g0inv = np.linalg.inv(g0.matrix)
-        cols = []
-        for e in np.eye(chart.dim):
-            gp = self.theta(chart.from_coords(u + FD_STEP * e), warm=warm)
-            gm = self.theta(chart.from_coords(u - FD_STEP * e), warm=warm)
-            D = (gp.matrix - gm.matrix) / (2.0 * FD_STEP)
-            cols.append(_algebra_fit(grp, D @ g0inv))
-        return np.stack(cols, axis=-1)
-
-    def __call__(self, chart, u, du):
-        return self.matrix(chart, u) @ np.asarray(du, float)
+        D = central_jacobian(lambda x: theta(chart.from_coords(x), warm=warm).matrix, u, FD_STEP)
+        return np.stack(
+            [_algebra_fit(self.sys.group, D[..., i] @ g0inv) for i in range(chart.dim)], axis=-1
+        )
 
 
-def connection_reproduction_defect(sys, connection, m, rng=None, n_dirs=4):
+def connection_reproduction_defect(sys, connection, m, rng=None):
     """Max |connection(action generator of xi) - xi| over sampled directions."""
     rng = rng or np.random.default_rng(5)
     chart = sys.chart_at(m)
@@ -704,7 +702,7 @@ def connection_reproduction_defect(sys, connection, m, rng=None, n_dirs=4):
     A = connection.matrix(chart, u)
     W = fundamental_matrix(sys, m)
     worst = 0.0
-    for _ in range(n_dirs):
+    for _ in range(CONNECTION_DIRS):
         xi = rng.standard_normal(sys.group.dim)
         xi /= np.linalg.norm(xi)
         worst = max(worst, float(np.linalg.norm(A @ (W @ xi) - xi)))
@@ -712,16 +710,17 @@ def connection_reproduction_defect(sys, connection, m, rng=None, n_dirs=4):
 
 
 def usual_reconstruct(sys, connection, p0, t_grid):
-    """Reconstruct through a horizontal lift and the group equation.
+    """Reconstruct through the section curve and the reconstruction equation.
 
     Free-action scenarios only.  The connection must first reproduce the
-    action generators at p0.  The quotient curve is lifted by enforcing
-    zero connection value and matching projection (one projection correction
-    per step), while the group factor integrates the left-translated
-    connection value of the field along the lift; both march by fourth-order
-    steps on a fine grid of two steps per grid interval
-    (``CONNECTION_SUBSTEPS``), the group leg re-projected through its graph
-    chart each step.
+    action generators at p0.  Its horizontal spaces are the level sets of the
+    group-factor map, which is the identity on the section image, so the
+    horizontal lift of the quotient curve gamma through the section is the
+    section curve d(t) = section(gamma(t)) itself.  The group factor solves
+    g' = g eta(t), eta the connection value of the field at d(t), from
+    g(0) = theta(p0) by fourth-order steps on a fine grid of two steps per
+    grid interval (``CONNECTION_SUBSTEPS``), re-projected through its graph
+    chart each step; the output is act(g(t), d(t)).
     """
     if not sys.free:
         raise ReconstructionError(
@@ -744,80 +743,44 @@ def usual_reconstruct(sys, connection, p0, t_grid):
             f"quotient curve left the section domain at t={t_reached:g}"
         )
 
-    def lift_rate(chart, u, m, t):
-        """Velocities (lift, group body rate) at a stage point."""
-        A = connection.matrix(chart, u)
-        Jpi = central_jacobian(lambda x: sys.project(chart.from_coords(x)), u, FD_STEP)
-        stack = np.vstack([Jpi, A])
-        rhs = np.concatenate([Y(np.asarray(gamma(t), float)), np.zeros(grp.dim)])
-        w = scipy.linalg.lstsq(stack, rhs, lapack_driver="gelsd")[0]
-        xi = A @ sys.velocity(chart, u, point=m)
-        return w, xi, Jpi, A
+    def lift(t):
+        return sys.section(np.asarray(gamma(t), float))
 
-    def step_pair(d, g, t, h, project_constraint=True):
-        chart = sys.chart_at(d)
-        u0 = chart.to_coords(d)
-        gm0 = g.matrix
+    def rate(t, gm):
+        return gm @ grp.algebra_matrix(fd_eta(sys, connection.theta, gamma(t)))
 
-        def stage(tau, u, gm):
-            m = chart.from_coords(u)
-            w, xi, _Jpi, _A = lift_rate(chart, u, m, tau)
-            return w, gm @ grp.algebra_matrix(xi)
-
-        k1u, k1g = stage(t, u0, gm0)
-        k2u, k2g = stage(t + 0.5 * h, u0 + 0.5 * h * k1u, gm0 + 0.5 * h * k1g)
-        k3u, k3g = stage(t + 0.5 * h, u0 + 0.5 * h * k2u, gm0 + 0.5 * h * k2g)
-        k4u, k4g = stage(t + h, u0 + h * k3u, gm0 + h * k3g)
-        u1 = u0 + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        gm1 = gm0 + (h / 6.0) * (k1g + 2 * k2g + 2 * k3g + k4g)
-        if project_constraint:
-            m1 = chart.from_coords(u1)
-            _w, _xi, Jpi, A = lift_rate(chart, u1, m1, t + h)
-            H = nullspace(A)
-            gap = np.asarray(gamma(t + h), float) - sys.project(m1)
-            u1 = u1 + H @ scipy.linalg.lstsq(Jpi @ H, gap, lapack_driver="gelsd")[0]
+    def step(g, t, h):
         gchart = GraphChart(grp, g)
-        g1 = gchart.from_coords(gchart.to_coords(gm1), warm=g)
-        return chart.from_coords(u1), g1
+        return gchart.from_coords(gchart.to_coords(rk4_step(rate, t, g.matrix, h)), warm=g)
 
     fine_ts = [float(ts[0])]
     for a, b in zip(ts[:-1], ts[1:]):
         fine_ts.extend(np.linspace(a, b, CONNECTION_SUBSTEPS + 1)[1:])
     fine_ts = np.asarray(fine_ts)
-    nodes = [(sys.section(np.asarray(gamma(ts[0]), float)), None)]
-    # the lift starts at the orbit representative of p0; g(0) carries p0 itself
-    d0 = nodes[0][0]
-    g0 = HorizontalSubmersion(sys, d0)(p0) if sys.exact_theta is None else sys.exact_theta(p0)
-    states = [(d0, g0)]
+    factors = [connection.theta(p0)]
     for t, t_next in zip(fine_ts[:-1], fine_ts[1:]):
-        d, g = states[-1]
-        states.append(step_pair(d, g, t, t_next - t))
+        factors.append(step(factors[-1], t, t_next - t))
     idx = [int(np.argmin(np.abs(fine_ts - t))) for t in ts]
-    points = [sys.act(states[i][1], states[i][0]) for i in idx]
+    points = [sys.act(factors[i], lift(t)) for i, t in zip(idx, ts)]
 
     def evaluate(t):
-        # two micro-steps from the nearest stored node keep the truncation
+        # two micro-steps from the nearest stored factor keep the truncation
         # slope of the difference gate far below its tolerance
         k = int(np.argmin(np.abs(fine_ts - t)))
-        d, g = states[k]
+        g = factors[k]
         dt = t - fine_ts[k]
         if abs(dt) > 1e-14:
-            d, g = step_pair(d, g, fine_ts[k], dt / 2.0, project_constraint=False)
-            d, g = step_pair(d, g, fine_ts[k] + dt / 2.0, dt / 2.0, project_constraint=False)
-        return sys.act(g, d)
+            g = step(g, fine_ts[k], dt / 2.0)
+            g = step(g, fine_ts[k] + dt / 2.0, dt / 2.0)
+        return sys.act(g, lift(t))
 
     flow_rows = flow_residual_rows(sys, evaluate, ts)
     flow = float(np.max(flow_rows))
-    lift_gap = max(
-        float(np.linalg.norm(sys.project(states[i][0]) - np.asarray(gamma(t), float)))
-        for i, t in zip(idx, ts)
-    )
     diagnostics = {
         "route": "connection",
         "flow_residual_max": flow,
         "flow_residuals": flow_rows,
-        "lift_projection_max": lift_gap,
-        "membership_max": max(grp.membership_residual(s[1].matrix) for s in states),
+        "membership_max": max(grp.membership_residual(g.matrix) for g in factors),
         "connection_reproduction": rep,
     }
     sample = TrajectorySample(ts, points, diagnostics)
@@ -829,9 +792,9 @@ def usual_reconstruct(sys, connection, p0, t_grid):
 # -- vertical route ----------------------------------------------------------------
 
 
-def check_vertical(sys, p0, n_samples=8, seed=13, radius=0.05):
+def check_vertical(sys, p0):
     """Max quotient rate along the field near p0; error above tolerance."""
-    pts = [p0, *_chart_ball(sys, p0, n_samples - 1, seed, radius)]
+    pts = [p0, *_chart_ball(sys, p0, *FIELD_CHECK_BALL)]
     worst = 0.0
     for m in pts:
         worst = max(worst, float(np.linalg.norm(_along_field(sys.project, *sys.velocity_at(m)))))
@@ -993,12 +956,6 @@ def make_tstar_scenario(group, field=None):
 def free_particle_field(m):
     """Straight-line motion of the first vector at the second's rate."""
     return np.concatenate([m[3:], np.zeros(3)])
-
-
-def angular_rotation_field(m):
-    """Both vectors rotating about their cross product at its magnitude."""
-    mu = np.cross(m[:3], m[3:])
-    return np.concatenate([np.cross(mu, m[:3]), np.cross(mu, m[3:])])
 
 
 def make_so3_scenario(field=None, section="position"):

@@ -1,9 +1,12 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports or defines is used.
 
-No linter runs on this package, so this test is its unused-import check:
-each module under ``src/liequad`` is parsed with ``ast``, and every name an
-``import`` binds must be read somewhere in the module.  Re-exports count as
-uses when they are listed in ``__all__``.
+No linter runs on this package, so these tests are its unused-import and
+dead-definition checks.  Each module under ``src/liequad`` is parsed with
+``ast``.  Every name an ``import`` binds must be read somewhere in the module;
+re-exports count as uses when they are listed in ``__all__``.  Every
+module-level function, class and constant must be read somewhere in
+``src/``, ``tests/`` or ``benchmarks/``, as a name, an attribute or an
+imported name.
 """
 
 import ast
@@ -11,8 +14,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "liequad"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "liequad"
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
+READERS = [p for d in ("src", "tests", "benchmarks") for p in sorted((ROOT / d).rglob("*.py"))]
 
 
 def unused_imports(source):
@@ -44,3 +49,56 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def module_definitions(source):
+    """Module-level functions, classes and constants of a source, by name, with their lines."""
+    out = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    out[target.id] = node.lineno
+    return out
+
+
+def read_names(source):
+    """Names a source reads: loaded names, loaded attributes and imported names."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def dead_definitions(source, readers):
+    used = set().union(*(read_names(r) for r in readers))
+    return sorted((line, name) for name, line in module_definitions(source).items() if name not in used)
+
+
+def test_checker_flags_a_dead_definition():
+    src = (
+        "A = 1\nB: int = 2\n_C = 3\n__all__ = []\n"
+        "def f():\n    return A\n"
+        "class K:\n    pass\n"
+        "def g():\n    pass\n"
+        "def h():\n    pass\n"
+    )
+    other = "from m import K\nimport m\nm.B\nm.g = None\n"
+    assert dead_definitions(src, [src, other]) == [(3, "_C"), (5, "f"), (9, "g"), (11, "h")]
+
+
+@pytest.fixture(scope="module")
+def reader_sources():
+    return [p.read_text() for p in READERS]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_has_no_dead_definitions(module, reader_sources):
+    assert dead_definitions((SRC / module).read_text(), reader_sources) == []

@@ -441,6 +441,40 @@ def test_lifted_route_generic_field_vs_adaptive_oracle():
     assert sample.diagnostics["flow_residual_max"] <= 1e-5
 
 
+def anisotropic_scenario(group_name):
+    def build():
+        b = CotangentBundle(make_group(group_name))
+        fld = left_invariant_hamiltonian_field(b, lambda mu: np.array([1.0, 2.0, 3.0]) * mu, name="anisotropic")
+        return b, fld, make_tstar_scenario(b.group, fld)
+
+    return cached(("anisotropic", group_name), build)
+
+
+@pytest.mark.parametrize("group_name", ["su2", "sl2r"])
+def test_lifted_route_off_so3_vs_adaptive_oracle(group_name):
+    # su2 runs through the complex flattening of its matrices
+    b, fld, sys_ = anisotropic_scenario(group_name)
+    theta = build_theta(sys_, sys_.section(np.array([0.7, -0.4, 0.5])))
+    p0 = PhasePoint(matrix_exp_oracle(b.group, np.array([0.2, 0.1, -0.3])), np.array([0.7, -0.4, 0.5]))
+    sample = usual_reconstruct(sys_, ThetaConnection(sys_, theta), p0, TS)
+    oracle = ambient_oracle(b, fld, p0, TS)
+    assert max(phase_gap(a, o) for a, o in zip(sample.points, oracle)) <= 1e-6
+    assert sample.diagnostics["flow_residual_max"] <= 1e-5
+
+
+def test_lifted_route_with_solved_factor_matches_closed_form():
+    # the route takes g(0) and eta from the connection's own factor map
+    _b, _fld, sys_ = anisotropic_scenario("so3")
+    m0 = sys_.section(np.array([0.7, -0.4, 0.5]))
+    p0, _ = tstar_start()
+    grid = np.linspace(0.0, 1.0, 17)
+    runs = [
+        usual_reconstruct(sys_, ThetaConnection(sys_, build_theta(sys_, m0, use_exact=exact)), p0, grid)
+        for exact in (True, False)
+    ]
+    assert max(phase_gap(a, b) for a, b in zip(runs[0].points, runs[1].points)) <= 1e-8
+
+
 def test_lifted_route_needs_free_action():
     sys_ = cached("pairs-free", make_so3_scenario)
     with pytest.raises(ReconstructionError, match="free"):
