@@ -15,7 +15,7 @@ import scipy.linalg
 
 from .cotangent import CotangentChart, TangentPhaseVector
 from .liegroup import NEWTON_MAXIT, NEWTON_TOL, ChartDomainError, damped_newton
-from .numutil import central_jacobian, gauss_legendre, nullspace, numerical_rank
+from .numutil import central_jacobian, nullspace, numerical_rank
 
 GN_TOL = 1e-10
 GN_MAXIT = 20
@@ -29,10 +29,17 @@ RATE_DRIFT_TOL = 1e-5
 HALVING_LIMIT = 12
 FAIL_BUDGET = 16
 RECENTER_LIMIT = 64
-QUAD_ORDER = 6          # Gauss-Legendre nodes per panel; the error estimate uses half
-QUAD_MAX_PANELS = 16
-QUAD_TOL = 1e-12
+QUAD_MAX_PANELS = 16    # panels of one fiber quadrature before it counts as a domain failure
+QUAD_TOL = 1e-12        # relative bound on the summed panel error estimates
 LINMAP_FD_STEP = 1e-6   # relative step of the "fd" linearizing map
+
+# 4-point Gauss-Lobatto rule (degree 5) and its 7-point Kronrod extension (degree 9) on
+# [0, 1], nodes ascending; a panel shares its ends with its neighbours and its centre with
+# its halves (Gander and Gautschi, "Adaptive quadrature -- revisited", BIT 40, 2000).
+LK_NODES = 0.5 + 0.5 * np.array(
+    [-1.0, -np.sqrt(2 / 3), -np.sqrt(0.2), 0.0, np.sqrt(0.2), np.sqrt(2 / 3), 1.0])
+LK_KRONROD = 0.5 * np.array([11 / 210, 72 / 245, 125 / 294, 16 / 35, 125 / 294, 72 / 245, 11 / 210])
+LK_LOBATTO = 0.5 * np.array([1 / 6, 0.0, 5 / 6, 0.0, 5 / 6, 0.0, 1 / 6])
 
 
 class HypothesisError(ValueError):
@@ -153,17 +160,11 @@ class _ChartNode:
             self._omat = self.owner.bundle.omega_matrix(self.p)
         return self._omat
 
-    def body_vector(self, dn, dlam):
-        """Concatenated body tangent of the solution map along (dn, dlam)."""
-        dx = scipy.linalg.lu_solve(self.lu, np.concatenate([dn, dlam]))
-        dim = self.owner.integrals.dim
-        return np.concatenate([self.minv @ dx[:dim], dx[dim:]])
-
     def tangent(self, dn, dlam):
         """Chart derivative of the solution map in the direction (dn, dlam)."""
-        w = self.body_vector(dn, dlam)
+        dx = scipy.linalg.lu_solve(self.lu, np.concatenate([dn, dlam]))
         dim = self.owner.integrals.dim
-        return TangentPhaseVector(w[:dim], w[dim:])
+        return TangentPhaseVector(self.minv @ dx[:dim], dx[dim:])
 
     def lam_body(self):
         """Momentum-direction body tangents as columns of a 2*dim x ell array."""
@@ -296,56 +297,71 @@ class CompleteSolutionChart:
 
     # -- quadratures -------------------------------------------------------
 
-    def _segment_quad(self, integrand):
-        """Adaptive quadrature with an embedded half-order error estimate.
+    def _segment_quad(self, integrand, ends=None):
+        """Integral over [0, 1] by nested panels, bisected where the error is.
 
-        Panels of ``QUAD_ORDER`` Gauss-Legendre nodes, checked against
-        ``QUAD_ORDER // 2`` nodes, double globally up to ``QUAD_MAX_PANELS``
-        until the gap is within ``QUAD_TOL`` (relative).  Integrands are
-        analytic inside the chart, so non-convergence at the panel cap is a
-        domain failure, not a refinement problem; raising keeps the cost of
-        probing past the chart boundary bounded.
+        A panel's value is its 7-point Kronrod sum and its estimate the largest
+        entry of its gap to the 4-point Gauss-Lobatto sum.  ``ends``, the
+        integrand at 0 and 1 when the caller has it, makes the first panel
+        cost 5 evaluations instead of 7, and none at all when the
+        trapezoid-rectangle half-gap passes the tolerance: the trapezoid is
+        the value.  Interior nodes go in ascending s, each warm-starting from
+        its neighbour.  While the summed estimates exceed ``QUAD_TOL`` of the
+        total, the panel of largest estimate is halved; its end and centre
+        values are reused, so a split costs 10 evaluations.  Integrands are
+        analytic inside the chart, so non-convergence at ``QUAD_MAX_PANELS``
+        panels is a domain failure, not a refinement problem; raising keeps
+        the cost of probing past the chart boundary bounded.
         """
-        nodes_hi, weights_hi = gauss_legendre(QUAD_ORDER)
-        nodes_lo, weights_lo = gauss_legendre(QUAD_ORDER // 2)
 
-        def gl(nodes, weights, a, b):
+        def tol(value):
+            return QUAD_TOL * max(1.0, float(np.max(np.abs(value))))
+
+        def panel(a, b, fa, fb):
             h = b - a
-            total = 0.0
-            for s, w in zip(nodes, weights):
-                total = total + w * integrand(a + s * h)
-            return h * total
+            f = [fa if fa is not None else integrand(a)]
+            f += [integrand(a + s * h) for s in LK_NODES[1:-1]]
+            f.append(fb if fb is not None else integrand(b))
+            f = np.asarray(f)
+            gap = np.max(np.abs(h * np.tensordot(LK_KRONROD - LK_LOBATTO, f, axes=1)))
+            return float(gap), h * np.tensordot(LK_KRONROD, f, axes=1), (a, b, f[0], f[3], f[-1])
 
-        panels = 1
-        err = np.inf
-        while panels <= QUAD_MAX_PANELS:
-            edges = np.linspace(0.0, 1.0, panels + 1)
-            hi = lo = 0.0
-            for a, b in zip(edges[:-1], edges[1:]):
-                hi = hi + gl(nodes_hi, weights_hi, a, b)
-                lo = lo + gl(nodes_lo, weights_lo, a, b)
-            err = np.max(np.abs(np.atleast_1d(hi - lo)))
-            if err <= QUAD_TOL * max(1.0, float(np.max(np.abs(np.atleast_1d(hi))))):
-                return hi
-            panels *= 2
-        raise ChartDomainError(f"quadrature refinement exhausted (estimate gap {err:.3e})")
+        f0 = f1 = None
+        if ends is not None:
+            f0, f1 = (np.asarray(v, float) for v in ends)
+            trap = 0.5 * (f0 + f1)
+            if 0.5 * np.max(np.abs(f1 - f0)) <= tol(trap):
+                return trap
+        panels = [panel(0.0, 1.0, f0, f1)]
+        while True:
+            total = sum(p[1] for p in panels)
+            err = sum(p[0] for p in panels)
+            if err <= tol(total):
+                return total
+            if len(panels) >= QUAD_MAX_PANELS:
+                raise ChartDomainError(f"quadrature refinement exhausted (estimate sum {err:.3e})")
+            a, b, fa, fm, fb = panels.pop(max(range(len(panels)), key=lambda i: panels[i][0]))[2]
+            m = a + LK_NODES[3] * (b - a)
+            panels += [panel(a, m, fa, fm), panel(m, b, fm, fb)]
 
-    def _phi_increment(self, lam, n_a, n_b, warm_node=None):
-        """Integral along the straight fiber segment of -omega(d_lam, d_s)."""
+    def _phi_increment(self, lam, n_a, n_b, ends=None):
+        """Integral along the straight fiber segment of -omega(d_lam, d_s).
+
+        The integrand is the linearizing Jacobian along the segment; ``ends``
+        are the solved nodes at n_a and n_b when the caller has them.
+        """
         n_a = np.asarray(n_a, float)
         dn = np.asarray(n_b, float) - n_a
         if not np.any(dn):
             return np.zeros(self.ell)
-        warm = {"node": warm_node}
-        zl = np.zeros(self.ell)
+        warm = [None if ends is None else ends[0]]  # each node solve starts from the last one
 
         def integrand(s):
-            node = self._node(lam, n_a + s * dn, from_node=warm["node"])
-            warm["node"] = node
-            ws = node.body_vector(dn, zl)
-            return -(node.lam_body().T @ (node.omat @ ws))
+            warm[0] = self._node(lam, n_a + s * dn, from_node=warm[0])
+            return self.linearizing_jacobian(warm[0]) @ dn
 
-        return self._segment_quad(integrand)
+        values = None if ends is None else [self.linearizing_jacobian(e) @ dn for e in ends]
+        return self._segment_quad(integrand, values)
 
     def generating_function(self, lam, n):
         """Path integral of the tautological form over the standard path.
@@ -356,26 +372,18 @@ class CompleteSolutionChart:
         """
         lam = np.asarray(lam, float)
         n = np.asarray(n, float)
+        zk, zl = np.zeros(self.k), np.zeros(self.ell)
         total = 0.0
-        warm = {"node": None}
-        if np.any(lam):
-            zk = np.zeros(self.k)
+        warm = [None]  # each node solve starts from the last one, across both legs
+        # leg (lam0, dlam, dn): the point at s is (lam0 + s dlam, s dn)
+        for lam0, dlam, dn in ((zl, lam, zk), (lam, zl, n)):
+            if np.any(dlam) or np.any(dn):
 
-            def leg1(s):
-                node = self._node(s * lam, zk, from_node=warm["node"])
-                warm["node"] = node
-                return node.theta(node.tangent(zk, lam))
+                def leg(s):
+                    warm[0] = self._node(lam0 + s * dlam, s * dn, from_node=warm[0])
+                    return warm[0].theta(warm[0].tangent(dn, dlam))
 
-            total += float(self._segment_quad(leg1))
-        if np.any(n):
-            zl = np.zeros(self.ell)
-
-            def leg2(s):
-                node = self._node(lam, s * n, from_node=warm["node"])
-                warm["node"] = node
-                return node.theta(node.tangent(n, zl))
-
-            total += float(self._segment_quad(leg2))
+                total += float(self._segment_quad(leg))
         return total
 
     def linearizing_map(self, lam, n, method="fast"):
@@ -519,7 +527,7 @@ class CompleteSolutionChart:
                 # solve the geometry first: it fails fast out of domain,
                 # while the increment integral is the expensive part
                 node_try = self._node(lam, cand, from_node=node)
-                phi_try = phi + self._phi_increment(lam, node.n, cand, warm_node=node)
+                phi_try = phi + self._phi_increment(lam, node.n, cand, ends=(node, node_try))
             except (ChartDomainError, ValueError):
                 if floor is not None:
                     floor.radius = min(floor.radius, float(np.linalg.norm(cand)))
@@ -622,7 +630,7 @@ def hj_residual(bundle, section, lam, n, fd_step=1e-5, order=16):
     """
     lam = np.asarray(lam, float)
     n = np.asarray(n, float)
-    nodes, weights = gauss_legendre(order)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
     grp = bundle.group
 
     def path_theta(nn, s, ds):
@@ -639,7 +647,7 @@ def hj_residual(bundle, section, lam, n, fd_step=1e-5, order=16):
 
     def potential(nn):
         total = 0.0
-        for s, w in zip(nodes, weights):
+        for s, w in zip(0.5 * (nodes + 1.0), 0.5 * weights):
             total += w * path_theta(nn, s, fd_step)
         return total
 

@@ -1,4 +1,4 @@
-"""Small shared numerical helpers: quadrature nodes, finite differences, rank tools.
+"""Small shared numerical helpers: finite differences, an RK4 step, rank tools.
 
 Everything here is deterministic.  Rank decisions use a relative singular
 value cutoff so that scale changes in the input do not flip decisions.
@@ -10,19 +10,6 @@ import numpy as np
 
 # Singular values <= RANK_RTOL * sigma_max count as zero everywhere in the package.
 RANK_RTOL = 1e-8
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def gauss_legendre(order):
-    """Nodes and weights on [0, 1], cached per order."""
-    try:
-        return _GL_CACHE[order]
-    except KeyError:
-        x, w = np.polynomial.legendre.leggauss(order)
-        pair = (0.5 * (x + 1.0), 0.5 * w)
-        _GL_CACHE[order] = pair
-        return pair
 
 
 def numerical_rank(mat, rtol=RANK_RTOL, scale=0.0):

@@ -486,15 +486,15 @@ def build_theta(sys, m0, use_exact=True):
     return theta
 
 
-def _theta_rate_along_field(sys, theta, m, warm=None, step=ETA_FD_STEP):
+def _theta_rate_along_field(sys, theta, m):
     """Algebra coordinates of the group-factor derivative along the field at m.
 
     The difference step is wider than the generic one so that solver noise in
     the group-factor evaluations stays far below the horizontality tolerance.
     """
     chart, u, du = sys.velocity_at(m)
-    g0 = theta(m, warm=warm)
-    D = _along_field(lambda mm: theta(mm, warm=theta.coords_of(g0)).matrix, chart, u, du, step)
+    g0 = theta(m)
+    D = _along_field(lambda mm: theta(mm, warm=theta.coords_of(g0)).matrix, chart, u, du, ETA_FD_STEP)
     return _algebra_fit(sys.group, D @ np.linalg.inv(g0.matrix))
 
 
@@ -746,8 +746,12 @@ def usual_reconstruct(sys, connection, p0, t_grid):
     def lift(t):
         return sys.section(np.asarray(gamma(t), float))
 
+    etas = {}  # eta depends on t alone; RK4 stages and gate micro-steps share times
+
     def rate(t, gm):
-        return gm @ grp.algebra_matrix(fd_eta(sys, connection.theta, gamma(t)))
+        if t not in etas:
+            etas[t] = grp.algebra_matrix(fd_eta(sys, connection.theta, gamma(t)))
+        return gm @ etas[t]
 
     def step(g, t, h):
         gchart = GraphChart(grp, g)

@@ -9,8 +9,11 @@ from liequad.cotangent import (
     TangentPhaseVector,
     left_invariant_hamiltonian_field,
 )
-from liequad.liegroup import ChartDomainError, make_group, matrix_exp_oracle
+from liequad import reconstruct
+from liequad.liegroup import ChartDomainError, GraphChart, make_group, matrix_exp_oracle
+from liequad.numutil import rk4_step
 from liequad.reconstruct import (
+    CONNECTION_SUBSTEPS,
     HorizontalityError,
     HorizontalSubmersion,
     ReconstructionError,
@@ -30,6 +33,7 @@ from liequad.reconstruct import (
     momentum_defect,
     momentum_eta,
     projected_field_defect,
+    quotient_field,
     scenario_from_key,
     transversality_defect,
     two_step_reconstruct,
@@ -473,6 +477,43 @@ def test_lifted_route_with_solved_factor_matches_closed_form():
         for exact in (True, False)
     ]
     assert max(phase_gap(a, b) for a, b in zip(runs[0].points, runs[1].points)) <= 1e-8
+
+
+def test_connection_route_evaluates_eta_once_per_stage_time(monkeypatch):
+    # eta depends on t alone: the route evaluates it once per distinct stage
+    # time, and its points equal those of RK4 steps evaluating it at every stage
+    _b, _fld, sys_ = anisotropic_scenario("so3")
+    conn = ThetaConnection(sys_, build_theta(sys_, sys_.section(np.array([0.7, -0.4, 0.5]))))
+    p0, _ = tstar_start()
+    grid = np.linspace(0.0, 1.0, 9)
+    seen = []
+
+    def counted(s, theta, lam):
+        seen.append(np.asarray(lam, float).tobytes())
+        return fd_eta(s, theta, lam)
+
+    monkeypatch.setattr(reconstruct, "fd_eta", counted)
+    sample = usual_reconstruct(sys_, conn, p0, grid)
+    monkeypatch.undo()
+    assert len(seen) == len(set(seen))
+
+    grp = sys_.group
+    gamma, _ = _default_quotient_integrator(sys_)(quotient_field(sys_), sys_.project(p0), (0.0, 1.0))
+
+    def rate(t, gm):
+        return gm @ grp.algebra_matrix(fd_eta(sys_, conn.theta, gamma(t)))
+
+    fine = [0.0]
+    for a, b in zip(grid[:-1], grid[1:]):
+        fine.extend(np.linspace(a, b, CONNECTION_SUBSTEPS + 1)[1:])
+    factors = [conn.theta(p0)]
+    for t, t_next in zip(fine[:-1], fine[1:]):
+        gchart = GraphChart(grp, factors[-1])
+        g = rk4_step(rate, t, factors[-1].matrix, t_next - t)
+        factors.append(gchart.from_coords(gchart.to_coords(g), warm=factors[-1]))
+    for pt, g, t in zip(sample.points, factors[::CONNECTION_SUBSTEPS], grid):
+        ref = sys_.act(g, sys_.section(np.asarray(gamma(t), float)))
+        assert np.array_equal(pt.g.matrix, ref.g.matrix) and np.array_equal(pt.alpha, ref.alpha)
 
 
 def test_lifted_route_needs_free_action():
