@@ -27,6 +27,10 @@ from .liealg import CasimirForm, casimir_check
 from .liegroup import GraphChart, GroupElement
 from .numutil import central_jacobian
 
+CASIMIR_CHECK = (32, 17)  # (count, seed) of the domain samples validating a Casimir form
+MIXED_CHECK = (16, 23)    # (count, seed) of the samples validating a mixed field
+INVARIANCE_TOL = 1e-6     # relative invariance defect of a mixed field
+
 
 @dataclass(frozen=True)
 class PhasePoint:
@@ -190,7 +194,7 @@ class InvariantField:
         return self._evaluator(p)
 
 
-def build_casimir_field(bundle, phi, n_check=32, seed=17):
+def build_casimir_field(bundle, phi):
     """Hamiltonian-type vertical field of a Casimir form: (g, alpha) -> (phi(alpha), 0).
 
     The fiber component ad_star(phi(alpha), alpha) vanishes identically for a
@@ -198,6 +202,7 @@ def build_casimir_field(bundle, phi, n_check=32, seed=17):
     test pins the agreement with sharp(pullback of phi through the fiber).
     """
     alg = bundle.algebra
+    n_check, seed = CASIMIR_CHECK
     rng = np.random.default_rng(seed)
     if isinstance(phi, CasimirForm):
         radius = phi.domain_radius if np.isfinite(phi.domain_radius) else 1.0
@@ -224,7 +229,7 @@ def fiber_momentum_covector(bundle, phi, p):
     return mu
 
 
-def build_mixed_field(bundle, terms, grads=None, n_check=16, seed=23):
+def build_mixed_field(bundle, terms, grads=None):
     """Field sum_i f_i(p) * sharp(dh_i composed with the spatial momentum).
 
     ``terms`` is a list of (h_i, f_i): h_i a scalar function of the spatial
@@ -235,6 +240,7 @@ def build_mixed_field(bundle, terms, grads=None, n_check=16, seed=23):
     """
     n = bundle.group.dim
     alg = bundle.algebra
+    n_check, seed = MIXED_CHECK
     rng = np.random.default_rng(seed)
     if grads is None:
         grads = [None] * len(terms)
@@ -275,7 +281,7 @@ def build_mixed_field(bundle, terms, grads=None, n_check=16, seed=23):
     return InvariantField(bundle, evaluator, name="mixed")
 
 
-def _validate_invariance(bundle, evaluator, rng, n_check, tol=1e-6):
+def _validate_invariance(bundle, evaluator, rng, n_check):
     """Sampled check that body components are unchanged by the lifted action.
 
     The threshold only needs to separate finite-difference roundoff (~1e-7 at
@@ -292,7 +298,7 @@ def _validate_invariance(bundle, evaluator, rng, n_check, tol=1e-6):
         w0 = evaluator(p)
         w1 = evaluator(bundle.action(h, p))
         err = np.linalg.norm(w0.concat() - w1.concat())
-        if err > tol * max(1.0, np.linalg.norm(w0.concat())):
+        if err > INVARIANCE_TOL * max(1.0, np.linalg.norm(w0.concat())):
             raise ValueError(
                 f"field is not invariant under the lifted action (defect {err:.3e}); "
                 "mixed terms need coadjoint-invariant momentum functions"

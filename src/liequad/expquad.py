@@ -30,6 +30,7 @@ SEARCH_CANDIDATES = 1024  # covector candidates in the annihilator search
 SEARCH_SEED = 515
 PROOF_MAJORITY = 0.9      # fraction of samples that must sit in the generic stratum
 CASIMIR_POINT_TOL = 1e-10
+SCAN_CANDIDATES = 128     # covector candidates per direction of the Heisenberg scan
 
 
 class NoAdmissibleCovectorError(ValueError):
@@ -242,7 +243,7 @@ def regular_scan(algebra, n_samples=10000, seed=1234):
     }
 
 
-def heisenberg_scan(n_xi_samples=64, seed=1234, n_candidates=128):
+def heisenberg_scan(n_xi_samples=64, seed=1234):
     """Classify Heisenberg directions by admissibility of the covector search.
 
     For each sampled direction xi the scan decides whether some regular
@@ -271,9 +272,7 @@ def heisenberg_scan(n_xi_samples=64, seed=1234, n_candidates=128):
     agree_origin = 0
     rows = []
     for xi in samples:
-        alpha0, proven_empty, _stats = _annihilator_search(
-            alg, xi, n_candidates=n_candidates, seed=seed
-        )
+        alpha0, proven_empty, _stats = _annihilator_search(alg, xi, SCAN_CANDIDATES, seed)
         nonempty = alpha0 is not None
         if not nonempty and not proven_empty:
             raise RuntimeError("heisenberg scan: inconclusive sample")

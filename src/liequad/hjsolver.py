@@ -26,12 +26,15 @@ TANGENCY_SAMPLES = 8     # seeded chart points the tangency check draws around t
 TANGENCY_SEED = 4321
 TANGENCY_RADIUS = 0.1
 RATE_DRIFT_TOL = 1e-5
+RATE_DRIFT_DT = 1e-2     # flow time over which the rate drift is measured
 HALVING_LIMIT = 12
 FAIL_BUDGET = 16
 RECENTER_LIMIT = 64
 QUAD_MAX_PANELS = 16    # panels of one fiber quadrature before it counts as a domain failure
 QUAD_TOL = 1e-12        # relative bound on the summed panel error estimates
 LINMAP_FD_STEP = 1e-6   # relative step of the "fd" linearizing map
+HJ_FD_STEP = 1e-5       # difference step of the potential-property residual
+HJ_ORDER = 16           # Gauss-Legendre nodes of its path integrals
 
 # 4-point Gauss-Lobatto rule (degree 5) and its 7-point Kronrod extension (degree 9) on
 # [0, 1], nodes ascending; a panel shares its ends with its neighbours and its centre with
@@ -271,8 +274,8 @@ class CompleteSolutionChart:
             f"complete-solution inversion did not converge (residual {rn:.3e})"
         )
 
-    def point(self, lam, n, x_init=None):
-        return self.invert(lam, n, x_init=x_init)[0]
+    def point(self, lam, n):
+        return self.invert(lam, n)[0]
 
     def _residual(self, p, x, lam, n):
         return np.concatenate(
@@ -543,12 +546,12 @@ class CompleteSolutionChart:
         raise ChartDomainError(f"fiber solve did not meet the audit tolerance ({rn:.3e})")
 
 
-def rate_drift(chart, p0, dt=1e-2):
+def rate_drift(chart, p0):
     """Change of the flow rate transported a short time along the dynamics."""
     lam, n0 = chart.coords(p0)
     node0 = chart._node(lam, n0)
     beta0 = chart.flow_rate(node0)
-    node1, _phi1 = chart._gauss_newton(lam, node0, np.zeros(chart.ell), dt * beta0)
+    node1, _phi1 = chart._gauss_newton(lam, node0, np.zeros(chart.ell), RATE_DRIFT_DT * beta0)
     beta1 = chart.flow_rate(node1)
     return float(np.linalg.norm(beta1 - beta0) / max(1.0, np.linalg.norm(beta0)))
 
@@ -618,7 +621,7 @@ def integrate_by_quadratures(
     )
 
 
-def hj_residual(bundle, section, lam, n, fd_step=1e-5, order=16):
+def hj_residual(bundle, section, lam, n):
     """Defect of the potential property of a fiber section.
 
     For a complete solution the tautological form pulled back to a fixed
@@ -630,32 +633,23 @@ def hj_residual(bundle, section, lam, n, fd_step=1e-5, order=16):
     """
     lam = np.asarray(lam, float)
     n = np.asarray(n, float)
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(HJ_ORDER)
     grp = bundle.group
 
-    def path_theta(nn, s, ds):
+    def path_theta(nn, s):
         # theta(d/ds section(lam, s*nn)) by 4th-order finite differences
-        def value(h):
-            pp = section(lam, (s + h) * nn)
-            pm = section(lam, (s - h) * nn)
-            dg = (grp.flat(pp.g.matrix) - grp.flat(pm.g.matrix)) / (2.0 * h)
-            p = section(lam, s * nn)
-            v = grp.body_coords(p.g, grp.unflat(dg))
-            return float(p.alpha @ v)
-
-        return (4.0 * value(ds) - value(2.0 * ds)) / 3.0
+        dg = central_jacobian(
+            lambda ss: grp.flat(section(lam, ss[0] * nn).g.matrix),
+            np.array([s]), 2.0 * HJ_FD_STEP, richardson=True,
+        )
+        p = section(lam, s * nn)
+        return float(p.alpha @ grp.body_coords(p.g, grp.unflat(dg[:, 0])))
 
     def potential(nn):
-        total = 0.0
-        for s, w in zip(0.5 * (nodes + 1.0), 0.5 * weights):
-            total += w * path_theta(nn, s, fd_step)
-        return total
+        return sum(w * path_theta(nn, s) for s, w in zip(0.5 * (nodes + 1.0), 0.5 * weights))
 
-    grad = central_jacobian(potential, n, fd_step * max(1.0, float(np.linalg.norm(n))))
-    dg = central_jacobian(lambda nn: grp.flat(section(lam, nn).g.matrix), n, fd_step)
+    grad = central_jacobian(potential, n, HJ_FD_STEP * max(1.0, float(np.linalg.norm(n))))
+    dg = central_jacobian(lambda nn: grp.flat(section(lam, nn).g.matrix), n, HJ_FD_STEP)
     p = section(lam, n)
-    worst = 0.0
-    for j in range(len(n)):
-        form_j = float(p.alpha @ grp.body_coords(p.g, grp.unflat(dg[:, j])))
-        worst = max(worst, abs(grad[j] - form_j))
-    return worst
+    forms = [float(p.alpha @ grp.body_coords(p.g, grp.unflat(col))) for col in dg.T]
+    return max(abs(gj - fj) for gj, fj in zip(grad, forms))

@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numutil import RANK_RTOL, nullspace, numerical_rank
+from .numutil import nullspace, numerical_rank
 
 STRUCTURE_TOL = 1e-12
 _GENERIC_SAMPLES = 256
 _GENERIC_SEED = 1234
+_BOUNDARY_SAMPLES = 64    # directions probing a Casimir domain ball
+_BOUNDARY_SEED = 99
 
 
 class LieAlgebra:
@@ -85,17 +87,17 @@ class LieAlgebra:
             self._bracket_scale = float(np.linalg.norm(self.c))
         return self._bracket_scale
 
-    def isotropy_basis(self, alpha, rtol=RANK_RTOL):
+    def isotropy_basis(self, alpha):
         """Orthonormal basis of {xi : ad_star(xi, alpha) = 0} as columns."""
         scale = self.bracket_scale() * float(np.linalg.norm(alpha))
-        return nullspace(self.ad_star_matrix(alpha), rtol=rtol, scale=scale)
+        return nullspace(self.ad_star_matrix(alpha), scale=scale)
 
-    def isotropy_dimension(self, alpha, rtol=RANK_RTOL):
+    def isotropy_dimension(self, alpha):
         # rank anchored to |alpha|: ad_star_matrix is linear in alpha, so a
         # covector that sits on a singular stratum up to roundoff must not
         # rank against its own noise
         scale = self.bracket_scale() * float(np.linalg.norm(alpha))
-        return self.dim - numerical_rank(self.ad_star_matrix(alpha), rtol=rtol, scale=scale)
+        return self.dim - numerical_rank(self.ad_star_matrix(alpha), scale=scale)
 
     def generic_isotropy_dimension(self):
         """Minimal isotropy dimension over a fixed 256-point seeded sample; cached."""
@@ -113,9 +115,9 @@ class LieAlgebra:
 
     # -- centralizers / regularity on the algebra side ---------------------
 
-    def centralizer_dimension(self, xi, rtol=RANK_RTOL):
+    def centralizer_dimension(self, xi):
         scale = self.bracket_scale() * float(np.linalg.norm(xi))
-        return self.dim - numerical_rank(self.ad_matrix(xi), rtol=rtol, scale=scale)
+        return self.dim - numerical_rank(self.ad_matrix(xi), scale=scale)
 
     def generic_centralizer_dimension(self):
         if self._generic_centralizer is None:
@@ -298,7 +300,7 @@ def central_casimir(algebra):
     return CasimirForm(algebra, lambda a: Z @ (Z.T @ a), name=f"{algebra.name}:central")
 
 
-def casimir_through_point(algebra, xi, alpha0, n_boundary=64, seed=99):
+def casimir_through_point(algebra, xi, alpha0):
     """Casimir form with phi(alpha0) = xi, built from the isotropy projector.
 
     Requires xi to annihilate alpha0 (xi in the isotropy subalgebra) and
@@ -315,8 +317,8 @@ def casimir_through_point(algebra, xi, alpha0, n_boundary=64, seed=99):
         raise ValueError("alpha0 is not a regular covector")
     k = algebra.isotropy_dimension(alpha0)
 
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_boundary, algebra.dim))
+    rng = np.random.default_rng(_BOUNDARY_SEED)
+    dirs = rng.standard_normal((_BOUNDARY_SAMPLES, algebra.dim))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     radius = 0.5 * (1.0 + np.linalg.norm(alpha0))
     for _ in range(40):

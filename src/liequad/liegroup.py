@@ -31,6 +31,7 @@ NEWTON_TOL = 1e-12
 # their residual floor
 GRAPH_NEWTON_TOL = 1e-14
 NEWTON_MAXIT = 50
+VALIDITY_PROBES = (16, 8, 2718)  # (directions, bisection steps, seed) of a chart's validity radius
 
 _oracle_state = {"forbidden": 0, "calls": 0}
 
@@ -337,7 +338,7 @@ class MatrixGroup:
     def membership_residual(self, matrix):
         return float(np.linalg.norm(self.membership_vector(matrix)))
 
-    def element(self, matrix, policy=True):
+    def element(self, matrix):
         """Wrap a matrix, applying the re-projection policy.
 
         Residual <= 1e-8: accept.  In (1e-8, 1e-4]: re-project onto the
@@ -346,7 +347,7 @@ class MatrixGroup:
         m = np.asarray(matrix, dtype=complex if self.is_complex else float)
         r = self.membership_residual(m)
         if r > MEMBERSHIP_TOL:
-            if not policy or r > REPROJECT_LIMIT:
+            if r > REPROJECT_LIMIT:
                 raise ValueError(f"{self.name}: matrix off the group manifold (residual {r:.3e})")
             m = self._project_matrix(m)
             r = self.membership_residual(m)
@@ -692,10 +693,11 @@ class GraphChart:
         """Matrix M with M @ v_body = d(to_coords)/dt along tangent g X(v)."""
         return self.group._flat_tangents(g)[:, self.selected].T
 
-    def validity_radius(self, n_probes=16, bisect_steps=8, seed=2718):
+    def validity_radius(self):
         """Largest r (bisection) with chart inversion converging on a probe sphere."""
         if self._validity is not None:
             return self._validity
+        n_probes, bisect_steps, seed = VALIDITY_PROBES
         rng = np.random.default_rng(seed)
         dirs = rng.standard_normal((n_probes, self.group.dim))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]

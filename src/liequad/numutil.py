@@ -12,7 +12,7 @@ import numpy as np
 RANK_RTOL = 1e-8
 
 
-def numerical_rank(mat, rtol=RANK_RTOL, scale=0.0):
+def numerical_rank(mat, scale=0.0):
     """Rank via SVD with relative cutoff; rank 0 for an (effectively) zero matrix.
 
     ``scale`` raises the reference the cutoff is relative to; pass the natural
@@ -25,7 +25,7 @@ def numerical_rank(mat, rtol=RANK_RTOL, scale=0.0):
     ref = max(s[0], scale)
     if ref == 0.0:
         return 0
-    return int(np.sum(s > rtol * ref))
+    return int(np.sum(s > RANK_RTOL * ref))
 
 
 def nullspace(mat, rtol=RANK_RTOL, scale=0.0):

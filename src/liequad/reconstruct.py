@@ -16,9 +16,10 @@ Three reconstruction routes are implemented.
   point.  Requires the field to be tangent to the level sets of the
   trivializing submersion.
 * ``usual_reconstruct``: the horizontal lift of the quotient curve through the
-  section is the section curve; the group factor solves g' = g eta, eta the
-  connection value of the field there, by RK4 re-projected onto the group.
-  Free actions only.  The matrix exponential is permitted on this route.
+  section is the section curve; the group factor solves the linear equation
+  g' = g eta, eta the connection value of the field there, by fourth-order
+  Magnus steps g exp(Omega).  Free actions only.  The matrix exponential is
+  permitted on this route.
 * ``vertical_integrate``: for fields tangent to the orbits the whole motion
   is a one-parameter group factor acting on a frozen section point.  The
   factor is produced by the quadrature exponential when the direction
@@ -51,7 +52,7 @@ from .liegroup import (
     make_group,
     matrix_exp_oracle,
 )
-from .numutil import central_jacobian, nullspace, rk4_step
+from .numutil import central_jacobian, nullspace
 
 FLOW_RESIDUAL_TOL = 1e-5     # universal gate on reconstructed curves
 HORIZONTAL_TOL = 1e-6        # trivializing-submersion derivative along the field
@@ -75,6 +76,7 @@ ETA_FD_STEP = 1e-5
 QUOTIENT_RTOL = 1e-11
 QUOTIENT_ATOL = 1e-13
 ISOTROPY_RTOL = 1e-8
+ALGEBRA_FIT_TOL = 1e-6       # relative residual of a difference-quotient algebra element
 THETA_BALL = (64, 11, 0.1)   # (count, seed, radius) of the points certifying a factor map
 FIELD_CHECK_BALL = (7, 13, 0.05)  # points besides p0 of the horizontality and verticality checks
 
@@ -207,11 +209,10 @@ def quotient_field(sys):
     return Y
 
 
-def projected_field_defect(sys, m, Y=None):
+def projected_field_defect(sys, m):
     """|push-forward of the field at m - projected field at project(m)|."""
-    Y = Y or quotient_field(sys)
     rate = _along_field(sys.project, *sys.velocity_at(m))
-    return float(np.linalg.norm(rate - Y(sys.project(m))))
+    return float(np.linalg.norm(rate - quotient_field(sys)(sys.project(m))))
 
 
 # -- action generators and isotropy ---------------------------------------------
@@ -344,8 +345,8 @@ class _GroupFactor:
         """Graph-chart coordinates of a group factor, for warm starts."""
         return self.gchart.to_coords(g)
 
-    def defining_defect(self, m, warm=None):
-        back = self.sys.act(self(m, warm=warm), self.sys.section(self.sys.project(m)))
+    def defining_defect(self, m):
+        back = self.sys.act(self(m), self.sys.section(self.sys.project(m)))
         return float(self.sys.chart_distance(m, back))
 
 
@@ -498,12 +499,12 @@ def _theta_rate_along_field(sys, theta, m):
     return _algebra_fit(sys.group, D @ np.linalg.inv(g0.matrix))
 
 
-def _algebra_fit(group, mat, tol=1e-6):
+def _algebra_fit(group, mat):
     """Algebra coordinates of a matrix known only up to finite-difference noise."""
     u = group.flat(mat)
     coords, *_rest = np.linalg.lstsq(group._basis_flat.T, u, rcond=None)
     resid = float(np.linalg.norm(group._basis_flat.T @ coords - u))
-    if resid > tol * max(1.0, float(np.linalg.norm(u))):
+    if resid > ALGEBRA_FIT_TOL * max(1.0, float(np.linalg.norm(u))):
         raise ValueError(
             f"{group.name}: matrix is not an algebra element (residual {resid:.2e})"
         )
@@ -709,6 +710,22 @@ def connection_reproduction_defect(sys, connection, m, rng=None):
     return worst
 
 
+def _magnus_step(sys, theta, gamma, g, t, h):
+    """Fourth-order Magnus step of g' = g eta(t) from g at t over h.
+
+    eta is the group-factor rate of the field at the section over gamma(t),
+    taken at the two Gauss nodes; the step is g exp(Omega) with
+    Omega = h/2 (eta1 + eta2) + sqrt(3) h^2/12 [eta1, eta2], so it stays on
+    the group by construction.
+    """
+    c = np.sqrt(3.0) / 6.0
+    eta1 = fd_eta(sys, theta, gamma(t + (0.5 - c) * h))
+    eta2 = fd_eta(sys, theta, gamma(t + (0.5 + c) * h))
+    grp = sys.group
+    omega = 0.5 * h * (eta1 + eta2) + (np.sqrt(3.0) * h * h / 12.0) * grp.algebra.bracket(eta1, eta2)
+    return g @ matrix_exp_oracle(grp, omega)
+
+
 def usual_reconstruct(sys, connection, p0, t_grid):
     """Reconstruct through the section curve and the reconstruction equation.
 
@@ -717,10 +734,11 @@ def usual_reconstruct(sys, connection, p0, t_grid):
     group-factor map, which is the identity on the section image, so the
     horizontal lift of the quotient curve gamma through the section is the
     section curve d(t) = section(gamma(t)) itself.  The group factor solves
-    g' = g eta(t), eta the connection value of the field at d(t), from
-    g(0) = theta(p0) by fourth-order steps on a fine grid of two steps per
-    grid interval (``CONNECTION_SUBSTEPS``), re-projected through its graph
-    chart each step; the output is act(g(t), d(t)).
+    the linear equation g' = g eta(t), eta the connection value of the field
+    at d(t), from g(0) = theta(p0) by fourth-order Magnus steps on a fine
+    grid of ``CONNECTION_SUBSTEPS`` steps per grid interval; the output is
+    act(g(t), d(t)).  The gate evaluates the curve off the grid by one more
+    step from the nearest stored factor.
     """
     if not sys.free:
         raise ReconstructionError(
@@ -728,6 +746,7 @@ def usual_reconstruct(sys, connection, p0, t_grid):
             f"scenario {sys.name} has stabilizers"
         )
     grp = sys.group
+    theta = connection.theta
     ts = np.asarray(t_grid, float)
     rep = connection_reproduction_defect(sys, connection, p0, rng=np.random.default_rng(5))
     if rep > CONNECTION_TOL:
@@ -746,36 +765,20 @@ def usual_reconstruct(sys, connection, p0, t_grid):
     def lift(t):
         return sys.section(np.asarray(gamma(t), float))
 
-    etas = {}  # eta depends on t alone; RK4 stages and gate micro-steps share times
-
-    def rate(t, gm):
-        if t not in etas:
-            etas[t] = grp.algebra_matrix(fd_eta(sys, connection.theta, gamma(t)))
-        return gm @ etas[t]
-
-    def step(g, t, h):
-        gchart = GraphChart(grp, g)
-        return gchart.from_coords(gchart.to_coords(rk4_step(rate, t, g.matrix, h)), warm=g)
-
     fine_ts = [float(ts[0])]
     for a, b in zip(ts[:-1], ts[1:]):
         fine_ts.extend(np.linspace(a, b, CONNECTION_SUBSTEPS + 1)[1:])
     fine_ts = np.asarray(fine_ts)
-    factors = [connection.theta(p0)]
+    factors = [theta(p0)]
     for t, t_next in zip(fine_ts[:-1], fine_ts[1:]):
-        factors.append(step(factors[-1], t, t_next - t))
-    idx = [int(np.argmin(np.abs(fine_ts - t))) for t in ts]
-    points = [sys.act(factors[i], lift(t)) for i, t in zip(idx, ts)]
+        factors.append(_magnus_step(sys, theta, gamma, factors[-1], t, t_next - t))
+    points = [sys.act(g, lift(t)) for g, t in zip(factors[::CONNECTION_SUBSTEPS], ts)]
 
     def evaluate(t):
-        # two micro-steps from the nearest stored factor keep the truncation
-        # slope of the difference gate far below its tolerance
         k = int(np.argmin(np.abs(fine_ts - t)))
         g = factors[k]
-        dt = t - fine_ts[k]
-        if abs(dt) > 1e-14:
-            g = step(g, fine_ts[k], dt / 2.0)
-            g = step(g, fine_ts[k] + dt / 2.0, dt / 2.0)
+        if abs(t - fine_ts[k]) > 1e-14:
+            g = _magnus_step(sys, theta, gamma, g, fine_ts[k], t - fine_ts[k])
         return sys.act(g, lift(t))
 
     flow_rows = flow_residual_rows(sys, evaluate, ts)
@@ -1143,11 +1146,3 @@ def make_product_scenario(rate=0.7):
         free=False,
     )
 
-
-def scenario_from_key(key, field=None):
-    """Scenario catalogue: "tstar:<group>" and "so3-r3"."""
-    if key == "so3-r3":
-        return make_so3_scenario(field=field)
-    if key.startswith("tstar:"):
-        return make_tstar_scenario(key.split(":", 1)[1], field=field)
-    raise KeyError(f"unknown scenario key {key!r}")

@@ -102,3 +102,81 @@ def reader_sources():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_dead_definitions(module, reader_sources):
     assert dead_definitions((SRC / module).read_text(), reader_sources) == []
+
+
+def defaulted_parameters(source):
+    """Defaulted parameters of module-level functions and methods, with call positions.
+
+    Yields ``(callee, function, parameter, position, line)``: ``callee`` is
+    the name a call site uses (a class name for ``__init__``, None for
+    ``__call__``, whose instances are called under any name), and
+    ``position`` the index among the positional arguments a call passes, or
+    None for a keyword-only parameter.
+    """
+    def scan(fn, callee, bound):
+        args = fn.args
+        first = len(args.args) - len(args.defaults)
+        for i, arg in enumerate(args.args[first:], first - (1 if bound else 0)):
+            yield callee, fn.name, arg.arg, i, fn.lineno
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield callee, fn.name, arg.arg, None, fn.lineno
+
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            yield from scan(node, node.name, False)
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    callee = {"__init__": node.name, "__call__": None}.get(fn.name, fn.name)
+                    yield from scan(fn, callee, True)
+
+
+def call_sites(sources):
+    """Every call in the sources as ``(callee name, positional count, keywords, spread)``."""
+    out = []
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            spread = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords
+            )
+            out.append((name, len(node.args), {k.arg for k in node.keywords}, spread))
+    return out
+
+
+def never_passed_options(source, readers):
+    """Defaulted parameters that no call of their function's name passes."""
+    calls = call_sites(readers)
+    flagged = []
+    for callee, fn, param, pos, line in defaulted_parameters(source):
+        if not any(
+            (callee is None or name == callee)
+            and (spread or param in kws or (pos is not None and npos > pos))
+            for name, npos, kws, spread in calls
+        ):
+            flagged.append((line, f"{fn}({param})"))
+    return sorted(flagged)
+
+
+def test_checker_flags_a_never_passed_option():
+    src = (
+        "def f(a, b=1, c=2, *, d=3):\n    pass\n"
+        "def g(a, b=1):\n    pass\n"
+        "class K:\n"
+        "    def __init__(self, x, y=0):\n        pass\n"
+        "    def m(self, u=1, v=2):\n        pass\n"
+        "    def __call__(self, w=None):\n        pass\n"
+    )
+    # by position, by keyword, by a spread; K(...) reaches __init__, and a
+    # call under any name with one argument reaches __call__
+    other = "f(0, 1)\nf(0, d=4)\ng(*args)\nK(1)\nk.m(5)\nk.m(u=1)\n"
+    assert never_passed_options(src, [src, other]) == [(1, "f(c)"), (6, "__init__(y)"), (8, "m(v)")]
+    assert (10, "__call__(w)") in never_passed_options(src, ["f()\nk.m(u=1, v=2)\n"])
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_options_are_all_passed(module, reader_sources):
+    assert never_passed_options((SRC / module).read_text(), reader_sources) == []

@@ -10,8 +10,7 @@ from liequad.cotangent import (
     left_invariant_hamiltonian_field,
 )
 from liequad import reconstruct
-from liequad.liegroup import ChartDomainError, GraphChart, make_group, matrix_exp_oracle
-from liequad.numutil import rk4_step
+from liequad.liegroup import ChartDomainError, make_group, matrix_exp_oracle
 from liequad.reconstruct import (
     CONNECTION_SUBSTEPS,
     HorizontalityError,
@@ -21,6 +20,7 @@ from liequad.reconstruct import (
     ThetaConnection,
     VerticalityError,
     _default_quotient_integrator,
+    _magnus_step,
     build_theta,
     connection_reproduction_defect,
     fd_eta,
@@ -34,7 +34,6 @@ from liequad.reconstruct import (
     momentum_eta,
     projected_field_defect,
     quotient_field,
-    scenario_from_key,
     transversality_defect,
     two_step_reconstruct,
     usual_reconstruct,
@@ -481,7 +480,7 @@ def test_lifted_route_with_solved_factor_matches_closed_form():
 
 def test_connection_route_evaluates_eta_once_per_stage_time(monkeypatch):
     # eta depends on t alone: the route evaluates it once per distinct stage
-    # time, and its points equal those of RK4 steps evaluating it at every stage
+    # time, and its points equal those of the Magnus steps taken one by one
     _b, _fld, sys_ = anisotropic_scenario("so3")
     conn = ThetaConnection(sys_, build_theta(sys_, sys_.section(np.array([0.7, -0.4, 0.5]))))
     p0, _ = tstar_start()
@@ -497,23 +496,52 @@ def test_connection_route_evaluates_eta_once_per_stage_time(monkeypatch):
     monkeypatch.undo()
     assert len(seen) == len(set(seen))
 
-    grp = sys_.group
     gamma, _ = _default_quotient_integrator(sys_)(quotient_field(sys_), sys_.project(p0), (0.0, 1.0))
-
-    def rate(t, gm):
-        return gm @ grp.algebra_matrix(fd_eta(sys_, conn.theta, gamma(t)))
-
     fine = [0.0]
     for a, b in zip(grid[:-1], grid[1:]):
         fine.extend(np.linspace(a, b, CONNECTION_SUBSTEPS + 1)[1:])
     factors = [conn.theta(p0)]
     for t, t_next in zip(fine[:-1], fine[1:]):
-        gchart = GraphChart(grp, factors[-1])
-        g = rk4_step(rate, t, factors[-1].matrix, t_next - t)
-        factors.append(gchart.from_coords(gchart.to_coords(g), warm=factors[-1]))
+        factors.append(_magnus_step(sys_, conn.theta, gamma, factors[-1], t, t_next - t))
     for pt, g, t in zip(sample.points, factors[::CONNECTION_SUBSTEPS], grid):
         ref = sys_.act(g, sys_.section(np.asarray(gamma(t), float)))
         assert np.array_equal(pt.g.matrix, ref.g.matrix) and np.array_equal(pt.alpha, ref.alpha)
+
+
+def test_magnus_step_is_fourth_order(monkeypatch):
+    # g' = g eta(t) with eta quadratic in t: halving the step must cut the
+    # error by about 16; a second-order step (a wrong commutator) gives 4
+    grp = make_group("so3")
+    coef = np.random.default_rng(11).standard_normal((3, 3))
+
+    def eta(t):
+        return coef[0] + coef[1] * t + coef[2] * t * t
+
+    ref = solve_ivp(
+        lambda t, y: (y.reshape(3, 3) @ grp.algebra_matrix(eta(t))).ravel(),
+        (0.0, 1.0), np.eye(3).ravel(), method="DOP853", rtol=1e-13, atol=1e-14,
+    ).y[:, -1].reshape(3, 3)
+    # the quotient curve is the time itself and eta is read off it
+    monkeypatch.setattr(reconstruct, "fd_eta", lambda _s, _theta, lam: eta(lam))
+    sys_ = make_tstar_scenario(grp)
+    errs = []
+    for n in (4, 8):
+        g = grp.identity()
+        for k in range(n):
+            g = _magnus_step(sys_, None, float, g, k / n, 1.0 / n)
+        errs.append(float(np.max(np.abs(g.matrix - ref))))
+    assert errs[0] >= 12.0 * errs[1]
+
+
+def test_connection_gate_rejects_a_scaled_rate(monkeypatch):
+    # a 1e-4 relative error in eta moves the curve off the field's flow; the
+    # gate must see it on the curve the route returns
+    _b, _fld, sys_ = anisotropic_scenario("so3")
+    conn = ThetaConnection(sys_, build_theta(sys_, sys_.section(np.array([0.7, -0.4, 0.5]))))
+    p0, _ = tstar_start()
+    monkeypatch.setattr(reconstruct, "fd_eta", lambda s, theta, lam: 1.0001 * fd_eta(s, theta, lam))
+    with pytest.raises(ReconstructionError, match="flow-equation"):
+        usual_reconstruct(sys_, conn, p0, np.linspace(0.0, 1.0, 9))
 
 
 def test_lifted_route_needs_free_action():
