@@ -1,7 +1,9 @@
 """Small shared numerical helpers: finite differences, an RK4 step, rank tools.
 
-Everything here is deterministic.  Rank decisions use a relative singular
-value cutoff so that scale changes in the input do not flip decisions.
+``rk4_step`` has no caller in the package: it is kept only as the
+reference of ``test_exp_oracle_vs_rk4``.  Everything here is deterministic.
+Rank decisions use a relative singular value cutoff so that scale changes in
+the input do not flip decisions.
 """
 
 from __future__ import annotations

@@ -25,9 +25,12 @@ Three reconstruction routes are implemented.
   factor is produced by the quadrature exponential when the direction
   qualifies and by the series oracle otherwise, with the provenance flagged.
 
-Every route measures the defect of the flow equation on the emitted curve by
-centered finite differences with a small internal step, independent of how
-the curve was built, and refuses to return a curve that fails the gate.
+Each route supplies only its group factor g(t); one shared tail emits
+act(g(t), section(lam(t))) and certifies that same curve three ways: it
+starts at the initial point, it satisfies the flow equation (centered finite
+differences with a small internal step, independent of how the curve was
+built), and it projects onto the quotient curve.  A curve that fails any of
+the three is refused.
 """
 
 from __future__ import annotations
@@ -541,6 +544,52 @@ def flow_residual_max(sys, evaluate, ts):
     return float(np.max(flow_residual_rows(sys, evaluate, ts)))
 
 
+def _certified(sys, p0, ts, factor, lam, quotient_tol, diagnostics, t_reached=None, audit=None):
+    """Emit act(factor(t), section(lam(t))) on ts and certify that same curve.
+
+    The curve must start at p0, satisfy the flow equation (the gate's
+    ``evaluate`` is built from the same factor and quotient curve) and
+    project onto lam within ``quotient_tol``; ``audit`` runs a route's own
+    check on the emitted points.  A quotient curve cut at ``t_reached``
+    raises SectionDomainError carrying the certified partial sample.
+    """
+    ts = np.asarray(ts, float)
+    kept = ts if t_reached is None else ts[ts <= t_reached + 1e-12]
+
+    def evaluate(t):
+        return sys.act(factor(t), sys.section(np.asarray(lam(t), float)))
+
+    points = [evaluate(t) for t in kept]
+    start = sys.chart_distance(p0, points[0])
+    flow_rows = flow_residual_rows(sys, evaluate, kept)
+    flow = float(np.max(flow_rows))
+    qrows = np.array(
+        [float(np.linalg.norm(sys.project(m) - np.asarray(lam(t), float))) for t, m in zip(kept, points)]
+    )
+    qdrift = float(np.max(qrows))
+    diagnostics.update(
+        start_defect=start,
+        flow_residual_max=flow,
+        flow_residuals=flow_rows,
+        quotient_match_max=qdrift,
+        quotient_match_rows=qrows,
+    )
+    sample = TrajectorySample(kept, points, diagnostics)
+    if start > THETA_SAMPLE_TOL:
+        raise ReconstructionError(f"curve does not start at the initial point (distance {start:.3e})")
+    if flow > FLOW_RESIDUAL_TOL:
+        raise ReconstructionError(f"flow-equation defect {flow:.3e} exceeds the gate")
+    if audit is not None:
+        audit(points)
+    if qdrift > quotient_tol:
+        raise ReconstructionError(f"projection left the quotient curve ({qdrift:.3e})")
+    if len(kept) < len(ts):
+        raise SectionDomainError(
+            f"quotient curve left the section domain at t={t_reached:g}", sample, t_reached
+        )
+    return sample
+
+
 # -- quotient integration --------------------------------------------------------
 
 
@@ -585,12 +634,14 @@ def _default_quotient_integrator(sys):
 # -- two-step route ---------------------------------------------------------------
 
 
+def _rate_near(sys, p0, rate):
+    """Max |rate(m)| over p0 and the ``FIELD_CHECK_BALL`` points around it."""
+    return max(float(np.linalg.norm(rate(m))) for m in [p0, *_chart_ball(sys, p0, *FIELD_CHECK_BALL)])
+
+
 def check_theta_horizontal(sys, theta, p0):
     """Max group-factor rate along the field near p0; error above tolerance."""
-    pts = [p0, *_chart_ball(sys, p0, *FIELD_CHECK_BALL)]
-    worst = 0.0
-    for m in pts:
-        worst = max(worst, float(np.linalg.norm(_theta_rate_along_field(sys, theta, m))))
+    worst = _rate_near(sys, p0, lambda m: _theta_rate_along_field(sys, theta, m))
     if worst > HORIZONTAL_TOL:
         raise HorizontalityError(
             f"field moves the group factor (rate {worst:.3e}); "
@@ -609,62 +660,24 @@ def two_step_reconstruct(sys, theta, p0, t_grid, quotient_integrator=None):
     """
     ts = np.asarray(t_grid, float)
     horiz = check_theta_horizontal(sys, theta, p0)
-    lam0 = sys.project(p0)
     g0 = theta(p0)
-    Y = quotient_field(sys)
     integrator = quotient_integrator or _default_quotient_integrator(sys)
-    gamma, t_reached = integrator(Y, lam0, (float(ts[0]), float(ts[-1])))
+    gamma, t_reached = integrator(quotient_field(sys), sys.project(p0), (float(ts[0]), float(ts[-1])))
+    diagnostics = {"route": "two-step", "horizontality_defect": horiz}
 
-    partial = t_reached < float(ts[-1]) - 1e-12
-    kept = ts[ts <= t_reached + 1e-12] if partial else ts
-    points = [sys.act(g0, sys.section(np.asarray(gamma(t), float))) for t in kept]
+    def drift(points):
+        rows = []
+        warm = theta.coords_of(g0)
+        for m in points:
+            gt = theta(m, warm=warm)
+            warm = theta.coords_of(gt)
+            rows.append(float(np.linalg.norm(np.linalg.solve(g0.matrix, gt.matrix) - np.eye(sys.group.N))))
+        tdrift = float(np.max(rows))
+        diagnostics.update(factor_drift_max=tdrift, factor_drift_rows=np.array(rows))
+        if tdrift > THETA_DRIFT_TOL:
+            raise ReconstructionError(f"group factor drifted along the output ({tdrift:.3e})")
 
-    def evaluate(t):
-        return sys.act(g0, sys.section(np.asarray(gamma(t), float)))
-
-    flow_rows = flow_residual_rows(sys, evaluate, kept)
-    flow = float(np.max(flow_rows))
-    qrows = np.array(
-        [
-            float(np.linalg.norm(sys.project(m) - np.asarray(gamma(t), float)))
-            for t, m in zip(kept, points)
-        ]
-    )
-    trows = []
-    warm = theta.coords_of(g0)
-    for m in points:
-        gt = theta(m, warm=warm)
-        warm = theta.coords_of(gt)
-        trows.append(
-            float(np.linalg.norm(np.linalg.solve(g0.matrix, gt.matrix) - np.eye(sys.group.N)))
-        )
-    trows = np.array(trows)
-    qdrift = float(np.max(qrows))
-    tdrift = float(np.max(trows))
-    diagnostics = {
-        "route": "two-step",
-        "flow_residual_max": flow,
-        "flow_residuals": flow_rows,
-        "horizontality_defect": horiz,
-        "quotient_match_max": qdrift,
-        "quotient_match_rows": qrows,
-        "factor_drift_max": tdrift,
-        "factor_drift_rows": trows,
-    }
-    sample = TrajectorySample(np.asarray(kept), points, diagnostics)
-    if flow > FLOW_RESIDUAL_TOL:
-        raise ReconstructionError(f"flow-equation defect {flow:.3e} exceeds the gate")
-    if tdrift > THETA_DRIFT_TOL:
-        raise ReconstructionError(f"group factor drifted along the output ({tdrift:.3e})")
-    if qdrift > QUOTIENT_MATCH_TOL:
-        raise ReconstructionError(f"projection left the quotient curve ({qdrift:.3e})")
-    if partial:
-        raise SectionDomainError(
-            f"quotient curve left the section domain at t={t_reached:g}",
-            sample,
-            t_reached,
-        )
-    return sample
+    return _certified(sys, p0, ts, lambda t: g0, gamma, QUOTIENT_MATCH_TOL, diagnostics, t_reached, drift)
 
 
 # -- connection route --------------------------------------------------------------
@@ -737,63 +750,45 @@ def usual_reconstruct(sys, connection, p0, t_grid):
     the linear equation g' = g eta(t), eta the connection value of the field
     at d(t), from g(0) = theta(p0) by fourth-order Magnus steps on a fine
     grid of ``CONNECTION_SUBSTEPS`` steps per grid interval; the output is
-    act(g(t), d(t)).  The gate evaluates the curve off the grid by one more
-    step from the nearest stored factor.
+    act(g(t), d(t)).  Off the fine grid the factor is one more step from the
+    nearest stored factor.
     """
     if not sys.free:
         raise ReconstructionError(
             "reconstruction by connection needs a free action; "
             f"scenario {sys.name} has stabilizers"
         )
-    grp = sys.group
     theta = connection.theta
     ts = np.asarray(t_grid, float)
-    rep = connection_reproduction_defect(sys, connection, p0, rng=np.random.default_rng(5))
+    rep = connection_reproduction_defect(sys, connection, p0)
     if rep > CONNECTION_TOL:
         raise ReconstructionError(
             f"connection does not reproduce action generators (defect {rep:.3e})"
         )
-    Y = quotient_field(sys)
     gamma, t_reached = _default_quotient_integrator(sys)(
-        Y, sys.project(p0), (float(ts[0]), float(ts[-1]))
+        quotient_field(sys), sys.project(p0), (float(ts[0]), float(ts[-1]))
     )
-    if t_reached < float(ts[-1]) - 1e-12:
-        raise ReconstructionError(
-            f"quotient curve left the section domain at t={t_reached:g}"
-        )
-
-    def lift(t):
-        return sys.section(np.asarray(gamma(t), float))
-
-    fine_ts = [float(ts[0])]
-    for a, b in zip(ts[:-1], ts[1:]):
+    kept = ts[ts <= t_reached + 1e-12]
+    fine_ts = [float(kept[0])]
+    for a, b in zip(kept[:-1], kept[1:]):
         fine_ts.extend(np.linspace(a, b, CONNECTION_SUBSTEPS + 1)[1:])
     fine_ts = np.asarray(fine_ts)
     factors = [theta(p0)]
     for t, t_next in zip(fine_ts[:-1], fine_ts[1:]):
         factors.append(_magnus_step(sys, theta, gamma, factors[-1], t, t_next - t))
-    points = [sys.act(g, lift(t)) for g, t in zip(factors[::CONNECTION_SUBSTEPS], ts)]
 
-    def evaluate(t):
+    def factor(t):
         k = int(np.argmin(np.abs(fine_ts - t)))
-        g = factors[k]
-        if abs(t - fine_ts[k]) > 1e-14:
-            g = _magnus_step(sys, theta, gamma, g, fine_ts[k], t - fine_ts[k])
-        return sys.act(g, lift(t))
+        if abs(t - fine_ts[k]) <= 1e-14:
+            return factors[k]
+        return _magnus_step(sys, theta, gamma, factors[k], fine_ts[k], t - fine_ts[k])
 
-    flow_rows = flow_residual_rows(sys, evaluate, ts)
-    flow = float(np.max(flow_rows))
     diagnostics = {
         "route": "connection",
-        "flow_residual_max": flow,
-        "flow_residuals": flow_rows,
-        "membership_max": max(grp.membership_residual(g.matrix) for g in factors),
+        "membership_max": max(sys.group.membership_residual(g.matrix) for g in factors),
         "connection_reproduction": rep,
     }
-    sample = TrajectorySample(ts, points, diagnostics)
-    if flow > FLOW_RESIDUAL_TOL:
-        raise ReconstructionError(f"flow-equation defect {flow:.3e} exceeds the gate")
-    return sample
+    return _certified(sys, p0, ts, factor, gamma, QUOTIENT_MATCH_TOL, diagnostics, t_reached)
 
 
 # -- vertical route ----------------------------------------------------------------
@@ -801,10 +796,7 @@ def usual_reconstruct(sys, connection, p0, t_grid):
 
 def check_vertical(sys, p0):
     """Max quotient rate along the field near p0; error above tolerance."""
-    pts = [p0, *_chart_ball(sys, p0, *FIELD_CHECK_BALL)]
-    worst = 0.0
-    for m in pts:
-        worst = max(worst, float(np.linalg.norm(_along_field(sys.project, *sys.velocity_at(m)))))
+    worst = _rate_near(sys, p0, lambda m: _along_field(sys.project, *sys.velocity_at(m)))
     if worst > VERTICAL_TOL:
         raise VerticalityError(
             f"field moves the quotient coordinates (rate {worst:.3e}); it is not vertical"
@@ -841,6 +833,11 @@ def vertical_integrate(sys, theta, p0, t_grid, eta_provider=None, chi=None):
     choice yields the same curve; zero is the default).  The exponential
     curve comes from the quadrature route when the direction admits it and
     from the series oracle otherwise; diagnostics record which.
+
+    The gate uses the emitted factors f_k: off the grid the factor is the
+    nearest f_k times E(t - t_k), sampled by the same exponential call at the
+    gate's offsets, with E(-s) = E(s)^-1; f_k^-1 f_(k+1) is held to
+    E(t_(k+1) - t_k) from that call, so the emitted factors agree.
     """
     ts = np.asarray(t_grid, float)
     if abs(ts[0]) > 1e-14:
@@ -848,47 +845,47 @@ def vertical_integrate(sys, theta, p0, t_grid, eta_provider=None, chi=None):
     vert = check_vertical(sys, p0)
     lam = sys.project(p0)
     g0 = theta(p0)
-    s_lam = sys.section(lam)
     eta = np.asarray(eta_provider(sys, lam) if eta_provider else fd_eta(sys, theta, lam), float)
     zeta = eta if chi is None else eta + np.asarray(chi, float)
 
     grp = sys.group
+    # output times, gate offsets, and grid steps not already output times
+    grid = np.unique(np.concatenate([ts, [FD_STEP, 2.0 * FD_STEP]]))
+    grid = np.unique(np.concatenate([grid, [s for s in np.diff(ts) if np.min(np.abs(grid - s)) > 1e-12]]))
     warnings = []
     try:
-        curve = exp_general(grp, zeta, ts)
-        factors = curve.elements
+        samples = exp_general(grp, zeta, grid).elements
         provenance = "quadrature"
     except (NoAdmissibleCovectorError, ValueError, ChartDomainError, HypothesisError) as err:
-        factors = [matrix_exp_oracle(grp, zeta, t) for t in ts]
+        samples = [matrix_exp_oracle(grp, zeta, t) for t in grid]
         provenance = "oracle"
         warnings.append(f"group factor by series oracle: {err}")
 
-    points = [sys.act(g0 @ f, s_lam) for f in factors]
+    def exp_at(s):
+        e = samples[int(np.argmin(np.abs(grid - abs(s))))]
+        return e if s >= 0 else e.inverse()
 
-    def evaluate(t):
-        return sys.act(g0 @ matrix_exp_oracle(grp, zeta, float(t)), s_lam)
+    factors = [exp_at(t) for t in ts]
+    gaps = [np.linalg.solve(f.matrix, f1.matrix) - exp_at(b - a).matrix
+            for f, f1, a, b in zip(factors, factors[1:], ts, ts[1:])]
+    consistency = max((float(np.linalg.norm(d)) for d in gaps), default=0.0)
+    if consistency > THETA_DRIFT_TOL:
+        raise ReconstructionError(f"emitted group factors disagree with their steps ({consistency:.3e})")
 
-    flow_rows = flow_residual_rows(sys, evaluate, ts)
-    flow = float(np.max(flow_rows))
-    qrows = np.array([float(np.linalg.norm(sys.project(m) - lam)) for m in points])
-    qdrift = float(np.max(qrows))
+    def factor(t):
+        k = int(np.argmin(np.abs(ts - t)))
+        g = g0 @ factors[k]
+        return g if t == ts[k] else g @ exp_at(t - ts[k])
+
     diagnostics = {
         "route": "vertical",
         "group_factor": provenance,
-        "flow_residual_max": flow,
-        "flow_residuals": flow_rows,
         "verticality_defect": vert,
-        "quotient_match_max": qdrift,
-        "quotient_match_rows": qrows,
+        "factor_consistency_max": consistency,
         "eta": eta,
         "warnings": warnings,
     }
-    sample = TrajectorySample(ts, points, diagnostics)
-    if flow > FLOW_RESIDUAL_TOL:
-        raise ReconstructionError(f"flow-equation defect {flow:.3e} exceeds the gate")
-    if qdrift > THETA_DRIFT_TOL:
-        raise ReconstructionError(f"quotient coordinates drifted ({qdrift:.3e})")
-    return sample
+    return _certified(sys, p0, ts, factor, lambda t: lam, THETA_DRIFT_TOL, diagnostics)
 
 
 # -- scenario: trivialized cotangent bundle -----------------------------------------

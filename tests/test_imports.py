@@ -6,10 +6,12 @@ dead-definition checks.  Each module under ``src/liequad`` is parsed with
 re-exports count as uses when they are listed in ``__all__``.  Every
 module-level function, class and constant must be read somewhere in
 ``src/``, ``tests/`` or ``benchmarks/``, as a name, an attribute or an
-imported name.
+imported name.  Every entry point the traced benchmark wraps must resolve.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -180,3 +182,20 @@ def test_checker_flags_a_never_passed_option():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_options_are_all_passed(module, reader_sources):
     assert never_passed_options((SRC / module).read_text(), reader_sources) == []
+
+
+def test_benchmark_trace_targets_resolve():
+    # the tracer patches each target where it is defined, so a method must
+    # sit in its own class's namespace, not be inherited
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "benchmarks" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module_name, path, _post in tracing.TARGETS:
+        owner = importlib.import_module(module_name)
+        *owners, attr = path.split(".")
+        for part in owners:
+            owner = getattr(owner, part, None)
+        if owner is None or not callable(vars(owner).get(attr)):
+            missing.append(f"{module_name}.{path}")
+    assert missing == []

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from liequad.liealg import (
     CasimirForm,
@@ -267,3 +269,41 @@ def _unit_ball(rng, m, n):
     v = rng.standard_normal((m, n))
     v /= np.linalg.norm(v, axis=1)[:, None]
     return v * rng.uniform(0, 1, (m, 1)) ** (1.0 / n)
+
+
+def bianchi_constants(n, a):
+    """[e_i, e_j] = eps_ijl n_l e_l + a_i e_j - a_j e_i with a = (a, 0, 0)."""
+    eps = np.zeros((3, 3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[i, j, k], eps[j, i, k] = 1.0, -1.0
+    av = np.array([a, 0.0, 0.0])
+    return (
+        np.einsum("ijl,l->ijl", eps, np.asarray(n, float))
+        + np.einsum("i,jk->ijk", av, np.eye(3))
+        - np.einsum("j,ik->ijk", av, np.eye(3))
+    )
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.tuples(*[st.sampled_from([-1.0, 0.0, 1.0])] * 3),
+    class_b=st.booleans(),
+    a=st.floats(0.2, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bianchi_algebras_orbits_and_casimirs(n, class_b, a, seed):
+    # class A has a = 0; class B has a != 0, and the Jacobi identity then
+    # needs n_1 a = 0
+    n = (0.0, n[1], n[2]) if class_b else n
+    alg = LieAlgebra("bianchi", bianchi_constants(n, a if class_b else 0.0))
+    rng = np.random.default_rng(seed)
+    for alpha in rng.standard_normal((8, 3)):
+        # coadjoint orbits are even-dimensional
+        assert (alg.dim - alg.isotropy_dimension(alpha)) % 2 == 0
+    alpha0 = rng.standard_normal(3)
+    assume(alg.is_coadjoint_regular(alpha0))
+    Q = alg.isotropy_basis(alpha0)
+    xi = Q @ rng.standard_normal(Q.shape[1])
+    phi = casimir_through_point(alg, xi, alpha0)
+    inside = alpha0 + phi.domain_radius * 0.9 * _unit_ball(rng, 20, 3)
+    assert casimir_check(alg, phi, inside) <= 1e-10

@@ -10,7 +10,8 @@ from liequad.cotangent import (
     left_invariant_hamiltonian_field,
 )
 from liequad import reconstruct
-from liequad.liegroup import ChartDomainError, make_group, matrix_exp_oracle
+from liequad.expquad import exp_general
+from liequad.liegroup import ChartDomainError, forbid_exp_oracle, make_group, matrix_exp_oracle
 from liequad.reconstruct import (
     CONNECTION_SUBSTEPS,
     HorizontalityError,
@@ -654,6 +655,92 @@ def test_vertical_route_flags_series_fallback():
     )
     assert worst <= 1e-8
 
+
+def product_start():
+    prod = cached("product", make_product_scenario)
+    mp = prod.section(np.array([1.5]))
+    theta = cached("theta-product", lambda: build_theta(prod, mp))
+    return prod, theta, prod.act(matrix_exp_oracle(prod.group, np.array([0.2, -0.1, 0.3, 0.5])), mp)
+
+
+def test_vertical_gate_rejects_a_wrong_speed_factor(monkeypatch):
+    # every factor, the gate's short ones included, runs at 1.5 times the
+    # speed: the gate must see it on the emitted curve
+    prod, theta, p0 = product_start()
+    monkeypatch.setattr(reconstruct, "exp_general", lambda grp, xi, ts: exp_general(grp, xi, 1.5 * np.asarray(ts)))
+    with pytest.raises(ReconstructionError, match="flow-equation"):
+        vertical_integrate(prod, theta, p0, TS)
+
+
+def test_vertical_route_rejects_one_moved_factor(monkeypatch):
+    # a factor moved along its own curve still solves the flow equation
+    # locally; only the agreement of neighbouring factors sees it
+    prod, theta, p0 = product_start()
+
+    def moved(grp, xi, ts):
+        curve = exp_general(grp, xi, ts)
+        k = int(np.argmin(np.abs(np.asarray(curve.ts) - 0.5)))
+        curve.elements[k] = curve.elements[k] @ matrix_exp_oracle(grp, xi, 0.01)
+        return curve
+
+    monkeypatch.setattr(reconstruct, "exp_general", moved)
+    with pytest.raises(ReconstructionError, match="disagree"):
+        vertical_integrate(prod, theta, p0, TS)
+
+
+@pytest.mark.parametrize("scenario", ["product", "tstar-so3"])
+def test_quadrature_vertical_route_needs_no_oracle(scenario):
+    if scenario == "product":
+        sys_, theta, p0 = product_start()
+    else:
+        sys_ = tstar_so3()
+        theta = cached("theta-tstar", lambda: build_theta(sys_, sys_.section(np.array([0.7, -0.4, 0.5]))))
+        p0, _ = tstar_start()
+    with forbid_exp_oracle():
+        sample = vertical_integrate(sys_, theta, p0, TS)
+    assert sample.diagnostics["group_factor"] == "quadrature"
+    assert sample.diagnostics["flow_residual_max"] <= 1e-5
+
+
+class ShiftedAtStart:
+    """A factor map whose value at p0 alone is moved by exp(0.01 e3)."""
+
+    def __init__(self, theta, p0):
+        self.theta = theta
+        self.p0 = p0
+        grp = theta.sys.group
+        self.shift = matrix_exp_oracle(grp, 0.01 * np.eye(grp.dim)[2])
+
+    def __call__(self, m, warm=None):
+        g = self.theta(m, warm=warm)
+        return g @ self.shift if m is self.p0 else g
+
+    def coords_of(self, g):
+        return self.theta.coords_of(g)
+
+
+@pytest.mark.parametrize("route", ["two-step", "connection", "vertical"])
+def test_every_route_rejects_a_curve_off_the_initial_point(route):
+    # the moved factor yields an integral curve, but not the one through p0
+    grid = np.linspace(0.0, 1.0, 9)
+    if route == "two-step":
+        sys_ = cached("pairs-momentum", lambda: make_so3_scenario(section="momentum"))
+        theta = cached("theta-pairs-momentum", lambda: build_theta(sys_, sys_.section(np.array([2.0, 3.0, 1.0]))))
+        p0, _, _ = pair_start(sys_)
+    elif route == "connection":
+        _b, _fld, sys_ = anisotropic_scenario("so3")
+        theta = build_theta(sys_, sys_.section(np.array([0.7, -0.4, 0.5])))
+        p0, _ = tstar_start()
+    else:
+        sys_, theta, p0 = product_start()
+    shifted = ShiftedAtStart(theta, p0)
+    with pytest.raises(ReconstructionError, match="does not start"):
+        if route == "two-step":
+            two_step_reconstruct(sys_, shifted, p0, grid)
+        elif route == "connection":
+            usual_reconstruct(sys_, ThetaConnection(sys_, shifted), p0, grid)
+        else:
+            vertical_integrate(sys_, shifted, p0, grid)
 
 # -- projected dynamics and the gate ------------------------------------------------
 
