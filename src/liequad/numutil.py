@@ -1,9 +1,7 @@
-"""Small shared numerical helpers: finite differences, an RK4 step, rank tools.
+"""Small shared numerical helpers: finite differences and rank tools.
 
-``rk4_step`` has no caller in the package: it is kept only as the
-reference of ``test_exp_oracle_vs_rk4``.  Everything here is deterministic.
-Rank decisions use a relative singular value cutoff so that scale changes in
-the input do not flip decisions.
+Everything here is deterministic.  Rank decisions use a relative singular
+value cutoff so that scale changes in the input do not flip decisions.
 """
 
 from __future__ import annotations
@@ -60,11 +58,3 @@ def central_jacobian(f, x, step=1e-6, richardson=False):
     if not richardson:
         return coarse
     return (4.0 * cd(step / 2.0) - coarse) / 3.0
-
-
-def rk4_step(f, t, y, h):
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -25,6 +25,14 @@ Three reconstruction routes are implemented.
   factor is produced by the quadrature exponential when the direction
   qualifies and by the series oracle otherwise, with the provenance flagged.
 
+Every scenario gives its action generators W (the chart velocities of the
+one-parameter action flows) and the section's Jacobian Ds in closed form.
+The group factor is the identity on the section image, so there the field
+splits as X = W eta + Ds Y: one least-squares solve gives the connection rate
+eta and the quotient field Y exactly, with no derivative of the group-factor
+map and no chart inversion.  The solved group-factor map takes its
+Gauss-Newton Jacobian from W as well.
+
 Each route supplies only its group factor g(t); one shared tail emits
 act(g(t), section(lam(t))) and certifies that same curve three ways: it
 starts at the initial point, it satisfies the flow equation (centered finite
@@ -74,7 +82,6 @@ CONNECTION_SUBSTEPS = 2      # fourth-order steps per grid interval of the conne
 TRANSVERSALITY_FLOOR = 1e-6  # relative smallest singular value of stacked Jacobians
 SECTION_EPS = 1e-9           # section domain margin floor
 FD_STEP = 1e-6
-GENERATOR_FD_STEP = 1e-4     # Richardson step of the action-generator columns
 ETA_FD_STEP = 1e-5
 QUOTIENT_RTOL = 1e-11
 QUOTIENT_ATOL = 1e-13
@@ -133,6 +140,13 @@ class InvariantSystem:
     ``velocity`` (the field as a coordinate velocity).  ``section_margin``
     is positive inside the section domain; curves are cut where it vanishes.
     Instances are immutable after construction.
+
+    Two closed forms are required, each in the coordinates of a given chart:
+    ``generators(chart, m)`` is the matrix W whose column i is the velocity
+    at m of the action flow t -> act(exp(t e_i), m), and
+    ``section_jacobian(chart, lam)`` is the derivative Ds of the section at
+    lam.  They give the connection rate and the quotient field
+    (``section_split``) and the Jacobian of the solved group-factor map.
     """
 
     def __init__(
@@ -146,6 +160,8 @@ class InvariantSystem:
         velocity,
         project,
         section,
+        generators,
+        section_jacobian,
         random_point,
         section_margin=None,
         momentum=None,
@@ -162,6 +178,8 @@ class InvariantSystem:
         self.velocity = velocity
         self.project = project
         self.section = section
+        self.generators = generators
+        self.section_jacobian = section_jacobian
         self.random_point = random_point
         self.section_margin = section_margin or (lambda lam: np.inf)
         self.momentum = momentum
@@ -190,24 +208,39 @@ def _along_field(f, chart, u, du, step=FD_STEP):
     return (f(chart.from_coords(u + h * du)) - f(chart.from_coords(u - h * du))) / (2.0 * h)
 
 
+def section_split(sys, lam):
+    """Connection rate eta and quotient field Y at the section point over lam.
+
+    The group factor is the identity on the section image, so the field there
+    is an action generator plus a section velocity: X = W eta + Ds Y.  One
+    least-squares solve of that system gives both exactly.  Y is unique
+    because the orbit and section tangents are transversal (``build_theta``
+    certifies it); under a stabilizer eta is the minimum-norm rate.
+    """
+    lam = np.asarray(lam, float)
+    m = sys.section(lam)
+    chart, _u, du = sys.velocity_at(m)
+    split = np.hstack([sys.generators(chart, m), sys.section_jacobian(chart, lam)])
+    sol = np.linalg.lstsq(split, du, rcond=None)[0]
+    k = sys.group.dim
+    return sol[:k], sol[k:]
+
+
+def split_eta(sys, lam):
+    """Connection rate at the section point over lam, from ``section_split``."""
+    return section_split(sys, lam)[0]
+
+
 def quotient_field(sys):
     """The projected field on orbit coordinates, evaluated through the section.
 
-    The value at lam is the push-forward of the field along the projection at
-    the section point, by centered differences.  Invariance makes the result
-    independent of the orbit representative; ``projected_field_defect``
-    measures exactly that.
+    The value at lam is the Y of ``section_split`` at lam.  Invariance makes
+    the push-forward of the field along the projection the same at every
+    point of the orbit; ``projected_field_defect`` measures that against Y.
     """
-    cache = {}
 
     def Y(lam):
-        m = sys.section(np.asarray(lam, float))
-        chart = cache.get("chart")
-        if chart is None:
-            # section images share one chart: the group part never moves
-            chart = cache["chart"] = sys.chart_at(m)
-        u = chart.to_coords(m)
-        return _along_field(sys.project, chart, u, sys.velocity(chart, u, point=m))
+        return section_split(sys, lam)[1]
 
     return Y
 
@@ -222,19 +255,8 @@ def projected_field_defect(sys, m):
 
 
 def fundamental_matrix(sys, m):
-    """Columns: chart velocities at m of the one-parameter action flows.
-
-    The wide step keeps roundoff small and the Richardson level removes the
-    second-order truncation term, so the columns come out to about twelve
-    digits.
-    """
-    chart = sys.chart_at(m)
-    u0 = chart.to_coords(m)
-
-    def along(xi):
-        return chart.to_coords(sys.act(matrix_exp_oracle(sys.group, xi), m)) - u0
-
-    return central_jacobian(along, np.zeros(sys.group.dim), GENERATOR_FD_STEP, richardson=True)
+    """Columns: chart velocities at m of the one-parameter action flows."""
+    return sys.generators(sys.chart_at(m), m)
 
 
 def isotropy_basis_at(sys, m):
@@ -356,16 +378,19 @@ class _GroupFactor:
 class HorizontalSubmersion(_GroupFactor):
     """Group-factor map of a section: solves act(g, section(project(m))) = m.
 
-    The solve is Gauss-Newton over graph-chart coordinates of g near the
+    The solve is Gauss-Newton over graph-chart coordinates n of g near the
     identity, with minimum-norm steps; on positive-dimensional stabilizers
     the steps stay orthogonal to the gauge directions, which fixes the
     representative deterministically.  The base point maps to the identity.
+    The Jacobian is exact: moving n by dn moves g by the body velocity
+    M(g)^-1 dn, M the graph chart's tangent matrix, which moves
+    act(g, target) along the generator of Ad_g M(g)^-1 dn, so
+    J = W(act(g, target)) Ad_g M(g)^-1 with W the scenario's generators.
 
     A point whose factor cannot be certified raises ReconstructionError:
-    either the residual stalls above ``GAUGE_ACCEPT``, or the solve (its
-    start or a difference probe) leaves the identity graph chart, in which
-    case the ChartDomainError is chained as the cause.  A non-finite
-    residual raises ValueError.
+    either the residual stalls above ``GAUGE_ACCEPT``, or the solve's start
+    leaves the identity graph chart, in which case the ChartDomainError is
+    chained as the cause.  A non-finite residual raises ValueError.
     """
 
     def __init__(self, sys, m0):
@@ -387,10 +412,10 @@ class HorizontalSubmersion(_GroupFactor):
             g = self.gchart.from_coords(nn, warm=self.gchart.g0)
             return chart.to_coords(sys.act(g, target)) - ref, g
 
-        def step(nn, r, _g):
-            J = central_jacobian(lambda x: trial(x, None)[0], nn, FD_STEP)
-            # small singular values are stabilizer directions plus difference
-            # noise; truncating them keeps the step minimal-norm and bounded
+        def step(nn, r, g):
+            # small singular values are stabilizer directions; truncating
+            # them keeps the step minimal-norm and bounded
+            J = self.jacobian(chart, target, g)
             return scipy.linalg.lstsq(J, -r, cond=GAUGE_COND, lapack_driver="gelsd")[0]
 
         try:
@@ -404,6 +429,15 @@ class HorizontalSubmersion(_GroupFactor):
         raise ReconstructionError(
             f"group-factor solve did not converge (residual {rn:.3e}); "
             "point outside the reachable neighborhood"
+        )
+
+    def jacobian(self, chart, target, g):
+        """Derivative of chart.to_coords(act(g, target)) in the graph-chart coordinates of g."""
+        sys = self.sys
+        return (
+            sys.generators(chart, sys.act(g, target))
+            @ sys.group.adjoint_matrix(g)
+            @ np.linalg.inv(self.gchart.tangent_coords_matrix(g))
         )
 
 
@@ -723,17 +757,17 @@ def connection_reproduction_defect(sys, connection, m, rng=None):
     return worst
 
 
-def _magnus_step(sys, theta, gamma, g, t, h):
+def _magnus_step(sys, gamma, g, t, h):
     """Fourth-order Magnus step of g' = g eta(t) from g at t over h.
 
-    eta is the group-factor rate of the field at the section over gamma(t),
-    taken at the two Gauss nodes; the step is g exp(Omega) with
-    Omega = h/2 (eta1 + eta2) + sqrt(3) h^2/12 [eta1, eta2], so it stays on
-    the group by construction.
+    eta is the connection rate of the field at the section over gamma(t)
+    (``split_eta``), taken at the two Gauss nodes; the step is g exp(Omega)
+    with Omega = h/2 (eta1 + eta2) + sqrt(3) h^2/12 [eta1, eta2], so it stays
+    on the group by construction.
     """
     c = np.sqrt(3.0) / 6.0
-    eta1 = fd_eta(sys, theta, gamma(t + (0.5 - c) * h))
-    eta2 = fd_eta(sys, theta, gamma(t + (0.5 + c) * h))
+    eta1 = split_eta(sys, gamma(t + (0.5 - c) * h))
+    eta2 = split_eta(sys, gamma(t + (0.5 + c) * h))
     grp = sys.group
     omega = 0.5 * h * (eta1 + eta2) + (np.sqrt(3.0) * h * h / 12.0) * grp.algebra.bracket(eta1, eta2)
     return g @ matrix_exp_oracle(grp, omega)
@@ -751,14 +785,16 @@ def usual_reconstruct(sys, connection, p0, t_grid):
     at d(t), from g(0) = theta(p0) by fourth-order Magnus steps on a fine
     grid of ``CONNECTION_SUBSTEPS`` steps per grid interval; the output is
     act(g(t), d(t)).  Off the fine grid the factor is one more step from the
-    nearest stored factor.
+    nearest stored factor.  eta and the quotient field both come from the
+    linear split at the section (``section_split``), so the route never
+    differentiates the group-factor map; the connection's own derivative
+    serves only the reproduction check.
     """
     if not sys.free:
         raise ReconstructionError(
             "reconstruction by connection needs a free action; "
             f"scenario {sys.name} has stabilizers"
         )
-    theta = connection.theta
     ts = np.asarray(t_grid, float)
     rep = connection_reproduction_defect(sys, connection, p0)
     if rep > CONNECTION_TOL:
@@ -773,15 +809,15 @@ def usual_reconstruct(sys, connection, p0, t_grid):
     for a, b in zip(kept[:-1], kept[1:]):
         fine_ts.extend(np.linspace(a, b, CONNECTION_SUBSTEPS + 1)[1:])
     fine_ts = np.asarray(fine_ts)
-    factors = [theta(p0)]
+    factors = [connection.theta(p0)]
     for t, t_next in zip(fine_ts[:-1], fine_ts[1:]):
-        factors.append(_magnus_step(sys, theta, gamma, factors[-1], t, t_next - t))
+        factors.append(_magnus_step(sys, gamma, factors[-1], t, t_next - t))
 
     def factor(t):
         k = int(np.argmin(np.abs(fine_ts - t)))
         if abs(t - fine_ts[k]) <= 1e-14:
             return factors[k]
-        return _magnus_step(sys, theta, gamma, factors[k], fine_ts[k], t - fine_ts[k])
+        return _magnus_step(sys, gamma, factors[k], fine_ts[k], t - fine_ts[k])
 
     diagnostics = {
         "route": "connection",
@@ -899,7 +935,10 @@ def make_tstar_scenario(group, field=None):
     callable point -> body tangent.  Defaults to the inverse-Killing-metric
     vertical field on groups where that exists.  The action is free, the
     quotient is the fiber, the section plants points at the identity, and
-    the exact group-factor map is the group component itself.
+    the exact group-factor map is the group component itself.  The action
+    moves g along xi g = g Ad_g^-1 xi and leaves the fiber alone, so the
+    generators are [M(g) Ad_g^-1 ; 0] with M the graph chart's tangent
+    matrix, and the section's Jacobian is [0 ; I].
     """
     if isinstance(group, str):
         group = make_group(group)
@@ -909,14 +948,23 @@ def make_tstar_scenario(group, field=None):
 
         field = build_casimir_field(bundle, killing_casimir(group.algebra))
     n = group.dim
+    # every section point shares one identity element and so one chart
+    ident = group.identity()
+    home = CotangentChart(group, ident)
+    home_tangents = home.gchart.tangent_coords_matrix(ident)
+    section_jac = np.vstack([np.zeros((n, n)), np.eye(n)])
 
     def chart_at(p):
-        return CotangentChart(group, p.g)
+        return home if p.g is ident else CotangentChart(group, p.g)
+
+    def tangents(chart, g):
+        # the group part's tangent matrix M(g), fixed over the section image
+        return home_tangents if chart is home and g is ident else chart.gchart.tangent_coords_matrix(g)
 
     def velocity(chart, u, point=None):
         p = point if point is not None else chart.from_coords(u)
         w = field(p)
-        return np.concatenate([chart.gchart.tangent_coords_matrix(p.g) @ w.v, w.beta])
+        return np.concatenate([tangents(chart, p.g) @ w.v, w.beta])
 
     def act(g, p):
         return bundle.action(g, p)
@@ -925,7 +973,14 @@ def make_tstar_scenario(group, field=None):
         return np.array(p.alpha)
 
     def section(lam):
-        return bundle.base_point(np.asarray(lam, float))
+        return PhasePoint(ident, np.asarray(lam, float))
+
+    def generators(chart, p):
+        top = tangents(chart, p.g) @ group.adjoint_inv_transpose(p.g).T
+        return np.vstack([top, np.zeros((n, n))])
+
+    def section_jacobian(chart, lam):
+        return section_jac
 
     def random_point(rng):
         g = matrix_exp_oracle(group, 0.3 * rng.standard_normal(n))
@@ -946,6 +1001,8 @@ def make_tstar_scenario(group, field=None):
         velocity=velocity,
         project=project,
         section=section,
+        generators=generators,
+        section_jacobian=section_jacobian,
         random_point=random_point,
         momentum=bundle.spatial_momentum,
         omega_matrix=omega_matrix,
@@ -970,7 +1027,9 @@ def make_so3_scenario(field=None, section="position"):
     conventions exist: "position" aligns q with the first axis, "momentum"
     aligns p with it.  The momentum section's image is invariant under
     straight-line motion, which makes the free particle horizontal for the
-    induced trivialization; the position section's is not.
+    induced trivialization; the position section's is not.  A rotation
+    generator xi moves the pair by (xi x q, xi x p), so the generators are
+    [-hat(q) ; -hat(p)].
     """
     group = make_group("so3")
     fld = field if field is not None else free_particle_field
@@ -997,6 +1056,18 @@ def make_so3_scenario(field=None, section="position"):
             p = np.array([c / np.sqrt(a), np.sqrt(max(b - c * c / a, 0.0)), 0.0])
             return np.concatenate([q, p])
 
+        def sec_jacobian(ch, lam):
+            # rows q1, p1, p2 of the section in (a, b, c); past the edge the
+            # clamped p2 stays 0 and its row vanishes
+            a, b, c = lam
+            ra, r = np.sqrt(a), b - c * c / a
+            D = np.zeros((6, 3))
+            D[0] = [0.5 / ra, 0.0, 0.0]
+            D[3] = [-0.5 * c / (a * ra), 0.0, 1.0 / ra]
+            if r > 0:
+                D[4] = np.array([c * c / (a * a), 1.0, -2.0 * c / a]) / (2.0 * np.sqrt(r))
+            return D
+
         def margin(lam):
             a, b, c = lam
             return float(min(a - SECTION_EPS, a * b - c * c - SECTION_EPS))
@@ -1008,6 +1079,18 @@ def make_so3_scenario(field=None, section="position"):
             p = np.array([np.sqrt(max(b, 0.0)), 0.0, 0.0])
             q = np.array([c / np.sqrt(b), np.sqrt(max(a - c * c / b, 0.0)), 0.0])
             return np.concatenate([q, p])
+
+        def sec_jacobian(ch, lam):
+            # rows q1, q2, p1 of the section in (a, b, c); past the edge the
+            # clamped q2 stays 0 and its row vanishes
+            a, b, c = lam
+            rb, r = np.sqrt(b), a - c * c / b
+            D = np.zeros((6, 3))
+            D[0] = [0.0, -0.5 * c / (b * rb), 1.0 / rb]
+            if r > 0:
+                D[1] = np.array([1.0, c * c / (b * b), -2.0 * c / b]) / (2.0 * np.sqrt(r))
+            D[3] = [0.0, 0.5 / rb, 0.0]
+            return D
 
         def margin(lam):
             a, b, c = lam
@@ -1032,6 +1115,8 @@ def make_so3_scenario(field=None, section="position"):
         velocity=lambda ch, u, point=None: np.asarray(fld(u), float),
         project=project,
         section=sec,
+        generators=lambda ch, m: -np.vstack([_hat3(m[:3]), _hat3(m[3:])]),
+        section_jacobian=sec_jacobian,
         random_point=random_point,
         section_margin=margin,
         momentum=lambda m: np.cross(m[:3], m[3:]),
@@ -1100,7 +1185,9 @@ def make_product_scenario(rate=0.7):
     vector), constant in dimension away from the origin.  The field shifts
     the offset at a rate depending on the rotation invariant, which is
     tangent to the orbits, so the vertical route applies with a genuinely
-    nontrivial stabilizer gauge.
+    nontrivial stabilizer gauge.  The generators are [[-hat(v), 0], [0, 1]]
+    on (vector, offset), and the section's Jacobian is (1/(2 sqrt(lam)), 0,
+    0, 0).
     """
     group = _product_group()
     chart = FlatChart(4)
@@ -1117,6 +1204,12 @@ def make_product_scenario(rate=0.7):
 
     def margin(lam):
         return float(lam[0] - SECTION_EPS)
+
+    def generators(ch, m):
+        W = np.zeros((4, 4))
+        W[:3, :3] = -_hat3(m[:3])
+        W[3, 3] = 1.0
+        return W
 
     def velocity(ch, u, point=None):
         a = u[:3] @ u[:3]
@@ -1138,6 +1231,8 @@ def make_product_scenario(rate=0.7):
         velocity=velocity,
         project=project,
         section=sec,
+        generators=generators,
+        section_jacobian=lambda ch, lam: np.array([[0.5 / np.sqrt(lam[0])], [0.0], [0.0], [0.0]]),
         random_point=random_point,
         section_margin=margin,
         free=False,

@@ -1,0 +1,209 @@
+"""The scenarios' closed forms against finite differences, and the linear split at the section.
+
+Each scenario gives its action generators W and its section Jacobian Ds in
+closed form.  These tests hold them to the finite-difference quantities they
+replace, on seeded points: W against a Richardson difference of the action
+flows, Ds against a central difference of the section, the split's eta and
+Y against the group-factor rate and the push-forward of the field, and the
+solved factor map's Jacobian against a central difference of its residual.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from liequad import reconstruct
+from liequad.cotangent import CotangentBundle, left_invariant_hamiltonian_field
+from liequad.liegroup import GraphChart, make_group, matrix_exp_oracle
+from liequad.numutil import central_jacobian
+from liequad.reconstruct import (
+    FLOW_RESIDUAL_TOL,
+    HorizontalSubmersion,
+    _along_field,
+    build_theta,
+    fd_eta,
+    fundamental_matrix,
+    isotropy_basis_at,
+    make_product_scenario,
+    make_so3_scenario,
+    make_tstar_scenario,
+    section_split,
+    split_eta,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+INERTIA = np.array([1.0, 2.0, 3.0])
+
+
+def fd_generators(sys_, m):
+    """Reference W: chart velocities of the action flows by a Richardson difference.
+
+    The wide step keeps roundoff small and the Richardson level removes the
+    second-order truncation term, so the columns come out to about twelve
+    digits.
+    """
+    chart = sys_.chart_at(m)
+    u0 = chart.to_coords(m)
+
+    def along(xi):
+        return chart.to_coords(sys_.act(matrix_exp_oracle(sys_.group, xi), m)) - u0
+
+    return central_jacobian(along, np.zeros(sys_.group.dim), 1e-4, richardson=True)
+
+
+def rigid_body(group_name="so3"):
+    bundle = CotangentBundle(make_group(group_name))
+    field = left_invariant_hamiltonian_field(bundle, lambda mu: INERTIA * mu, name="anisotropic")
+    return make_tstar_scenario(bundle.group, field)
+
+
+def pair_rotation(m):
+    q, p = m[:3], m[3:]
+    mu = np.cross(q, p)
+    return np.concatenate([np.cross(mu, q), np.cross(mu, p)])
+
+
+SCENARIOS = {
+    "tstar-so3": lambda: make_tstar_scenario("so3"),
+    # su2 runs through the complex flattening of its matrices
+    "tstar-su2": lambda: make_tstar_scenario("su2"),
+    "tstar-sl2r": lambda: make_tstar_scenario("sl2r"),
+    "rigid-body": rigid_body,
+    "pairs-position": lambda: make_so3_scenario(section="position"),
+    "pairs-momentum": lambda: make_so3_scenario(section="momentum"),
+    "pairs-rotation": lambda: make_so3_scenario(field=pair_rotation, section="momentum"),
+    "product": make_product_scenario,
+}
+
+
+def seeded_points(sys_, seed, count=4):
+    rng = np.random.default_rng(seed)
+    return [sys_.random_point(rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("key", sorted(SCENARIOS))
+def test_generators_match_richardson_differences(key):
+    sys_ = SCENARIOS[key]()
+    for m in seeded_points(sys_, 31):
+        W = fundamental_matrix(sys_, m)
+        assert W.shape == (sys_.dim, sys_.group.dim)
+        assert np.max(np.abs(W - fd_generators(sys_, m))) <= 1e-9
+
+
+@pytest.mark.parametrize("key", sorted(SCENARIOS))
+def test_section_jacobian_matches_central_differences(key):
+    sys_ = SCENARIOS[key]()
+    for m in seeded_points(sys_, 32):
+        lam = sys_.project(m)
+        chart = sys_.chart_at(sys_.section(lam))
+        Ds = sys_.section_jacobian(chart, lam)
+        fd = central_jacobian(lambda x: chart.to_coords(sys_.section(x)), lam, 1e-6)
+        assert Ds.shape == (sys_.dim, sys_.quotient_dim)
+        assert np.max(np.abs(Ds - fd)) <= 1e-7
+
+
+@pytest.mark.parametrize("convention", ["position", "momentum"])
+def test_section_jacobian_past_the_edge_is_that_of_the_clamped_section(convention):
+    # event location probes the quotient field just past the domain edge,
+    # where the section clamps its radicand: the Jacobian must stay finite
+    sys_ = make_so3_scenario(section=convention)
+    lam = np.array([2.0, 3.0, 2.6])
+    assert sys_.section_margin(lam) < 0
+    chart = sys_.chart_at(sys_.section(lam))
+    fd = central_jacobian(lambda x: chart.to_coords(sys_.section(x)), lam, 1e-6)
+    assert np.max(np.abs(sys_.section_jacobian(chart, lam) - fd)) <= 1e-7
+    assert np.all(np.isfinite(section_split(sys_, lam)[1]))
+
+
+@pytest.mark.parametrize("key", sorted(set(SCENARIOS) - {"product"}))
+def test_split_matches_difference_rate_and_push_forward(key):
+    sys_ = SCENARIOS[key]()
+    points = seeded_points(sys_, 33, count=3)
+    theta = build_theta(sys_, sys_.section(sys_.project(points[0])))
+    for m in points:
+        lam = sys_.project(m)
+        sec = sys_.section(lam)
+        eta, Y = section_split(sys_, lam)
+        assert np.linalg.norm(eta - fd_eta(sys_, theta, lam)) <= 1e-7
+        assert np.linalg.norm(Y - _along_field(sys_.project, *sys_.velocity_at(sec))) <= 1e-7
+
+
+def test_split_needs_no_chart_inversion(monkeypatch):
+    sys_ = rigid_body()
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("chart inversion")
+
+    monkeypatch.setattr(GraphChart, "from_coords", refuse)
+    eta, Y = section_split(sys_, np.array([0.7, -0.4, 0.5]))
+    assert np.all(np.isfinite(eta)) and np.all(np.isfinite(Y))
+
+
+def test_split_rate_of_the_rigid_body_is_inertia_times_momentum():
+    sys_ = rigid_body()
+    mu = np.array([0.7, -0.4, 0.5])
+    assert np.max(np.abs(split_eta(sys_, mu) - np.array([0.7, -0.8, 1.5]))) <= 1e-14
+    rng = np.random.default_rng(34)
+    for _ in range(4):
+        mu = rng.standard_normal(3)
+        assert np.max(np.abs(split_eta(sys_, mu) - INERTIA * mu)) <= 1e-13
+
+
+def test_split_under_a_stabilizer_gives_the_minimum_norm_rate():
+    # the product scenario's rate is fixed only up to rotations about the
+    # state's own vector: the split picks the one orthogonal to them, and its
+    # generator is the field's orbit velocity
+    sys_ = make_product_scenario()
+    for m in seeded_points(sys_, 35):
+        lam = sys_.project(m)
+        sec = sys_.section(lam)
+        eta, Y = section_split(sys_, lam)
+        chi = isotropy_basis_at(sys_, sec)[:, 0]
+        assert abs(eta @ chi) <= 1e-12
+        _chart, _u, du = sys_.velocity_at(sec)
+        assert np.linalg.norm(fundamental_matrix(sys_, sec) @ eta - du) <= 1e-12
+        assert np.linalg.norm(Y) <= 1e-12
+
+
+@pytest.mark.parametrize("key", ["pairs-momentum", "product"])
+def test_factor_solve_jacobian_matches_central_differences(key):
+    sys_ = SCENARIOS[key]()
+    theta = HorizontalSubmersion(sys_, sys_.section(sys_.project(sys_.random_point(np.random.default_rng(36)))))
+    gchart = theta.gchart
+    rng = np.random.default_rng(37)
+    for m in seeded_points(sys_, 38):
+        target = sys_.section(sys_.project(m))
+        chart = sys_.chart_at(m)
+        n = 0.3 * rng.standard_normal(sys_.group.dim)
+        g = gchart.from_coords(n, warm=gchart.g0)
+
+        def residual(x):
+            return chart.to_coords(sys_.act(gchart.from_coords(x, warm=gchart.g0), target))
+
+        fd = central_jacobian(residual, n, 1e-6)
+        assert np.max(np.abs(theta.jacobian(chart, target, g) - fd)) <= 1e-7
+
+
+def test_connection_route_never_differentiates_the_factor_map(monkeypatch):
+    # the benchmark's own connection call: its scenario, start and reference
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "benchmarks" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    call = workloads._connection_call(np.random.default_rng([1, 1]))
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("finite difference on the connection route")
+
+    for name in ("fd_eta", "_theta_rate_along_field", "_along_field"):
+        monkeypatch.setattr(reconstruct, name, refuse)
+    sample = call.run()
+    monkeypatch.undo()
+    assert sample.diagnostics["route"] == "connection"
+    assert sample.diagnostics["flow_residual_max"] <= FLOW_RESIDUAL_TOL
+    err = max(float(np.linalg.norm(a - b)) for a, b in zip(call.emitted(sample), call.reference()))
+    assert err <= call.tol
+

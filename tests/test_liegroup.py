@@ -163,10 +163,16 @@ def test_exp_oracle_heis3_closed_form():
     assert np.allclose(got, want, atol=1e-13)
 
 
+def rk4_step(f, t, y, h):
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = f(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def test_exp_oracle_vs_rk4():
     # the oracle solves g' = g X: compare with fixed-step RK4, step 1e-3
-    from liequad.numutil import rk4_step
-
     rng = np.random.default_rng(9)
     for key in ALL_KEYS:
         g = make_group(key)

@@ -35,6 +35,7 @@ from liequad.reconstruct import (
     momentum_eta,
     projected_field_defect,
     quotient_field,
+    split_eta,
     transversality_defect,
     two_step_reconstruct,
     usual_reconstruct,
@@ -488,11 +489,11 @@ def test_connection_route_evaluates_eta_once_per_stage_time(monkeypatch):
     grid = np.linspace(0.0, 1.0, 9)
     seen = []
 
-    def counted(s, theta, lam):
+    def counted(s, lam):
         seen.append(np.asarray(lam, float).tobytes())
-        return fd_eta(s, theta, lam)
+        return split_eta(s, lam)
 
-    monkeypatch.setattr(reconstruct, "fd_eta", counted)
+    monkeypatch.setattr(reconstruct, "split_eta", counted)
     sample = usual_reconstruct(sys_, conn, p0, grid)
     monkeypatch.undo()
     assert len(seen) == len(set(seen))
@@ -503,7 +504,7 @@ def test_connection_route_evaluates_eta_once_per_stage_time(monkeypatch):
         fine.extend(np.linspace(a, b, CONNECTION_SUBSTEPS + 1)[1:])
     factors = [conn.theta(p0)]
     for t, t_next in zip(fine[:-1], fine[1:]):
-        factors.append(_magnus_step(sys_, conn.theta, gamma, factors[-1], t, t_next - t))
+        factors.append(_magnus_step(sys_, gamma, factors[-1], t, t_next - t))
     for pt, g, t in zip(sample.points, factors[::CONNECTION_SUBSTEPS], grid):
         ref = sys_.act(g, sys_.section(np.asarray(gamma(t), float)))
         assert np.array_equal(pt.g.matrix, ref.g.matrix) and np.array_equal(pt.alpha, ref.alpha)
@@ -523,13 +524,13 @@ def test_magnus_step_is_fourth_order(monkeypatch):
         (0.0, 1.0), np.eye(3).ravel(), method="DOP853", rtol=1e-13, atol=1e-14,
     ).y[:, -1].reshape(3, 3)
     # the quotient curve is the time itself and eta is read off it
-    monkeypatch.setattr(reconstruct, "fd_eta", lambda _s, _theta, lam: eta(lam))
+    monkeypatch.setattr(reconstruct, "split_eta", lambda _s, lam: eta(lam))
     sys_ = make_tstar_scenario(grp)
     errs = []
     for n in (4, 8):
         g = grp.identity()
         for k in range(n):
-            g = _magnus_step(sys_, None, float, g, k / n, 1.0 / n)
+            g = _magnus_step(sys_, float, g, k / n, 1.0 / n)
         errs.append(float(np.max(np.abs(g.matrix - ref))))
     assert errs[0] >= 12.0 * errs[1]
 
@@ -540,7 +541,7 @@ def test_connection_gate_rejects_a_scaled_rate(monkeypatch):
     _b, _fld, sys_ = anisotropic_scenario("so3")
     conn = ThetaConnection(sys_, build_theta(sys_, sys_.section(np.array([0.7, -0.4, 0.5]))))
     p0, _ = tstar_start()
-    monkeypatch.setattr(reconstruct, "fd_eta", lambda s, theta, lam: 1.0001 * fd_eta(s, theta, lam))
+    monkeypatch.setattr(reconstruct, "split_eta", lambda s, lam: 1.0001 * split_eta(s, lam))
     with pytest.raises(ReconstructionError, match="flow-equation"):
         usual_reconstruct(sys_, conn, p0, np.linspace(0.0, 1.0, 9))
 
