@@ -30,7 +30,8 @@ RATE_DRIFT_DT = 1e-2     # flow time over which the rate drift is measured
 HALVING_LIMIT = 12
 FAIL_BUDGET = 16
 RECENTER_LIMIT = 64
-QUAD_MAX_PANELS = 16    # panels of one fiber quadrature before it counts as a domain failure
+QUAD_MAX_PANELS = 16    # panels a fiber quadrature may need, by its predicted count, before it
+                        # counts as a domain failure
 QUAD_TOL = 1e-12        # relative bound on the summed panel error estimates
 LINMAP_FD_STEP = 1e-6   # relative step of the "fd" linearizing map
 HJ_FD_STEP = 1e-5       # difference step of the potential-property residual
@@ -305,43 +306,59 @@ class CompleteSolutionChart:
 
         A panel's value is its 7-point Kronrod sum and its estimate the largest
         entry of its gap to the 4-point Gauss-Lobatto sum.  ``ends``, the
-        integrand at 0 and 1 when the caller has it, makes the first panel
-        cost 5 evaluations instead of 7, and none at all when the
-        trapezoid-rectangle half-gap passes the tolerance: the trapezoid is
-        the value.  Interior nodes go in ascending s, each warm-starting from
-        its neighbour.  While the summed estimates exceed ``QUAD_TOL`` of the
-        total, the panel of largest estimate is halved; its end and centre
-        values are reused, so a split costs 10 evaluations.  Integrands are
-        analytic inside the chart, so non-convergence at ``QUAD_MAX_PANELS``
-        panels is a domain failure, not a refinement problem; raising keeps
-        the cost of probing past the chart boundary bounded.
+        integrand at 0 and 1 when the caller has it, opens a ladder of nested
+        rules, each judged by its gap to the rung below: the trapezoid, at no
+        evaluation, when the trapezoid-rectangle half-gap passes the
+        tolerance; then Simpson's rule, at one evaluation, the centre node s =
+        1/2, when its gap to the trapezoid passes; then the 7-point panel,
+        which reuses that centre value and so costs 4 more evaluations.  The
+        centre is solved first, so the interior is not strictly ascending in
+        s; each node warm-starts from the last one solved.  While the summed
+        estimates exceed ``QUAD_TOL`` of the total, the panel of largest
+        estimate is halved; its end and centre values are reused, so a split
+        costs 10 evaluations.  Integrands are analytic inside the chart, so a
+        refinement that cannot reach the tolerance within ``QUAD_MAX_PANELS``
+        panels is a domain failure: after every step the kernel predicts the
+        panel count that bisection at the rule's rate would need and raises
+        as soon as it exceeds the cap, so a probe past the chart boundary
+        usually gives up after its first panel.
         """
 
         def tol(value):
             return QUAD_TOL * max(1.0, float(np.max(np.abs(value))))
 
-        def panel(a, b, fa, fb):
+        def panel(a, b, fa, fb, fm=None):
             h = b - a
             f = [fa if fa is not None else integrand(a)]
-            f += [integrand(a + s * h) for s in LK_NODES[1:-1]]
+            if fm is None:
+                f += [integrand(a + s * h) for s in LK_NODES[1:-1]]
+            else:
+                f += [integrand(a + s * h) for s in LK_NODES[1:3]] + [fm]
+                f += [integrand(a + s * h) for s in LK_NODES[4:-1]]
             f.append(fb if fb is not None else integrand(b))
             f = np.asarray(f)
             gap = np.max(np.abs(h * np.tensordot(LK_KRONROD - LK_LOBATTO, f, axes=1)))
             return float(gap), h * np.tensordot(LK_KRONROD, f, axes=1), (a, b, f[0], f[3], f[-1])
 
-        f0 = f1 = None
+        f0 = f1 = fm = None
         if ends is not None:
             f0, f1 = (np.asarray(v, float) for v in ends)
             trap = 0.5 * (f0 + f1)
             if 0.5 * np.max(np.abs(f1 - f0)) <= tol(trap):
                 return trap
-        panels = [panel(0.0, 1.0, f0, f1)]
+            fm = np.asarray(integrand(LK_NODES[3]), float)
+            simpson = (f0 + 4.0 * fm + f1) / 6.0
+            if np.max(np.abs(simpson - trap)) <= tol(simpson):
+                return simpson
+        panels = [panel(0.0, 1.0, f0, f1, fm)]
         while True:
             total = sum(p[1] for p in panels)
             err = sum(p[0] for p in panels)
             if err <= tol(total):
                 return total
-            if len(panels) >= QUAD_MAX_PANELS:
+            # LK_LOBATTO has degree 5, so the summed gap is O(h^6) in the panel
+            # width: each doubling of the panels divides it by 2^6
+            if len(panels) * (err / tol(total)) ** (1 / 6) > QUAD_MAX_PANELS:
                 raise ChartDomainError(f"quadrature refinement exhausted (estimate sum {err:.3e})")
             a, b, fa, fm, fb = panels.pop(max(range(len(panels)), key=lambda i: panels[i][0]))[2]
             m = a + LK_NODES[3] * (b - a)

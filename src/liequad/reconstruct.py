@@ -873,7 +873,10 @@ def vertical_integrate(sys, theta, p0, t_grid, eta_provider=None, chi=None):
     The gate uses the emitted factors f_k: off the grid the factor is the
     nearest f_k times E(t - t_k), sampled by the same exponential call at the
     gate's offsets, with E(-s) = E(s)^-1; f_k^-1 f_(k+1) is held to
-    E(t_(k+1) - t_k) from that call, so the emitted factors agree.
+    E(t_(k+1) - t_k) from that call, so the emitted factors agree.  Each
+    distinct grid step d is also held to its short factor E(d / 2^m),
+    d / 2^m <= FD_STEP, squared m times, which ties the speed of the output
+    times to the speed the gate sees at its offsets.
     """
     ts = np.asarray(t_grid, float)
     if abs(ts[0]) > 1e-14:
@@ -885,9 +888,15 @@ def vertical_integrate(sys, theta, p0, t_grid, eta_provider=None, chi=None):
     zeta = eta if chi is None else eta + np.asarray(chi, float)
 
     grp = sys.group
-    # output times, gate offsets, and grid steps not already output times
+    # output times and gate offsets; then each distinct grid step d, with m the
+    # halvings that take it to a short step d / 2^m <= FD_STEP
     grid = np.unique(np.concatenate([ts, [FD_STEP, 2.0 * FD_STEP]]))
-    grid = np.unique(np.concatenate([grid, [s for s in np.diff(ts) if np.min(np.abs(grid - s)) > 1e-12]]))
+    halvings = []
+    for d in np.diff(ts):
+        if d != 0.0 and all(abs(d - e) > 1e-12 for e, _m in halvings):
+            halvings.append((d, max(0, int(np.ceil(np.log2(abs(d) / FD_STEP))))))
+    extra = [t for d, m in halvings for t in (d, d / 2.0**m)]
+    grid = np.unique(np.concatenate([grid, [s for s in extra if np.min(np.abs(grid - s)) > 1e-12]]))
     warnings = []
     try:
         samples = exp_general(grp, zeta, grid).elements
@@ -904,6 +913,11 @@ def vertical_integrate(sys, theta, p0, t_grid, eta_provider=None, chi=None):
     factors = [exp_at(t) for t in ts]
     gaps = [np.linalg.solve(f.matrix, f1.matrix) - exp_at(b - a).matrix
             for f, f1, a, b in zip(factors, factors[1:], ts, ts[1:])]
+    for d, m in halvings:
+        e = exp_at(d / 2.0**m).matrix
+        for _ in range(m):
+            e = e @ e
+        gaps.append(e - exp_at(d).matrix)
     consistency = max((float(np.linalg.norm(d)) for d in gaps), default=0.0)
     if consistency > THETA_DRIFT_TOL:
         raise ReconstructionError(f"emitted group factors disagree with their steps ({consistency:.3e})")

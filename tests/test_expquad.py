@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from liequad.expquad import (
     ExponentialCurve,
@@ -111,6 +113,26 @@ def test_one_parameter_subgroup_property(key):
         for j in range(n - i):
             prod = cur.elements[i].matrix @ cur.elements[j].matrix
             assert np.linalg.norm(prod - cur.elements[i + j].matrix) <= 1e-6
+
+
+@pytest.mark.parametrize("key", ["so3", "su2", "sl2r"])
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), norm=st.floats(0.3, 1.0))
+def test_random_regular_directions_are_one_parameter_subgroups(key, seed, norm):
+    # the uniform grid on [0, 2] holds every sum t_i + t_j <= 2; on so3 the
+    # longer directions leave the base chart there and are squared
+    g = make_group(key)
+    xi = np.random.default_rng(seed).standard_normal(3)
+    xi *= norm / np.linalg.norm(xi)
+    assume(g.algebra.is_adjoint_regular(xi))
+    ts = np.linspace(0.0, 2.0, 9)
+    with forbid_exp_oracle():
+        cur = exp_semisimple(g, xi, ts)
+    for i in range(len(ts)):
+        for j in range(len(ts) - i):
+            prod = cur.elements[i].matrix @ cur.elements[j].matrix
+            assert np.linalg.norm(prod - cur.elements[i + j].matrix) <= 1e-6
+    assert sup_oracle_error(g, xi, cur) <= 1e-6
 
 
 def test_long_grid_uses_squaring_and_tracks_drift():

@@ -10,7 +10,9 @@ from liequad.hjsolver import (
     LK_LOBATTO,
     LK_NODES,
     QUAD_MAX_PANELS,
+    QUAD_TOL,
     CompleteSolutionChart,
+    integrate_by_quadratures,
 )
 from liequad.liealg import killing_casimir
 from liequad.liegroup import ChartDomainError, make_group
@@ -74,7 +76,7 @@ def test_evaluation_counts(chart):
     assert len(line.at) == 7
     line.at = []
     chart._segment_quad(line, (line.f(0.0), line.f(1.0)))
-    assert len(line.at) == 5
+    assert len(line.at) == 1
     assert line.at == sorted(line.at) and 0.0 < line.at[0] and line.at[-1] < 1.0
     # each split evaluates the two half panels' interiors only: the parent's
     # ends and its centre node are the halves' ends
@@ -95,11 +97,53 @@ def test_trapezoid_when_the_ends_agree(chart):
     assert np.array_equal(chart._segment_quad(never, (f0, f1)), 0.5 * (f0 + f1))
 
 
+def test_simpson_rung_settles_a_cubic_on_the_centre_node(chart):
+    # S - T = 5e-13 passes the tolerance while the trapezoid's half-gap (2)
+    # does not; Simpson is exact on cubics, the trapezoid 5e-13 off
+    eps = 1e-12
+    cubic = Counted(lambda s: 2.0 * s + (2.0 * s - 1.0) ** 3 + 3.0 * eps * s**2)
+    value = chart._segment_quad(cubic, (cubic.f(0.0), cubic.f(1.0)))
+    assert cubic.at == [0.5]
+    assert abs(value - (1.0 + eps)) <= 1e-15
+
+
+def test_failed_simpson_rung_reuses_its_centre_node(chart):
+    quartic = Counted(lambda s: 5.0 * s**4)
+    value = chart._segment_quad(quartic, (0.0, 5.0))
+    assert abs(value - 1.0) <= 1e-15
+    assert len(quartic.at) == 5 and len(set(quartic.at)) == 5
+    assert quartic.at[0] == 0.5 and 0.0 not in quartic.at and 1.0 not in quartic.at
+
+
+def test_long_refinement_within_the_cap_is_unchanged(chart):
+    # 12 panels, as before the predicted-exhaustion exit: the prediction
+    # stays under the cap at every step
+    c = 2.0
+    f = Counted(lambda s: 1.0 / (1.0 + c - s))
+    assert abs(chart._segment_quad(f) - np.log((1.0 + c) / c)) <= QUAD_TOL
+    assert len(f.at) == 7 + 10 * 11 and 11 < QUAD_MAX_PANELS
+
+
+def test_exit_gives_up_on_a_slow_convergent_integrand(chart):
+    """The exit's known edge case: log(1 + s) used to converge on exactly the
+    16th panel.  Local bisection beats the uniform-halving prediction, which
+    reads 14.2, 15.2 and then 16.3 panels, so the kernel now raises after its
+    third panel.  Callers treat the raise as a domain failure and halve the
+    step, whose shorter segments converge."""
+    f = Counted(np.log1p)
+    with pytest.raises(ChartDomainError, match="quadrature refinement exhausted"):
+        chart._segment_quad(f)
+    assert len(f.at) == 7 + 10 * 2
+    half = chart._segment_quad(lambda s: 0.5 * np.log1p(0.5 * s))
+    assert abs(half - (1.5 * np.log(1.5) - 0.5)) <= QUAD_TOL
+
+
 def test_singular_integrand_fails_at_the_panel_cap(chart):
+    # the first panel's estimate predicts more than QUAD_MAX_PANELS panels
     f = Counted(np.sqrt)
     with pytest.raises(ChartDomainError, match="quadrature"):
         chart._segment_quad(f)
-    assert len(f.at) == 7 + 10 * (QUAD_MAX_PANELS - 1)
+    assert len(f.at) == 7
 
 
 @pytest.mark.parametrize("key", ["so3", "su2", "sl2r"])
@@ -128,3 +172,37 @@ def test_node_solves_behind_one_exponential(monkeypatch):
     xi = np.array([0.3, -0.5, 0.4])
     exp_semisimple(make_group("so3"), 0.75 * xi / np.linalg.norm(xi), np.linspace(0.0, 1.0, 17))
     assert len(calls) <= 263
+
+
+class NodeCount:
+    """Counts ``CompleteSolutionChart._node`` calls while patched in."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        node = CompleteSolutionChart._node
+
+        def counted(chart, *args, **kwargs):
+            self.calls += 1
+            return node(chart, *args, **kwargs)
+
+        monkeypatch.setattr(CompleteSolutionChart, "_node", counted)
+
+
+def test_node_solves_behind_a_long_exponential(monkeypatch):
+    # work-count guard: 673 node solves with the early exit and the Simpson
+    # rung (835 when a doomed probe ran all QUAD_MAX_PANELS panels)
+    count = NodeCount(monkeypatch)
+    exp_semisimple(make_group("so3"), np.array([0.0, 0.0, 1.0]), np.linspace(0.0, 6.0, 13))
+    assert count.calls <= 740
+
+
+def test_node_solves_behind_a_long_casimir_flow(monkeypatch):
+    # work-count guard: 1239 node solves (1407 before the early exit and the
+    # Simpson rung); the flow re-centres once on [0, 6]
+    count = NodeCount(monkeypatch)
+    b = CotangentBundle(make_group("so3"))
+    X = build_casimir_field(b, killing_casimir(b.algebra))
+    p0 = PhasePoint(b.group.identity(), np.array([0.7, -0.2, 0.4]))
+    s = integrate_by_quadratures(b, X, p0, np.linspace(0.0, 6.0, 25))
+    assert len(s.points) == 25 and s.diagnostics["recenters"] == 1
+    assert count.calls <= 1362

@@ -673,6 +673,22 @@ def test_vertical_gate_rejects_a_wrong_speed_factor(monkeypatch):
         vertical_integrate(prod, theta, p0, TS)
 
 
+def test_vertical_route_rejects_a_speed_error_at_the_output_times(monkeypatch):
+    # the factors run 1.5 times too fast only past t = 1e-3, where the gate's
+    # offsets never look: the emitted curve is 0.88 off, yet it solves the
+    # flow equation near every output time and its factors agree with their
+    # steps; only a grid step squared up from its short factor sees the speed
+    prod, theta, p0 = product_start()
+
+    def fast_past_the_offsets(grp, xi, ts):
+        ts = np.asarray(ts, float)
+        return exp_general(grp, xi, np.where(ts > 1e-3, 1.5 * ts, ts))
+
+    monkeypatch.setattr(reconstruct, "exp_general", fast_past_the_offsets)
+    with pytest.raises(ReconstructionError, match="disagree"):
+        vertical_integrate(prod, theta, p0, TS)
+
+
 def test_vertical_route_rejects_one_moved_factor(monkeypatch):
     # a factor moved along its own curve still solves the flow equation
     # locally; only the agreement of neighbouring factors sees it
