@@ -21,16 +21,19 @@ Three reconstruction routes are implemented.
   Magnus steps g exp(Omega).  Free actions only.  The matrix exponential is
   permitted on this route.
 * ``vertical_integrate``: for fields tangent to the orbits the whole motion
-  is a one-parameter group factor acting on a frozen section point.  The
-  factor is produced by the quadrature exponential when the direction
-  qualifies and by the series oracle otherwise, with the provenance flagged.
+  is a one-parameter group factor exp(t eta) acting on a frozen section
+  point.  The factor is produced by the quadrature exponential when the
+  direction qualifies and by the series oracle otherwise, with the
+  provenance flagged.
 
 Every scenario gives its action generators W (the chart velocities of the
 one-parameter action flows) and the section's Jacobian Ds in closed form.
 The group factor is the identity on the section image, so there the field
-splits as X = W eta + Ds Y: one least-squares solve gives the connection rate
-eta and the quotient field Y exactly, with no derivative of the group-factor
-map and no chart inversion.  The solved group-factor map takes its
+splits as X = W eta + Ds Y: one least-squares solve gives the rate eta and
+the quotient field Y exactly, with no derivative of the group-factor map and
+no chart inversion.  That split is the only source of rates: the connection
+route's reconstruction equation, the vertical route's factor and both
+hypothesis checks read it.  The solved group-factor map takes its
 Gauss-Newton Jacobian from W as well.
 
 Each route supplies only its group factor g(t); one shared tail emits
@@ -82,13 +85,13 @@ CONNECTION_SUBSTEPS = 2      # fourth-order steps per grid interval of the conne
 TRANSVERSALITY_FLOOR = 1e-6  # relative smallest singular value of stacked Jacobians
 SECTION_EPS = 1e-9           # section domain margin floor
 FD_STEP = 1e-6
-ETA_FD_STEP = 1e-5
 QUOTIENT_RTOL = 1e-11
 QUOTIENT_ATOL = 1e-13
 ISOTROPY_RTOL = 1e-8
 ALGEBRA_FIT_TOL = 1e-6       # relative residual of a difference-quotient algebra element
 THETA_BALL = (64, 11, 0.1)   # (count, seed, radius) of the points certifying a factor map
 FIELD_CHECK_BALL = (7, 13, 0.05)  # points besides p0 of the horizontality and verticality checks
+AXIOM_SAMPLES = (10, 3)      # (count, seed) of the sampled scenario-axiom check
 
 
 class ReconstructionError(RuntimeError):
@@ -199,12 +202,12 @@ class InvariantSystem:
         return float(np.linalg.norm(chart.to_coords(b) - chart.to_coords(a)))
 
 
-def _along_field(f, chart, u, du, step=FD_STEP):
+def _along_field(f, chart, u, du):
     """Centered derivative of f(point) along the field velocity du at chart coordinates u.
 
-    The step is scaled down by |du|, so the stencil moves at most ``step``.
+    The step is scaled down by |du|, so the stencil moves at most ``FD_STEP``.
     """
-    h = step / max(1.0, float(np.linalg.norm(du)))
+    h = FD_STEP / max(1.0, float(np.linalg.norm(du)))
     return (f(chart.from_coords(u + h * du)) - f(chart.from_coords(u - h * du))) / (2.0 * h)
 
 
@@ -288,14 +291,15 @@ def momentum_defect(sys, m):
 # -- scenario validation ---------------------------------------------------------
 
 
-def validate_invariant_system(sys, n_samples=12, seed=7):
+def validate_invariant_system(sys):
     """Sampled defects of the scenario axioms, as a dict of maxima.
 
     Covers the action identity and composition laws, invariance of the
     quotient projection, the section property, invariance of the field, and
     (when present) equivariance of the momentum map and its defining
-    equation.
+    equation, on ``AXIOM_SAMPLES`` seeded random points.
     """
+    n_samples, seed = AXIOM_SAMPLES
     rng = np.random.default_rng(seed)
     grp = sys.group
     out = {
@@ -524,18 +528,6 @@ def build_theta(sys, m0, use_exact=True):
     return theta
 
 
-def _theta_rate_along_field(sys, theta, m):
-    """Algebra coordinates of the group-factor derivative along the field at m.
-
-    The difference step is wider than the generic one so that solver noise in
-    the group-factor evaluations stays far below the horizontality tolerance.
-    """
-    chart, u, du = sys.velocity_at(m)
-    g0 = theta(m)
-    D = _along_field(lambda mm: theta(mm, warm=theta.coords_of(g0)).matrix, chart, u, du, ETA_FD_STEP)
-    return _algebra_fit(sys.group, D @ np.linalg.inv(g0.matrix))
-
-
 def _algebra_fit(group, mat):
     """Algebra coordinates of a matrix known only up to finite-difference noise."""
     u = group.flat(mat)
@@ -668,14 +660,25 @@ def _default_quotient_integrator(sys):
 # -- two-step route ---------------------------------------------------------------
 
 
-def _rate_near(sys, p0, rate):
-    """Max |rate(m)| over p0 and the ``FIELD_CHECK_BALL`` points around it."""
-    return max(float(np.linalg.norm(rate(m))) for m in [p0, *_chart_ball(sys, p0, *FIELD_CHECK_BALL)])
+def _split_near(sys, p0, part):
+    """Max norm of one ``section_split`` part over p0 and the ``FIELD_CHECK_BALL`` points.
+
+    Each point is read through its orbit coordinates; part 0 is the rate
+    eta, part 1 the quotient field Y.
+    """
+    points = [p0, *_chart_ball(sys, p0, *FIELD_CHECK_BALL)]
+    return max(float(np.linalg.norm(section_split(sys, sys.project(m))[part])) for m in points)
 
 
-def check_theta_horizontal(sys, theta, p0):
-    """Max group-factor rate along the field near p0; error above tolerance."""
-    worst = _rate_near(sys, p0, lambda m: _theta_rate_along_field(sys, theta, m))
+def check_theta_horizontal(sys, p0):
+    """Max group-factor rate along the field near p0; error above tolerance.
+
+    By invariance the field's group-factor rate at m = act(g, s), s on the
+    section, is Ad_g of the split's eta at s: the two vanish together, and
+    where Ad_g is orthogonal (so3, and its product with a line) their norms
+    agree.  The check reads |eta| from the split and solves no group factor.
+    """
+    worst = _split_near(sys, p0, 0)
     if worst > HORIZONTAL_TOL:
         raise HorizontalityError(
             f"field moves the group factor (rate {worst:.3e}); "
@@ -693,7 +696,7 @@ def two_step_reconstruct(sys, theta, p0, t_grid, quotient_integrator=None):
     the output afterwards.
     """
     ts = np.asarray(t_grid, float)
-    horiz = check_theta_horizontal(sys, theta, p0)
+    horiz = check_theta_horizontal(sys, p0)
     g0 = theta(p0)
     integrator = quotient_integrator or _default_quotient_integrator(sys)
     gamma, t_reached = integrator(quotient_field(sys), sys.project(p0), (float(ts[0]), float(ts[-1])))
@@ -785,10 +788,11 @@ def usual_reconstruct(sys, connection, p0, t_grid):
     at d(t), from g(0) = theta(p0) by fourth-order Magnus steps on a fine
     grid of ``CONNECTION_SUBSTEPS`` steps per grid interval; the output is
     act(g(t), d(t)).  Off the fine grid the factor is one more step from the
-    nearest stored factor.  eta and the quotient field both come from the
-    linear split at the section (``section_split``), so the route never
-    differentiates the group-factor map; the connection's own derivative
-    serves only the reproduction check.
+    last stored factor at or before t, so the gate's backward point steps
+    across the stored node it checks.  eta and the quotient field both come
+    from the linear split at the section (``section_split``), so the route
+    never differentiates the group-factor map; the connection's own
+    derivative serves only the reproduction check.
     """
     if not sys.free:
         raise ReconstructionError(
@@ -814,10 +818,9 @@ def usual_reconstruct(sys, connection, p0, t_grid):
         factors.append(_magnus_step(sys, gamma, factors[-1], t, t_next - t))
 
     def factor(t):
-        k = int(np.argmin(np.abs(fine_ts - t)))
-        if abs(t - fine_ts[k]) <= 1e-14:
-            return factors[k]
-        return _magnus_step(sys, gamma, factors[k], fine_ts[k], t - fine_ts[k])
+        k = int(np.searchsorted(fine_ts, t + 1e-14, side="right")) - 1
+        s = t - fine_ts[k]
+        return factors[k] if s <= 1e-14 else _magnus_step(sys, gamma, factors[k], fine_ts[k], s)
 
     diagnostics = {
         "route": "connection",
@@ -831,8 +834,12 @@ def usual_reconstruct(sys, connection, p0, t_grid):
 
 
 def check_vertical(sys, p0):
-    """Max quotient rate along the field near p0; error above tolerance."""
-    worst = _rate_near(sys, p0, lambda m: _along_field(sys.project, *sys.velocity_at(m)))
+    """Max quotient rate along the field near p0; error above tolerance.
+
+    The push-forward of the field at m along the projection is the split's
+    quotient field Y at project(m), so the check reads |Y| from the split.
+    """
+    worst = _split_near(sys, p0, 1)
     if worst > VERTICAL_TOL:
         raise VerticalityError(
             f"field moves the quotient coordinates (rate {worst:.3e}); it is not vertical"
@@ -840,35 +847,16 @@ def check_vertical(sys, p0):
     return worst
 
 
-def fd_eta(sys, theta, lam):
-    """Group-factor rate of the field at the section point over lam."""
-    m = sys.section(np.asarray(lam, float))
-    return _theta_rate_along_field(sys, theta, m)
-
-
-def momentum_eta(grad_h):
-    """Rate provider for dynamics generated through the momentum map.
-
-    For a field whose motion is the action generator of grad_h at the
-    momentum value, the group-factor rate at a section point is exactly that
-    generator direction.
-    """
-
-    def provider(sys, lam):
-        return np.asarray(grad_h(sys.momentum(sys.section(np.asarray(lam, float)))), float)
-
-    return provider
-
-
-def vertical_integrate(sys, theta, p0, t_grid, eta_provider=None, chi=None):
+def vertical_integrate(sys, theta, p0, t_grid, chi=None):
     """Integrate an orbit-tangent field as a one-parameter group factor.
 
     The output is act(g0 exp(t (eta + chi)), section(lam)) with g0 and lam
-    the group factor and orbit coordinates of p0, eta the factor rate of the
-    field at the section point, and chi an optional stabilizer shift (any
-    choice yields the same curve; zero is the default).  The exponential
-    curve comes from the quadrature route when the direction admits it and
-    from the series oracle otherwise; diagnostics record which.
+    the group factor and orbit coordinates of p0, eta the rate of the field
+    at the section point (``split_eta``; the minimum-norm one under a
+    stabilizer), and chi an optional stabilizer shift (any choice yields the
+    same curve; zero is the default).  The exponential curve comes from the
+    quadrature route when the direction admits it and from the series oracle
+    otherwise; diagnostics record which.
 
     The gate uses the emitted factors f_k: off the grid the factor is the
     nearest f_k times E(t - t_k), sampled by the same exponential call at the
@@ -884,7 +872,7 @@ def vertical_integrate(sys, theta, p0, t_grid, eta_provider=None, chi=None):
     vert = check_vertical(sys, p0)
     lam = sys.project(p0)
     g0 = theta(p0)
-    eta = np.asarray(eta_provider(sys, lam) if eta_provider else fd_eta(sys, theta, lam), float)
+    eta = split_eta(sys, lam)
     zeta = eta if chi is None else eta + np.asarray(chi, float)
 
     grp = sys.group

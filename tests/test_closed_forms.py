@@ -4,8 +4,9 @@ Each scenario gives its action generators W and its section Jacobian Ds in
 closed form.  These tests hold them to the finite-difference quantities they
 replace, on seeded points: W against a Richardson difference of the action
 flows, Ds against a central difference of the section, the split's eta and
-Y against the group-factor rate and the push-forward of the field, and the
-solved factor map's Jacobian against a central difference of its residual.
+Y against the group-factor rate and the push-forward of the field (also as
+the two hypothesis checks read them), and the solved factor map's Jacobian
+against a central difference of its residual.
 """
 
 import importlib.util
@@ -20,11 +21,17 @@ from liequad.cotangent import CotangentBundle, left_invariant_hamiltonian_field
 from liequad.liegroup import GraphChart, make_group, matrix_exp_oracle
 from liequad.numutil import central_jacobian
 from liequad.reconstruct import (
+    FIELD_CHECK_BALL,
     FLOW_RESIDUAL_TOL,
+    HorizontalityError,
     HorizontalSubmersion,
+    VerticalityError,
+    _algebra_fit,
     _along_field,
+    _chart_ball,
     build_theta,
-    fd_eta,
+    check_theta_horizontal,
+    check_vertical,
     fundamental_matrix,
     isotropy_basis_at,
     make_product_scenario,
@@ -52,6 +59,21 @@ def fd_generators(sys_, m):
         return chart.to_coords(sys_.act(matrix_exp_oracle(sys_.group, xi), m)) - u0
 
     return central_jacobian(along, np.zeros(sys_.group.dim), 1e-4, richardson=True)
+
+
+def fd_eta(sys_, theta, m):
+    """Reference rate: the right-translated derivative of the factor map along the field at m.
+
+    The central difference steps 1e-5 along the field, wider than
+    ``FD_STEP``, so the factor solves' noise stays far below the compared
+    tolerances.
+    """
+    chart, u, du = sys_.velocity_at(m)
+    g0 = theta(m)
+    warm = theta.coords_of(g0)
+    h = 1e-5 / max(1.0, float(np.linalg.norm(du)))
+    fwd, bwd = (theta(chart.from_coords(u + s * h * du), warm=warm).matrix for s in (1.0, -1.0))
+    return _algebra_fit(sys_.group, (fwd - bwd) / (2.0 * h) @ np.linalg.inv(g0.matrix))
 
 
 def rigid_body(group_name="so3"):
@@ -127,8 +149,40 @@ def test_split_matches_difference_rate_and_push_forward(key):
         lam = sys_.project(m)
         sec = sys_.section(lam)
         eta, Y = section_split(sys_, lam)
-        assert np.linalg.norm(eta - fd_eta(sys_, theta, lam)) <= 1e-7
+        assert np.linalg.norm(eta - fd_eta(sys_, theta, sec)) <= 1e-7
         assert np.linalg.norm(Y - _along_field(sys_.project, *sys_.velocity_at(sec))) <= 1e-7
+
+
+@pytest.mark.parametrize("key", ["pairs-momentum", "pairs-position"])
+def test_hypothesis_checks_read_the_split_and_solve_no_factor(key, monkeypatch):
+    # the free particle is horizontal for the momentum section only, and
+    # vertical for neither; both checks keep those verdicts with every factor
+    # solve refused, and their values are the difference rates at p0 and at
+    # the check's ball points
+    sys_ = SCENARIOS[key]()
+    lam0 = np.array([2.0, 3.0, 1.0])
+    theta = build_theta(sys_, sys_.section(lam0))
+    p0 = sys_.act(matrix_exp_oracle(sys_.group, np.array([0.3, -0.2, 0.4])), sys_.section(lam0))
+    points = [p0, *_chart_ball(sys_, p0, *FIELD_CHECK_BALL)]
+    horizontal = max(float(np.linalg.norm(fd_eta(sys_, theta, m))) for m in points)
+    vertical = max(float(np.linalg.norm(_along_field(sys_.project, *sys_.velocity_at(m)))) for m in points)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("group-factor solve")
+
+    monkeypatch.setattr(HorizontalSubmersion, "__call__", refuse)
+    if key == "pairs-momentum":
+        assert check_theta_horizontal(sys_, p0) <= 1e-12
+    else:
+        with pytest.raises(HorizontalityError):
+            check_theta_horizontal(sys_, p0)
+    with pytest.raises(VerticalityError):
+        check_vertical(sys_, p0)
+    # with the tolerances lifted each check returns the maximum it measured
+    monkeypatch.setattr(reconstruct, "HORIZONTAL_TOL", np.inf)
+    monkeypatch.setattr(reconstruct, "VERTICAL_TOL", np.inf)
+    assert abs(check_theta_horizontal(sys_, p0) - horizontal) <= 1e-7
+    assert abs(check_vertical(sys_, p0) - vertical) <= 1e-7
 
 
 def test_split_needs_no_chart_inversion(monkeypatch):
@@ -198,8 +252,7 @@ def test_connection_route_never_differentiates_the_factor_map(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("finite difference on the connection route")
 
-    for name in ("fd_eta", "_theta_rate_along_field", "_along_field"):
-        monkeypatch.setattr(reconstruct, name, refuse)
+    monkeypatch.setattr(reconstruct, "_along_field", refuse)
     sample = call.run()
     monkeypatch.undo()
     assert sample.diagnostics["route"] == "connection"

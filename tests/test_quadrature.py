@@ -159,7 +159,7 @@ def test_integrand_is_the_linearizing_jacobian(key):
 
 
 def test_node_solves_behind_one_exponential(monkeypatch):
-    # work-count guard: 229 node solves with the nested kernel (472 with the
+    # work-count guard: 193 node solves with the nested kernel (472 with the
     # earlier 6+3-node Gauss-Legendre pair refined globally)
     calls = []
     node = CompleteSolutionChart._node
@@ -171,7 +171,7 @@ def test_node_solves_behind_one_exponential(monkeypatch):
     monkeypatch.setattr(CompleteSolutionChart, "_node", counted)
     xi = np.array([0.3, -0.5, 0.4])
     exp_semisimple(make_group("so3"), 0.75 * xi / np.linalg.norm(xi), np.linspace(0.0, 1.0, 17))
-    assert len(calls) <= 263
+    assert len(calls) <= 212
 
 
 class NodeCount:

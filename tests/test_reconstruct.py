@@ -24,7 +24,6 @@ from liequad.reconstruct import (
     _magnus_step,
     build_theta,
     connection_reproduction_defect,
-    fd_eta,
     flow_residual_max,
     isotropy_basis_at,
     isotropy_dimension_at,
@@ -32,7 +31,6 @@ from liequad.reconstruct import (
     make_so3_scenario,
     make_tstar_scenario,
     momentum_defect,
-    momentum_eta,
     projected_field_defect,
     quotient_field,
     split_eta,
@@ -42,6 +40,7 @@ from liequad.reconstruct import (
     validate_invariant_system,
     vertical_integrate,
 )
+from test_closed_forms import fd_eta
 
 TS = np.linspace(0.0, 1.0, 65)
 
@@ -118,7 +117,7 @@ def phase_gap(a, b):
 
 
 def test_cotangent_scenario_axioms():
-    d = validate_invariant_system(tstar_so3(), n_samples=10, seed=3)
+    d = validate_invariant_system(tstar_so3())
     assert d["action_identity"] <= 1e-10
     assert d["action_composition"] <= 1e-10
     assert d["projection_invariance"] <= 1e-10
@@ -130,7 +129,7 @@ def test_cotangent_scenario_axioms():
 
 def test_vector_pair_scenario_axioms():
     sys_ = cached("pairs-free", make_so3_scenario)
-    d = validate_invariant_system(sys_, n_samples=10, seed=3)
+    d = validate_invariant_system(sys_)
     assert d["action_identity"] <= 1e-10
     assert d["action_composition"] <= 1e-10
     assert d["projection_invariance"] <= 1e-10
@@ -142,7 +141,7 @@ def test_vector_pair_scenario_axioms():
 
 def test_product_scenario_axioms():
     sys_ = cached("product", make_product_scenario)
-    d = validate_invariant_system(sys_, n_samples=10, seed=3)
+    d = validate_invariant_system(sys_)
     assert d["action_identity"] <= 1e-10
     assert d["action_composition"] <= 1e-10
     assert d["projection_invariance"] <= 1e-10
@@ -546,6 +545,23 @@ def test_connection_gate_rejects_a_scaled_rate(monkeypatch):
         usual_reconstruct(sys_, conn, p0, np.linspace(0.0, 1.0, 9))
 
 
+def test_connection_gate_sees_the_stored_factors(monkeypatch):
+    # every full step runs 0.1% long, so the emitted curve drifts 2.4e-3 off
+    # the flow while the short steps to the gate's offsets stay exact: the
+    # gate sees that only if its backward point steps across a stored node
+    _b, _fld, sys_ = anisotropic_scenario("so3")
+    conn = ThetaConnection(sys_, build_theta(sys_, sys_.section(np.array([0.7, -0.4, 0.5]))))
+    p0, _ = tstar_start()
+    step = _magnus_step
+
+    def long_step(s, gamma, g, t, h):
+        return step(s, gamma, g, t, 1.001 * h if h > 1e-3 else h)
+
+    monkeypatch.setattr(reconstruct, "_magnus_step", long_step)
+    with pytest.raises(ReconstructionError, match="flow-equation"):
+        usual_reconstruct(sys_, conn, p0, np.linspace(0.0, 1.0, 9))
+
+
 def test_lifted_route_needs_free_action():
     sys_ = cached("pairs-free", make_so3_scenario)
     with pytest.raises(ReconstructionError, match="free"):
@@ -597,13 +613,12 @@ def test_vertical_route_momentum_rate_formula_matches_difference():
     sys_ = tstar_so3()
     theta = cached("theta-tstar", lambda: build_theta(sys_, sys_.section(np.array([0.7, -0.4, 0.5]))))
     p0, _ = tstar_start()
-    lam = sys_.project(p0)
+    # the Killing Casimir moves the group along B^-1 of the momentum
+    sec = sys_.section(sys_.project(p0))
     B = sys_.group.algebra.killing_form()
-    provider = momentum_eta(lambda mu: np.linalg.solve(B, mu))
-    assert np.linalg.norm(provider(sys_, lam) - fd_eta(sys_, theta, lam)) <= 1e-5
-    a = vertical_integrate(sys_, theta, p0, TS)
-    b = vertical_integrate(sys_, theta, p0, TS, eta_provider=provider)
-    assert max(phase_gap(x, y) for x, y in zip(a.points, b.points)) <= 1e-8
+    eta = vertical_integrate(sys_, theta, p0, TS).diagnostics["eta"]
+    assert np.linalg.norm(eta - np.linalg.solve(B, sys_.momentum(sec))) <= 1e-12
+    assert np.linalg.norm(eta - fd_eta(sys_, theta, sec)) <= 1e-5
 
 
 def test_vertical_route_stabilizer_shift_leaves_curve_fixed():
