@@ -19,6 +19,7 @@ from .liealg import (
     make_algebra,
 )
 from .liegroup import (
+    CayleyChart,
     GraphChart,
     GroupElement,
     MatrixGroup,
@@ -36,6 +37,7 @@ __all__ = [
     "central_casimir",
     "killing_casimir",
     "make_algebra",
+    "CayleyChart",
     "GraphChart",
     "GroupElement",
     "MatrixGroup",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .liealg import CasimirForm, casimir_check
-from .liegroup import GraphChart, GroupElement
+from .liegroup import CayleyChart, GroupElement
 from .numutil import central_jacobian
 
 CASIMIR_CHECK = (32, 17)  # (count, seed) of the domain samples validating a Casimir form
@@ -151,7 +151,7 @@ class CotangentBundle:
 
 
 class CotangentChart:
-    """Chart on the trivialized bundle: graph coordinates of g ++ body momentum.
+    """Chart on the trivialized bundle: Cayley coordinates of g ++ body momentum.
 
     Coordinates are relative to the center in the group factor and absolute
     in the fiber, so one chart serves every point whose group part stays
@@ -159,15 +159,15 @@ class CotangentChart:
     """
 
     def __init__(self, group, center_g):
-        self.gchart = GraphChart(group, center_g)
+        self.gchart = CayleyChart(group, center_g)
         self.k = group.dim
         self.dim = 2 * group.dim
 
     def to_coords(self, p):
         return np.concatenate([self.gchart.to_coords(p.g), p.alpha])
 
-    def from_coords(self, u, warm=None):
-        g = self.gchart.from_coords(u[: self.k], warm=warm)
+    def from_coords(self, u):
+        g = self.gchart.from_coords(u[: self.k])
         return PhasePoint(g, np.asarray(u[self.k :], float))
 
     def body_from_coords(self, p):

@@ -9,7 +9,13 @@ reference.
 Times past the chart of the base point are reached through the group law
 g(t) = g(t/2)^2 applied recursively: the identity is exact for the true
 curve, so the only cost is a tracked amplification of the numerical error,
-and the chart itself is never re-centered.
+and the chart itself is never re-centered.  The number of doublings is
+predicted before anything is integrated: the group factor of the phase
+chart is closed form, its ``reach`` along exp(tX) follows from the
+eigenvalues of X, and the reduced grid must end within ``REACH_MARGIN`` of
+it, because the fiber solves probe around the curve as well as on it.  A
+prediction that still leaves the chart falls back to the retry loop, whose
+retries are counted in the diagnostics.
 """
 
 from __future__ import annotations
@@ -19,13 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cotangent import CotangentBundle, build_casimir_field
+from .cotangent import CotangentBundle, CotangentChart, build_casimir_field
 from .hjsolver import integrate_by_quadratures
 from .liealg import casimir_through_point, killing_casimir, make_algebra
 from .liegroup import ChartDomainError
 from .numutil import nullspace
 
 SQUARING_LIMIT = 8        # max dyadic halvings of the grid before giving up
+REACH_MARGIN = 0.8        # share of the chart's reach along the curve a reduced grid may span
 SEARCH_CANDIDATES = 1024  # covector candidates in the annihilator search
 SEARCH_SEED = 515
 PROOF_MAJORITY = 0.9      # fraction of samples that must sit in the generic stratum
@@ -68,7 +75,8 @@ def exp_by_quadratures(group, phi, alpha, t_grid, max_doublings=SQUARING_LIMIT):
     must be coadjoint-regular and inside phi's domain.  Grids that leave the
     base chart are computed on a dyadically reduced grid and extended by
     repeated squaring; the number of doublings and the worst membership
-    defect of the squared matrices are reported in the diagnostics.
+    defect of the squared matrices are reported in the diagnostics, with the
+    retries taken when the predicted doubling count fell short.
     """
     alg = group.algebra
     alpha = np.asarray(alpha, float)
@@ -86,11 +94,14 @@ def exp_by_quadratures(group, phi, alpha, t_grid, max_doublings=SQUARING_LIMIT):
     p0 = bundle.point(group.identity(), alpha)
 
     span = float(np.max(np.abs(ts))) if len(ts) else 0.0
-    doublings = 0
+    X = group.algebra_matrix(phi(alpha))
+    reach = REACH_MARGIN * CotangentChart(group, p0.g).gchart.reach(X)
+    doublings = 0 if span <= reach else min(math.ceil(math.log2(span / reach)), max_doublings)
+    retries = 0
     while True:
         try:
             traj = integrate_by_quadratures(
-                bundle, fld, p0, ts / 2.0**doublings, check=(doublings == 0), recenter_limit=0,
+                bundle, fld, p0, ts / 2.0**doublings, check=(retries == 0), recenter_limit=0,
             )
             break
         except ChartDomainError as err:
@@ -101,11 +112,12 @@ def exp_by_quadratures(group, phi, alpha, t_grid, max_doublings=SQUARING_LIMIT):
                     f"after {doublings} grid doublings"
                 ) from err
             if reached > 0.0:
-                # smallest reduction that fits the frontier with some margin
-                needed = math.ceil(math.log2(span / (0.8 * reached)))
+                # smallest reduction that fits the frontier with the same margin
+                needed = math.ceil(math.log2(span / (REACH_MARGIN * reached)))
                 doublings = max(doublings + 1, min(needed, max_doublings))
             else:
                 doublings += 1
+            retries += 1
 
     mats = [p.g.matrix for p in traj.points]
     drift = 0.0
@@ -119,6 +131,7 @@ def exp_by_quadratures(group, phi, alpha, t_grid, max_doublings=SQUARING_LIMIT):
         elements,
         {
             "doublings": doublings,
+            "retries": retries,
             "squaring_factor": 2**doublings,
             "squaring_membership_max": drift,
             "audit_max": traj.diagnostics["audit_max"],

@@ -84,7 +84,7 @@ class FirstIntegralsMap:
     (spatial, body) has rank 2n - k; the reduction projects the raw values
     onto the top left-singular directions of the chart Jacobian at the
     center.  Phase-space coordinates are those of the cotangent chart at the
-    center: (entry chart of the group factor, body momentum).
+    center: (Cayley chart of the group factor, body momentum).
     """
 
     def __init__(self, bundle, center):
@@ -248,7 +248,7 @@ class CompleteSolutionChart:
         n = self.trans @ (ints.phase_chart.to_coords(p) - ints.x0)
         return lam, n
 
-    def invert(self, lam, n, x_init=None, warm_g=None):
+    def invert(self, lam, n, x_init=None):
         """Solve for the phase point with coordinates (lam, n); Newton."""
         ints = self.integrals
         lam = np.asarray(lam, float)
@@ -258,11 +258,10 @@ class CompleteSolutionChart:
             x = ints.x0 + np.linalg.solve(A0, np.concatenate([n, lam]))
         else:
             x = np.asarray(x_init, float).copy()
-        warm = warm_g if warm_g is not None else ints.center.g
         scale = max(1.0, float(np.linalg.norm(lam)), float(np.linalg.norm(n)))
 
-        def trial(xx, p):
-            p = ints.phase_chart.from_coords(xx, warm=warm if p is None else p.g)
+        def trial(xx, _p):
+            p = ints.phase_chart.from_coords(xx)
             return self._residual(p, xx, lam, n), p
 
         def step(_x, r, p):
@@ -295,7 +294,7 @@ class CompleteSolutionChart:
             # first-order predictor through the neighbor's factored system
             rhs = np.concatenate([n - from_node.n, lam - from_node.lam])
             x_init = from_node.x + scipy.linalg.lu_solve(from_node.lu, rhs)
-            p, x = self.invert(lam, n, x_init=x_init, warm_g=from_node.p.g)
+            p, x = self.invert(lam, n, x_init=x_init)
         lu = scipy.linalg.lu_factor(self._system_matrix(p))
         return _ChartNode(self, p, x, lu, lam, n)
 

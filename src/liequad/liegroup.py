@@ -1,11 +1,22 @@
 """Concrete matrix Lie groups: elements, group charts, and an exp oracle.
 
 Groups are represented by their defining matrix equations (orthogonality,
-unit determinant, unipotent pattern), never by exponential coordinates.  The
-graph chart inverts a selection of matrix entries by Gauss-Newton projection
-onto the defining equations, so the whole chart machinery stays free of the
-matrix exponential.  ``matrix_exp_oracle`` exists only as an independent
-reference and honors a purity guard that the quadrature tests switch on.
+unit determinant, unipotent pattern), never by exponential coordinates.  Two
+charts near a centre g0 stay free of the matrix exponential:
+
+- ``CayleyChart`` writes g = g0 cay(A(x)), cay(A) = (I - A/2)^-1 (I + A/2),
+  with A(x) the algebra matrix of x.  Both directions are closed form, and
+  cay maps the algebra into every catalogued group: so3, su2 and sl2r are
+  quadratic groups, and on heis3, rn:k and the product's line A is
+  nilpotent.  A one-parameter subgroup through g0 is a straight line in
+  these coordinates, since exp(tX) = cay(2 tanh(tX/2)).  The phase-space
+  chart of ``cotangent`` uses it.
+- ``GraphChart`` takes a selection of matrix entries as coordinates and
+  inverts them by Gauss-Newton projection onto the defining equations.  The
+  group-factor solves of ``reconstruct`` use it.
+
+``matrix_exp_oracle`` exists only as an independent reference and honors a
+purity guard that the quadrature tests switch on.
 
 Complex groups (su2) are handled through a real flattening: a matrix maps to
 the vector [Re(entries row-major), Im(entries row-major)].
@@ -32,6 +43,9 @@ NEWTON_TOL = 1e-12
 GRAPH_NEWTON_TOL = 1e-14
 NEWTON_MAXIT = 50
 VALIDITY_PROBES = (16, 8, 2718)  # (directions, bisection steps, seed) of a chart's validity radius
+# a Cayley chart ends where an eigenvalue of A/2 reaches this modulus: a rotation
+# by pi/2 on so3, and on sl2r before I - A/2 turns singular at the eigenvalue +1
+CAYLEY_RADIUS = 1.0
 
 _oracle_state = {"forbidden": 0, "calls": 0}
 
@@ -51,7 +65,7 @@ def oracle_call_count():
 
 
 class ChartDomainError(RuntimeError):
-    """Gauss-Newton failed to invert chart coordinates: point left the chart.
+    """Chart coordinates could not be inverted: the point left the chart.
 
     ``t_achieved`` is the time a flow had reached when it failed (0.0 when the
     failure is not part of a flow).
@@ -268,6 +282,7 @@ class MatrixGroup:
         self._basis_flat = np.stack([self.flat(X) for X in basis])
         self._expand = np.linalg.pinv(self._basis_flat.T)
         self._basis_stack = np.stack([np.asarray(X) for X in basis])
+        self._basis_rows = self._basis_stack.reshape(self.dim, -1)
         self._check_bracket_consistency()
         self.n_membership = len(self.membership_vector(self.identity().matrix))
 
@@ -305,7 +320,7 @@ class MatrixGroup:
 
     def algebra_matrix(self, xi):
         """Represent algebra coordinates as a matrix."""
-        return np.tensordot(np.asarray(xi, float), self.basis, axes=(0, 0))
+        return (np.asarray(xi, float) @ self._basis_rows).reshape(self.N, self.N)
 
     def algebra_coords(self, matrix):
         """Expand an algebra-valued matrix in the basis; error if it does not fit."""
@@ -722,3 +737,77 @@ class GraphChart:
         self._validity = lo
         return lo
 
+
+# -- Cayley chart -------------------------------------------------------------
+
+
+class CayleyChart:
+    """Cayley coordinates on the group: g = g0 cay(A(x)) near g0.
+
+    cay(A) = (I - A/2)^-1 (I + A/2) and A(x) = sum x_i E_i.  ``from_coords``
+    is one linear solve and ``to_coords`` its inverse A = 2 (C - I)(C + I)^-1
+    with C = g0^-1 g, so no Newton iteration runs.  The chart is the set of
+    x whose A/2 has every eigenvalue inside ``CAYLEY_RADIUS``; nilpotent A
+    (heis3, rn:k) has none outside, so there the chart is global.
+    """
+
+    def __init__(self, group, g0=None):
+        self.group = group
+        self.g0 = g0 if g0 is not None else group.identity()
+        self._g0inv = np.linalg.inv(self.g0.matrix)
+        self._eye = np.eye(group.N, dtype=self.g0.matrix.dtype)
+
+    def _half_coords_matrix(self, g):
+        """A/2 for the Cayley coordinates of g, as a matrix."""
+        if g is self.g0:
+            return np.zeros_like(self._eye)
+        gm = g.matrix if isinstance(g, GroupElement) else np.asarray(g)
+        C = self._g0inv @ gm
+        # C commutes with (C + I)^-1, so A/2 = (C + I)^-1 (C - I)
+        return np.linalg.solve(C + self._eye, C - self._eye)
+
+    def to_coords(self, g):
+        if g is self.g0:
+            return np.zeros(self.group.dim)
+        return 2.0 * self.group.algebra_coords(self._half_coords_matrix(g))
+
+    def from_coords(self, x):
+        """g0 cay(A(x)); ChartDomainError outside the chart, ValueError if x is not finite."""
+        x = np.asarray(x, float)
+        if not np.all(np.isfinite(x)):
+            raise ValueError("non-finite Cayley coordinates")
+        half = 0.5 * self.group.algebra_matrix(x)
+        # the Frobenius norm bounds the spectral radius; 85-100% of the calls
+        # on the benchmark workloads stay below it and skip eigvals
+        if np.linalg.norm(half) >= CAYLEY_RADIUS:
+            rho = float(np.max(np.abs(np.linalg.eigvals(half))))
+            if not rho < CAYLEY_RADIUS:
+                raise ChartDomainError(
+                    f"{self.group.name} Cayley chart: spectral radius {rho:.3e} of A/2 "
+                    f"is not below {CAYLEY_RADIUS:g}"
+                )
+        C = np.linalg.solve(self._eye - half, self._eye + half)
+        return GroupElement(self.g0.matrix @ C, self.group)
+
+    def tangent_coords_matrix(self, g):
+        """Matrix M with M @ v_body = d(to_coords)/dt along tangent g X(v).
+
+        Column i is the algebra coordinates of (I + A/2) E_i (I - A/2), A the
+        Cayley coordinates of g as a matrix.
+        """
+        half = self._half_coords_matrix(g)
+        cols = np.einsum(
+            "ij,njk,kl->nil", self._eye + half, self.group._basis_stack, self._eye - half
+        )
+        return self.group._algebra_coords_stack(cols).T
+
+    def reach(self, X):
+        """Largest t with g0 exp(s X) inside the chart for every s < t.
+
+        exp(sX) has Cayley coordinates A = 2 tanh(sX/2), so the eigenvalues of
+        A/2 are tanh(s mu/2) over the eigenvalues mu of X.  |tanh z| < 1 exactly
+        when cos(2 Im z) > 0, so with ``CAYLEY_RADIUS`` 1 the first exit is at
+        s |Im mu| / 2 = pi/4; real spectra never leave.
+        """
+        im = float(np.max(np.abs(np.linalg.eigvals(X).imag)))
+        return math.pi / (2.0 * im) if im > 0.0 else math.inf

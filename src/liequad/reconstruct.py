@@ -939,8 +939,8 @@ def make_tstar_scenario(group, field=None):
     quotient is the fiber, the section plants points at the identity, and
     the exact group-factor map is the group component itself.  The action
     moves g along xi g = g Ad_g^-1 xi and leaves the fiber alone, so the
-    generators are [M(g) Ad_g^-1 ; 0] with M the graph chart's tangent
-    matrix, and the section's Jacobian is [0 ; I].
+    generators are [M(g) Ad_g^-1 ; 0] with M the phase chart's tangent
+    matrix of the group part, and the section's Jacobian is [0 ; I].
     """
     if isinstance(group, str):
         group = make_group(group)

@@ -18,7 +18,7 @@ import pytest
 
 from liequad import reconstruct
 from liequad.cotangent import CotangentBundle, left_invariant_hamiltonian_field
-from liequad.liegroup import GraphChart, make_group, matrix_exp_oracle
+from liequad.liegroup import CayleyChart, GraphChart, make_group, matrix_exp_oracle
 from liequad.numutil import central_jacobian
 from liequad.reconstruct import (
     FIELD_CHECK_BALL,
@@ -191,7 +191,9 @@ def test_split_needs_no_chart_inversion(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("chart inversion")
 
-    monkeypatch.setattr(GraphChart, "from_coords", refuse)
+    # the tstar scenario's phase chart is a Cayley chart, the factor solve's a graph chart
+    for chart_type in (CayleyChart, GraphChart):
+        monkeypatch.setattr(chart_type, "from_coords", refuse)
     eta, Y = section_split(sys_, np.array([0.7, -0.4, 0.5]))
     assert np.all(np.isfinite(eta)) and np.all(np.isfinite(Y))
 

@@ -250,3 +250,15 @@ def test_curve_matrices_accessor():
     assert len(mats) == 2
     assert isinstance(cur, ExponentialCurve)
     assert np.allclose(mats[0], np.eye(3), atol=1e-12)
+
+
+@pytest.mark.parametrize("xi", [(0.0, 0.0, 1.0), (0.6, -0.5, 0.6)])
+def test_long_exponential_predicts_its_doublings(xi):
+    # the doubling count comes from the Cayley chart's reach along exp(t xi),
+    # so no attempt on a grid that leaves the chart is made and thrown away
+    g = make_group("so3")
+    xi = np.asarray(xi) / np.linalg.norm(xi)
+    with forbid_exp_oracle():
+        cur = exp_semisimple(g, xi, np.linspace(0.0, 6.0, 13))
+    assert cur.diagnostics["retries"] == 0 and cur.diagnostics["doublings"] == 3
+    assert sup_oracle_error(g, xi, cur) <= 1e-6

@@ -15,7 +15,7 @@ from liequad.hjsolver import (
     integrate_by_quadratures,
 )
 from liequad.liealg import killing_casimir
-from liequad.liegroup import ChartDomainError, make_group
+from liequad.liegroup import ChartDomainError, forbid_exp_oracle, make_group, matrix_exp_oracle
 
 
 def casimir_chart(key, a0=(0.7, -0.2, 0.4)):
@@ -159,8 +159,8 @@ def test_integrand_is_the_linearizing_jacobian(key):
 
 
 def test_node_solves_behind_one_exponential(monkeypatch):
-    # work-count guard: 193 node solves with the nested kernel (472 with the
-    # earlier 6+3-node Gauss-Legendre pair refined globally)
+    # work-count guard: 153 node solves on the Cayley chart (193 on the graph
+    # chart, 472 with the earlier 6+3-node Gauss-Legendre pair refined globally)
     calls = []
     node = CompleteSolutionChart._node
 
@@ -171,7 +171,7 @@ def test_node_solves_behind_one_exponential(monkeypatch):
     monkeypatch.setattr(CompleteSolutionChart, "_node", counted)
     xi = np.array([0.3, -0.5, 0.4])
     exp_semisimple(make_group("so3"), 0.75 * xi / np.linalg.norm(xi), np.linspace(0.0, 1.0, 17))
-    assert len(calls) <= 212
+    assert len(calls) <= 168
 
 
 class NodeCount:
@@ -189,20 +189,38 @@ class NodeCount:
 
 
 def test_node_solves_behind_a_long_exponential(monkeypatch):
-    # work-count guard: 673 node solves with the early exit and the Simpson
-    # rung (835 when a doomed probe ran all QUAD_MAX_PANELS panels)
+    # work-count guard: 140 node solves with the doubling count predicted from
+    # the Cayley chart's reach (673 on the graph chart, whose first attempt on
+    # the full grid was thrown away)
     count = NodeCount(monkeypatch)
     exp_semisimple(make_group("so3"), np.array([0.0, 0.0, 1.0]), np.linspace(0.0, 6.0, 13))
-    assert count.calls <= 740
+    assert count.calls <= 154
 
 
 def test_node_solves_behind_a_long_casimir_flow(monkeypatch):
-    # work-count guard: 1239 node solves (1407 before the early exit and the
-    # Simpson rung); the flow re-centres once on [0, 6]
+    # work-count guard: 396 node solves on the Cayley chart (1239 on the graph
+    # chart); the flow re-centres once on [0, 6]
     count = NodeCount(monkeypatch)
     b = CotangentBundle(make_group("so3"))
     X = build_casimir_field(b, killing_casimir(b.algebra))
     p0 = PhasePoint(b.group.identity(), np.array([0.7, -0.2, 0.4]))
     s = integrate_by_quadratures(b, X, p0, np.linspace(0.0, 6.0, 25))
     assert len(s.points) == 25 and s.diagnostics["recenters"] == 1
-    assert count.calls <= 1362
+    assert count.calls <= 436
+
+
+def test_a_casimir_flow_past_a_half_turn_recenters(monkeypatch):
+    # the flow turns by about 5 rad on [0, 12], past what one Cayley chart
+    # covers; 836 node solves (2673 on the graph chart)
+    count = NodeCount(monkeypatch)
+    b = CotangentBundle(make_group("so3"))
+    X = build_casimir_field(b, killing_casimir(b.algebra))
+    a0 = np.array([0.7, -0.2, 0.4])
+    ts = np.linspace(0.0, 12.0, 49)
+    with forbid_exp_oracle():
+        s = integrate_by_quadratures(b, X, PhasePoint(b.group.identity(), a0), ts)
+    assert len(s.points) == len(ts) and s.diagnostics["recenters"] >= 1
+    assert count.calls <= 920
+    xi = np.linalg.solve(b.algebra.killing_form(), a0)
+    for t, p in zip(ts, s.points):
+        assert np.linalg.norm(p.g.matrix - matrix_exp_oracle(b.group, xi, t).matrix) <= 1e-8
