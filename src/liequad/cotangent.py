@@ -171,9 +171,9 @@ class CotangentChart:
         return PhasePoint(g, np.asarray(u[self.k :], float))
 
     def body_from_coords(self, p):
-        """diag(M(g)^-1, I): takes chart velocities at p to body coordinates (v, beta)."""
+        """Chart velocities at p to body coordinates (v, beta): diag(body_coords_matrix(g), I)."""
         T = np.eye(self.dim)
-        T[: self.k, : self.k] = np.linalg.inv(self.gchart.tangent_coords_matrix(p.g))
+        T[: self.k, : self.k] = self.gchart.body_coords_matrix(p.g)
         return T
 
 

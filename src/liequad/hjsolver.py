@@ -11,7 +11,6 @@ exponential is used anywhere on this route.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .cotangent import CotangentChart, TangentPhaseVector
 from .liegroup import NEWTON_MAXIT, NEWTON_TOL, ChartDomainError, damped_newton
@@ -95,7 +94,7 @@ class FirstIntegralsMap:
         self.chart = self.phase_chart.gchart
         self.x0 = np.concatenate([np.zeros(self.dim), center.alpha])
         self.raw0 = bundle.momentum_pair(center)
-        J0 = self.raw_jacobian_coords(center)
+        J0 = bundle.momentum_pair_jacobian_body(center)  # body matrix I at the centre
         k = bundle.algebra.isotropy_dimension(center.alpha)
         ell = 2 * self.dim - k
         r = numerical_rank(J0)
@@ -110,14 +109,14 @@ class FirstIntegralsMap:
         self.kernel = Vt[ell:].T
         self.sigma_min = float(s[ell - 1])
 
-    def raw_jacobian_coords(self, p):
-        return self.bundle.momentum_pair_jacobian_body(p) @ self.phase_chart.body_from_coords(p)
-
     def value(self, p):
         return self.reduce.T @ (self.bundle.momentum_pair(p) - self.raw0)
 
-    def jacobian_coords(self, p):
-        return self.reduce.T @ self.raw_jacobian_coords(p)
+    def jacobian_coords(self, p, minv):
+        """Reduced Jacobian on chart velocities; ``minv`` is the body matrix of p's group part."""
+        J = self.reduce.T @ self.bundle.momentum_pair_jacobian_body(p)
+        J[:, : self.dim] = J[:, : self.dim] @ minv
+        return J
 
 
 class _FailFloor:
@@ -130,33 +129,26 @@ class _FailFloor:
 
 
 class _ChartNode:
-    """A solved chart point with its factored linearization.
+    """A solved chart point with its inverted linearization.
 
-    The inverse tangent-coordinate matrix, the symplectic matrix, and the
-    momentum-direction body tangents are all point data; they are computed
-    once and reused by every derivative product at the node.
+    The inverse system matrix ``inv``, the Cayley body matrix ``minv``, the
+    symplectic matrix and the momentum-direction body tangents are point
+    data; each is computed once and reused by every derivative product.
     """
 
-    __slots__ = ("owner", "p", "x", "lu", "lam", "n", "_minv", "_omat", "_lam_body", "_ljac")
+    __slots__ = ("owner", "p", "x", "inv", "minv", "lam", "n", "_omat", "_lam_body", "_ljac")
 
-    def __init__(self, owner, p, x, lu, lam, n):
+    def __init__(self, owner, p, x, inv, minv, lam, n):
         self.owner = owner
         self.p = p
         self.x = x
-        self.lu = lu
+        self.inv = inv
+        self.minv = minv
         self.lam = lam
         self.n = n
-        self._minv = None
         self._omat = None
         self._lam_body = None
         self._ljac = None
-
-    @property
-    def minv(self):
-        if self._minv is None:
-            chart = self.owner.integrals.chart
-            self._minv = np.linalg.inv(chart.tangent_coords_matrix(self.p.g))
-        return self._minv
 
     @property
     def omat(self):
@@ -166,16 +158,15 @@ class _ChartNode:
 
     def tangent(self, dn, dlam):
         """Chart derivative of the solution map in the direction (dn, dlam)."""
-        dx = scipy.linalg.lu_solve(self.lu, np.concatenate([dn, dlam]))
+        dx = self.inv @ np.concatenate([dn, dlam])
         dim = self.owner.integrals.dim
         return TangentPhaseVector(self.minv @ dx[:dim], dx[dim:])
 
     def lam_body(self):
         """Momentum-direction body tangents as columns of a 2*dim x ell array."""
         if self._lam_body is None:
-            k, ell = self.owner.k, self.owner.ell
             dim = self.owner.integrals.dim
-            dx = scipy.linalg.lu_solve(self.lu, np.vstack([np.zeros((k, ell)), np.eye(ell)]))
+            dx = self.inv[:, self.owner.k :]
             self._lam_body = np.vstack([self.minv @ dx[:dim], dx[dim:]])
         return self._lam_body
 
@@ -194,7 +185,7 @@ class CompleteSolutionChart:
     Coordinates (lam, n): lam are the reduced momentum values, n are
     transversal coordinates along the momentum fibers.  The chart solves for
     the phase point with prescribed (lam, n), carries exact derivatives from
-    the factored solve, and computes the generating function and the
+    the inverted solve, and computes the generating function and the
     linearizing map by quadratures.
     """
 
@@ -254,7 +245,7 @@ class CompleteSolutionChart:
         lam = np.asarray(lam, float)
         n = np.asarray(n, float)
         if x_init is None:
-            A0 = self._system_matrix(ints.center)
+            A0 = self._system_matrix(ints.center, np.eye(ints.dim))
             x = ints.x0 + np.linalg.solve(A0, np.concatenate([n, lam]))
         else:
             x = np.asarray(x_init, float).copy()
@@ -265,7 +256,7 @@ class CompleteSolutionChart:
             return self._residual(p, xx, lam, n), p
 
         def step(_x, r, p):
-            return np.linalg.solve(self._system_matrix(p), -r)
+            return np.linalg.solve(self._system_matrix(p, ints.chart.body_coords_matrix(p.g)), -r)
 
         x, _r, rn, p = damped_newton(x, trial, step, NEWTON_TOL * scale, NEWTON_MAXIT, 16)
         if rn <= NEWTON_TOL * scale:
@@ -282,8 +273,8 @@ class CompleteSolutionChart:
             [self.trans @ (x - self.integrals.x0) - n, self.integrals.value(p) - lam]
         )
 
-    def _system_matrix(self, p):
-        return np.vstack([self.trans, self.integrals.jacobian_coords(p)])
+    def _system_matrix(self, p, minv):
+        return np.vstack([self.trans, self.integrals.jacobian_coords(p, minv)])
 
     def _node(self, lam, n, from_node=None):
         lam = np.asarray(lam, float)
@@ -291,12 +282,15 @@ class CompleteSolutionChart:
         if from_node is None:
             p, x = self.invert(lam, n)
         else:
-            # first-order predictor through the neighbor's factored system
+            # first-order predictor through the neighbor's inverted system
             rhs = np.concatenate([n - from_node.n, lam - from_node.lam])
-            x_init = from_node.x + scipy.linalg.lu_solve(from_node.lu, rhs)
-            p, x = self.invert(lam, n, x_init=x_init)
-        lu = scipy.linalg.lu_factor(self._system_matrix(p))
-        return _ChartNode(self, p, x, lu, lam, n)
+            p, x = self.invert(lam, n, x_init=from_node.x + from_node.inv @ rhs)
+        minv = self.integrals.chart.body_coords_matrix(p.g)
+        S = self._system_matrix(p, minv)
+        inv = np.linalg.inv(S)
+        if not (np.isfinite(S).all() and np.isfinite(inv).all()):
+            raise ValueError("complete-solution system is not finite")
+        return _ChartNode(self, p, x, inv, minv, lam, n)
 
     # -- quadratures -------------------------------------------------------
 
@@ -441,8 +435,7 @@ class CompleteSolutionChart:
         """Exact n-derivative of the fast linearizing map at a solved node."""
         if node._ljac is None:
             dim = self.integrals.dim
-            rhs = np.vstack([np.eye(self.k), np.zeros((self.ell, self.k))])
-            dx = scipy.linalg.lu_solve(node.lu, rhs)
+            dx = node.inv[:, : self.k]
             W = np.vstack([node.minv @ dx[:dim], dx[dim:]])
             node._ljac = -(node.lam_body().T @ (node.omat @ W))
         return node._ljac

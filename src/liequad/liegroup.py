@@ -746,8 +746,10 @@ class CayleyChart:
 
     cay(A) = (I - A/2)^-1 (I + A/2) and A(x) = sum x_i E_i.  ``from_coords``
     is one linear solve and ``to_coords`` its inverse A = 2 (C - I)(C + I)^-1
-    with C = g0^-1 g, so no Newton iteration runs.  The chart is the set of
-    x whose A/2 has every eigenvalue inside ``CAYLEY_RADIUS``; nilpotent A
+    with C = g0^-1 g, so no Newton iteration runs.  The differential inverts
+    in closed form too: (I + A/2)^-1 = (I + C^-1)/2 and (I - A/2)^-1 =
+    (I + C)/2 (Iserles, Found. Comput. Math. 1, 2001).  The chart is the set
+    of x whose A/2 has every eigenvalue inside ``CAYLEY_RADIUS``; nilpotent A
     (heis3, rn:k) has none outside, so there the chart is global.
     """
 
@@ -800,6 +802,19 @@ class CayleyChart:
             "ij,njk,kl->nil", self._eye + half, self.group._basis_stack, self._eye - half
         )
         return self.group._algebra_coords_stack(cols).T
+
+    def body_coords_matrix(self, g):
+        """Inverse of ``tangent_coords_matrix``: takes chart velocities at g to body ones.
+
+        Column i is the algebra coordinates of (I + C^-1) E_i (I + C) / 4, C = g0^-1 g.
+        """
+        if g is self.g0:
+            return np.eye(self.group.dim)
+        C = self._g0inv @ g.matrix
+        cols = np.einsum(
+            "ij,njk,kl->nil", self._eye + np.linalg.inv(C), self.group._basis_stack, self._eye + C
+        )
+        return 0.25 * self.group._algebra_coords_stack(cols).T
 
     def reach(self, X):
         """Largest t with g0 exp(s X) inside the chart for every s < t.

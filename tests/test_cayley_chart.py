@@ -77,6 +77,20 @@ def test_tangent_matrix_is_the_differential(key, seed, frac):
     assert np.linalg.norm(exact - fd) <= 1e-9 * scale
 
 
+@pytest.mark.parametrize("key", KEYS)
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), frac=st.floats(0.0, 0.9))
+def test_body_matrix_inverts_the_tangent_matrix(key, seed, frac):
+    grp, chart, x, _rng = chart_and_point(key, seed, frac)
+    g = chart.from_coords(x)
+    product = chart.body_coords_matrix(g) @ chart.tangent_coords_matrix(g)
+    # each factor's entries grow like |g|, which reaches |x|^2 on the global
+    # nilpotent charts
+    bound = 1e-13 * max(1.0, np.linalg.norm(g.matrix)) ** 2
+    assert np.max(np.abs(product - np.eye(grp.dim))) <= bound
+    assert np.array_equal(chart.body_coords_matrix(chart.g0), np.eye(grp.dim))
+
+
 def test_centre_reads_zero_without_a_solve(monkeypatch):
     grp = group_for("so3")
     chart = CayleyChart(grp, matrix_exp_oracle(grp, np.array([0.3, -0.2, 0.5])))

@@ -15,7 +15,13 @@ from liequad.hjsolver import (
     integrate_by_quadratures,
 )
 from liequad.liealg import killing_casimir
-from liequad.liegroup import ChartDomainError, forbid_exp_oracle, make_group, matrix_exp_oracle
+from liequad.liegroup import (
+    CayleyChart,
+    ChartDomainError,
+    forbid_exp_oracle,
+    make_group,
+    matrix_exp_oracle,
+)
 
 
 def casimir_chart(key, a0=(0.7, -0.2, 0.4)):
@@ -186,6 +192,42 @@ class NodeCount:
             return node(chart, *args, **kwargs)
 
         monkeypatch.setattr(CompleteSolutionChart, "_node", counted)
+
+
+def test_one_closed_form_body_matrix_per_node(monkeypatch):
+    # work-count guard: the node solve reads the Cayley differential's inverse
+    # in closed form, once per node, and never forms the tangent matrix
+    count = NodeCount(monkeypatch)
+    calls = {"tangent_coords_matrix": 0, "body_coords_matrix": 0}
+    for name in calls:
+        method = getattr(CayleyChart, name)
+
+        def counted(chart, g, name=name, method=method):
+            calls[name] += 1
+            return method(chart, g)
+
+        monkeypatch.setattr(CayleyChart, name, counted)
+    xi = np.array([0.3, -0.5, 0.4])
+    exp_semisimple(make_group("so3"), 0.75 * xi / np.linalg.norm(xi), np.linspace(0.0, 1.0, 17))
+    assert count.calls > 0 and calls["tangent_coords_matrix"] == 0
+    assert calls["body_coords_matrix"] <= count.calls
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_node_system_raises_value_error(chart, monkeypatch, bad):
+    # damped_newton and _gauss_newton take a ValueError for a failed trial
+    ints = chart.integrals
+    system = chart._system_matrix
+
+    def poisoned(p, minv):
+        S = system(p, minv)
+        S[-1, 0] = bad
+        return S
+
+    monkeypatch.setattr(chart, "invert", lambda *_args, **_kw: (ints.center, ints.x0))
+    monkeypatch.setattr(chart, "_system_matrix", poisoned)
+    with pytest.raises(ValueError):
+        chart._node(np.zeros(chart.ell), np.zeros(chart.k))
 
 
 def test_node_solves_behind_a_long_exponential(monkeypatch):
