@@ -57,6 +57,7 @@ class CotangentBundle:
         self.group = group
         self.algebra = group.algebra
         self.dim = 2 * group.dim
+        self._eye = np.eye(group.dim)
 
     # -- construction / conversion helpers -------------------------------
 
@@ -83,12 +84,15 @@ class CotangentBundle:
 
     def omega_matrix(self, p):
         """Matrix O with omega(z, w) = z . O w on concatenated body coordinates."""
-        n = self.group.dim
-        A = self.algebra.ad_star_matrix(p.alpha)
-        O = np.zeros((2 * n, 2 * n))
-        O[:n, :n] = A.T
-        O[:n, n:] = np.eye(n)
-        O[n:, :n] = -np.eye(n)
+        return self.omega_matrices(np.asarray(p.alpha)[None])[0]
+
+    def omega_matrices(self, alpha):
+        """``omega_matrix`` at k points with body momenta alpha (k, n): (k, 2n, 2n)."""
+        k, n = alpha.shape
+        O = np.zeros((k, 2 * n, 2 * n))
+        O[:, :n, :n] = self.algebra.ad_star_matrix(alpha).swapaxes(1, 2)
+        O[:, :n, n:] = self._eye
+        O[:, n:, :n] = -self._eye
         return O
 
     def omega(self, p, w1, w2):
@@ -110,17 +114,26 @@ class CotangentBundle:
         return np.asarray(p.alpha, float)
 
     def momentum_pair(self, p):
-        return np.concatenate([self.spatial_momentum(p), self.body_momentum(p)])
+        adit = self.group.adjoint_inv_transpose(p.g)
+        return self.momentum_pairs(adit[None], np.asarray(p.alpha)[None])[0]
+
+    def momentum_pairs(self, adit, alpha):
+        """``momentum_pair`` at k points from their coadjoint matrices Ad(g^-1)^T
+        (k, n, n) and body momenta alpha (k, n): (k, 2n)."""
+        return np.concatenate([(adit @ alpha[:, :, None])[:, :, 0], alpha], axis=1)
 
     def momentum_pair_jacobian_body(self, p):
         """Jacobian of momentum_pair on body tangent coordinates (2n x 2n)."""
-        n = self.group.dim
-        AdinvT = self.group.adjoint_inv_transpose(p.g)
-        A = self.algebra.ad_star_matrix(p.alpha)
-        J = np.zeros((2 * n, 2 * n))
-        J[:n, :n] = -AdinvT @ A
-        J[:n, n:] = AdinvT
-        J[n:, n:] = np.eye(n)
+        adit = self.group.adjoint_inv_transpose(p.g)
+        return self.momentum_pair_jacobians(adit[None], np.asarray(p.alpha)[None])[0]
+
+    def momentum_pair_jacobians(self, adit, alpha):
+        """``momentum_pair_jacobian_body`` at k points, with the arguments of ``momentum_pairs``."""
+        k, n = alpha.shape
+        J = np.zeros((k, 2 * n, 2 * n))
+        J[:, :n, :n] = -adit @ self.algebra.ad_star_matrix(alpha)
+        J[:, :n, n:] = adit
+        J[:, n:, n:] = self._eye
         return J
 
     # -- group action ---------------------------------------------------------
@@ -130,7 +143,7 @@ class CotangentBundle:
 
     def lifted_fundamental(self, eta, p):
         """Infinitesimal generator of the lifted action at p, body coordinates."""
-        Adinv = np.linalg.inv(self.group.adjoint_matrix(p.g))
+        Adinv = self.group.adjoint_inv_transpose(p.g).T
         return TangentPhaseVector(Adinv @ np.asarray(eta, float), np.zeros(self.group.dim))
 
     # -- reference ODE right-hand side ---------------------------------------
@@ -264,7 +277,7 @@ def build_mixed_field(bundle, terms, grads=None):
 
     def evaluator(p):
         J = bundle.spatial_momentum(p)
-        Adinv = np.linalg.inv(bundle.group.adjoint_matrix(p.g))
+        Adinv = bundle.group.adjoint_inv_transpose(p.g).T
         A = alg.ad_star_matrix(p.alpha)
         total_v = np.zeros(n)
         total_b = np.zeros(n)

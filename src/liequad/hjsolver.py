@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cotangent import CotangentChart, TangentPhaseVector
+from .cotangent import CotangentChart, PhasePoint, TangentPhaseVector
 from .liegroup import NEWTON_MAXIT, NEWTON_TOL, ChartDomainError, damped_newton
 from .numutil import central_jacobian, nullspace, numerical_rank
 
@@ -112,11 +112,16 @@ class FirstIntegralsMap:
     def value(self, p):
         return self.reduce.T @ (self.bundle.momentum_pair(p) - self.raw0)
 
-    def jacobian_coords(self, p, minv):
-        """Reduced Jacobian on chart velocities; ``minv`` is the body matrix of p's group part."""
-        J = self.reduce.T @ self.bundle.momentum_pair_jacobian_body(p)
-        J[:, : self.dim] = J[:, : self.dim] @ minv
-        return J
+    def evaluate(self, adit, alpha, minv):
+        """Reduced values and reduced Jacobians on chart velocities at k points.
+
+        ``adit`` (k, dim, dim) are the coadjoint matrices Ad(g^-1)^T of the
+        group parts, ``alpha`` (k, dim) the body momenta and ``minv``
+        (k, dim, dim) the Cayley body matrices of the group parts.
+        """
+        J = self.reduce.T @ self.bundle.momentum_pair_jacobians(adit, alpha)
+        J[:, :, : self.dim] = J[:, :, : self.dim] @ minv
+        return (self.bundle.momentum_pairs(adit, alpha) - self.raw0) @ self.reduce, J
 
 
 class _FailFloor:
@@ -131,23 +136,26 @@ class _FailFloor:
 class _ChartNode:
     """A solved chart point with its inverted linearization.
 
-    The inverse system matrix ``inv``, the Cayley body matrix ``minv``, the
-    symplectic matrix and the momentum-direction body tangents are point
-    data; each is computed once and reused by every derivative product.
+    ``inv`` is the inverse system matrix: it takes (dn, dlam) to chart
+    velocities.  ``body`` is the same inverse with its group rows taken to
+    body coordinates by the Cayley body matrix ``minv``, so its columns are
+    the body tangents of the solution map.  ``_node`` builds a stack of
+    nodes at once; each node's arrays are its row of the stack's
+    (2 dim, 2 dim) and (dim, dim) arrays.
     """
 
-    __slots__ = ("owner", "p", "x", "inv", "minv", "lam", "n", "_omat", "_lam_body", "_ljac")
+    __slots__ = ("owner", "p", "x", "inv", "minv", "body", "lam", "n", "_omat", "_ljac")
 
-    def __init__(self, owner, p, x, inv, minv, lam, n):
+    def __init__(self, owner, p, x, inv, minv, body, lam, n):
         self.owner = owner
         self.p = p
         self.x = x
         self.inv = inv
         self.minv = minv
+        self.body = body
         self.lam = lam
         self.n = n
         self._omat = None
-        self._lam_body = None
         self._ljac = None
 
     @property
@@ -158,17 +166,13 @@ class _ChartNode:
 
     def tangent(self, dn, dlam):
         """Chart derivative of the solution map in the direction (dn, dlam)."""
-        dx = self.inv @ np.concatenate([dn, dlam])
+        dx = self.body @ np.concatenate([dn, dlam])
         dim = self.owner.integrals.dim
-        return TangentPhaseVector(self.minv @ dx[:dim], dx[dim:])
+        return TangentPhaseVector(dx[:dim], dx[dim:])
 
     def lam_body(self):
         """Momentum-direction body tangents as columns of a 2*dim x ell array."""
-        if self._lam_body is None:
-            dim = self.owner.integrals.dim
-            dx = self.inv[:, self.owner.k :]
-            self._lam_body = np.vstack([self.minv @ dx[:dim], dx[dim:]])
-        return self._lam_body
+        return self.body[:, self.owner.k :]
 
     def lam_tangents(self):
         B = self.lam_body()
@@ -196,6 +200,13 @@ class CompleteSolutionChart:
         self.trans = self.integrals.kernel.T
         self.k = self.integrals.deficiency
         self.ell = self.integrals.rank
+        ints = self.integrals
+        # the centre as a solved node, whose body matrix is I: the predictor
+        # of every row that has no solved neighbour
+        S0 = np.vstack([self.trans, ints.reduce.T @ bundle.momentum_pair_jacobian_body(center)])
+        inv0 = np.linalg.inv(S0)
+        zl, zk = np.zeros(self.ell), np.zeros(self.k)
+        self._centre = _ChartNode(self, center, ints.x0, inv0, np.eye(ints.dim), inv0, zl, zk)
         if check:
             self.check_hypotheses()
 
@@ -239,99 +250,157 @@ class CompleteSolutionChart:
         n = self.trans @ (ints.phase_chart.to_coords(p) - ints.x0)
         return lam, n
 
-    def invert(self, lam, n, x_init=None):
-        """Solve for the phase point with coordinates (lam, n); Newton."""
-        ints = self.integrals
-        lam = np.asarray(lam, float)
-        n = np.asarray(n, float)
-        if x_init is None:
-            A0 = self._system_matrix(ints.center, np.eye(ints.dim))
-            x = ints.x0 + np.linalg.solve(A0, np.concatenate([n, lam]))
-        else:
-            x = np.asarray(x_init, float).copy()
+    def invert(self, lam, n, x):
+        """Newton solve from x for the chart point with coordinates (lam, n).
+
+        Each trial is one row of ``_node``'s stacked evaluation; returns that
+        row (x, group part, system matrix, body matrix) at the accepted
+        iterate, or raises ChartDomainError.
+        """
+        lam, n = lam[None], n[None]
         scale = max(1.0, float(np.linalg.norm(lam)), float(np.linalg.norm(n)))
 
-        def trial(xx, _p):
-            p = ints.phase_chart.from_coords(xx)
-            return self._residual(p, xx, lam, n), p
+        def trial(xx, _state):
+            r, gs, S, minv = self._evaluate(lam, n, xx[None])
+            return r[0], (gs[0], S[0], minv[0])
 
-        def step(_x, r, p):
-            return np.linalg.solve(self._system_matrix(p, ints.chart.body_coords_matrix(p.g)), -r)
+        def step(_x, r, state):
+            return np.linalg.solve(state[1], -r)
 
-        x, _r, rn, p = damped_newton(x, trial, step, NEWTON_TOL * scale, NEWTON_MAXIT, 16)
+        x, _r, rn, (g, S, minv) = damped_newton(x, trial, step, NEWTON_TOL * scale, NEWTON_MAXIT, 16)
         if rn <= NEWTON_TOL * scale:
-            return p, x
+            return x, g, S, minv
         raise ChartDomainError(
             f"complete-solution inversion did not converge (residual {rn:.3e})"
         )
 
     def point(self, lam, n):
-        return self.invert(lam, n)[0]
+        return self._node(lam, n).p
 
-    def _residual(self, p, x, lam, n):
-        return np.concatenate(
-            [self.trans @ (x - self.integrals.x0) - n, self.integrals.value(p) - lam]
-        )
+    def _evaluate(self, lam, n, X):
+        """Residuals against the rows (lam, n) at chart points X, and the points' data.
 
-    def _system_matrix(self, p, minv):
-        return np.vstack([self.trans, self.integrals.jacobian_coords(p, minv)])
+        Returns the residuals, the group parts, the system matrices and the
+        Cayley body matrices, one row each.
+        """
+        ints = self.integrals
+        dim, k = ints.dim, self.k
+        gs = ints.chart.from_coords(X[:, :dim])
+        minv = ints.chart.body_coords_matrix(gs)  # fills each element's coadjoint matrix
+        adit = np.array([self.bundle.group.adjoint_inv_transpose(g) for g in gs])
+        values, J = ints.evaluate(adit, X[:, dim:], minv)
+        r = np.empty_like(X)
+        r[:, :k] = (X - ints.x0) @ self.trans.T - n
+        r[:, k:] = values - lam
+        S = np.empty((len(X), 2 * dim, 2 * dim))
+        S[:, :k] = self.trans
+        S[:, k:] = J
+        return r, gs, S, minv
 
     def _node(self, lam, n, from_node=None):
-        lam = np.asarray(lam, float)
+        """The solved node at (lam, n), or the list of nodes at the rows of n (m, k).
+
+        ``lam`` is one momentum value for every row or one row each;
+        ``from_node`` is the solved node each row is predicted from, one for
+        all rows or a list of one per row, the chart centre when None.  Each
+        row's first-order predictor goes through its neighbour's inverted
+        system, and the stack is evaluated at once: chart inversions,
+        residuals, system matrices and their inverses.  A row whose residual
+        misses ``NEWTON_TOL`` continues in ``invert``.  A row that fails
+        fails the stack, with ChartDomainError or ValueError.
+        """
         n = np.asarray(n, float)
+        rows = n.reshape(-1, self.k)
+        m = len(rows)
+        lam = np.asarray(lam, float) + np.zeros((m, 1))
         if from_node is None:
-            p, x = self.invert(lam, n)
-        else:
-            # first-order predictor through the neighbor's inverted system
-            rhs = np.concatenate([n - from_node.n, lam - from_node.lam])
-            p, x = self.invert(lam, n, x_init=from_node.x + from_node.inv @ rhs)
-        minv = self.integrals.chart.body_coords_matrix(p.g)
-        S = self._system_matrix(p, minv)
+            from_node = self._centre
+        near = from_node if isinstance(from_node, list) else [from_node] * m
+        step = np.concatenate(
+            [rows - np.array([q.n for q in near]), lam - np.array([q.lam for q in near])], axis=1
+        )
+        invs = np.array([q.inv for q in near])
+        X = np.array([q.x for q in near]) + np.einsum("ijk,ik->ij", invs, step)
+        r, gs, S, minv = self._evaluate(lam, rows, X)
+        # |r| against NEWTON_TOL max(1, |lam|, |n|), squared
+        bound = NEWTON_TOL**2 * np.maximum(np.maximum((lam * lam).sum(1), (rows * rows).sum(1)), 1)
+        met = (r * r).sum(1) <= bound
+        if not met.all():
+            for i in np.flatnonzero(~met):
+                X[i], gs[i], S[i], minv[i] = self.invert(lam[i], rows[i], X[i])
         inv = np.linalg.inv(S)
         if not (np.isfinite(S).all() and np.isfinite(inv).all()):
             raise ValueError("complete-solution system is not finite")
-        return _ChartNode(self, p, x, inv, minv, lam, n)
+        dim = self.integrals.dim
+        body = inv.copy()
+        body[:, :dim] = minv @ inv[:, :dim]
+        nodes = [
+            _ChartNode(self, PhasePoint(g, x[dim:]), x, *data)
+            for g, x, data in zip(gs, X, zip(inv, minv, body, lam, rows))
+        ]
+        return nodes if n.ndim == 2 else nodes[0]
+
+    def _nodes_near(self, solved, lam, n):
+        """Nodes at the rows of n, each predicted from the nearest node of ``solved``.
+
+        The chart centre predicts while ``solved`` is empty; the new nodes
+        join ``solved``.
+        """
+        lam = lam + np.zeros((len(n), 1))
+        from_node = None
+        if solved:
+            at = np.array([np.concatenate([q.n, q.lam]) for q in solved])
+            gap = np.concatenate([n, lam], axis=1)[:, None] - at
+            from_node = [solved[i] for i in np.argmin(np.sum(gap * gap, axis=2), axis=1)]
+        nodes = self._node(lam, n, from_node)
+        solved.extend(nodes)
+        return nodes
 
     # -- quadratures -------------------------------------------------------
 
     def _segment_quad(self, integrand, ends=None):
         """Integral over [0, 1] by nested panels, bisected where the error is.
 
-        A panel's value is its 7-point Kronrod sum and its estimate the largest
-        entry of its gap to the 4-point Gauss-Lobatto sum.  ``ends``, the
-        integrand at 0 and 1 when the caller has it, opens a ladder of nested
-        rules, each judged by its gap to the rung below: the trapezoid, at no
-        evaluation, when the trapezoid-rectangle half-gap passes the
-        tolerance; then Simpson's rule, at one evaluation, the centre node s =
-        1/2, when its gap to the trapezoid passes; then the 7-point panel,
-        which reuses that centre value and so costs 4 more evaluations.  The
-        centre is solved first, so the interior is not strictly ascending in
-        s; each node warm-starts from the last one solved.  While the summed
+        ``integrand`` takes a vector of abscissae and returns its values
+        stacked, one row each.  A panel's value is its 7-point Kronrod sum
+        and its estimate the largest entry of its gap to the 4-point
+        Gauss-Lobatto sum.  ``ends``, the integrand at 0 and 1 when the
+        caller has it, opens a ladder of nested rules, each judged by its gap
+        to the rung below: the trapezoid, at no evaluation, when the
+        trapezoid-rectangle half-gap passes the tolerance; then Simpson's
+        rule, at one evaluation, the centre node s = 1/2, when its gap to the
+        trapezoid passes; then the 7-point panel, which reuses that centre
+        value and so costs 4 more evaluations.  The centre is its own call;
+        every other call is the vector of new abscissae of the panels being
+        built, ascending, so an integrand that solves nodes predicts each
+        one from the nearest node already solved.  While the summed
         estimates exceed ``QUAD_TOL`` of the total, the panel of largest
         estimate is halved; its end and centre values are reused, so a split
-        costs 10 evaluations.  Integrands are analytic inside the chart, so a
-        refinement that cannot reach the tolerance within ``QUAD_MAX_PANELS``
-        panels is a domain failure: after every step the kernel predicts the
-        panel count that bisection at the rule's rate would need and raises
-        as soon as it exceeds the cap, so a probe past the chart boundary
-        usually gives up after its first panel.
+        costs 10 evaluations, in one call.  Integrands are analytic inside
+        the chart, so a refinement that cannot reach the tolerance within
+        ``QUAD_MAX_PANELS`` panels is a domain failure: after every step the
+        kernel predicts the panel count that bisection at the rule's rate
+        would need and raises as soon as it exceeds the cap, so a probe past
+        the chart boundary usually gives up after its first panel.
         """
 
         def tol(value):
             return QUAD_TOL * max(1.0, float(np.max(np.abs(value))))
 
-        def panel(a, b, fa, fb, fm=None):
-            h = b - a
-            f = [fa if fa is not None else integrand(a)]
-            if fm is None:
-                f += [integrand(a + s * h) for s in LK_NODES[1:-1]]
-            else:
-                f += [integrand(a + s * h) for s in LK_NODES[1:3]] + [fm]
-                f += [integrand(a + s * h) for s in LK_NODES[4:-1]]
-            f.append(fb if fb is not None else integrand(b))
-            f = np.asarray(f)
-            gap = np.max(np.abs(h * np.tensordot(LK_KRONROD - LK_LOBATTO, f, axes=1)))
-            return float(gap), h * np.tensordot(LK_KRONROD, f, axes=1), (a, b, f[0], f[3], f[-1])
+        def build(specs):
+            # panels (a, b, fa, fm, fb), None for each value still unknown; one
+            # integrand call takes the new abscissae of every panel
+            fs = [[fa, None, None, fm, None, None, fb] for _a, _b, fa, fm, fb in specs]
+            new = [(j, i) for j, f in enumerate(fs) for i, v in enumerate(f) if v is None]
+            s = np.array([specs[j][0] + LK_NODES[i] * (specs[j][1] - specs[j][0]) for j, i in new])
+            for (j, i), v in zip(new, integrand(s)):
+                fs[j][i] = v
+            out = []
+            for (a, b, *_), f in zip(specs, fs):
+                h, f = b - a, np.asarray(f)
+                gap = np.max(np.abs(h * ((LK_KRONROD - LK_LOBATTO) @ f)))
+                out.append((float(gap), h * (LK_KRONROD @ f), (a, b, f[0], f[3], f[-1])))
+            return out
 
         f0 = f1 = fm = None
         if ends is not None:
@@ -339,11 +408,11 @@ class CompleteSolutionChart:
             trap = 0.5 * (f0 + f1)
             if 0.5 * np.max(np.abs(f1 - f0)) <= tol(trap):
                 return trap
-            fm = np.asarray(integrand(LK_NODES[3]), float)
+            fm = np.asarray(integrand(LK_NODES[3:4])[0], float)
             simpson = (f0 + 4.0 * fm + f1) / 6.0
             if np.max(np.abs(simpson - trap)) <= tol(simpson):
                 return simpson
-        panels = [panel(0.0, 1.0, f0, f1, fm)]
+        panels = build([(0.0, 1.0, f0, fm, f1)])
         while True:
             total = sum(p[1] for p in panels)
             err = sum(p[0] for p in panels)
@@ -355,7 +424,7 @@ class CompleteSolutionChart:
                 raise ChartDomainError(f"quadrature refinement exhausted (estimate sum {err:.3e})")
             a, b, fa, fm, fb = panels.pop(max(range(len(panels)), key=lambda i: panels[i][0]))[2]
             m = a + LK_NODES[3] * (b - a)
-            panels += [panel(a, m, fa, fm), panel(m, b, fm, fb)]
+            panels += build([(a, m, fa, None, fm), (m, b, fm, None, fb)])
 
     def _phi_increment(self, lam, n_a, n_b, ends=None):
         """Integral along the straight fiber segment of -omega(d_lam, d_s).
@@ -367,13 +436,13 @@ class CompleteSolutionChart:
         dn = np.asarray(n_b, float) - n_a
         if not np.any(dn):
             return np.zeros(self.ell)
-        warm = [None if ends is None else ends[0]]  # each node solve starts from the last one
+        solved = [] if ends is None else list(ends)
 
         def integrand(s):
-            warm[0] = self._node(lam, n_a + s * dn, from_node=warm[0])
-            return self.linearizing_jacobian(warm[0]) @ dn
+            nodes = self._nodes_near(solved, lam, n_a + np.multiply.outer(s, dn))
+            return self.linearizing_jacobian(nodes) @ dn
 
-        values = None if ends is None else [self.linearizing_jacobian(e) @ dn for e in ends]
+        values = None if ends is None else self.linearizing_jacobian(solved) @ dn
         return self._segment_quad(integrand, values)
 
     def generating_function(self, lam, n):
@@ -387,14 +456,16 @@ class CompleteSolutionChart:
         n = np.asarray(n, float)
         zk, zl = np.zeros(self.k), np.zeros(self.ell)
         total = 0.0
-        warm = [None]  # each node solve starts from the last one, across both legs
+        solved = []  # nodes of both legs, each new one predicted from the nearest
         # leg (lam0, dlam, dn): the point at s is (lam0 + s dlam, s dn)
         for lam0, dlam, dn in ((zl, lam, zk), (lam, zl, n)):
             if np.any(dlam) or np.any(dn):
 
                 def leg(s):
-                    warm[0] = self._node(lam0 + s * dlam, s * dn, from_node=warm[0])
-                    return warm[0].theta(warm[0].tangent(dn, dlam))
+                    nodes = self._nodes_near(
+                        solved, lam0 + np.multiply.outer(s, dlam), np.multiply.outer(s, dn)
+                    )
+                    return np.array([q.theta(q.tangent(dn, dlam)) for q in nodes])
 
                 total += float(self._segment_quad(leg))
         return total
@@ -432,13 +503,20 @@ class CompleteSolutionChart:
         return np.array([node.theta(vj) for vj in node.lam_tangents()])
 
     def linearizing_jacobian(self, node):
-        """Exact n-derivative of the fast linearizing map at a solved node."""
-        if node._ljac is None:
-            dim = self.integrals.dim
-            dx = node.inv[:, : self.k]
-            W = np.vstack([node.minv @ dx[:dim], dx[dim:]])
-            node._ljac = -(node.lam_body().T @ (node.omat @ W))
-        return node._ljac
+        """Exact n-derivative of the fast linearizing map at a solved node.
+
+        A list of nodes gives the (m, ell, k) stack from one stacked product;
+        each node caches its own.
+        """
+        nodes = node if isinstance(node, list) else [node]
+        todo = [q for q in nodes if q._ljac is None]
+        if todo:
+            B = np.array([q.body for q in todo])
+            O = self.bundle.omega_matrices(np.array([q.p.alpha for q in todo]))
+            L = -(B[:, :, self.k :].swapaxes(1, 2) @ (O @ B[:, :, : self.k]))
+            for q, Oq, Lq in zip(todo, O, L):
+                q._omat, q._ljac = Oq, Lq
+        return np.array([q._ljac for q in nodes]) if isinstance(node, list) else node._ljac
 
     def flow_rate(self, node):
         """Time derivative of the linearizing map along the dynamics."""

@@ -45,6 +45,8 @@ class LieAlgebra:
         self.name = name
         self.c = c
         self.dim = n
+        # row k holds the matrix M[j, i] = c[i, j, k] of ad_star against e^k
+        self._ad_star_rows = np.transpose(c, (2, 1, 0)).reshape(n, n * n)
         self._killing = None
         self._generic_isotropy = None
         self._generic_centralizer = None
@@ -61,8 +63,12 @@ class LieAlgebra:
         return np.einsum("i,ijk->kj", np.asarray(xi, float), self.c)
 
     def ad_star_matrix(self, alpha):
-        """Matrix M with M @ xi = ad_star(xi, alpha); antisymmetric in coordinates."""
-        return np.einsum("ijk,k->ji", self.c, np.asarray(alpha, float))
+        """Matrix M with M @ xi = ad_star(xi, alpha); antisymmetric in coordinates.
+
+        A stack of momenta (k, dim) gives the (k, dim, dim) stack.
+        """
+        alpha = np.asarray(alpha, float)
+        return (alpha @ self._ad_star_rows).reshape(alpha.shape[:-1] + (self.dim, self.dim))
 
     def ad_star(self, xi, alpha):
         """Coadjoint operator, <ad_star(xi, alpha), eta> = <alpha, [xi, eta]>."""

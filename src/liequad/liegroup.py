@@ -243,15 +243,29 @@ class _Pattern:
 
 
 class GroupElement:
-    __slots__ = ("matrix", "group", "_ad", "_adit")
+    """A group matrix with lazily cached point data.
 
-    def __init__(self, matrix, group):
+    ``inv``, when the constructor knows g^-1 (the Cayley chart gets it from
+    the solve that gives g), saves every later inversion.
+    """
+
+    __slots__ = ("matrix", "group", "_inv", "_ad", "_adit")
+
+    def __init__(self, matrix, group, inv=None):
         m = np.array(matrix)
         m.setflags(write=False)
         self.matrix = m
         self.group = group
+        self._inv = inv
         self._ad = None
         self._adit = None
+
+    @property
+    def inv_matrix(self):
+        """The matrix g^-1, inverted on first use unless the constructor had it."""
+        if self._inv is None:
+            self._inv = np.linalg.inv(self.matrix)
+        return self._inv
 
     def __matmul__(self, other):
         return self.group.compose(self, other)
@@ -281,6 +295,9 @@ class MatrixGroup:
         # algebra-valued matrices back into coordinates
         self._basis_flat = np.stack([self.flat(X) for X in basis])
         self._expand = np.linalg.pinv(self._basis_flat.T)
+        # flat rows u times _split: their coordinates, then their part outside the algebra
+        leak = self._expand.T @ self._basis_flat - np.eye(self.flat_dim)
+        self._split = np.hstack([self._expand.T, leak])
         self._basis_stack = np.stack([np.asarray(X) for X in basis])
         self._basis_rows = self._basis_stack.reshape(self.dim, -1)
         self._check_bracket_consistency()
@@ -334,13 +351,13 @@ class MatrixGroup:
     def _algebra_coords_stack(self, mats):
         """Expand a stack of algebra-valued matrices; rows are coordinate vectors."""
         u = self._flat_stack(mats)
-        coords = u @ self._expand.T
-        resid = np.linalg.norm(coords @ self._basis_flat - u, axis=1)
-        scale = np.maximum(1.0, np.linalg.norm(u, axis=1))
-        worst = np.max(resid / scale) if len(resid) else 0.0
+        split = u @ self._split
+        leak = split[:, self.dim :]
+        ratio = np.einsum("ij,ij->i", leak, leak) / np.maximum(1.0, np.einsum("ij,ij->i", u, u))
+        worst = math.sqrt(ratio.max()) if len(ratio) else 0.0
         if worst > EXPANSION_TOL:
             raise ValueError(f"{self.name}: matrix does not lie in the algebra (residual {worst:.2e})")
-        return coords
+        return split[:, : self.dim]
 
     # membership --------------------------------------------------------------
 
@@ -382,27 +399,39 @@ class MatrixGroup:
 
     # adjoint / coadjoint ------------------------------------------------------
 
+    def _conjugations(self, left, right):
+        """Algebra coordinates of left E_n right, for stacks of k matrices: (k, dim, dim).
+
+        Row n of entry p expands left[p] E_n right[p]; with right = left^-1
+        that is column n of Ad_left.
+        """
+        conj = left[:, None] @ self._basis_stack @ right[:, None]
+        k = len(left)
+        return self._algebra_coords_stack(conj.reshape(k * self.dim, self.N, self.N)).reshape(
+            k, self.dim, self.dim
+        )
+
     def adjoint_matrix(self, g):
         """Matrix of Ad_g on algebra coordinates (columns are Ad_g e_i)."""
         if isinstance(g, GroupElement):
             if g._ad is None:
-                g._ad = self._adjoint_of(g.matrix)
+                g._ad = self._conjugations(g.matrix[None], g.inv_matrix[None])[0].T
             return g._ad
-        return self._adjoint_of(np.asarray(g))
-
-    def _adjoint_of(self, gm):
-        ginv = np.linalg.inv(gm)
-        conj = np.einsum("ij,njk,kl->nil", gm, self._basis_stack, ginv)
-        return self._algebra_coords_stack(conj).T
+        gm = np.asarray(g)
+        return self._conjugations(gm[None], np.linalg.inv(gm)[None])[0].T
 
     def adjoint_inv_transpose(self, g):
-        """Transposed inverse of Ad_g: the matrix of the coadjoint action."""
-        if isinstance(g, GroupElement) and g._adit is not None:
-            return g._adit
-        out = np.linalg.inv(self.adjoint_matrix(g)).T
+        """Transposed inverse of Ad_g: the matrix of the coadjoint action.
+
+        Ad(g^-1) is the conjugation of Ad_g with g and g^-1 swapped, so no
+        dim x dim inverse is taken.
+        """
         if isinstance(g, GroupElement):
-            g._adit = out
-        return out
+            if g._adit is None:
+                g._adit = self._conjugations(g.inv_matrix[None], g.matrix[None])[0]
+            return g._adit
+        gm = np.asarray(g)
+        return self._conjugations(np.linalg.inv(gm)[None], gm[None])[0]
 
     def adjoint(self, g, xi):
         return self.adjoint_matrix(g) @ np.asarray(xi, float)
@@ -751,6 +780,13 @@ class CayleyChart:
     (I + C)/2 (Iserles, Found. Comput. Math. 1, 2001).  The chart is the set
     of x whose A/2 has every eigenvalue inside ``CAYLEY_RADIUS``; nilpotent A
     (heis3, rn:k) has none outside, so there the chart is global.
+
+    Both take stacks.  ``from_coords`` turns k coordinate rows (k, dim) into
+    k elements, (k, N, N) as a stack, with one stacked solve, which also
+    gives C^-1 = cay(-A); so each element carries g^-1 = C^-1 g0^-1.
+    ``body_coords_matrix`` turns a list of k elements into the (k, dim, dim)
+    stack and reads C^-1 from them, so neither the body matrices nor the
+    adjoints of chart points invert anything.
     """
 
     def __init__(self, group, g0=None):
@@ -758,6 +794,7 @@ class CayleyChart:
         self.g0 = g0 if g0 is not None else group.identity()
         self._g0inv = np.linalg.inv(self.g0.matrix)
         self._eye = np.eye(group.N, dtype=self.g0.matrix.dtype)
+        self._half_basis = 0.5 * group._basis_rows
 
     def _half_coords_matrix(self, g):
         """A/2 for the Cayley coordinates of g, as a matrix."""
@@ -773,23 +810,39 @@ class CayleyChart:
             return np.zeros(self.group.dim)
         return 2.0 * self.group.algebra_coords(self._half_coords_matrix(g))
 
-    def from_coords(self, x):
-        """g0 cay(A(x)); ChartDomainError outside the chart, ValueError if x is not finite."""
-        x = np.asarray(x, float)
-        if not np.all(np.isfinite(x)):
+    def _cayley(self, x):
+        """Stacks of C = cay(A) and C^-1 = cay(-A) for the coordinate rows of x, from one solve."""
+        rows = np.asarray(x, float).reshape(-1, self.group.dim)
+        k, N = len(rows), self.group.N
+        if not np.isfinite(rows).all():
             raise ValueError("non-finite Cayley coordinates")
-        half = 0.5 * self.group.algebra_matrix(x)
-        # the Frobenius norm bounds the spectral radius; 85-100% of the calls
+        half = (rows @ self._half_basis).reshape(k, N, N)
+        # the Frobenius norm bounds the spectral radius; 85-100% of the rows
         # on the benchmark workloads stay below it and skip eigvals
-        if np.linalg.norm(half) >= CAYLEY_RADIUS:
-            rho = float(np.max(np.abs(np.linalg.eigvals(half))))
+        frob = half.reshape(k, -1).view(float)
+        far = np.einsum("ij,ij->i", frob, frob) >= CAYLEY_RADIUS**2
+        if far.any():
+            rho = float(np.max(np.abs(np.linalg.eigvals(half[far]))))
             if not rho < CAYLEY_RADIUS:
                 raise ChartDomainError(
                     f"{self.group.name} Cayley chart: spectral radius {rho:.3e} of A/2 "
                     f"is not below {CAYLEY_RADIUS:g}"
                 )
-        C = np.linalg.solve(self._eye - half, self._eye + half)
-        return GroupElement(self.g0.matrix @ C, self.group)
+        # rows [:k] solve (I - A/2) C = I + A/2, rows [k:] the inverse cay(-A)
+        lhs = np.concatenate([self._eye - half, self._eye + half])
+        both = np.linalg.solve(lhs, np.concatenate([lhs[k:], lhs[:k]]))
+        return both[:k], both[k:]
+
+    def from_coords(self, x):
+        """g0 cay(A(x)), or a list of k elements for rows x (k, dim).
+
+        ChartDomainError when a row is outside the chart, ValueError when one
+        is not finite; either fails the whole stack.
+        """
+        C, Cinv = self._cayley(x)
+        gs, ginvs = self.g0.matrix @ C, Cinv @ self._g0inv
+        out = [GroupElement(g, self.group, inv) for g, inv in zip(gs, ginvs)]
+        return out if np.ndim(x) == 2 else out[0]
 
     def tangent_coords_matrix(self, g):
         """Matrix M with M @ v_body = d(to_coords)/dt along tangent g X(v).
@@ -798,23 +851,31 @@ class CayleyChart:
         Cayley coordinates of g as a matrix.
         """
         half = self._half_coords_matrix(g)
-        cols = np.einsum(
-            "ij,njk,kl->nil", self._eye + half, self.group._basis_stack, self._eye - half
-        )
-        return self.group._algebra_coords_stack(cols).T
+        return self.group._conjugations((self._eye + half)[None], (self._eye - half)[None])[0].T
 
     def body_coords_matrix(self, g):
         """Inverse of ``tangent_coords_matrix``: takes chart velocities at g to body ones.
 
-        Column i is the algebra coordinates of (I + C^-1) E_i (I + C) / 4, C = g0^-1 g.
+        Column i is the algebra coordinates of (I + C^-1) E_i (I + C) / 4,
+        C = g0^-1 g, with C^-1 read from the element.  A list of k elements
+        gives the (k, dim, dim) stack.  The expansion that gives the body
+        matrices also gives the elements' coadjoint matrices Ad(g^-1)^T,
+        which each element caches.
         """
         if g is self.g0:
             return np.eye(self.group.dim)
-        C = self._g0inv @ g.matrix
-        cols = np.einsum(
-            "ij,njk,kl->nil", self._eye + np.linalg.inv(C), self.group._basis_stack, self._eye + C
+        els = g if isinstance(g, list) else [g]
+        gs = np.array([e.matrix for e in els])
+        ginvs = np.array([e.inv_matrix for e in els])
+        k = len(els)
+        both = self.group._conjugations(
+            np.concatenate([ginvs, self._eye + ginvs @ self.g0.matrix]),
+            np.concatenate([gs, self._eye + self._g0inv @ gs]),
         )
-        return 0.25 * self.group._algebra_coords_stack(cols).T
+        for e, adit in zip(els, both[:k]):
+            e._adit = adit
+        out = 0.25 * both[k:].swapaxes(1, 2)
+        return out if isinstance(g, list) else out[0]
 
     def reach(self, X):
         """Largest t with g0 exp(s X) inside the chart for every s < t.

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liequad.liegroup import (
+    CayleyChart,
     ChartDomainError,
     GraphChart,
     GroupElement,
@@ -412,6 +413,26 @@ def test_closed_form_adjugate_is_det_times_inverse(seed, n, complex_entries):
     assert got.dtype == g.dtype
     assert np.allclose(got, want, rtol=0.0, atol=1e-14 * cond * np.abs(want).max())
     assert np.allclose(g @ got, np.linalg.det(g) * np.eye(n), atol=1e-13 * np.abs(g).max() ** n)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 0.6))
+def test_coadjoint_matrix_inverts_the_adjoint(constraint_groups, seed, scale):
+    # Ad(g^-1)^T is read off the conjugation with g and g^-1 swapped; g^-1
+    # comes from an inversion for an exponential and from the Cayley solve
+    # for a chart point.  The product's rounding grows like |g|^4 on sl2r,
+    # so the draws keep |g| moderate: exponentials as in random_element and
+    # chart points at rho(A/2) = 0.2
+    rng = np.random.default_rng(seed)
+    for key, group in constraint_groups.items():
+        g = matrix_exp_oracle(group, scale * rng.standard_normal(group.dim))
+        x = rng.standard_normal(group.dim)
+        rho = float(np.max(np.abs(np.linalg.eigvals(0.5 * group.algebra_matrix(x)))))
+        charted = CayleyChart(group, g).from_coords(x * (0.2 / rho if rho > 1e-12 else scale))
+        for e in (g, charted):
+            product = group.adjoint_inv_transpose(e).T @ group.adjoint_matrix(e)
+            bound = 1e-13 * max(1.0, np.linalg.norm(e.matrix)) ** 2
+            assert np.max(np.abs(product - np.eye(group.dim))) <= bound, key
 
 
 def test_gauss_newton_step_is_the_lstsq_step():
