@@ -235,24 +235,20 @@ def regular_scan(algebra, n_samples=10000, seed=1234):
     Reports the fraction of regular covectors, the generic isotropy
     dimension, and the count of samples per isotropy-dimension stratum.
     """
+    if n_samples < 1:
+        raise ValueError(f"regular_scan needs at least one sample, got {n_samples}")
     rng = np.random.default_rng(seed)
-    samples = rng.standard_normal((n_samples, algebra.dim))
+    dims = algebra.isotropy_dimension(rng.standard_normal((n_samples, algebra.dim)))
     generic = algebra.generic_isotropy_dimension()
-    strata = {}
-    regular = 0
-    for a in samples:
-        d = algebra.isotropy_dimension(a)
-        strata[d] = strata.get(d, 0) + 1
-        if d == generic:
-            regular += 1
+    strata, counts = np.unique(dims, return_counts=True)
     return {
         "schema": 1,
         "algebra": algebra.name,
         "n_samples": int(n_samples),
         "seed": int(seed),
         "generic_isotropy_dim": int(generic),
-        "fraction_regular": regular / n_samples,
-        "strata": {str(d): int(c) for d, c in sorted(strata.items())},
+        "fraction_regular": float(np.mean(dims == generic)),
+        "strata": {str(d): int(c) for d, c in zip(strata, counts)},
     }
 
 

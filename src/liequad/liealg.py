@@ -17,6 +17,8 @@ equals the generic minimum for the algebra, so it is locally constant there.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .numutil import nullspace, numerical_rank
@@ -59,8 +61,8 @@ class LieAlgebra:
         return np.einsum("i,j,ijk->k", np.asarray(x, float), np.asarray(y, float), self.c)
 
     def ad_matrix(self, xi):
-        """Matrix of eta -> [xi, eta]."""
-        return np.einsum("i,ijk->kj", np.asarray(xi, float), self.c)
+        """Matrix of eta -> [xi, eta]; a stack (k, dim) gives the (k, dim, dim) stack."""
+        return np.einsum("...i,ijk->...kj", np.asarray(xi, float), self.c)
 
     def ad_star_matrix(self, alpha):
         """Matrix M with M @ xi = ad_star(xi, alpha); antisymmetric in coordinates.
@@ -99,21 +101,19 @@ class LieAlgebra:
         return nullspace(self.ad_star_matrix(alpha), scale=scale)
 
     def isotropy_dimension(self, alpha):
-        # rank anchored to |alpha|: ad_star_matrix is linear in alpha, so a
-        # covector that sits on a singular stratum up to roundoff must not
-        # rank against its own noise
-        scale = self.bracket_scale() * float(np.linalg.norm(alpha))
+        """Isotropy dimension at alpha; a stack (k, dim) gives k dimensions."""
+        # rank anchored to |alpha| row by row: ad_star_matrix is linear in
+        # alpha, so a covector that sits on a singular stratum up to roundoff
+        # must not rank against its own noise
+        scale = self.bracket_scale() * np.linalg.norm(alpha, axis=-1)
         return self.dim - numerical_rank(self.ad_star_matrix(alpha), scale=scale)
 
     def generic_isotropy_dimension(self):
         """Minimal isotropy dimension over a fixed 256-point seeded sample; cached."""
         if self._generic_isotropy is None:
             rng = np.random.default_rng(_GENERIC_SEED)
-            dims = [
-                self.isotropy_dimension(a)
-                for a in rng.standard_normal((_GENERIC_SAMPLES, self.dim))
-            ]
-            self._generic_isotropy = int(min(dims))
+            sample = rng.standard_normal((_GENERIC_SAMPLES, self.dim))
+            self._generic_isotropy = int(self.isotropy_dimension(sample).min())
         return self._generic_isotropy
 
     def is_coadjoint_regular(self, alpha):
@@ -122,17 +122,15 @@ class LieAlgebra:
     # -- centralizers / regularity on the algebra side ---------------------
 
     def centralizer_dimension(self, xi):
-        scale = self.bracket_scale() * float(np.linalg.norm(xi))
+        """Centralizer dimension at xi; a stack (k, dim) gives k dimensions."""
+        scale = self.bracket_scale() * np.linalg.norm(xi, axis=-1)
         return self.dim - numerical_rank(self.ad_matrix(xi), scale=scale)
 
     def generic_centralizer_dimension(self):
         if self._generic_centralizer is None:
             rng = np.random.default_rng(_GENERIC_SEED + 1)
-            dims = [
-                self.centralizer_dimension(x)
-                for x in rng.standard_normal((_GENERIC_SAMPLES, self.dim))
-            ]
-            self._generic_centralizer = int(min(dims))
+            sample = rng.standard_normal((_GENERIC_SAMPLES, self.dim))
+            self._generic_centralizer = int(self.centralizer_dimension(sample).min())
         return self._generic_centralizer
 
     def is_adjoint_regular(self, xi):
@@ -235,8 +233,6 @@ def algebra_from_file(path):
     c = np.zeros((dim, dim, dim))
     for i, j, k, v in entries:
         c[i, j, k] = v
-    import os
-
     return LieAlgebra(os.path.basename(path), c)
 
 
@@ -328,7 +324,7 @@ def casimir_through_point(algebra, xi, alpha0):
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     radius = 0.5 * (1.0 + np.linalg.norm(alpha0))
     for _ in range(40):
-        if all(algebra.isotropy_dimension(alpha0 + radius * d) == k for d in dirs):
+        if np.all(algebra.isotropy_dimension(alpha0 + radius * dirs) == k):
             break
         radius *= 0.5
     else:

@@ -18,14 +18,15 @@ def numerical_rank(mat, scale=0.0):
     ``scale`` raises the reference the cutoff is relative to; pass the natural
     magnitude of the matrix's inputs so that a matrix that is tiny only
     because of roundoff in those inputs does not rank against its own noise.
+    A stack (k, m, n) with one scale per row gives k ranks from one SVD.
     """
     if mat.size == 0:
-        return 0
+        return 0 if mat.ndim == 2 else np.zeros(mat.shape[:-2], dtype=int)
     s = np.linalg.svd(mat, compute_uv=False)
-    ref = max(s[0], scale)
-    if ref == 0.0:
-        return 0
-    return int(np.sum(s > RANK_RTOL * ref))
+    # an all-zero row has ref 0 and no singular value above it: rank 0
+    ref = np.maximum(s[..., 0], scale)
+    rank = (s > RANK_RTOL * ref[..., None]).sum(-1)
+    return int(rank) if mat.ndim == 2 else rank
 
 
 def nullspace(mat, rtol=RANK_RTOL, scale=0.0):

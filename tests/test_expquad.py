@@ -221,6 +221,12 @@ def test_regular_scan_so3():
     assert rep["strata"] == {"1": 400}
 
 
+def test_regular_scan_needs_a_sample():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="at least one sample"):
+            regular_scan(make_algebra("so3"), n_samples=n)
+
+
 def test_heis3_plane_isotropy_is_exact_under_roundoff():
     # covectors on the singular plane, including roundoff-level deviations,
     # must land in the dimension-3 stratum

@@ -4,6 +4,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liequad.liealg import (
+    _BOUNDARY_SAMPLES,
+    _BOUNDARY_SEED,
+    _GENERIC_SAMPLES,
+    _GENERIC_SEED,
     CasimirForm,
     LieAlgebra,
     algebra_from_file,
@@ -307,3 +311,90 @@ def test_bianchi_algebras_orbits_and_casimirs(n, class_b, a, seed):
     phi = casimir_through_point(alg, xi, alpha0)
     inside = alpha0 + phi.domain_radius * 0.9 * _unit_ball(rng, 20, 3)
     assert casimir_check(alg, phi, inside) <= 1e-10
+
+
+# the roundoff rows of tests/test_expquad.py: heis3's singular plane, on it
+# up to roundoff, and just off it
+ROUNDOFF_ROWS = np.array([[0.3, -0.8, 0.0], [0.3, -0.8, 1e-17], [0.3, -0.8, 1e-6]])
+CATALOGUE_KEYS = [*ALL_KEYS, "rn:1", "rn:5"]
+STACK_KEYS = [*CATALOGUE_KEYS, "dim0"]
+
+
+def _catalogue_or_dim0(key):
+    return LieAlgebra("dim0", np.zeros((0, 0, 0))) if key == "dim0" else make_algebra(key)
+
+
+def _mixed_stack(rng, kinds, dim):
+    rows = []
+    for kind in kinds:
+        if kind == "roundoff":
+            row = np.zeros(dim)
+            row[: min(dim, 3)] = ROUNDOFF_ROWS[rng.integers(3), :dim]
+        else:
+            scale = {"random": 1.0, "zero": 0.0, "tiny": 1e-8, "big": 1e3}[kind]
+            row = scale * rng.standard_normal(dim)
+        rows.append(row)
+    return np.array(rows).reshape(len(kinds), dim)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    key=st.sampled_from(STACK_KEYS),
+    kinds=st.lists(st.sampled_from(["random", "zero", "tiny", "big", "roundoff"]), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_dimensions_equal_the_rows(key, kinds, seed):
+    # each row of a stack ranks against its own |row|, exactly as alone
+    alg = _catalogue_or_dim0(key)
+    stack = _mixed_stack(np.random.default_rng(seed), kinds, alg.dim)
+    iso = alg.isotropy_dimension(stack)
+    cen = alg.centralizer_dimension(stack)
+    assert iso.shape == cen.shape == (len(kinds),)
+    assert iso.tolist() == [alg.isotropy_dimension(row) for row in stack]
+    assert cen.tolist() == [alg.centralizer_dimension(row) for row in stack]
+
+
+@pytest.mark.parametrize("key", STACK_KEYS)
+def test_generic_dimensions_equal_the_looped_minimum(key):
+    alg = _catalogue_or_dim0(key)
+    iso_sample = np.random.default_rng(_GENERIC_SEED).standard_normal((_GENERIC_SAMPLES, alg.dim))
+    cen_sample = np.random.default_rng(_GENERIC_SEED + 1).standard_normal((_GENERIC_SAMPLES, alg.dim))
+    assert alg.generic_isotropy_dimension() == min(alg.isotropy_dimension(a) for a in iso_sample)
+    assert alg.generic_centralizer_dimension() == min(alg.centralizer_dimension(x) for x in cen_sample)
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """Shapes of the matrices handed to np.linalg.svd, one per call."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("key", CATALOGUE_KEYS)
+def test_generic_dimensions_take_one_svd_each(key, svd_shapes):
+    alg = make_algebra(key)
+    alg.generic_isotropy_dimension()
+    alg.generic_centralizer_dimension()
+    assert svd_shapes == [(_GENERIC_SAMPLES, alg.dim, alg.dim)] * 2
+
+
+def test_casimir_ball_takes_one_svd_per_radius(svd_shapes):
+    # alpha0 = -d for the first boundary direction d: the first ball, of
+    # radius 0.5 (1 + |alpha0|) = 1, has the origin on its boundary, so the
+    # probe shrinks once
+    a = make_algebra("so3")
+    a.generic_isotropy_dimension()
+    d = np.random.default_rng(_BOUNDARY_SEED).standard_normal((_BOUNDARY_SAMPLES, 3))[0]
+    alpha0 = -d / np.linalg.norm(d)
+    svd_shapes.clear()
+    phi = casimir_through_point(a, alpha0, alpha0)
+    assert phi.domain_radius == 0.5
+    # regularity of alpha0 and its dimension, then one stack per radius
+    assert svd_shapes == [(3, 3)] * 2 + [(_BOUNDARY_SAMPLES, 3, 3)] * 2
