@@ -20,7 +20,6 @@ from .liealg import (
 )
 from .liegroup import (
     CayleyChart,
-    GraphChart,
     GroupElement,
     MatrixGroup,
     forbid_exp_oracle,
@@ -38,7 +37,6 @@ __all__ = [
     "killing_casimir",
     "make_algebra",
     "CayleyChart",
-    "GraphChart",
     "GroupElement",
     "MatrixGroup",
     "forbid_exp_oracle",

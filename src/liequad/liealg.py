@@ -206,11 +206,18 @@ def algebra_from_file(path):
     """Load structure constants from a text file.
 
     Format: first non-comment line "dim n", then lines "i j k value" with
-    0-based indices; unlisted entries are zero.  Antisymmetry and Jacobi are
-    validated on construction.
+    0-based indices; unlisted entries are zero, and an entry listed twice is
+    an error.  Antisymmetry and Jacobi are validated on construction.
     """
     dim = None
-    entries = []
+    entries = {}
+
+    def number(kind, text, lineno):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: cannot read {text!r} as {kind.__name__}") from None
+
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -220,19 +227,21 @@ def algebra_from_file(path):
             if dim is None:
                 if len(parts) != 2 or parts[0] != "dim":
                     raise ValueError(f"{path}:{lineno}: expected header 'dim n'")
-                dim = int(parts[1])
+                dim = number(int, parts[1], lineno)
                 continue
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 'i j k value'")
-            i, j, k = (int(p) for p in parts[:3])
-            if not all(0 <= idx < dim for idx in (i, j, k)):
+            ijk = tuple(number(int, p, lineno) for p in parts[:3])
+            if not all(0 <= idx < dim for idx in ijk):
                 raise ValueError(f"{path}:{lineno}: index out of range for dim {dim}")
-            entries.append((i, j, k, float(parts[3])))
+            if ijk in entries:
+                raise ValueError(f"{path}:{lineno}: repeated entry {ijk}")
+            entries[ijk] = number(float, parts[3], lineno)
     if dim is None:
         raise ValueError(f"{path}: missing 'dim n' header")
     c = np.zeros((dim, dim, dim))
-    for i, j, k, v in entries:
-        c[i, j, k] = v
+    for ijk, v in entries.items():
+        c[ijk] = v
     return LieAlgebra(os.path.basename(path), c)
 
 

@@ -1,19 +1,15 @@
 """Concrete matrix Lie groups: elements, group charts, and an exp oracle.
 
 Groups are represented by their defining matrix equations (orthogonality,
-unit determinant, unipotent pattern), never by exponential coordinates.  Two
-charts near a centre g0 stay free of the matrix exponential:
-
-- ``CayleyChart`` writes g = g0 cay(A(x)), cay(A) = (I - A/2)^-1 (I + A/2),
-  with A(x) the algebra matrix of x.  Both directions are closed form, and
-  cay maps the algebra into every catalogued group: so3, su2 and sl2r are
-  quadratic groups, and on heis3, rn:k and the product's line A is
-  nilpotent.  A one-parameter subgroup through g0 is a straight line in
-  these coordinates, since exp(tX) = cay(2 tanh(tX/2)).  The phase-space
-  chart of ``cotangent`` uses it.
-- ``GraphChart`` takes a selection of matrix entries as coordinates and
-  inverts them by Gauss-Newton projection onto the defining equations.  The
-  group-factor solves of ``reconstruct`` use it.
+unit determinant, unipotent pattern), never by exponential coordinates.  The
+one group chart, ``CayleyChart``, stays free of the matrix exponential: it
+writes g = g0 cay(A(x)) near a centre g0, cay(A) = (I - A/2)^-1 (I + A/2),
+with A(x) the algebra matrix of x.  Both directions are closed form, and cay
+maps the algebra into every catalogued group: so3, su2 and sl2r are
+quadratic groups, and on heis3, rn:k and the product's line A is nilpotent.
+A one-parameter subgroup through g0 is a straight line in these coordinates,
+since exp(tX) = cay(2 tanh(tX/2)).  The phase-space chart of ``cotangent``
+and the group-factor solves of ``reconstruct`` use it.
 
 ``matrix_exp_oracle`` exists only as an independent reference and honors a
 purity guard that the quadrature tests switch on.
@@ -28,21 +24,14 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
-import scipy.linalg
 
 from .liealg import make_algebra
-from .numutil import RANK_RTOL
 
 MEMBERSHIP_TOL = 1e-8          # constructed elements must sit on the manifold this well
 REPROJECT_LIMIT = 1e-4         # residuals past this are a hard error, no silent repair
 EXPANSION_TOL = 1e-10          # adjoint images must expand in the algebra basis this well
 NEWTON_TOL = 1e-12
-# the graph-chart solve feeds phase points into outer Newton loops whose own
-# tolerance is NEWTON_TOL, so it must land well below that to avoid setting
-# their residual floor
-GRAPH_NEWTON_TOL = 1e-14
 NEWTON_MAXIT = 50
-VALIDITY_PROBES = (16, 8, 2718)  # (directions, bisection steps, seed) of a chart's validity radius
 # a Cayley chart ends where an eigenvalue of A/2 reaches this modulus: a rotation
 # by pi/2 on so3, and on sl2r before I - A/2 turns singular at the eigenvalue +1
 CAYLEY_RADIUS = 1.0
@@ -78,10 +67,9 @@ class ChartDomainError(RuntimeError):
 
 # -- membership constraints --------------------------------------------------
 #
-# Each constraint exposes residual(mat) -> vector and jacobian(mat) -> matrix
-# with columns indexed by the group's real flat coordinates.  A constraint on
-# a square block takes the block as an array of positions in the row-major
-# entry list of the matrix.
+# Each constraint exposes residual(mat) -> vector.  A constraint on a square
+# block takes the block as an array of positions in the row-major entry list
+# of the matrix.
 
 
 def _leading_block(n, N):
@@ -90,94 +78,38 @@ def _leading_block(n, N):
 
 
 class _Orthogonal:
-    """B^T B = I for a real block B.
+    """B^T B = I for a real block B: one gather of the upper triangle of B^T B."""
 
-    The Jacobian is linear in the flat coordinates u: J = T u for a constant
-    tensor T built here, so each call is one contraction.  The residual is
-    one gather of the upper triangle of B^T B.
-    """
-
-    def __init__(self, block, flat_dim):
+    def __init__(self, block):
         self.block = np.asarray(block)
         n = self.block.shape[0]
         rows = np.triu_indices(n)
         self._triu = rows[0] * n + rows[1]
         self._eye_rows = (rows[0] == rows[1]).astype(float)
-        T = np.zeros((len(self._triu), flat_dim, flat_dim))
-        for r, (a, b) in enumerate(zip(*rows)):
-            for i in range(n):
-                T[r, self.block[i, a], self.block[i, b]] += 1.0
-                T[r, self.block[i, b], self.block[i, a]] += 1.0
-        self._T = T.reshape(-1, flat_dim)
-        self._shape = T.shape[:2]
 
     def residual(self, g):
         B = np.asarray(g).reshape(-1)[self.block]
         return B.T.dot(B).reshape(-1)[self._triu] - self._eye_rows
 
-    def jacobian(self, g):
-        return (self._T @ np.asarray(g).reshape(-1)).reshape(self._shape)
-
 
 class _Unitary:
     """g^H g = I for a complex N x N matrix: Re on and above, Im above the diagonal.
 
-    Like ``_Orthogonal``: one contraction with a constant tensor for the
-    Jacobian, one gather from g^H g for the residual.  Both read the complex
-    entries as interleaved (re, im) pairs, so neither splits g.
+    Like ``_Orthogonal``: one gather from g^H g, which reads the complex
+    entries as interleaved (re, im) pairs, so g is not split.
     """
 
     def __init__(self, N):
-        self.N = N
-        n2 = N * N
         re_a, re_b = np.triu_indices(N)
         im_a, im_b = np.triu_indices(N, 1)
         # positions of Re M_ab and Im M_ab in the interleaved view of M
         self._gather = np.concatenate([2 * (re_a * N + re_b), 2 * (im_a * N + im_b) + 1])
         self._eye_rows = np.concatenate([(re_a == re_b).astype(float), np.zeros(len(im_a))])
-        # T[row, flat column, interleaved position]: A_k sits at 2k, B_k at 2k + 1
-        nre = len(re_a)
-        T = np.zeros((nre + len(im_a), 2 * n2, 2 * n2))
-        for r, (a, b) in enumerate(zip(re_a, re_b)):
-            for i in range(N):
-                # Re (g^H g)_{ab} = sum_i A_ia A_ib + B_ia B_ib
-                ia, ib = i * N + a, i * N + b
-                T[r, ib, 2 * ia] += 1.0
-                T[r, ia, 2 * ib] += 1.0
-                T[r, n2 + ib, 2 * ia + 1] += 1.0
-                T[r, n2 + ia, 2 * ib + 1] += 1.0
-        for r, (a, b) in enumerate(zip(im_a, im_b)):
-            for i in range(N):
-                # Im (g^H g)_{ab} = sum_i A_ia B_ib - B_ia A_ib
-                ia, ib = i * N + a, i * N + b
-                T[nre + r, ia, 2 * ib + 1] += 1.0
-                T[nre + r, ib, 2 * ia + 1] -= 1.0
-                T[nre + r, n2 + ib, 2 * ia] += 1.0
-                T[nre + r, n2 + ia, 2 * ib] -= 1.0
-        self._T = T.reshape(-1, 2 * n2)
-        self._shape = T.shape[:2]
 
     def residual(self, g):
         g = np.asarray(g, dtype=complex)
         M = g.conj().T.dot(g)
         return M.reshape(-1).view(float)[self._gather] - self._eye_rows
-
-    def jacobian(self, g):
-        u = np.asarray(g, dtype=complex).reshape(-1).view(float)
-        return (self._T @ u).reshape(self._shape)
-
-
-def _adjugate(g):
-    """adj(g) of a 2x2 or 3x3 matrix by closed-form cofactors: g @ adj(g) = det(g) I."""
-    if g.shape[0] == 2:
-        a, b, c, d = g.reshape(-1).tolist()
-        return np.array([[d, -b], [-c, a]])
-    a, b, c, d, e, f, p, q, s = g.reshape(-1).tolist()
-    return np.array([
-        [e * s - f * q, c * q - b * s, b * f - c * e],
-        [f * p - d * s, a * s - c * p, c * d - a * f],
-        [d * q - e * p, b * p - a * q, a * e - b * d],
-    ])
 
 
 def _det(g):
@@ -192,15 +124,11 @@ def _det(g):
 class _UnitDet:
     """det B = 1 for a real or complex 2x2 or 3x3 block B (Re and Im parts if complex)."""
 
-    def __init__(self, block, flat_dim, complex_entries=False):
+    def __init__(self, block, complex_entries=False):
         self.block = np.asarray(block)
         if self.block.shape not in ((2, 2), (3, 3)):
             raise ValueError(f"unit determinant needs a 2x2 or 3x3 block, got {self.block.shape}")
         self.complex_entries = complex_entries
-        # d det / d B_ij = adj(B)_ji: scatter adj(B) row-major to the columns of B^T
-        self._adj_cols = self.block.T.reshape(-1)
-        self._adj_im_cols = self._adj_cols + flat_dim // 2
-        self._flat_dim = flat_dim
 
     def residual(self, g):
         d = _det(np.asarray(g).reshape(-1)[self.block])
@@ -208,35 +136,16 @@ class _UnitDet:
             return np.array([d.real - 1.0, d.imag])
         return np.array([d - 1.0])
 
-    def jacobian(self, g):
-        adj = _adjugate(np.asarray(g).reshape(-1)[self.block]).reshape(-1)
-        if not self.complex_entries:
-            J = np.zeros((1, self._flat_dim))
-            J[0, self._adj_cols] = adj
-            return J
-        J = np.zeros((2, self._flat_dim))
-        J[0, self._adj_cols] = adj.real
-        J[0, self._adj_im_cols] = -adj.imag
-        J[1, self._adj_cols] = adj.imag
-        J[1, self._adj_im_cols] = adj.real
-        return J
-
 
 class _Pattern:
     """Affine entry constraints on a real matrix: flat[index] == value."""
 
-    def __init__(self, flat_dim, pairs):
-        self.pairs = list(pairs)
-        self.idx = np.array([idx for idx, _ in self.pairs], dtype=int)
-        self.val = np.array([val for _, val in self.pairs], dtype=float)
-        self.J = np.zeros((len(self.pairs), flat_dim))
-        self.J[np.arange(len(self.pairs)), self.idx] = 1.0
+    def __init__(self, pairs):
+        self.idx = np.array([idx for idx, _ in pairs], dtype=int)
+        self.val = np.array([val for _, val in pairs], dtype=float)
 
     def residual(self, g):
         return np.asarray(g).reshape(-1)[self.idx] - self.val
-
-    def jacobian(self, _g):
-        return self.J
 
 
 # -- the group class ---------------------------------------------------------
@@ -301,7 +210,6 @@ class MatrixGroup:
         self._basis_stack = np.stack([np.asarray(X) for X in basis])
         self._basis_rows = self._basis_stack.reshape(self.dim, -1)
         self._check_bracket_consistency()
-        self.n_membership = len(self.membership_vector(self.identity().matrix))
 
     def _flat_stack(self, mats):
         """Rows of flat() applied to a stack of matrices."""
@@ -363,9 +271,6 @@ class MatrixGroup:
 
     def membership_vector(self, matrix):
         return np.concatenate([con.residual(matrix) for con in self.constraints])
-
-    def membership_jacobian(self, matrix):
-        return np.concatenate([con.jacobian(matrix) for con in self.constraints])
 
     def membership_residual(self, matrix):
         return float(np.linalg.norm(self.membership_vector(matrix)))
@@ -447,11 +352,6 @@ class MatrixGroup:
         gm = g.matrix if isinstance(g, GroupElement) else np.asarray(g)
         return gm @ self.algebra_matrix(v_body)
 
-    def _flat_tangents(self, g):
-        """Rows: flat images of the tangent basis g X_i at g."""
-        gm = g.matrix if isinstance(g, GroupElement) else np.asarray(g)
-        return self._flat_stack(np.einsum("ij,njk->nik", gm, self._basis_stack))
-
     def body_coords(self, g, tangent):
         """Body coordinates of a tangent matrix at g: expand g^-1 dg."""
         gm = g.matrix if isinstance(g, GroupElement) else np.asarray(g)
@@ -509,7 +409,7 @@ def make_group(key):
         alg = make_algebra("so3")
         return MatrixGroup(
             "so3", alg, _so3_basis(),
-            [_Orthogonal(_leading_block(3, 3), 9), _UnitDet(_leading_block(3, 3), 9)],
+            [_Orthogonal(_leading_block(3, 3)), _UnitDet(_leading_block(3, 3))],
             _project_polar_real,
         )
     if key == "su2":
@@ -520,7 +420,7 @@ def make_group(key):
         basis = np.stack([-0.5j * s1, -0.5j * s2, -0.5j * s3])
         return MatrixGroup(
             "su2", alg, basis,
-            [_Unitary(2), _UnitDet(_leading_block(2, 2), 8, complex_entries=True)],
+            [_Unitary(2), _UnitDet(_leading_block(2, 2), complex_entries=True)],
             _project_polar_unitary,
         )
     if key == "sl2r":
@@ -531,7 +431,7 @@ def make_group(key):
             np.array([[0.0, 1.0], [-1.0, 0.0]]),
         ])
         return MatrixGroup(
-            "sl2r", alg, basis, [_UnitDet(_leading_block(2, 2), 4)], _project_unit_det
+            "sl2r", alg, basis, [_UnitDet(_leading_block(2, 2))], _project_unit_det
         )
     if key == "heis3":
         alg = make_algebra("heis3")
@@ -540,7 +440,7 @@ def make_group(key):
         E[1, 1, 2] = 1.0  # y
         E[2, 0, 2] = 1.0  # z (central)
         pairs = [(0, 1.0), (4, 1.0), (8, 1.0), (3, 0.0), (6, 0.0), (7, 0.0)]
-        pat = _Pattern(9, pairs)
+        pat = _Pattern(pairs)
         g = MatrixGroup(
             "heis3", alg, E, [pat],
             _pattern_projector(pairs, lambda u: u.reshape(3, 3), lambda m: m.reshape(-1).copy()),
@@ -561,7 +461,7 @@ def make_group(key):
                 if idx in free:
                     continue
                 pairs.append((idx, 1.0 if i == j else 0.0))
-        pat = _Pattern(N * N, pairs)
+        pat = _Pattern(pairs)
         return MatrixGroup(
             key, alg, E, [pat],
             _pattern_projector(pairs, lambda u: u.reshape(N, N), lambda m: m.reshape(-1).copy()),
@@ -641,130 +541,6 @@ def damped_newton(x, trial, step, tol, maxit, halvings):
         if slow >= 5:
             break
     return x, r, rn, state
-
-
-# -- graph chart --------------------------------------------------------------
-
-
-class GraphChart:
-    """Local coordinates on the group: n selected matrix entries near g0.
-
-    Entry selection is a greedy column-pivoted QR of the differential matrix
-    (rows = flat tangent basis at g0), so the selected entries have linearly
-    independent differentials.  Inversion runs Gauss-Newton on the defining
-    equations plus the entry equations; no exponential anywhere.
-
-    Built once per chart: the selected entries, the Gauss-Newton matrix whose
-    trailing rows select those entries, and the LAPACK ``gelsy`` routine with
-    its workspace size.  Per iteration only the membership rows of that
-    matrix are overwritten with the constraint Jacobian at the iterate, and
-    the step is one ``gelsy`` call with the driver and ``rcond`` (machine
-    epsilon) of ``scipy.linalg.lstsq(..., lapack_driver="gelsy")``.
-    """
-
-    def __init__(self, group, g0=None):
-        self.group = group
-        self.g0 = g0 if g0 is not None else group.identity()
-        _q, R, piv = scipy.linalg.qr(group._flat_tangents(self.g0), mode="economic", pivoting=True)
-        diag = np.abs(np.diag(R))
-        if diag.size < group.dim or diag[-1] <= RANK_RTOL * diag[0]:
-            raise ValueError("degenerate tangent basis: cannot select chart entries")
-        self.selected = np.sort(piv[: group.dim])
-        self._flat0 = group.flat(self.g0.matrix)
-        self._x0sel = self._flat0[self.selected]
-        self._validity = None
-        k = group.n_membership
-        m, n = k + group.dim, group.flat_dim
-        if m < n:
-            # gelsy takes a right-hand side of length m, so the membership and
-            # entry equations must together fix every flat coordinate
-            raise ValueError(
-                f"{group.name}: {k} membership and {group.dim} entry equations "
-                f"cannot fix {n} flat coordinates"
-            )
-        self._jac = np.zeros((m, n))
-        self._jac[k + np.arange(group.dim), self.selected] = 1.0
-        self._gelsy, gelsy_lwork = scipy.linalg.get_lapack_funcs(
-            ("gelsy", "gelsy_lwork"), (self._jac,)
-        )
-        self._rcond = np.finfo(self._gelsy.dtype).eps
-        work, info = gelsy_lwork(m, n, 1, self._rcond)
-        if info != 0:
-            raise ValueError(f"gelsy workspace query failed (info {info})")
-        self._lwork = int(work)
-
-    def to_coords(self, g):
-        gm = g.matrix if isinstance(g, GroupElement) else np.asarray(g)
-        return self.group.flat(gm)[self.selected] - self._x0sel
-
-    def _step(self, u, r):
-        """Least-squares Gauss-Newton step at u for residual r."""
-        J = self._jac
-        J[: self.group.n_membership] = self.group.membership_jacobian(self.group.unflat(u))
-        jpvt = np.zeros(J.shape[1], dtype=np.int32)
-        _qr, x, _jpvt, _rank, info = self._gelsy(
-            J, -r, jpvt, self._rcond, self._lwork, overwrite_a=False, overwrite_b=True
-        )
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of gelsy")
-        return x[: J.shape[1]]
-
-    def from_coords(self, x, warm=None):
-        """Invert the chart by Gauss-Newton; ChartDomainError on failure.
-
-        Non-finite coordinates or warm starts raise ValueError.
-        """
-        grp = self.group
-        target = np.asarray(x, float) + self._x0sel
-        u = grp.flat(warm.matrix) if warm is not None else self._flat0.copy()
-
-        def trial(uu, _state):
-            m = grp.unflat(uu)
-            return np.concatenate([grp.membership_vector(m), uu[self.selected] - target]), None
-
-        u, _r, rn, _ = damped_newton(
-            u, trial, lambda uu, r, _state: self._step(uu, r), GRAPH_NEWTON_TOL, NEWTON_MAXIT, 16
-        )
-        if rn <= GRAPH_NEWTON_TOL:
-            # the residual already bounds the membership defect, so wrap the
-            # matrix directly instead of re-validating
-            return GroupElement(grp.unflat(u), grp)
-        raise ChartDomainError(
-            f"{grp.name} graph chart inversion did not converge (residual {rn:.3e})"
-        )
-
-    def tangent_coords_matrix(self, g):
-        """Matrix M with M @ v_body = d(to_coords)/dt along tangent g X(v)."""
-        return self.group._flat_tangents(g)[:, self.selected].T
-
-    def validity_radius(self):
-        """Largest r (bisection) with chart inversion converging on a probe sphere."""
-        if self._validity is not None:
-            return self._validity
-        n_probes, bisect_steps, seed = VALIDITY_PROBES
-        rng = np.random.default_rng(seed)
-        dirs = rng.standard_normal((n_probes, self.group.dim))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-
-        def ok(r):
-            for d in dirs:
-                try:
-                    self.from_coords(r * d)
-                except (ChartDomainError, ValueError):
-                    return False
-            return True
-
-        lo, hi = 0.0, 0.25
-        while ok(hi) and hi < 64.0:
-            lo, hi = hi, 2.0 * hi
-        for _ in range(bisect_steps):
-            mid = 0.5 * (lo + hi)
-            if ok(mid):
-                lo = mid
-            else:
-                hi = mid
-        self._validity = lo
-        return lo
 
 
 # -- Cayley chart -------------------------------------------------------------
@@ -887,3 +663,7 @@ class CayleyChart:
         """
         im = float(np.max(np.abs(np.linalg.eigvals(X).imag)))
         return math.pi / (2.0 * im) if im > 0.0 else math.inf
+
+
+# benchmarks/tracing.py wraps the group chart's inversion under this name
+GraphChart = CayleyChart

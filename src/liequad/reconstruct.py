@@ -55,8 +55,8 @@ from .expquad import NoAdmissibleCovectorError, exp_general
 from .hjsolver import HypothesisError, TrajectorySample
 from .liealg import LieAlgebra, killing_casimir
 from .liegroup import (
+    CayleyChart,
     ChartDomainError,
-    GraphChart,
     MatrixGroup,
     _leading_block,
     _Orthogonal,
@@ -363,15 +363,15 @@ class _GroupFactor:
     """Group-factor map m -> g with act(g, section(project(m))) = m.
 
     Subclasses define ``__call__(m, warm=None)``; ``warm`` is a start in the
-    graph chart of the group at the identity, as returned by ``coords_of``.
+    Cayley chart of the group at the identity, as returned by ``coords_of``.
     """
 
     def __init__(self, sys):
         self.sys = sys
-        self.gchart = GraphChart(sys.group)
+        self.gchart = CayleyChart(sys.group)
 
     def coords_of(self, g):
-        """Graph-chart coordinates of a group factor, for warm starts."""
+        """Cayley-chart coordinates of a group factor, for warm starts."""
         return self.gchart.to_coords(g)
 
     def defining_defect(self, m):
@@ -382,18 +382,18 @@ class _GroupFactor:
 class HorizontalSubmersion(_GroupFactor):
     """Group-factor map of a section: solves act(g, section(project(m))) = m.
 
-    The solve is Gauss-Newton over graph-chart coordinates n of g near the
+    The solve is Gauss-Newton over Cayley-chart coordinates n of g near the
     identity, with minimum-norm steps; on positive-dimensional stabilizers
     the steps stay orthogonal to the gauge directions, which fixes the
     representative deterministically.  The base point maps to the identity.
     The Jacobian is exact: moving n by dn moves g by the body velocity
-    M(g)^-1 dn, M the graph chart's tangent matrix, which moves
+    M(g)^-1 dn, M the Cayley chart's tangent matrix, which moves
     act(g, target) along the generator of Ad_g M(g)^-1 dn, so
     J = W(act(g, target)) Ad_g M(g)^-1 with W the scenario's generators.
 
     A point whose factor cannot be certified raises ReconstructionError:
     either the residual stalls above ``GAUGE_ACCEPT``, or the solve's start
-    leaves the identity graph chart, in which case the ChartDomainError is
+    leaves the identity Cayley chart, in which case the ChartDomainError is
     chained as the cause.  A non-finite residual raises ValueError.
     """
 
@@ -413,7 +413,7 @@ class HorizontalSubmersion(_GroupFactor):
         n = np.zeros(sys.group.dim) if warm is None else np.array(warm, float)
 
         def trial(nn, _g):
-            g = self.gchart.from_coords(nn, warm=self.gchart.g0)
+            g = self.gchart.from_coords(nn)
             return chart.to_coords(sys.act(g, target)) - ref, g
 
         def step(nn, r, g):
@@ -436,12 +436,12 @@ class HorizontalSubmersion(_GroupFactor):
         )
 
     def jacobian(self, chart, target, g):
-        """Derivative of chart.to_coords(act(g, target)) in the graph-chart coordinates of g."""
+        """Derivative of chart.to_coords(act(g, target)) in the Cayley-chart coordinates of g."""
         sys = self.sys
         return (
             sys.generators(chart, sys.act(g, target))
             @ sys.group.adjoint_matrix(g)
-            @ np.linalg.inv(self.gchart.tangent_coords_matrix(g))
+            @ self.gchart.body_coords_matrix(g)
         )
 
 
@@ -468,7 +468,7 @@ def transversality_defect(sys, theta, m):
     makes the two kernels span the tangent space.
     """
     chart = sys.chart_at(m)
-    tchart = GraphChart(sys.group, theta(m))
+    tchart = CayleyChart(sys.group, theta(m))
 
     def both(x):
         mx = chart.from_coords(x)
@@ -1157,7 +1157,7 @@ def _product_group():
             if idx in free or (i < 3 and j < 3):
                 continue
             pairs.append((idx, 1.0 if i == j else 0.0))
-    pat = _Pattern(25, pairs)
+    pat = _Pattern(pairs)
 
     def project(m):
         out = np.array(m, dtype=float)
@@ -1175,7 +1175,7 @@ def _product_group():
 
     block = _leading_block(3, 5)
     return MatrixGroup(
-        "so3xr", alg, basis, [_Orthogonal(block, 25), _UnitDet(block, 25), pat], project
+        "so3xr", alg, basis, [_Orthogonal(block), _UnitDet(block), pat], project
     )
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from liequad import reconstruct
 from liequad.cotangent import CotangentBundle, left_invariant_hamiltonian_field
-from liequad.liegroup import CayleyChart, GraphChart, make_group, matrix_exp_oracle
+from liequad.liegroup import CayleyChart, make_group, matrix_exp_oracle
 from liequad.numutil import central_jacobian
 from liequad.reconstruct import (
     FIELD_CHECK_BALL,
@@ -191,9 +191,8 @@ def test_split_needs_no_chart_inversion(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("chart inversion")
 
-    # the tstar scenario's phase chart is a Cayley chart, the factor solve's a graph chart
-    for chart_type in (CayleyChart, GraphChart):
-        monkeypatch.setattr(chart_type, "from_coords", refuse)
+    # the tstar scenario's phase chart and the factor solve's group chart are both Cayley charts
+    monkeypatch.setattr(CayleyChart, "from_coords", refuse)
     eta, Y = section_split(sys_, np.array([0.7, -0.4, 0.5]))
     assert np.all(np.isfinite(eta)) and np.all(np.isfinite(Y))
 
@@ -234,10 +233,10 @@ def test_factor_solve_jacobian_matches_central_differences(key):
         target = sys_.section(sys_.project(m))
         chart = sys_.chart_at(m)
         n = 0.3 * rng.standard_normal(sys_.group.dim)
-        g = gchart.from_coords(n, warm=gchart.g0)
+        g = gchart.from_coords(n)
 
         def residual(x):
-            return chart.to_coords(sys_.act(gchart.from_coords(x, warm=gchart.g0), target))
+            return chart.to_coords(sys_.act(gchart.from_coords(x), target))
 
         fd = central_jacobian(residual, n, 1e-6)
         assert np.max(np.abs(theta.jacobian(chart, target, g) - fd)) <= 1e-7

@@ -15,7 +15,7 @@ from liequad.cotangent import (
     left_invariant_hamiltonian_field,
 )
 from liequad.liealg import killing_casimir, central_casimir
-from liequad.liegroup import GraphChart, make_group, matrix_exp_oracle
+from liequad.liegroup import make_group, matrix_exp_oracle
 from liequad.numutil import nullspace
 from liequad.reconstruct import make_tstar_scenario
 

@@ -199,3 +199,10 @@ def test_benchmark_trace_targets_resolve():
         if owner is None or not callable(vars(owner).get(attr)):
             missing.append(f"{module_name}.{path}")
     assert missing == []
+
+
+def test_traced_group_chart_is_the_cayley_chart():
+    # the traced chart-inversion span wraps GraphChart.from_coords, which must
+    # be the chart the package inverts
+    liegroup = importlib.import_module("liequad.liegroup")
+    assert liegroup.GraphChart is liegroup.CayleyChart

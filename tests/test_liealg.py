@@ -155,7 +155,7 @@ def test_regular_set_is_dense():
     for key in ALL_KEYS:
         a = make_algebra(key)
         pts = rng.uniform(-1, 1, (10_000, a.dim))
-        frac = np.mean([a.is_coadjoint_regular(p) for p in pts])
+        frac = np.mean(a.isotropy_dimension(pts) == a.generic_isotropy_dimension())
         assert frac >= 0.999, (key, frac)
 
 
@@ -259,6 +259,21 @@ def test_algebra_from_file(tmp_path):
     bad2.write_text("0 1 2 1.0\n")
     with pytest.raises(ValueError, match="dim"):
         algebra_from_file(bad2)
+
+    # a repeated entry is refused at its line, not overwritten by the last value
+    twice = tmp_path / "twice.txt"
+    twice.write_text("dim 3\n0 1 2 1.0\n1 0 2 -1.0\n0 1 2 5.0\n1 0 2 -5.0\n")
+    with pytest.raises(ValueError, match=r"twice\.txt:4: repeated entry \(0, 1, 2\)"):
+        algebra_from_file(twice)
+
+    # a field that is not a number names its file and line
+    word = tmp_path / "word.txt"
+    word.write_text("dim 3\n0 1 2 abc\n")
+    with pytest.raises(ValueError, match=r"word\.txt:2: cannot read 'abc' as float"):
+        algebra_from_file(word)
+    word.write_text("dim three\n")
+    with pytest.raises(ValueError, match=r"word\.txt:1: cannot read 'three' as int"):
+        algebra_from_file(word)
 
 
 def test_casimir_form_energy():

@@ -1,20 +1,12 @@
 import numpy as np
 import pytest
-import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liequad.liegroup import (
     CayleyChart,
     ChartDomainError,
-    GraphChart,
-    GroupElement,
-    MatrixGroup,
-    _adjugate,
     _leading_block,
-    _Orthogonal,
-    _Pattern,
-    _Unitary,
     _UnitDet,
     damped_newton,
     forbid_exp_oracle,
@@ -207,61 +199,6 @@ def test_purity_guard():
     assert oracle_call_count() == n0 + 1
 
 
-def test_graph_chart_round_trip():
-    rng = np.random.default_rng(11)
-    for key in ALL_KEYS:
-        g = make_group(key)
-        chart = GraphChart(g)
-        assert np.allclose(chart.to_coords(g.identity()), 0.0)
-        for _ in range(10):
-            a = random_element(g, rng, scale=0.3)
-            x = chart.to_coords(a)
-            back = chart.from_coords(x)
-            assert np.allclose(back.matrix, a.matrix, atol=1e-9), key
-        # coordinate -> group -> coordinate
-        x = 0.2 * rng.standard_normal(g.dim)
-        assert np.allclose(chart.to_coords(chart.from_coords(x)), x, atol=1e-10)
-
-
-def test_graph_chart_off_center():
-    rng = np.random.default_rng(12)
-    g = make_group("so3")
-    g0 = random_element(g, rng)
-    chart = GraphChart(g, g0)
-    a = g.compose(g0, random_element(g, rng, scale=0.2))
-    back = chart.from_coords(chart.to_coords(a))
-    assert np.allclose(back.matrix, a.matrix, atol=1e-9)
-
-
-def test_graph_chart_rejects_far_coordinates():
-    g = make_group("so3")
-    chart = GraphChart(g)
-    with pytest.raises((ChartDomainError, ValueError)):
-        chart.from_coords(np.array([50.0, 0.0, 0.0]))
-
-
-def test_graph_chart_validity_radius():
-    g = make_group("so3")
-    chart = GraphChart(g)
-    r = chart.validity_radius()
-    assert r > 0.3
-    rng = np.random.default_rng(13)
-    for _ in range(5):
-        d = rng.standard_normal(3)
-        d *= (0.8 * r) / np.linalg.norm(d)
-        chart.from_coords(d)  # must not raise
-
-
-def test_graph_chart_warm_start():
-    g = make_group("sl2r")
-    chart = GraphChart(g)
-    rng = np.random.default_rng(14)
-    x = 0.3 * rng.standard_normal(3)
-    cold = chart.from_coords(x)
-    warm = chart.from_coords(x + 1e-3, warm=cold)
-    assert np.allclose(chart.to_coords(warm), x + 1e-3, atol=1e-10)
-
-
 def test_body_coords_round_trip():
     rng = np.random.default_rng(15)
     for key in ALL_KEYS:
@@ -271,7 +208,7 @@ def test_body_coords_round_trip():
         assert np.allclose(g.body_coords(a, g.tangent_matrix(a, v)), v, atol=1e-10)
 
 
-# -- constraint Jacobians and the Gauss-Newton step ---------------------------
+# -- the coadjoint matrix -----------------------------------------------------
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -281,138 +218,6 @@ def constraint_groups():
     groups = {key: make_group(key) for key in ALL_KEYS}
     groups["so3xr"] = make_product_scenario().group
     return groups
-
-
-def random_matrix(group, seed, scale):
-    rng = np.random.default_rng(seed)
-    m = scale * rng.standard_normal((group.N, group.N))
-    if group.is_complex:
-        m = m + 1j * scale * rng.standard_normal((group.N, group.N))
-    return m
-
-
-def cofactors(B):
-    """Cofactor matrix by minors: C[i, j] = (-1)^(i+j) det(B without row i, column j)."""
-    n = B.shape[0]
-    C = np.empty_like(B)
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(B, i, axis=0), j, axis=1)
-            C[i, j] = (-1) ** (i + j) * np.linalg.det(minor)
-    return C
-
-
-def loop_jacobian(con, g, flat_dim):
-    """Per-entry reference Jacobian of one membership constraint at g."""
-    gf = g.reshape(-1)
-    if isinstance(con, _Orthogonal):
-        blk = con.block
-        n = blk.shape[0]
-        rows = [(a, b) for a in range(n) for b in range(a, n)]
-        J = np.zeros((len(rows), flat_dim))
-        for r, (a, b) in enumerate(rows):
-            for i in range(n):
-                J[r, blk[i, a]] += gf[blk[i, b]]
-                J[r, blk[i, b]] += gf[blk[i, a]]
-        return J
-    if isinstance(con, _Unitary):
-        N = con.N
-        A, B = g.real, g.imag
-        re_rows = [(a, b) for a in range(N) for b in range(a, N)]
-        im_rows = [(a, b) for a in range(N) for b in range(a + 1, N)]
-        nre = len(re_rows)
-        J = np.zeros((nre + len(im_rows), 2 * N * N))
-        for r, (a, b) in enumerate(re_rows):
-            for i in range(N):
-                J[r, i * N + b] += A[i, a]
-                J[r, i * N + a] += A[i, b]
-                J[r, N * N + i * N + b] += B[i, a]
-                J[r, N * N + i * N + a] += B[i, b]
-        for r, (a, b) in enumerate(im_rows):
-            for i in range(N):
-                J[nre + r, i * N + a] += B[i, b]
-                J[nre + r, i * N + b] += -B[i, a]
-                J[nre + r, N * N + i * N + b] += A[i, a]
-                J[nre + r, N * N + i * N + a] += -A[i, b]
-        return J
-    if isinstance(con, _UnitDet):
-        blk = con.block
-        C = cofactors(gf[blk])
-        n2 = flat_dim // 2
-        if not con.complex_entries:
-            J = np.zeros((1, flat_dim))
-            for i, j in np.ndindex(C.shape):
-                J[0, blk[i, j]] = C[i, j]
-            return J
-        J = np.zeros((2, flat_dim))
-        for i, j in np.ndindex(C.shape):
-            J[0, blk[i, j]] = C[i, j].real
-            J[0, n2 + blk[i, j]] = -C[i, j].imag
-            J[1, blk[i, j]] = C[i, j].imag
-            J[1, n2 + blk[i, j]] = C[i, j].real
-        return J
-    if isinstance(con, _Pattern):
-        J = np.zeros((len(con.pairs), flat_dim))
-        for r, (idx, _val) in enumerate(con.pairs):
-            J[r, idx] = 1.0
-        return J
-    raise TypeError(f"no reference for {type(con).__name__}")
-
-
-@PROPERTY
-@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 3.0))
-def test_constraint_jacobians_match_loop_reference(constraint_groups, seed, scale):
-    for key, group in constraint_groups.items():
-        g = random_matrix(group, seed, scale)
-        for con in group.constraints:
-            got = con.jacobian(g)
-            want = loop_jacobian(con, g, group.flat_dim)
-            if isinstance(con, _UnitDet):
-                # cofactors in closed form against determinants of minors
-                assert np.allclose(got, want, rtol=1e-12, atol=1e-14 * scale**2), key
-            else:
-                # the same sums of entries, so the same floating-point values
-                assert np.array_equal(got, want), (key, type(con).__name__)
-
-
-@PROPERTY
-@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.1, 2.0))
-def test_membership_jacobian_matches_central_difference(constraint_groups, seed, scale):
-    h = 1e-5
-    for key, group in constraint_groups.items():
-        g = random_matrix(group, seed, scale)
-        u = group.flat(g)
-        J = group.membership_jacobian(g)
-        assert J.shape == (group.n_membership, group.flat_dim)
-        fd = np.empty_like(J)
-        for k in range(group.flat_dim):
-            e = np.zeros_like(u)
-            e[k] = h
-            fd[:, k] = (
-                group.membership_vector(group.unflat(u + e))
-                - group.membership_vector(group.unflat(u - e))
-            ) / (2 * h)
-        assert np.allclose(J, fd, rtol=1e-7, atol=1e-7), key
-
-
-@PROPERTY
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.sampled_from([2, 3]),
-    complex_entries=st.booleans(),
-)
-def test_closed_form_adjugate_is_det_times_inverse(seed, n, complex_entries):
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, n))
-    if complex_entries:
-        g = g + 1j * rng.standard_normal((n, n))
-    cond = np.linalg.cond(g)
-    assume(cond < 1e8)
-    want = np.linalg.det(g) * np.linalg.inv(g)
-    got = _adjugate(g)
-    assert got.dtype == g.dtype
-    assert np.allclose(got, want, rtol=0.0, atol=1e-14 * cond * np.abs(want).max())
-    assert np.allclose(g @ got, np.linalg.det(g) * np.eye(n), atol=1e-13 * np.abs(g).max() ** n)
 
 
 @PROPERTY
@@ -435,62 +240,9 @@ def test_coadjoint_matrix_inverts_the_adjoint(constraint_groups, seed, scale):
             assert np.max(np.abs(product - np.eye(group.dim))) <= bound, key
 
 
-def test_gauss_newton_step_is_the_lstsq_step():
-    rng = np.random.default_rng(16)
-    for key in ALL_KEYS:
-        g = make_group(key)
-        chart = GraphChart(g)
-        for _ in range(5):
-            u = g.flat(random_element(g, rng, scale=0.3).matrix)
-            r = rng.standard_normal(g.n_membership + g.dim)
-            step = chart._step(u, r)
-            J = np.vstack([g.membership_jacobian(g.unflat(u)), chart._jac[g.n_membership :]])
-            ref = scipy.linalg.lstsq(J, -r, lapack_driver="gelsy")[0]
-            assert np.array_equal(step, ref), key
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_graph_chart_non_finite_input_raises_value_error(bad):
-    for key in ["so3", "su2", "heis3"]:
-        g = make_group(key)
-        chart = GraphChart(g)
-        x = np.zeros(g.dim)
-        x[1] = bad
-        warm = GroupElement(np.full((g.N, g.N), bad, dtype=g.identity().matrix.dtype), g)
-        with np.errstate(invalid="ignore", over="ignore"):
-            with pytest.raises(ValueError):
-                chart.from_coords(x)
-            with pytest.raises(ValueError):
-                chart.from_coords(np.zeros(g.dim) + 0.1, warm=warm)
-
-
-def test_graph_chart_bad_lapack_info_raises_value_error():
-    g = make_group("so3")
-    chart = GraphChart(g)
-    gelsy = chart._gelsy
-
-    def bad_info(*args, **kwargs):
-        return gelsy(*args, **kwargs)[:4] + (-2,)
-
-    chart._gelsy = bad_info
-    with pytest.raises(ValueError, match="gelsy"):
-        chart.from_coords(np.array([0.2, -0.1, 0.3]))
-
-
-def test_graph_chart_rejects_underdetermined_group():
-    so3 = make_group("so3")
-    # unit determinant alone leaves 1 + 3 equations for 9 flat coordinates
-    loose = MatrixGroup(
-        "so3-det-only", so3.algebra, so3._basis_stack, [_UnitDet(_leading_block(3, 3), 9)],
-        lambda m: m,
-    )
-    with pytest.raises(ValueError, match="so3-det-only"):
-        GraphChart(loose)
-
-
 def test_unit_det_rejects_blocks_other_than_2_or_3():
     with pytest.raises(ValueError, match="2x2 or 3x3"):
-        _UnitDet(_leading_block(4, 4), 16)
+        _UnitDet(_leading_block(4, 4))
 
 
 def test_chart_domain_error_carries_t_achieved():
@@ -552,20 +304,3 @@ def test_damped_newton_maxit_bounds_the_steps():
     x, _r, rn, _ = damped_newton(np.array([1.0]), lambda x, _s: (x, None), step, 1e-300, 7, 16)
     assert len(steps) == 7
     assert rn == abs(x[0]) > 0.0
-
-
-# -- chart set-up --------------------------------------------------------------
-
-
-def test_graph_chart_selection_matches_per_basis_reference():
-    rng = np.random.default_rng(18)
-    groups = [make_group(key) for key in ALL_KEYS] + [make_product_scenario().group]
-    for g in groups:
-        for _ in range(10):
-            g0 = random_element(g, rng, scale=1.0)
-            chart = GraphChart(g, g0)
-            # reference: one tangent matrix per basis vector
-            D = np.stack([g.flat(g.tangent_matrix(g0, e)) for e in np.eye(g.dim)])
-            _q, _R, piv = scipy.linalg.qr(D, mode="economic", pivoting=True)
-            assert np.array_equal(chart.selected, np.sort(piv[: g.dim])), g.name
-            assert np.array_equal(chart.tangent_coords_matrix(g0), D[:, chart.selected].T), g.name
