@@ -110,9 +110,6 @@ class CotangentBundle:
         """Momentum of the lifted left action: <J, eta> = <alpha, Ad_{g^-1} eta>."""
         return self.group.coadjoint(p.g, p.alpha)
 
-    def body_momentum(self, p):
-        return np.asarray(p.alpha, float)
-
     def momentum_pair(self, p):
         adit = self.group.adjoint_inv_transpose(p.g)
         return self.momentum_pairs(adit[None], np.asarray(p.alpha)[None])[0]

