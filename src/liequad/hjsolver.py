@@ -4,7 +4,11 @@ Four-step route around a center point of phase space: (1) reduce the
 conserved momentum pair to its locally independent components, (2) build a
 complete solution chart parametrizing the nearby momentum fibers, (3) obtain
 a generating function and a linearizing map by one-dimensional quadratures,
-(4) evolve linearly in the linearized coordinates and map back.  No matrix
+(4) evolve linearly in the linearized coordinates and map back.  Inside one
+chart the linearized coordinates move on a straight line, phi(n(t)) = t beta,
+so every output time is an independent root-find, and step (4) solves all
+the times a chart serves as one stacked Gauss-Newton: one node stack and one
+multi-segment quadrature per round, whatever the number of times.  No matrix
 exponential is used anywhere on this route.
 """
 
@@ -216,20 +220,21 @@ class CompleteSolutionChart:
             )
 
     def tangency_defect(self):
-        """Sup of |DF X| over sampled chart points (F the raw momentum pair)."""
+        """Sup of |DF X| over sampled chart points (F the raw momentum pair).
+
+        The centre and the seeded points around it are one stack: one chart
+        inversion and one stacked momentum-pair Jacobian.
+        """
         ints = self.integrals
+        dim = ints.dim
         rng = np.random.default_rng(TANGENCY_SEED)
-        worst = 0.0
-        for i in range(TANGENCY_SAMPLES + 1):
-            if i == 0:
-                p = ints.center
-            else:
-                x = ints.x0 + TANGENCY_RADIUS * rng.standard_normal(2 * ints.dim)
-                p = ints.phase_chart.from_coords(x)
-            w = self.field(p)
-            img = self.bundle.momentum_pair_jacobian_body(p) @ w.concat()
-            worst = max(worst, np.linalg.norm(img) / max(1.0, np.linalg.norm(w.concat())))
-        return worst
+        X = ints.x0 + TANGENCY_RADIUS * np.vstack(
+            [np.zeros(2 * dim), rng.standard_normal((TANGENCY_SAMPLES, 2 * dim))])
+        gs = ints.chart.from_coords(X[:, :dim])
+        W = np.array([self.field(PhasePoint(g, x[dim:])).concat() for g, x in zip(gs, X)])
+        J = self.bundle.momentum_pair_jacobians(self.bundle.group.adjoint_inv_transpose(gs), X[:, dim:])
+        img = np.einsum("ijk,ik->ij", J, W)
+        return float(np.max(np.linalg.norm(img, axis=1) / np.maximum(1.0, np.linalg.norm(W, axis=1))))
 
     # -- chart solves ------------------------------------------------------
 
@@ -240,29 +245,40 @@ class CompleteSolutionChart:
         n = self.trans @ (ints.phase_chart.to_coords(p) - ints.x0)
         return lam, n
 
-    def invert(self, lam, n, x):
-        """Newton solve from x for the chart point with coordinates (lam, n).
+    def invert(self, lam, n, x, partial=False):
+        """Newton solves from the chart points x (m, 2 dim) for the rows (lam, n), as one stack.
 
-        Each trial is one row of ``_node``'s stacked evaluation; returns that
-        row (x, group part, system matrix, body matrix) at the accepted
-        iterate, or raises ChartDomainError.
+        Each trial evaluates the rows at hand in one ``_evaluate``, a row
+        whose trial point leaves the chart counting as failed; returns the
+        rows' x, group parts, system matrices and body matrices at the
+        accepted iterates, and the mask of the rows that met ``NEWTON_TOL``.
+        A row that misses it raises ChartDomainError unless ``partial``.
         """
-        lam, n = lam[None], n[None]
-        scale = max(1.0, float(np.linalg.norm(lam)), float(np.linalg.norm(n)))
+        dim = self.integrals.dim
+        tol = NEWTON_TOL * np.maximum(
+            np.maximum(np.linalg.norm(lam, axis=1), np.linalg.norm(n, axis=1)), 1.0)
 
-        def trial(xx, _state):
-            r, gs, S, minv = self._evaluate(lam, n, xx[None])
-            return r[0], (gs[0], S[0], minv[0])
+        def trial(rows, xx, _states):
+            r, states = np.full(xx.shape, np.nan), [None] * len(rows)
+            ok = np.flatnonzero(self.integrals.chart.inside(xx[:, :dim]))
+            if ok.size:
+                r[ok], gs, S, minv = self._evaluate(lam[rows[ok]], n[rows[ok]], xx[ok])
+                for i, state in zip(ok, zip(gs, S, minv)):
+                    states[i] = state
+            return r, states
 
-        def step(_x, r, state):
-            return np.linalg.solve(state[1], -r)
+        def step(_rows, _x, r, states):
+            S = np.array([state[1] for state in states])
+            return np.linalg.solve(S, -r[:, :, None])[:, :, 0]
 
-        x, _r, rn, (g, S, minv) = damped_newton(x, trial, step, NEWTON_TOL * scale, NEWTON_MAXIT, 16)
-        if rn <= NEWTON_TOL * scale:
-            return x, g, S, minv
-        raise ChartDomainError(
-            f"complete-solution inversion did not converge (residual {rn:.3e})"
-        )
+        x, _r, rn, states = damped_newton(x, trial, step, tol, NEWTON_MAXIT, 16)
+        met = rn <= tol
+        if not (partial or met.all()):
+            raise ChartDomainError(
+                f"complete-solution inversion did not converge (residual {rn[~met].max():.3e})"
+            )
+        gs, S, minv = zip(*states)
+        return x, list(gs), np.array(S), np.array(minv), met
 
     def point(self, lam, n):
         return self._node(lam, n).p
@@ -277,7 +293,7 @@ class CompleteSolutionChart:
         dim, k = ints.dim, self.k
         gs = ints.chart.from_coords(X[:, :dim])
         minv = ints.chart.body_coords_matrix(gs)  # fills each element's coadjoint matrix
-        adit = np.array([self.bundle.group.adjoint_inv_transpose(g) for g in gs])
+        adit = self.bundle.group.adjoint_inv_transpose(gs)
         values, J = ints.evaluate(adit, X[:, dim:], minv)
         r = np.empty_like(X)
         r[:, :k] = (X - ints.x0) @ self.trans.T - n
@@ -287,7 +303,7 @@ class CompleteSolutionChart:
         S[:, k:] = J
         return r, gs, S, minv
 
-    def _node(self, lam, n, from_node=None):
+    def _node(self, lam, n, from_node=None, partial=False):
         """The solved node at (lam, n), or the list of nodes at the rows of n (m, k).
 
         ``lam`` is one momentum value for every row or one row each;
@@ -295,9 +311,11 @@ class CompleteSolutionChart:
         all rows or a list of one per row, the chart centre when None.  Each
         row's first-order predictor goes through its neighbour's inverted
         system, and the stack is evaluated at once: chart inversions,
-        residuals, system matrices and their inverses.  A row whose residual
-        misses ``NEWTON_TOL`` continues in ``invert``.  A row that fails
-        fails the stack, with ChartDomainError or ValueError.
+        residuals, system matrices and their inverses.  The rows that miss
+        ``NEWTON_TOL`` continue in one stacked ``invert``.  A row that fails
+        (it leaves the chart, its inversion does not converge, or its system
+        is not finite) fails the stack, with ChartDomainError or ValueError;
+        with ``partial`` it comes back as None instead.
         """
         n = np.asarray(n, float)
         rows = n.reshape(-1, self.k)
@@ -311,30 +329,43 @@ class CompleteSolutionChart:
         )
         invs = np.array([q.inv for q in near])
         X = np.array([q.x for q in near]) + np.einsum("ijk,ik->ij", invs, step)
-        r, gs, S, minv = self._evaluate(lam, rows, X)
-        # |r| against NEWTON_TOL max(1, |lam|, |n|), squared
-        bound = NEWTON_TOL**2 * np.maximum(np.maximum((lam * lam).sum(1), (rows * rows).sum(1)), 1)
-        met = (r * r).sum(1) <= bound
-        if not met.all():
-            for i in np.flatnonzero(~met):
-                X[i], gs[i], S[i], minv[i] = self.invert(lam[i], rows[i], X[i])
-        inv = np.linalg.inv(S)
-        if not (np.isfinite(S).all() and np.isfinite(inv).all()):
-            raise ValueError("complete-solution system is not finite")
         dim = self.integrals.dim
+        live = np.flatnonzero(self.integrals.chart.inside(X[:, :dim]) if partial else np.ones(m, bool))
+        nodes = [None] * m
+        if not live.size:
+            return nodes if n.ndim == 2 else nodes[0]
+        X, lam_l, rows_l = X[live], lam[live], rows[live]
+        r, gs, S, minv = self._evaluate(lam_l, rows_l, X)
+        # |r| against NEWTON_TOL max(1, |lam|, |n|), squared
+        bound = NEWTON_TOL**2 * np.maximum(np.maximum((lam_l * lam_l).sum(1), (rows_l * rows_l).sum(1)), 1)
+        ok = (r * r).sum(1) <= bound
+        if not ok.all():
+            miss = np.flatnonzero(~ok)
+            X[miss], g_miss, S[miss], minv[miss], ok[miss] = self.invert(
+                lam_l[miss], rows_l[miss], X[miss], partial
+            )
+            for i, g in zip(miss, g_miss):
+                gs[i] = g
+        ok &= np.isfinite(S).all(axis=(1, 2))
+        inv = np.full_like(S, np.nan)
+        inv[ok] = np.linalg.inv(S[ok])
+        ok &= np.isfinite(inv).all(axis=(1, 2))
+        if not (partial or ok.all()):
+            raise ValueError("complete-solution system is not finite")
         body = inv.copy()
         body[:, :dim] = minv @ inv[:, :dim]
-        nodes = [
-            _ChartNode(self, PhasePoint(g, x[dim:]), x, *data)
-            for g, x, data in zip(gs, X, zip(inv, minv, body, lam, rows))
-        ]
+        for i in np.flatnonzero(ok):
+            nodes[live[i]] = _ChartNode(
+                self, PhasePoint(gs[i], X[i, dim:]), X[i], inv[i], minv[i], body[i], lam_l[i], rows_l[i]
+            )
         return nodes if n.ndim == 2 else nodes[0]
 
-    def _nodes_near(self, solved, lam, n):
+    def _nodes_near(self, solved, lam, n, partial=False):
         """Nodes at the rows of n, each predicted from the nearest node of ``solved``.
 
         The chart centre predicts while ``solved`` is empty; the new nodes
-        join ``solved``.
+        join ``solved``.  ``partial`` is ``_node``'s: failed rows come back
+        as None.
         """
         lam = lam + np.zeros((len(n), 1))
         from_node = None
@@ -342,98 +373,150 @@ class CompleteSolutionChart:
             at = np.array([np.concatenate([q.n, q.lam]) for q in solved])
             gap = np.concatenate([n, lam], axis=1)[:, None] - at
             from_node = [solved[i] for i in np.argmin(np.sum(gap * gap, axis=2), axis=1)]
-        nodes = self._node(lam, n, from_node)
-        solved.extend(nodes)
+        nodes = self._node(lam, n, from_node, partial)
+        solved.extend(q for q in nodes if q is not None)
         return nodes
 
     # -- quadratures -------------------------------------------------------
 
-    def _segment_quad(self, integrand, ends=None):
-        """Integral over [0, 1] by nested panels, bisected where the error is.
+    def _segment_quad(self, integrand, ends=None, segments=None):
+        """Integrals over [0, 1] by nested panels, bisected where the error is.
 
         ``integrand`` takes a vector of abscissae and returns its values
-        stacked, one row each.  A panel's value is its 7-point Kronrod sum
-        and its estimate the largest entry of its gap to the 4-point
-        Gauss-Lobatto sum.  ``ends``, the integrand at 0 and 1 when the
-        caller has it, opens a ladder of nested rules, each judged by its gap
-        to the rung below: the trapezoid, at no evaluation, when the
-        trapezoid-rectangle half-gap passes the tolerance; then Simpson's
-        rule, at one evaluation, the centre node s = 1/2, when its gap to the
-        trapezoid passes; then the 7-point panel, which reuses that centre
-        value and so costs 4 more evaluations.  The centre is its own call;
-        every other call is the vector of new abscissae of the panels being
-        built, ascending, so an integrand that solves nodes predicts each
-        one from the nearest node already solved.  While the summed
-        estimates exceed ``QUAD_TOL`` of the total, the panel of largest
-        estimate is halved; its end and centre values are reused, so a split
-        costs 10 evaluations, in one call.  Integrands are analytic inside
-        the chart, so a refinement that cannot reach the tolerance within
-        ``QUAD_MAX_PANELS`` panels is a domain failure: after every step the
-        kernel predicts the panel count that bisection at the rule's rate
-        would need and raises as soon as it exceeds the cap, so a probe past
-        the chart boundary usually gives up after its first panel.
+        stacked, one row each.  With ``segments`` = m it integrates m
+        segments at once: the integrand takes the segment index of each
+        abscissa first, ``integrand(seg, s)``, and every integrand call below
+        holds the new abscissae of every segment still open.  A panel's value
+        is its 7-point Kronrod sum and its estimate the largest entry of its
+        gap to the 4-point Gauss-Lobatto sum.  ``ends``, the integrand at 0
+        and 1 when the caller has it (stacked over the segments), opens a
+        ladder of nested rules, each judged by its gap to the rung below: the
+        trapezoid, at no evaluation, when the trapezoid-rectangle half-gap
+        passes the tolerance; then Simpson's rule, at one evaluation, the
+        centre node s = 1/2, when its gap to the trapezoid passes; then the
+        7-point panel, which reuses that centre value and so costs 4 more
+        evaluations.  The centres are their own call; every other call is the
+        vector of new abscissae of the panels being built, ascending within a
+        segment, so an integrand that solves nodes predicts each one from the
+        nearest node already solved.  While a segment's summed estimates
+        exceed ``QUAD_TOL`` of its total, its panel of largest estimate is
+        halved; its end and centre values are reused, so a split costs 10
+        evaluations.  Integrands are analytic inside the chart, so a
+        refinement that cannot reach the tolerance within ``QUAD_MAX_PANELS``
+        panels is a domain failure: after every step the kernel predicts the
+        panel count that bisection at the rule's rate would need and gives up
+        as soon as it exceeds the cap, so a probe past the chart boundary
+        usually gives up after its first panel.  A non-finite value fails its
+        segment too.  One segment returns its integral and raises
+        ChartDomainError when it fails; m segments return the (m, ...) stack
+        of integrals, NaN where a segment failed.
         """
+        single = segments is None
+        if single:
+            f, segments = (lambda _seg, s: integrand(s)), 1
+            ends = None if ends is None else [np.asarray(v, float)[None] for v in ends]
+        else:
+            f = integrand
 
         def tol(value):
             return QUAD_TOL * max(1.0, float(np.max(np.abs(value))))
 
-        def build(specs):
-            # panels (a, b, fa, fm, fb), None for each value still unknown; one
-            # integrand call takes the new abscissae of every panel
-            fs = [[fa, None, None, fm, None, None, fb] for _a, _b, fa, fm, fb in specs]
-            new = [(j, i) for j, f in enumerate(fs) for i, v in enumerate(f) if v is None]
-            s = np.array([specs[j][0] + LK_NODES[i] * (specs[j][1] - specs[j][0]) for j, i in new])
-            for (j, i), v in zip(new, integrand(s)):
-                fs[j][i] = v
-            out = []
-            for (a, b, *_), f in zip(specs, fs):
-                h, f = b - a, np.asarray(f)
-                gap = np.max(np.abs(h * ((LK_KRONROD - LK_LOBATTO) @ f)))
-                out.append((float(gap), h * (LK_KRONROD @ f), (a, b, f[0], f[3], f[-1])))
-            return out
+        out, panels = {}, {}  # settled integrals, and the panels of each open segment
 
-        f0 = f1 = fm = None
+        def build(specs):
+            # panels (seg, a, b, fa, fm, fb), None for each value still unknown;
+            # one integrand call takes the new abscissae of every panel
+            if not specs:
+                return
+            fs = [[fa, None, None, fm, None, None, fb] for *_, fa, fm, fb in specs]
+            new = [(p, i) for p, fp in enumerate(fs) for i, v in enumerate(fp) if v is None]
+            seg = np.array([specs[p][0] for p, _i in new], int)
+            s = np.array([specs[p][1] + LK_NODES[i] * (specs[p][2] - specs[p][1]) for p, i in new])
+            for (p, i), v in zip(new, f(seg, s)):
+                fs[p][i] = v
+            for (j, a, b, *_), fp in zip(specs, fs):
+                h, fp = b - a, np.asarray(fp)
+                gap = np.max(np.abs(h * ((LK_KRONROD - LK_LOBATTO) @ fp)))
+                panels[j].append((float(gap), h * (LK_KRONROD @ fp), (j, a, b, fp[0], fp[3], fp[-1])))
+
+        first = [(j, 0.0, 1.0, None, None, None) for j in range(segments)]
         if ends is not None:
-            f0, f1 = (np.asarray(v, float) for v in ends)
+            f0, f1 = ends
             trap = 0.5 * (f0 + f1)
-            if 0.5 * np.max(np.abs(f1 - f0)) <= tol(trap):
-                return trap
-            fm = np.asarray(integrand(LK_NODES[3:4])[0], float)
-            simpson = (f0 + 4.0 * fm + f1) / 6.0
-            if np.max(np.abs(simpson - trap)) <= tol(simpson):
-                return simpson
-        panels = build([(0.0, 1.0, f0, fm, f1)])
-        while True:
-            total = sum(p[1] for p in panels)
-            err = sum(p[0] for p in panels)
-            if err <= tol(total):
-                return total
-            # LK_LOBATTO has degree 5, so the summed gap is O(h^6) in the panel
-            # width: each doubling of the panels divides it by 2^6
-            if len(panels) * (err / tol(total)) ** (1 / 6) > QUAD_MAX_PANELS:
-                raise ChartDomainError(f"quadrature refinement exhausted (estimate sum {err:.3e})")
-            a, b, fa, fm, fb = panels.pop(max(range(len(panels)), key=lambda i: panels[i][0]))[2]
-            m = a + LK_NODES[3] * (b - a)
-            panels += build([(a, m, fa, None, fm), (m, b, fm, None, fb)])
+            first = []
+            for j in range(segments):
+                if 0.5 * np.max(np.abs(f1[j] - f0[j])) <= tol(trap[j]):
+                    out[j] = trap[j]
+                else:
+                    first.append(j)
+            if first:
+                fm = np.asarray(f(np.array(first), np.full(len(first), LK_NODES[3])), float)
+                rest = []
+                for j, fmj in zip(first, fm):
+                    simpson = (f0[j] + 4.0 * fmj + f1[j]) / 6.0
+                    if np.max(np.abs(simpson - trap[j])) <= tol(simpson):
+                        out[j] = simpson
+                    else:
+                        rest.append((j, 0.0, 1.0, f0[j], fmj, f1[j]))
+                first = rest
+        for j, *_ in first:
+            panels[j] = []
+        build(first)
+        failed = {}
+        while panels:
+            splits = []
+            for j in list(panels):
+                ps = panels[j]
+                total = sum(p[1] for p in ps)
+                err = sum(p[0] for p in ps)
+                if err <= tol(total):
+                    out[j] = total
+                # LK_LOBATTO has degree 5, so the summed gap is O(h^6) in the panel
+                # width: each doubling of the panels divides it by 2^6
+                elif not (len(ps) * (err / tol(total)) ** (1 / 6) <= QUAD_MAX_PANELS):
+                    out[j], failed[j] = np.full(np.shape(total), np.nan), err
+                else:
+                    _j, a, b, fa, fm, fb = ps.pop(max(range(len(ps)), key=lambda i: ps[i][0]))[2]
+                    m = a + LK_NODES[3] * (b - a)
+                    splits += [(j, a, m, fa, None, fm), (j, m, b, fm, None, fb)]
+                    continue
+                del panels[j]
+            build(splits)
+        if not single:
+            return np.array([out[j] for j in range(segments)])
+        if failed:
+            raise ChartDomainError(f"quadrature refinement exhausted (estimate sum {failed[0]:.3e})")
+        return out[0]
 
     def _phi_increment(self, lam, n_a, n_b, ends=None):
-        """Integral along the straight fiber segment of -omega(d_lam, d_s).
+        """Integrals of -omega(d_lam, d_s) along the straight fiber segments n_a -> n_b.
 
-        The integrand is the linearizing Jacobian along the segment; ``ends``
-        are the solved nodes at n_a and n_b when the caller has them.
+        The rows of n_a and n_b (m, k) are m segments, integrated together by
+        one multi-segment quadrature whose integrand is the linearizing
+        Jacobian along each segment; ``ends``, two lists of m solved nodes,
+        are the nodes at n_a and n_b when the caller has them.  Returns the
+        (m, ell) increments, NaN where a segment failed (a node left the
+        chart, or the refinement gave up).
         """
         n_a = np.asarray(n_a, float)
         dn = np.asarray(n_b, float) - n_a
         if not np.any(dn):
-            return np.zeros(self.ell)
-        solved = [] if ends is None else list(ends)
+            return np.zeros((len(dn), self.ell))
+        solved = [] if ends is None else ends[0] + ends[1]
 
-        def integrand(s):
-            nodes = self._nodes_near(solved, lam, n_a + np.multiply.outer(s, dn))
-            return self.linearizing_jacobian(nodes) @ dn
+        def increments(nodes, steps):
+            return np.einsum("ijk,ik->ij", self.linearizing_jacobian(nodes), steps)
 
-        values = None if ends is None else self.linearizing_jacobian(solved) @ dn
-        return self._segment_quad(integrand, values)
+        def integrand(seg, s):
+            nodes = self._nodes_near(solved, lam, n_a[seg] + s[:, None] * dn[seg], partial=True)
+            values = np.full((len(s), self.ell), np.nan)
+            ok = [i for i, q in enumerate(nodes) if q is not None]
+            if ok:
+                values[ok] = increments([nodes[i] for i in ok], dn[seg[ok]])
+            return values
+
+        values = None if ends is None else [increments(e, dn) for e in ends]
+        return self._segment_quad(integrand, values, len(dn))
 
     def generating_function(self, lam, n):
         """Path integral of the tautological form over the standard path.
@@ -472,7 +555,10 @@ class CompleteSolutionChart:
         evolution coordinate.
         """
         if method == "fast":
-            return self._phi_increment(lam, np.zeros(self.k), n)
+            phi = self._phi_increment(lam, np.zeros((1, self.k)), np.reshape(n, (1, self.k)))[0]
+            if not np.isfinite(phi).all():
+                raise ChartDomainError("fiber quadrature failed: a node left the chart or the refinement gave up")
+            return phi
         if method == "fd":
             lam = np.asarray(lam, float)
             h = LINMAP_FD_STEP * max(1.0, float(np.linalg.norm(lam)))
@@ -518,63 +604,181 @@ class CompleteSolutionChart:
     def linear_flow(self, p0, ts):
         """Evolve p0 by the times ts via the linearized coordinates.
 
-        Each time is one Gauss-Newton solve on the fiber coordinates against
-        the absolute linear target t * rate, from the previous sample.  The
-        times must lie within one ``chart_window`` of p0; a solve that fails
-        raises ChartDomainError whose ``t_achieved`` is the last time reached
-        (0.0 before the first).  Each sample is audited against the linear
+        Every time t is the root of the linear target t * rate in the fiber
+        coordinates, and ``_gauss_newton`` solves all of them as one stack,
+        whatever their order, sign or repeats.  The times must lie within one
+        ``chart_window`` of p0; a time whose solve fails raises
+        ChartDomainError whose ``t_achieved`` is the time before it in ts
+        (0.0 for the first).  Each sample is audited against the linear
         target; the sup of the audit residuals is in the diagnostics.
         """
         ts = np.asarray(ts, float)
         lam, n0 = self.coords(p0)
-        node = self._node(lam, n0)
-        beta = self.flow_rate(node)
-        points, audits = [], []
-        phi = np.zeros(self.ell)  # linearizing map relative to n0
-        t_cur = 0.0
-        for t in ts:
-            if t != t_cur:
-                try:
-                    node, phi = self._gauss_newton(lam, node, phi, t * beta)
-                except (ChartDomainError, ValueError, np.linalg.LinAlgError) as err:
-                    raise ChartDomainError(
-                        f"linear flow failed at t={t:g}, sample {len(points)} of {len(ts)}: {err}",
-                        t_achieved=t_cur,
-                    ) from err
-                t_cur = t
-            audits.append(float(np.linalg.norm(phi - t * beta)))
-            points.append(node.p)
+        centre = self._node(lam, n0)
+        beta = self.flow_rate(centre)
+        nodes, phis = self._gauss_newton(lam, centre, beta, ts)
+        audits = [float(a) for a in np.linalg.norm(phis - np.multiply.outer(ts, beta), axis=1)]
         diagnostics = {"lam": lam, "flow_rate": beta, "audits": audits}
         diagnostics["audit_max"] = max(audits, default=0.0)
-        return TrajectorySample(ts, points, diagnostics)
+        return TrajectorySample(ts, [q.p for q in nodes], diagnostics)
 
-    def _gauss_newton(self, lam, node_from, phi_from, target):
-        def trial(cand, state):
-            if state is None:
-                phi = np.asarray(phi_from, float).copy()
-                return phi - target, (node_from, phi)
-            node, phi = state
-            # solve the geometry first: it fails fast out of domain, while the
-            # increment integral is the expensive part
-            node_try = self._node(lam, cand, from_node=node)
-            phi_try = phi + self._phi_increment(lam, node.n, cand, ends=(node, node_try))
-            return phi_try - target, (node_try, phi_try)
+    def _gauss_newton(self, lam, centre, beta, ts):
+        """Fiber nodes and linearizing-map values phi at the times ts, from ``centre``, as one stack.
 
-        def step(_n, r, state):
-            return np.linalg.lstsq(self.linearizing_jacobian(state[0]), -r, rcond=None)[0]
+        phi is relative to the centre, and each distinct nonzero time t is
+        one row, the root of phi(n) = t beta.  (1) Predict every row from
+        the centre's linearizing Jacobian and solve all rows in one node
+        stack.  (2) Correct each row once by -L(n)^+ (phi~ - t beta), phi~
+        the trapezoid running sum of the Jacobians at the predicted rows, and
+        solve the corrected rows as one stack.  (3) Integrate phi along the
+        consecutive segments outward from the centre in both time directions
+        with one multi-segment quadrature; phi at a row is the running sum.
+        (4) Correct all rows together by the stacked ``damped_newton`` with
+        steps -L(n)^+ (phi - t beta), to ``GN_TOL``; the fibers are
+        isotropic, so the integral is path independent and a trial only adds
+        the integral over its short segment.  (5) Give every row still above
+        ``QUAD_TOL`` max(1, |t beta|) one more stacked correction.  A row
+        whose chain breaks in (1)-(3) (its node left the chart or its
+        segment's quadrature gave up) starts (4) from the last row before the
+        break; in (4) a failed trial is halved like any other that did not
+        improve, and a row that ends above ``AUDIT_TOL`` runs (4) again from
+        the nearest row inside it that met it, as long as that row is a new
+        start.  A row still above ``AUDIT_TOL`` at the end raises
+        ChartDomainError, ``t_achieved`` the entry of ts before the first
+        that failed (0.0 for the first).  Returns the nodes and the phi
+        values at the entries of ts (the centre and 0 where t = 0).
+        """
+        times = np.unique(ts[ts != 0.0])
+        if not len(times):
+            return [centre] * len(ts), np.zeros((len(ts), self.ell))
+        targets = np.multiply.outer(times, beta)
+        zero = np.zeros(self.ell)
+        sides = (np.flatnonzero(times > 0.0), np.flatnonzero(times < 0.0)[::-1])  # outward
 
-        _n, _r, rn, (node, phi) = damped_newton(node_from.n, trial, step, GN_TOL, GN_MAXIT, 8)
-        if rn <= AUDIT_TOL:
-            return node, phi
-        raise ChartDomainError(f"fiber solve did not meet the audit tolerance ({rn:.3e})")
+        def newton(nodes, r):
+            return -np.einsum("ijk,ik->ij", np.linalg.pinv(self.linearizing_jacobian(nodes)), r)
+
+        def chain(nodes):
+            # each side's rows out to the first without a node, with the index of
+            # the row inside each (-1 for the centre)
+            links = []
+            for side in sides:
+                inner = -1
+                for j in side:
+                    if nodes[j] is None:
+                        break
+                    links.append((j, inner))
+                    inner = j
+            return links
+
+        def running(links, increments):
+            # phi at each chained row, the sum of the increments out to it
+            phis = np.full((len(times), self.ell), np.nan)
+            for (j, inner), inc in zip(links, increments):
+                phis[j] = (phis[inner] if inner >= 0 else zero) + inc
+            return phis
+
+        def ends(nodes, links):
+            # the nodes at the inner and outer end of each link
+            return [nodes[i] if i >= 0 else centre for _j, i in links], [nodes[j] for j, _i in links]
+
+        # (1) predict from the centre's Jacobian
+        slope = np.linalg.pinv(self.linearizing_jacobian(centre)) @ beta
+        nodes = self._node(lam, centre.n + np.multiply.outer(times, slope), centre, partial=True)
+        links = chain(nodes)
+        if links:
+            # (2) one correction from the trapezoid sums at the predicted rows
+            inner, outer = ends(nodes, links)
+            L_in, L_out = self.linearizing_jacobian(inner), self.linearizing_jacobian(outer)
+            dn = np.array([b.n - a.n for a, b in zip(inner, outer)])
+            rows = [j for j, _i in links]
+            trap = running(links, 0.5 * np.einsum("ijk,ik->ij", L_in + L_out, dn))[rows]
+            n_fix = np.array([q.n for q in outer]) + newton(outer, trap - targets[rows])
+            for j, q in zip(rows, self._node(lam, n_fix, outer, partial=True)):
+                nodes[j] = q if q is not None else nodes[j]
+        # (3) integrate along the chains
+        links = chain(nodes)
+        phis = np.full((len(times), self.ell), np.nan)
+        if links:
+            inner, outer = ends(nodes, links)
+            n_in, n_out = np.array([q.n for q in inner]), np.array([q.n for q in outer])
+            phis = running(links, self._phi_increment(lam, n_in, n_out, (inner, outer)))
+
+        def inward(usable, state):
+            # per row, the state of the nearest usable row at or inside it, else the centre's
+            out = [None] * len(times)
+            for side in sides:
+                last = (centre, zero)
+                for j in side:
+                    last = state(j) if usable[j] else last
+                    out[j] = last
+            return out
+
+        start = inward(np.isfinite(phis).all(axis=1), lambda j: (nodes[j], phis[j]))
+
+        def solve(ids, states, tol, maxit, halvings):
+            def trial(rows, x, now):
+                if now is None:
+                    now = [states[i] for i in rows]
+                    return np.array([phi for _q, phi in now]) - targets[ids[rows]], now
+                inner = [q for q, _phi in now]
+                moved = self._node(lam, x, inner, partial=True)
+                r, out = np.full((len(rows), self.ell), np.nan), [None] * len(rows)
+                ok = [i for i, q in enumerate(moved) if q is not None]
+                if ok:
+                    inc = self._phi_increment(
+                        lam, np.array([inner[i].n for i in ok]), x[ok],
+                        ([inner[i] for i in ok], [moved[i] for i in ok]))
+                    for i, d in zip(ok, inc):
+                        out[i] = (moved[i], now[i][1] + d)
+                        r[i] = out[i][1] - targets[ids[rows[i]]]
+                return r, out
+
+            def step(_rows, _x, r, now):
+                return newton([q for q, _phi in now], r)
+
+            return damped_newton(np.array([q.n for q, _phi in states]), trial, step, tol, maxit, halvings)
+
+        # (4) the stacked Gauss-Newton; a row that misses the audit starts again
+        # from the nearest row inside it that meets it, while that one is new
+        rn, states, todo = np.full(len(times), np.inf), list(start), np.arange(len(times))
+        while todo.size:
+            _x, _r, rn[todo], solved = solve(todo, [start[j] for j in todo], GN_TOL, GN_MAXIT, 8)
+            for j, state in zip(todo, solved):
+                states[j] = state
+            met = rn <= AUDIT_TOL
+            nearest = inward(met, lambda j: states[j])
+            todo = np.array([j for j in range(len(times)) if not met[j] and nearest[j] is not start[j]], int)
+            for j in todo:
+                start[j] = nearest[j]
+        # (5) one more correction where it pays
+        tight = QUAD_TOL * np.maximum(1.0, np.linalg.norm(targets, axis=1))
+        redo = np.flatnonzero(rn > tight)
+        if redo.size:
+            _x, _r, rn[redo], polished = solve(redo, [states[i] for i in redo], tight[redo], 1, 1)
+            for i, state in zip(redo, polished):
+                states[i] = state
+        bad = rn > AUDIT_TOL
+        if bad.any():
+            first = int(np.flatnonzero(np.isin(ts, times[bad]))[0])
+            raise ChartDomainError(
+                f"fiber solve did not meet the audit tolerance (residual {rn[bad].max():.3e}) "
+                f"at t={ts[first]:g}, sample {first} of {len(ts)}",
+                t_achieved=float(ts[first - 1]) if first else 0.0,
+            )
+        states = [states[j] if t != 0.0 else (centre, zero) for t, j in zip(ts, np.searchsorted(times, ts))]
+        return [q for q, _phi in states], np.array([phi for _q, phi in states])
 
 
 def rate_drift(chart, p0):
-    """Change of the flow rate transported a short time along the dynamics."""
+    """Change of the flow rate transported a short time along the dynamics.
+
+    The transport is the one-row case of the chart's stacked fiber solve.
+    """
     lam, n0 = chart.coords(p0)
     node0 = chart._node(lam, n0)
     beta0 = chart.flow_rate(node0)
-    node1, _phi1 = chart._gauss_newton(lam, node0, np.zeros(chart.ell), RATE_DRIFT_DT * beta0)
+    (node1,), _phi1 = chart._gauss_newton(lam, node0, beta0, np.array([RATE_DRIFT_DT]))
     beta1 = chart.flow_rate(node1)
     return float(np.linalg.norm(beta1 - beta0) / max(1.0, np.linalg.norm(beta0)))
 
@@ -595,10 +799,10 @@ def _chart_plan(ts, window):
     """The charts that serve the grid ts, as (centre time, flow times, served).
 
     A chart serves the next times within ``window`` of its centre, the first
-    ``served`` of its flow times.  The next centre is the last time served if
-    that is past the centre, else the window's edge toward the next time,
-    which then ends the flow times.  Past ``RECENTER_LIMIT`` re-centres the
-    plan raises ChartDomainError.
+    ``served`` of its flow times.  The next centre is the last time served
+    when the next time lies within one window of it, else the window's edge
+    toward the next time, which then ends the flow times.  Past
+    ``RECENTER_LIMIT`` re-centres the plan raises ChartDomainError.
     """
     plan, centre, i = [], 0.0, 0
     while i < len(ts):
@@ -610,7 +814,7 @@ def _chart_plan(ts, window):
             j += 1
         times, nxt = list(ts[i:j]), None
         if j < len(ts):
-            if j > i and ts[j - 1] != centre:
+            if j > i and abs(ts[j] - ts[j - 1]) <= window:
                 nxt = ts[j - 1]
             else:
                 nxt = centre + np.copysign(window, ts[j] - centre)
@@ -626,12 +830,14 @@ def integrate_by_quadratures(bundle, dyn_field, p0, ts):
     Builds a complete solution chart at p0, validating the integrability
     hypotheses there, and evolves linearly in the linearized fiber
     coordinates.  ts are absolute times from p0, taken in the given order
-    (ascending recommended).  Each chart serves the times within one
-    ``chart_window`` of its centre, and the next is centred at the last time
-    served, or at the window's edge when none past the centre was served.
-    The charts are planned up front, so more than ``RECENTER_LIMIT``
-    re-centres raise ChartDomainError before any solve; a fiber solve that
-    fails raises it with the absolute time reached as ``t_achieved``.
+    (ascending recommended).  Each chart serves the consecutive times within
+    one ``chart_window`` of its centre, all of them in one stacked
+    ``linear_flow``, and the next is centred at the last time served when
+    the next time lies within one window of it, else at the window's edge
+    toward the next time.  The charts are planned up front, so more than
+    ``RECENTER_LIMIT`` re-centres raise ChartDomainError before any solve; a
+    fiber solve that fails raises it with the absolute time reached as
+    ``t_achieved``.
     """
     ts = np.asarray(ts, float)
     plan = _chart_plan(ts, chart_window(bundle, dyn_field, p0))

@@ -329,11 +329,20 @@ class MatrixGroup:
         """Transposed inverse of Ad_g: the matrix of the coadjoint action.
 
         Ad(g^-1) is the conjugation of Ad_g with g and g^-1 swapped, so no
-        dim x dim inverse is taken.
+        dim x dim inverse is taken.  A list of k elements gives the
+        (k, dim, dim) stack from one stacked conjugation; each element caches
+        its own.
         """
+        if isinstance(g, list):
+            todo = [e for e in g if e._adit is None]
+            if todo:
+                adit = self._conjugations(np.array([e.inv_matrix for e in todo]), np.array([e.matrix for e in todo]))
+                for e, a in zip(todo, adit):
+                    e._adit = a
+            return np.array([e._adit for e in g])
         if isinstance(g, GroupElement):
             if g._adit is None:
-                g._adit = self._conjugations(g.inv_matrix[None], g.matrix[None])[0]
+                self.adjoint_inv_transpose([g])
             return g._adit
         gm = np.asarray(g)
         return self._conjugations(np.linalg.inv(gm)[None], gm[None])[0]
@@ -501,46 +510,74 @@ def matrix_exp_oracle(group, xi, t=1.0):
 def damped_newton(x, trial, step, tol, maxit, halvings):
     """Backtracking Newton iteration shared by every implicit solve.
 
-    ``trial(x, state)`` returns ``(r, state)``: the residual at x and whatever
-    the caller wants back at an accepted iterate (``state`` is None on the
-    first call, the last accepted state after that, for warm starts).
-    ``step(x, r, state)`` returns the full step.  Each step is halved until
-    |r| drops, a trial that raises ChartDomainError or ValueError counting as
-    no drop; the solve ends at |r| <= tol, after ``maxit`` steps, when every
-    halving fails, or after five accepted steps in a row that cut |r| by less
-    than 4x (a converging solve contracts fast; slow decrease means the root
-    is out of reach).  A non-finite |r| raises ValueError.
+    ``x`` is one unknown vector, or a stack (m, k) of independent rows that
+    are solved together.  For a vector, ``trial(x, state)`` returns
+    ``(r, state)``: the residual at x and whatever the caller wants back at
+    an accepted iterate (``state`` is None on the first call, the last
+    accepted state after that, for warm starts), and ``step(x, r, state)``
+    returns the full step.  For a stack both take the indices of the rows at
+    hand first, ``trial(rows, x, states)`` and ``step(rows, x, r, states)``,
+    with x, r and the list of states restricted to those rows; a row whose
+    trial failed has a non-finite residual, and ``tol`` may be one bound per
+    row.
 
-    Returns ``(x, r, |r|, state)``; acceptance is the caller's call.
+    Each row is damped on its own: its step is halved until its |r| drops, a
+    trial that raises ChartDomainError or ValueError failing every row it
+    holds.  A row ends at |r| <= tol, after ``maxit`` steps, when every
+    halving fails, or after five accepted steps in a row that cut |r| by
+    less than 4x (a converging solve contracts fast; slow decrease means the
+    root is out of reach).  One trial call serves every row tried at the
+    same halving.  A non-finite starting |r| raises ValueError.
+
+    Returns ``(x, r, |r|, state)``, for a stack the stacked rows and the list
+    of states; acceptance is the caller's call.
     """
-    r, state = trial(x, None)
-    rn = math.sqrt(r @ r)
-    slow = 0
+    if np.ndim(x) == 1:
+
+        def rows_trial(_rows, xs, states):
+            r, state = trial(xs[0], None if states is None else states[0])
+            return np.asarray(r, float)[None], [state]
+
+        def rows_step(_rows, xs, r, states):
+            return np.asarray(step(xs[0], r[0], states[0]), float)[None]
+
+        xs, r, rn, states = damped_newton(np.asarray(x)[None], rows_trial, rows_step, tol, maxit, halvings)
+        return xs[0], r[0], float(rn[0]), states[0]
+
+    x = np.array(x, float)
+    tol = np.broadcast_to(np.asarray(tol, float), len(x))
+    r, states = trial(np.arange(len(x)), x, None)
+    r, states = np.array(r, float), list(states)
+    rn = np.sqrt(np.einsum("ij,ij->i", r, r))
+    if not np.isfinite(rn).all():
+        raise ValueError("Newton residual is not finite")
+    slow = np.zeros(len(x), int)
+    going = rn > tol
     for _ in range(maxit):
-        if rn <= tol:
+        rows = np.flatnonzero(going)
+        if not rows.size:
             break
-        if not math.isfinite(rn):
-            raise ValueError("Newton residual is not finite")
-        dx = step(x, r, state)
+        dx = step(rows, x[rows], r[rows], [states[i] for i in rows])
         t = 1.0
         for _bt in range(halvings):
-            x_try = x + t * dx
+            x_try = x[rows] + t * dx
             try:
-                r_try, state_try = trial(x_try, state)
+                r_try, states_try = trial(rows, x_try, [states[i] for i in rows])
+                rn_try = np.sqrt(np.einsum("ij,ij->i", r_try, r_try))
             except (ChartDomainError, ValueError):
-                t *= 0.5
-                continue
-            rn_try = math.sqrt(r_try @ r_try)
-            if rn_try < rn:
-                slow = slow + 1 if rn_try > 0.25 * rn else 0
-                x, r, rn, state = x_try, r_try, rn_try, state_try
+                rn_try = np.full(len(rows), np.nan)
+            better = rn_try < rn[rows]
+            for i in np.flatnonzero(better):
+                row = rows[i]
+                slow[row] = slow[row] + 1 if rn_try[i] > 0.25 * rn[row] else 0
+                x[row], r[row], rn[row], states[row] = x_try[i], r_try[i], rn_try[i], states_try[i]
+                going[row] = rn[row] > tol[row] and slow[row] < 5
+            rows, dx = rows[~better], dx[~better]
+            if not rows.size:
                 break
             t *= 0.5
-        else:
-            break
-        if slow >= 5:
-            break
-    return x, r, rn, state
+        going[rows] = False
+    return x, r, rn, states
 
 
 # -- Cayley chart -------------------------------------------------------------
@@ -586,6 +623,25 @@ class CayleyChart:
             return np.zeros(self.group.dim)
         return 2.0 * self.group.algebra_coords(self._half_coords_matrix(g))
 
+    def _radius(self, half):
+        """Per row of the stack A/2, its spectral radius where that may reach the
+        chart's edge, else its Frobenius norm, a bound below ``CAYLEY_RADIUS``."""
+        # the Frobenius norm bounds the spectral radius; 85-100% of the rows
+        # on the benchmark workloads stay below the edge and skip eigvals
+        frob = half.reshape(len(half), -1).view(float)
+        rho = np.sqrt(np.einsum("ij,ij->i", frob, frob))
+        far = rho >= CAYLEY_RADIUS
+        if far.any():
+            rho[far] = np.abs(np.linalg.eigvals(half[far])).max(axis=1)
+        return rho
+
+    def inside(self, x):
+        """Mask of the coordinate rows of x (k, dim) that lie in the chart and are finite."""
+        rows = np.asarray(x, float)
+        ok = np.isfinite(rows).all(axis=1)
+        half = (np.where(ok[:, None], rows, 0.0) @ self._half_basis).reshape(-1, self.group.N, self.group.N)
+        return ok & (self._radius(half) < CAYLEY_RADIUS)
+
     def _cayley(self, x):
         """Stacks of C = cay(A) and C^-1 = cay(-A) for the coordinate rows of x, from one solve."""
         rows = np.asarray(x, float).reshape(-1, self.group.dim)
@@ -593,17 +649,12 @@ class CayleyChart:
         if not np.isfinite(rows).all():
             raise ValueError("non-finite Cayley coordinates")
         half = (rows @ self._half_basis).reshape(k, N, N)
-        # the Frobenius norm bounds the spectral radius; 85-100% of the rows
-        # on the benchmark workloads stay below it and skip eigvals
-        frob = half.reshape(k, -1).view(float)
-        far = np.einsum("ij,ij->i", frob, frob) >= CAYLEY_RADIUS**2
-        if far.any():
-            rho = float(np.max(np.abs(np.linalg.eigvals(half[far]))))
-            if not rho < CAYLEY_RADIUS:
-                raise ChartDomainError(
-                    f"{self.group.name} Cayley chart: spectral radius {rho:.3e} of A/2 "
-                    f"is not below {CAYLEY_RADIUS:g}"
-                )
+        rho = self._radius(half)
+        if not (rho < CAYLEY_RADIUS).all():
+            raise ChartDomainError(
+                f"{self.group.name} Cayley chart: spectral radius {rho.max():.3e} of A/2 "
+                f"is not below {CAYLEY_RADIUS:g}"
+            )
         # rows [:k] solve (I - A/2) C = I + A/2, rows [k:] the inverse cay(-A)
         lhs = np.concatenate([self._eye - half, self._eye + half])
         both = np.linalg.solve(lhs, np.concatenate([lhs[k:], lhs[:k]]))

@@ -84,6 +84,19 @@ def test_sl2r_hyperbolic_direction():
         assert abs(np.linalg.det(e.matrix) - 1.0) <= 1e-8
 
 
+def test_sl2r_hyperbolic_coarse_grid_restarts_from_the_converged_row():
+    # a real spectrum never leaves the Cayley chart, so one chart serves
+    # [0, 6.6]; the chain's first segment gives up, every row starts from the
+    # centre, and the row at 6.6 stalls on slow steps until it starts again
+    # from the converged row at 4.4
+    grp = make_group("sl2r")
+    xi = np.array([-0.3237, 0.3145, 0.1172])
+    with forbid_exp_oracle():
+        curve = exp_semisimple(grp, xi, np.linspace(0.0, 6.6, 4))
+    assert curve.diagnostics["doublings"] == 0
+    assert sup_oracle_error(grp, xi, curve) <= 1e-9
+
+
 @pytest.mark.parametrize("key", ["so3", "su2", "sl2r"])
 def test_seeded_directions_match_oracle(key):
     g = make_group(key)

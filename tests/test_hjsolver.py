@@ -215,12 +215,12 @@ def test_backward_times():
 
 
 @pytest.mark.parametrize(
-    "ts,recenters", [([0.0, 7.5], 2), ([0.0, -7.5], 2), ([0.0, 0.5, 9.0], None)]
+    "ts,recenters", [([0.0, 7.5], 2), ([0.0, -7.5], 2), ([0.0, 0.5, 9.0], 2)]
 )
 def test_coarse_grid_past_one_chart(ts, recenters):
-    # the Killing-field window from a0 is 3.026; a chart that serves no time
-    # past its centre hands over at its window's edge, so [0, 7.5] takes the
-    # charts at 0, 3.026 and 6.052
+    # the Killing-field window from a0 is 3.026; a chart whose next time lies
+    # more than a window past its last time hands over at its window's edge,
+    # so [0, 7.5] and [0, 0.5, 9.0] take the charts at 0, 3.026 and 6.052
     b = bundle_for("so3")
     grp = b.group
     X = casimir_field_for(b)
@@ -230,6 +230,52 @@ def test_coarse_grid_past_one_chart(ts, recenters):
     assert len(s.points) == len(ts)
     if recenters is not None:
         assert s.diagnostics["recenters"] == recenters
+    xi = np.linalg.solve(b.algebra.killing_form(), a0)
+    for t, p in zip(ts, s.points):
+        assert np.linalg.norm(p.g.matrix - matrix_exp_oracle(grp, xi, t).matrix) <= 1e-8
+
+
+def test_one_chart_serves_a_grid_in_any_order():
+    # the stacked solve takes repeated, unsorted and mixed-sign times, and each
+    # time's point does not depend on the order of the grid
+    b = bundle_for("so3")
+    grp = b.group
+    X = casimir_field_for(b)
+    a0 = np.array([0.7, -0.2, 0.4])
+    p0 = PhasePoint(grp.identity(), a0)
+    ts = np.array([0.5, -0.25, 0.0, 0.5, 0.25, -0.5])
+    with forbid_exp_oracle():
+        s = integrate_by_quadratures(b, X, p0, ts)
+        ref = integrate_by_quadratures(b, X, p0, np.unique(ts))
+    assert s.diagnostics["recenters"] == 0 and len(s.points) == len(ts)
+    xi = np.linalg.solve(b.algebra.killing_form(), a0)
+    for t, p in zip(ts, s.points):
+        assert np.linalg.norm(p.g.matrix - matrix_exp_oracle(grp, xi, t).matrix) <= 1e-8
+        q = ref.points[int(np.searchsorted(ref.ts, t))]
+        assert np.array_equal(p.g.matrix, q.g.matrix) and np.array_equal(p.alpha, q.alpha)
+
+
+def test_one_segment_of_a_whole_window(monkeypatch):
+    # [0, 3.0] is one chart whose single segment spans almost its window of
+    # 3.026, longer than one quadrature can refine: the row is halved back into
+    # reach inside the one stacked solve of the flow
+    calls = []
+    solve = CompleteSolutionChart._gauss_newton
+
+    def counted(chart, lam, centre, beta, ts):
+        calls.append(len(ts))
+        return solve(chart, lam, centre, beta, ts)
+
+    monkeypatch.setattr(CompleteSolutionChart, "_gauss_newton", counted)
+    b = bundle_for("so3")
+    grp = b.group
+    X = casimir_field_for(b)
+    a0 = np.array([0.7, -0.2, 0.4])
+    ts = np.array([0.0, 3.0])
+    with forbid_exp_oracle():
+        s = integrate_by_quadratures(b, X, PhasePoint(grp.identity(), a0), ts)
+    assert s.diagnostics["recenters"] == 0 and s.diagnostics["audit_max"] <= 1e-9
+    assert calls == [1, 2]  # the rate-drift probe, then the whole flow
     xi = np.linalg.solve(b.algebra.killing_form(), a0)
     for t, p in zip(ts, s.points):
         assert np.linalg.norm(p.g.matrix - matrix_exp_oracle(grp, xi, t).matrix) <= 1e-8

@@ -294,6 +294,29 @@ def test_damped_newton_rejects_non_finite_residual():
         )
 
 
+def test_damped_newton_damps_each_row_of_a_stack_on_its_own():
+    # row 0's full step lands outside (a failed trial, NaN) and is halved onto
+    # its root; row 1 converges at full steps in the same calls; row 2 starts
+    # converged and is never tried again
+    tried = []
+
+    def trial(rows, x, _states):
+        tried.append([int(i) for i in rows])
+        r = x.copy()
+        r[(rows == 0) & (x[:, 0] < -1.0)] = np.nan
+        return r, [float(v) for v in x[:, 0]]
+
+    def step(rows, x, r, _states):
+        return np.where((rows == 0)[:, None], -2.0 * r, -r)
+
+    x, r, rn, states = damped_newton(
+        np.array([[4.0], [3.0], [0.0]]), trial, step, 1e-12, 50, 16
+    )
+    assert tried == [[0, 1, 2], [0, 1], [0]]
+    assert np.array_equal(x, np.zeros((3, 1))) and np.array_equal(rn, np.zeros(3))
+    assert states == [0.0, 0.0, 0.0]
+
+
 def test_damped_newton_maxit_bounds_the_steps():
     steps = []
 

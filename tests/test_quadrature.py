@@ -152,6 +152,47 @@ def test_singular_integrand_fails_at_the_panel_cap(chart):
     assert len(f.at) == 7
 
 
+def test_segments_are_refined_together(chart):
+    # each of m segments gets the value and the abscissae it gets alone, one
+    # integrand call holds every open segment's new abscissae, and a segment
+    # that gives up comes back NaN without failing the others
+    scalars = [lambda s: 1e-12 * s**3, lambda s: 7e-8 * s**6, np.sqrt, lambda s: 1.0 / (3.0 - s)]
+    alone = []
+    for f in scalars:
+        one = Counted(f)
+        try:
+            value = chart._segment_quad(one)
+        except ChartDomainError:
+            value = np.nan
+        alone.append((value, sorted(one.at)))
+    calls, seen = [], [[] for _ in scalars]
+
+    def integrand(seg, s):
+        calls.append(sorted(set(seg.tolist())))
+        for j, x in zip(seg, s):
+            seen[j].append(x)
+        return np.array([scalars[j](x) for j, x in zip(seg, s)])
+
+    values = chart._segment_quad(integrand, segments=len(scalars))
+    for (value, at), got, abscissae in zip(alone, values, seen):
+        assert (np.isnan(value) and np.isnan(got)) or got == value
+        assert sorted(abscissae) == at
+    assert calls[0] == [0, 1, 2, 3] and len(calls) == max(1 + (len(at) - 7) // 10 for _v, at in alone)
+
+
+def test_partial_stack_returns_the_failed_rows_as_none():
+    c = casimir_chart("so3")
+    zl = np.zeros(c.ell)
+    ns = np.linspace(0.05, 0.2, 4)[:, None] * np.ones(c.k)
+    far = ns.copy()
+    far[2] = 1e3
+    far[1] = np.nan
+    nodes = c._node(zl, far, partial=True)
+    assert nodes[1] is None and nodes[2] is None
+    for q, one in zip([nodes[0], nodes[3]], c._node(zl, ns[[0, 3]])):
+        assert np.array_equal(q.x, one.x) and np.array_equal(q.inv, one.inv)
+
+
 @pytest.mark.parametrize("key", ["so3", "su2", "sl2r"])
 def test_integrand_is_the_linearizing_jacobian(key):
     c = casimir_chart(key)
@@ -214,6 +255,15 @@ def test_panel_nodes_are_solved_as_stacks(monkeypatch):
     count = NodeCount(monkeypatch)
     one_exponential()
     assert count.kernel_calls <= 108
+
+
+def test_output_times_are_solved_as_one_stack(monkeypatch):
+    # batching guard: one stacked Gauss-Newton over the chart's output times
+    # takes 15 kernel calls for the 166 nodes (99 with one solve per time), so
+    # a fall-back to one solve per output time fails here
+    count = NodeCount(monkeypatch)
+    one_exponential()
+    assert count.kernel_calls <= 20
 
 
 class NodeCount:
