@@ -12,6 +12,7 @@ multi-segment quadrature per round, whatever the number of times.  No matrix
 exponential is used anywhere on this route.
 """
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,26 @@ LK_LOBATTO = 0.5 * np.array([1 / 6, 0.0, 5 / 6, 0.0, 5 / 6, 0.0, 1 / 6])
 
 class HypothesisError(ValueError):
     """An integrability hypothesis failed its numerical check."""
+
+
+def _solve_stack(S, b):
+    """Solutions of S[i] x = b[i] over a stack of systems, NaN where S[i] is singular."""
+    try:
+        return np.linalg.solve(S, b)
+    except np.linalg.LinAlgError:
+        out = np.full(np.shape(b), np.nan)
+        for i, (Si, bi) in enumerate(zip(S, b)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[i] = np.linalg.solve(Si, bi)
+        return out
+
+
+def _settled(values):
+    """Quadrature values, or ChartDomainError when a segment gave up (a NaN value)."""
+    if not np.isfinite(values).all():
+        raise ChartDomainError(
+            "quadrature refinement exhausted: a node left the chart or the panels passed the cap")
+    return values
 
 
 @dataclass
@@ -268,8 +289,9 @@ class CompleteSolutionChart:
             return r, states
 
         def step(_rows, _x, r, states):
+            # a singular system gives a NaN step, whose trial then fails
             S = np.array([state[1] for state in states])
-            return np.linalg.solve(S, -r[:, :, None])[:, :, 0]
+            return _solve_stack(S, -r[:, :, None])[:, :, 0]
 
         x, _r, rn, states = damped_newton(x, trial, step, tol, NEWTON_MAXIT, 16)
         met = rn <= tol
@@ -313,9 +335,10 @@ class CompleteSolutionChart:
         system, and the stack is evaluated at once: chart inversions,
         residuals, system matrices and their inverses.  The rows that miss
         ``NEWTON_TOL`` continue in one stacked ``invert``.  A row that fails
-        (it leaves the chart, its inversion does not converge, or its system
-        is not finite) fails the stack, with ChartDomainError or ValueError;
-        with ``partial`` it comes back as None instead.
+        (it leaves the chart, its residual or system is not finite, its
+        inversion does not converge, or its system is singular) fails the
+        stack, with ChartDomainError or ValueError; with ``partial`` it comes
+        back as None instead, and the other rows are solved as usual.
         """
         n = np.asarray(n, float)
         rows = n.reshape(-1, self.k)
@@ -339,8 +362,9 @@ class CompleteSolutionChart:
         # |r| against NEWTON_TOL max(1, |lam|, |n|), squared
         bound = NEWTON_TOL**2 * np.maximum(np.maximum((lam_l * lam_l).sum(1), (rows_l * rows_l).sum(1)), 1)
         ok = (r * r).sum(1) <= bound
-        if not ok.all():
-            miss = np.flatnonzero(~ok)
+        finite = np.isfinite(r).all(axis=1)
+        if not (ok | ~finite).all():
+            miss = np.flatnonzero(~ok & finite)
             X[miss], g_miss, S[miss], minv[miss], ok[miss] = self.invert(
                 lam_l[miss], rows_l[miss], X[miss], partial
             )
@@ -348,7 +372,7 @@ class CompleteSolutionChart:
                 gs[i] = g
         ok &= np.isfinite(S).all(axis=(1, 2))
         inv = np.full_like(S, np.nan)
-        inv[ok] = np.linalg.inv(S[ok])
+        inv[ok] = _solve_stack(S[ok], np.broadcast_to(np.eye(2 * dim), S[ok].shape))
         ok &= np.isfinite(inv).all(axis=(1, 2))
         if not (partial or ok.all()):
             raise ValueError("complete-solution system is not finite")
@@ -407,9 +431,10 @@ class CompleteSolutionChart:
         panel count that bisection at the rule's rate would need and gives up
         as soon as it exceeds the cap, so a probe past the chart boundary
         usually gives up after its first panel.  A non-finite value fails its
-        segment too.  One segment returns its integral and raises
-        ChartDomainError when it fails; m segments return the (m, ...) stack
-        of integrals, NaN where a segment failed.
+        segment too.  The m segments return the (m, ...) stack of integrals,
+        NaN where a segment failed; one segment (``segments`` None, the
+        integrand taking s alone) returns its integral through ``_settled``,
+        which turns the NaN into ChartDomainError.
         """
         single = segments is None
         if single:
@@ -462,7 +487,6 @@ class CompleteSolutionChart:
         for j, *_ in first:
             panels[j] = []
         build(first)
-        failed = {}
         while panels:
             splits = []
             for j in list(panels):
@@ -474,7 +498,7 @@ class CompleteSolutionChart:
                 # LK_LOBATTO has degree 5, so the summed gap is O(h^6) in the panel
                 # width: each doubling of the panels divides it by 2^6
                 elif not (len(ps) * (err / tol(total)) ** (1 / 6) <= QUAD_MAX_PANELS):
-                    out[j], failed[j] = np.full(np.shape(total), np.nan), err
+                    out[j] = np.full(np.shape(total), np.nan)
                 else:
                     _j, a, b, fa, fm, fb = ps.pop(max(range(len(ps)), key=lambda i: ps[i][0]))[2]
                     m = a + LK_NODES[3] * (b - a)
@@ -482,11 +506,8 @@ class CompleteSolutionChart:
                     continue
                 del panels[j]
             build(splits)
-        if not single:
-            return np.array([out[j] for j in range(segments)])
-        if failed:
-            raise ChartDomainError(f"quadrature refinement exhausted (estimate sum {failed[0]:.3e})")
-        return out[0]
+        values = np.array([out[j] for j in range(segments)])
+        return _settled(values[0]) if single else values
 
     def _phi_increment(self, lam, n_a, n_b, ends=None):
         """Integrals of -omega(d_lam, d_s) along the straight fiber segments n_a -> n_b.
@@ -555,10 +576,7 @@ class CompleteSolutionChart:
         evolution coordinate.
         """
         if method == "fast":
-            phi = self._phi_increment(lam, np.zeros((1, self.k)), np.reshape(n, (1, self.k)))[0]
-            if not np.isfinite(phi).all():
-                raise ChartDomainError("fiber quadrature failed: a node left the chart or the refinement gave up")
-            return phi
+            return _settled(self._phi_increment(lam, np.zeros((1, self.k)), np.reshape(n, (1, self.k)))[0])
         if method == "fd":
             lam = np.asarray(lam, float)
             h = LINMAP_FD_STEP * max(1.0, float(np.linalg.norm(lam)))
@@ -609,14 +627,19 @@ class CompleteSolutionChart:
         whatever their order, sign or repeats.  The times must lie within one
         ``chart_window`` of p0; a time whose solve fails raises
         ChartDomainError whose ``t_achieved`` is the time before it in ts
-        (0.0 for the first).  Each sample is audited against the linear
-        target; the sup of the audit residuals is in the diagnostics.
+        (0.0 for the first); a ValueError or LinAlgError out of the stack
+        also becomes ChartDomainError, with ``t_achieved`` 0.0.  Each sample
+        is audited against the linear target; the sup of the audit residuals
+        is in the diagnostics.
         """
         ts = np.asarray(ts, float)
         lam, n0 = self.coords(p0)
         centre = self._node(lam, n0)
         beta = self.flow_rate(centre)
-        nodes, phis = self._gauss_newton(lam, centre, beta, ts)
+        try:
+            nodes, phis = self._gauss_newton(lam, centre, beta, ts)
+        except (ValueError, np.linalg.LinAlgError) as err:
+            raise ChartDomainError(f"linear flow failed: {err}", t_achieved=0.0) from err
         audits = [float(a) for a in np.linalg.norm(phis - np.multiply.outer(ts, beta), axis=1)]
         diagnostics = {"lam": lam, "flow_rate": beta, "audits": audits}
         diagnostics["audit_max"] = max(audits, default=0.0)
@@ -704,17 +727,18 @@ class CompleteSolutionChart:
             n_in, n_out = np.array([q.n for q in inner]), np.array([q.n for q in outer])
             phis = running(links, self._phi_increment(lam, n_in, n_out, (inner, outer)))
 
-        def inward(usable, state):
-            # per row, the state of the nearest usable row at or inside it, else the centre's
-            out = [None] * len(times)
+        def inward(usable):
+            # per row, the index of the nearest usable row at or inside it, -1 for the centre
+            out = np.full(len(times), -1)
             for side in sides:
-                last = (centre, zero)
+                last = -1
                 for j in side:
-                    last = state(j) if usable[j] else last
+                    last = j if usable[j] else last
                     out[j] = last
             return out
 
-        start = inward(np.isfinite(phis).all(axis=1), lambda j: (nodes[j], phis[j]))
+        states = [(q, phi) for q, phi in zip(nodes, phis)]
+        start = inward(np.isfinite(phis).all(axis=1))
 
         def solve(ids, states, tol, maxit, halvings):
             def trial(rows, x, now):
@@ -740,17 +764,20 @@ class CompleteSolutionChart:
             return damped_newton(np.array([q.n for q, _phi in states]), trial, step, tol, maxit, halvings)
 
         # (4) the stacked Gauss-Newton; a row that misses the audit starts again
-        # from the nearest row inside it that meets it, while that one is new
-        rn, states, todo = np.full(len(times), np.inf), list(start), np.arange(len(times))
+        # from the nearest row inside it that meets it (-1 the centre), while
+        # that row is not the one it last started from (-2 before its first
+        # start from a met row).  Met rows stay met, so each restart starts
+        # further out and the passes end.
+        rn, todo, tried = np.full(len(times), np.inf), np.arange(len(times)), np.where(start < 0, -1, -2)
         while todo.size:
-            _x, _r, rn[todo], solved = solve(todo, [start[j] for j in todo], GN_TOL, GN_MAXIT, 8)
+            begin = [states[i] if i >= 0 else (centre, zero) for i in start[todo]]
+            _x, _r, rn[todo], solved = solve(todo, begin, GN_TOL, GN_MAXIT, 8)
             for j, state in zip(todo, solved):
                 states[j] = state
             met = rn <= AUDIT_TOL
-            nearest = inward(met, lambda j: states[j])
-            todo = np.array([j for j in range(len(times)) if not met[j] and nearest[j] is not start[j]], int)
-            for j in todo:
-                start[j] = nearest[j]
+            nearest = inward(met)
+            todo = np.flatnonzero(~met & (nearest != tried))
+            start[todo] = tried[todo] = nearest[todo]
         # (5) one more correction where it pays
         tight = QUAD_TOL * np.maximum(1.0, np.linalg.norm(targets, axis=1))
         redo = np.flatnonzero(rn > tight)

@@ -294,6 +294,20 @@ def test_fiber_solve_past_the_chart_is_a_typed_failure(monkeypatch):
     assert 3.0 < err.value.t_achieved <= 3.782
 
 
+def test_fiber_solve_whose_first_time_fails_is_a_typed_failure(monkeypatch):
+    # the only time lies past the Cayley boundary, so no row inside it meets
+    # the audit: the solve must stop after its restart from the centre and
+    # report that it reached nothing
+    window = hjsolver.chart_window
+    monkeypatch.setattr(hjsolver, "chart_window", lambda *args: 10.0 * window(*args))
+    b = bundle_for("so3")
+    X = casimir_field_for(b)
+    p0 = PhasePoint(b.group.identity(), np.array([0.7, -0.2, 0.4]))
+    with pytest.raises(ChartDomainError) as err:
+        integrate_by_quadratures(b, X, p0, np.array([0.0, 6.0]))
+    assert err.value.t_achieved == 0.0
+
+
 def test_time_zero_sample_and_state_rows():
     b = bundle_for("so3")
     grp = b.group

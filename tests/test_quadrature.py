@@ -193,6 +193,28 @@ def test_partial_stack_returns_the_failed_rows_as_none():
         assert np.array_equal(q.x, one.x) and np.array_equal(q.inv, one.inv)
 
 
+def test_partial_stack_returns_a_singular_row_as_none(monkeypatch):
+    # a singular system fails its own row only, not the stacked inversion
+    c = casimir_chart("so3")
+    zl = np.zeros(c.ell)
+    ns = np.linspace(0.05, 0.2, 4)[:, None] * np.ones(c.k)
+    alone = c._node(zl, ns[[0, 2, 3]])
+    evaluate = c._evaluate
+
+    def singular(lam, n, X):
+        r, gs, S, minv = evaluate(lam, n, X)
+        S[np.all(n == ns[1], axis=1)] = 0.0
+        return r, gs, S, minv
+
+    monkeypatch.setattr(c, "_evaluate", singular)
+    nodes = c._node(zl, ns, partial=True)
+    assert nodes[1] is None
+    for q, one in zip([nodes[0], nodes[2], nodes[3]], alone):
+        assert np.array_equal(q.x, one.x) and np.array_equal(q.inv, one.inv)
+    with pytest.raises(ValueError, match="not finite"):
+        c._node(zl, ns)
+
+
 @pytest.mark.parametrize("key", ["so3", "su2", "sl2r"])
 def test_integrand_is_the_linearizing_jacobian(key):
     c = casimir_chart(key)
