@@ -116,6 +116,7 @@ def exp_by_quadratures(group, phi, alpha, t_grid):
             "squaring_factor": 2**doublings,
             "squaring_membership_max": drift,
             "audit_max": traj.diagnostics["audit_max"],
+            "rate_drift_max": traj.diagnostics["rate_drift_max"],
         },
     )
 

@@ -8,8 +8,8 @@ a generating function and a linearizing map by one-dimensional quadratures,
 chart the linearized coordinates move on a straight line, phi(n(t)) = t beta,
 so every output time is an independent root-find, and step (4) solves all
 the times a chart serves as one stacked Gauss-Newton: one node stack and one
-multi-segment quadrature per round, whatever the number of times.  No matrix
-exponential is used anywhere on this route.
+multi-segment quadrature per round, plus a probe row backward in time whose
+flow rate checks that beta is constant.  No matrix exponential is used.
 """
 
 import contextlib
@@ -30,7 +30,7 @@ TANGENCY_SAMPLES = 8     # seeded chart points the tangency check draws around t
 TANGENCY_SEED = 4321
 TANGENCY_RADIUS = 0.1
 RATE_DRIFT_TOL = 1e-5
-RATE_DRIFT_DT = 1e-2     # flow time over which the rate drift is measured
+RATE_DRIFT_DT = 1e-2     # the rate-drift probe row sits at -RATE_DRIFT_DT, off the output chain
 REACH_MARGIN = 0.8      # share of the Cayley reach along the flow that one chart serves
 RECENTER_LIMIT = 64
 QUAD_MAX_PANELS = 16    # panels a fiber quadrature may need, by its predicted count, before it
@@ -619,29 +619,39 @@ class CompleteSolutionChart:
 
     # -- linear time evolution ---------------------------------------------
 
-    def linear_flow(self, p0, ts):
-        """Evolve p0 by the times ts via the linearized coordinates.
+    def linear_flow(self, ts):
+        """Evolve the chart centre by the times ts via the linearized coordinates.
 
         Every time t is the root of the linear target t * rate in the fiber
-        coordinates, and ``_gauss_newton`` solves all of them as one stack,
-        whatever their order, sign or repeats.  The times must lie within one
-        ``chart_window`` of p0; a time whose solve fails raises
-        ChartDomainError whose ``t_achieved`` is the time before it in ts
-        (0.0 for the first); a ValueError or LinAlgError out of the stack
-        also becomes ChartDomainError, with ``t_achieved`` 0.0.  Each sample
-        is audited against the linear target; the sup of the audit residuals
-        is in the diagnostics.
+        coordinates, and ``_gauss_newton`` solves all of them from the centre
+        node as one stack, whatever their order, sign or repeats.  The stack
+        leads with the rate-drift probe at -``RATE_DRIFT_DT``, then t = 0:
+        backward, the probe is a chain of its own and moves no output time.
+        The times must lie within one ``chart_window`` of the centre; a time
+        whose solve fails raises ChartDomainError whose ``t_achieved`` is the
+        time before it in ts, 0.0 for the first and for the probe; a
+        ValueError or LinAlgError out of the stack also becomes
+        ChartDomainError, with ``t_achieved`` 0.0.  A flow rate at the probe
+        off the centre's by more than ``RATE_DRIFT_TOL`` relative raises
+        HypothesisError.  The diagnostics hold that drift and each sample's
+        audit residual against the linear target, and their sup.
         """
         ts = np.asarray(ts, float)
-        lam, n0 = self.coords(p0)
-        centre = self._node(lam, n0)
+        centre = self._centre
         beta = self.flow_rate(centre)
         try:
-            nodes, phis = self._gauss_newton(lam, centre, beta, ts)
+            nodes, phis = self._gauss_newton(
+                centre.lam, centre, beta, np.concatenate([[-RATE_DRIFT_DT, 0.0], ts]))
         except (ValueError, np.linalg.LinAlgError) as err:
             raise ChartDomainError(f"linear flow failed: {err}", t_achieved=0.0) from err
+        drift = float(np.linalg.norm(self.flow_rate(nodes[0]) - beta) / max(1.0, np.linalg.norm(beta)))
+        if drift > RATE_DRIFT_TOL:
+            raise HypothesisError(
+                f"the flow rate drifts along the dynamics (relative drift {drift:.3e}); "
+                "the linearizing coordinates are not evolving linearly")
+        nodes, phis = nodes[2:], phis[2:]
         audits = [float(a) for a in np.linalg.norm(phis - np.multiply.outer(ts, beta), axis=1)]
-        diagnostics = {"lam": lam, "flow_rate": beta, "audits": audits}
+        diagnostics = {"lam": centre.lam, "flow_rate": beta, "audits": audits, "rate_drift": drift}
         diagnostics["audit_max"] = max(audits, default=0.0)
         return TrajectorySample(ts, [q.p for q in nodes], diagnostics)
 
@@ -669,11 +679,11 @@ class CompleteSolutionChart:
         start.  A row still above ``AUDIT_TOL`` at the end raises
         ChartDomainError, ``t_achieved`` the entry of ts before the first
         that failed (0.0 for the first).  Returns the nodes and the phi
-        values at the entries of ts (the centre and 0 where t = 0).
+        values at the entries of ts (the centre and 0 where t = 0).  ts holds
+        a nonzero time; each side of t = 0 chains on its own, so the probe row
+        ``linear_flow`` adds at a negative time leaves the positive rows alone.
         """
         times = np.unique(ts[ts != 0.0])
-        if not len(times):
-            return [centre] * len(ts), np.zeros((len(ts), self.ell))
         targets = np.multiply.outer(times, beta)
         zero = np.zeros(self.ell)
         sides = (np.flatnonzero(times > 0.0), np.flatnonzero(times < 0.0)[::-1])  # outward
@@ -790,24 +800,11 @@ class CompleteSolutionChart:
             first = int(np.flatnonzero(np.isin(ts, times[bad]))[0])
             raise ChartDomainError(
                 f"fiber solve did not meet the audit tolerance (residual {rn[bad].max():.3e}) "
-                f"at t={ts[first]:g}, sample {first} of {len(ts)}",
+                f"at t={ts[first]:g}",
                 t_achieved=float(ts[first - 1]) if first else 0.0,
             )
         states = [states[j] if t != 0.0 else (centre, zero) for t, j in zip(ts, np.searchsorted(times, ts))]
         return [q for q, _phi in states], np.array([phi for _q, phi in states])
-
-
-def rate_drift(chart, p0):
-    """Change of the flow rate transported a short time along the dynamics.
-
-    The transport is the one-row case of the chart's stacked fiber solve.
-    """
-    lam, n0 = chart.coords(p0)
-    node0 = chart._node(lam, n0)
-    beta0 = chart.flow_rate(node0)
-    (node1,), _phi1 = chart._gauss_newton(lam, node0, beta0, np.array([RATE_DRIFT_DT]))
-    beta1 = chart.flow_rate(node1)
-    return float(np.linalg.norm(beta1 - beta0) / max(1.0, np.linalg.norm(beta0)))
 
 
 def chart_window(bundle, dyn_field, p):
@@ -861,35 +858,31 @@ def integrate_by_quadratures(bundle, dyn_field, p0, ts):
     one ``chart_window`` of its centre, all of them in one stacked
     ``linear_flow``, and the next is centred at the last time served when
     the next time lies within one window of it, else at the window's edge
-    toward the next time.  The charts are planned up front, so more than
-    ``RECENTER_LIMIT`` re-centres raise ChartDomainError before any solve; a
-    fiber solve that fails raises it with the absolute time reached as
-    ``t_achieved``.
+    toward the next time; each checks its rate drift with a probe row
+    backward in time, the largest drift in the diagnostics.  The charts are
+    planned up front, so more than ``RECENTER_LIMIT`` re-centres raise
+    ChartDomainError before any solve; a fiber solve that fails raises it
+    with the absolute time reached as ``t_achieved``.
     """
     ts = np.asarray(ts, float)
     plan = _chart_plan(ts, chart_window(bundle, dyn_field, p0))
-    points, audits = [], []
+    points, audits, drifts = [], [], []
     p_base = p0
     for i, (t_base, times, served) in enumerate(plan):
         chart = CompleteSolutionChart(bundle, dyn_field, p_base, check=(i == 0))
-        if i == 0:
-            drift = rate_drift(chart, p_base)
-            if drift > RATE_DRIFT_TOL:
-                raise HypothesisError(
-                    f"the flow rate drifts along the dynamics (relative drift {drift:.3e}); "
-                    "the linearizing coordinates are not evolving linearly"
-                )
         try:
-            sample = chart.linear_flow(p_base, times - t_base)
+            sample = chart.linear_flow(times - t_base)
         except ChartDomainError as err:
             raise ChartDomainError(
                 f"{err} (chart centred at t={t_base:g})", t_achieved=t_base + err.t_achieved
             ) from err
         points.extend(sample.points[:served])
         audits.extend(sample.diagnostics["audits"])
+        drifts.append(sample.diagnostics["rate_drift"])
         p_base = sample.points[-1]
     diagnostics = {"audits": audits, "recenters": max(len(plan) - 1, 0)}
     diagnostics["audit_max"] = max(audits, default=0.0)
+    diagnostics["rate_drift_max"] = max(drifts, default=0.0)
     return TrajectorySample(ts, points, diagnostics)
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from liequad.cotangent import CotangentBundle, build_casimir_field
 from liequad.expquad import (
     ExponentialCurve,
     NoAdmissibleCovectorError,
@@ -12,6 +13,7 @@ from liequad.expquad import (
     heisenberg_scan,
     regular_scan,
 )
+from liequad.hjsolver import RATE_DRIFT_TOL, integrate_by_quadratures
 from liequad.liealg import killing_casimir, make_algebra
 from liequad.liegroup import (
     ChartDomainError,
@@ -146,6 +148,20 @@ def test_random_regular_directions_are_one_parameter_subgroups(key, seed, norm):
             prod = cur.elements[i].matrix @ cur.elements[j].matrix
             assert np.linalg.norm(prod - cur.elements[i + j].matrix) <= 1e-6
     assert sup_oracle_error(g, xi, cur) <= 1e-6
+
+
+def test_curve_reports_the_measured_rate_drift():
+    # the curve's rate drift is the one its quadrature integration measured
+    g = make_group("so3")
+    phi = killing_casimir(g.algebra)
+    alpha = g.algebra.killing_form() @ np.array([0.3, -0.5, 0.4])
+    with forbid_exp_oracle():
+        cur = exp_by_quadratures(g, phi, alpha, TS)
+        bundle = CotangentBundle(g)
+        traj = integrate_by_quadratures(
+            bundle, build_casimir_field(bundle, phi), bundle.point(g.identity(), alpha), TS)
+    assert cur.diagnostics["doublings"] == 0
+    assert cur.diagnostics["rate_drift_max"] == traj.diagnostics["rate_drift_max"] <= RATE_DRIFT_TOL
 
 
 def test_long_grid_uses_squaring_and_tracks_drift():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from liequad.cotangent import (
     CotangentBundle,
@@ -15,6 +16,8 @@ from liequad.liealg import CasimirForm, central_casimir, killing_casimir
 from liequad import hjsolver
 from liequad.liegroup import ChartDomainError, forbid_exp_oracle, make_group, matrix_exp_oracle
 from liequad.hjsolver import (
+    RATE_DRIFT_DT,
+    RATE_DRIFT_TOL,
     CompleteSolutionChart,
     HypothesisError,
     fiber_isotropy_defect,
@@ -99,7 +102,7 @@ def test_abelian_flow_is_straight_line():
     grp = b.group
     ts = np.linspace(0.0, 2.0, 9)
     with forbid_exp_oracle():
-        s = chart.linear_flow(PhasePoint(grp.identity(), a0), ts)
+        s = chart.linear_flow(ts)
     for t, p in zip(s.ts, s.points):
         want = matrix_exp_oracle(grp, a0, t)
         assert np.linalg.norm(p.g.matrix - want.matrix) <= 1e-12
@@ -255,6 +258,40 @@ def test_one_chart_serves_a_grid_in_any_order():
         assert np.array_equal(p.g.matrix, q.g.matrix) and np.array_equal(p.alpha, q.alpha)
 
 
+def test_grid_that_holds_the_rate_drift_probe_time():
+    # the grid straddles 0 and holds -RATE_DRIFT_DT, the time of the stack's
+    # own probe row: the grid gets exactly its samples, the probe none of its
+    # own, and each point does not depend on the order of the grid
+    b = bundle_for("so3")
+    grp = b.group
+    X = casimir_field_for(b)
+    a0 = np.array([0.7, -0.2, 0.4])
+    p0 = PhasePoint(grp.identity(), a0)
+    ts = np.array([0.25, -RATE_DRIFT_DT, 0.0, -0.4, 0.5, -0.1])
+    with forbid_exp_oracle():
+        s = integrate_by_quadratures(b, X, p0, ts)
+        ref = integrate_by_quadratures(b, X, p0, ts[::-1])
+    assert len(s.points) == len(s.diagnostics["audits"]) == len(ts)
+    assert 0.0 <= s.diagnostics["rate_drift_max"] <= RATE_DRIFT_TOL
+    xi = np.linalg.solve(b.algebra.killing_form(), a0)
+    for t, p, q in zip(ts, s.points, ref.points[::-1]):
+        assert np.linalg.norm(p.g.matrix - expm(t * grp.algebra_matrix(xi))) <= 1e-8
+        assert np.array_equal(p.g.matrix, q.g.matrix) and np.array_equal(p.alpha, q.alpha)
+
+
+def test_failed_rate_drift_probe_reaches_nothing(monkeypatch):
+    # with the probe row pushed behind the centre past the Cayley boundary,
+    # the output times still meet the audit and the probe alone fails: the
+    # failure must not name the last output time as reached
+    monkeypatch.setattr(hjsolver, "RATE_DRIFT_DT", 6.0)
+    b = bundle_for("so3")
+    X = casimir_field_for(b)
+    p0 = PhasePoint(b.group.identity(), np.array([0.7, -0.2, 0.4]))
+    with pytest.raises(ChartDomainError) as err:
+        integrate_by_quadratures(b, X, p0, np.array([0.0, 0.25, 0.5]))
+    assert err.value.t_achieved == 0.0
+
+
 def test_one_segment_of_a_whole_window(monkeypatch):
     # [0, 3.0] is one chart whose single segment spans almost its window of
     # 3.026, longer than one quadrature can refine: the row is halved back into
@@ -275,7 +312,7 @@ def test_one_segment_of_a_whole_window(monkeypatch):
     with forbid_exp_oracle():
         s = integrate_by_quadratures(b, X, PhasePoint(grp.identity(), a0), ts)
     assert s.diagnostics["recenters"] == 0 and s.diagnostics["audit_max"] <= 1e-9
-    assert calls == [1, 2]  # the rate-drift probe, then the whole flow
+    assert calls == [4]  # one stack: the rate-drift probe, t = 0 after it, then the flow's two times
     xi = np.linalg.solve(b.algebra.killing_form(), a0)
     for t, p in zip(ts, s.points):
         assert np.linalg.norm(p.g.matrix - matrix_exp_oracle(grp, xi, t).matrix) <= 1e-8
@@ -358,7 +395,7 @@ def test_linearizing_map_evolves_linearly():
     chart = CompleteSolutionChart(b, X, p0)
     ts = np.linspace(0.0, 1.0, 5)
     with forbid_exp_oracle():
-        s = chart.linear_flow(p0, ts)
+        s = chart.linear_flow(ts)
     beta = s.diagnostics["flow_rate"]
     lam = s.diagnostics["lam"]
     for t, p in zip(s.ts, s.points):

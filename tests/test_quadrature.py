@@ -288,6 +288,23 @@ def test_output_times_are_solved_as_one_stack(monkeypatch):
     assert count.kernel_calls <= 20
 
 
+def test_one_fiber_solve_behind_one_exponential(monkeypatch):
+    # work-count guard: the rate-drift probe is one more row of the chart's
+    # stacked fiber solve, so the exponential makes one Gauss-Newton and 8
+    # kernel calls (15 with the probe as a fiber solve of its own)
+    solves = []
+    gauss_newton = CompleteSolutionChart._gauss_newton
+
+    def counted(chart, *args):
+        solves.append(chart)
+        return gauss_newton(chart, *args)
+
+    monkeypatch.setattr(CompleteSolutionChart, "_gauss_newton", counted)
+    count = NodeCount(monkeypatch)
+    one_exponential()
+    assert len(solves) == 1 and count.kernel_calls <= 9
+
+
 class NodeCount:
     """Counts the nodes ``CompleteSolutionChart._node`` solves while patched in, and its calls."""
 
