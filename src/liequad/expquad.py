@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cotangent import CotangentBundle, build_casimir_field
-from .hjsolver import chart_window, integrate_by_quadratures
+from .hjsolver import chart_window, integrate_by_quadratures, output_times
 from .liealg import casimir_through_point, killing_casimir, make_algebra
 from .liegroup import ChartDomainError
 from .numutil import nullspace
@@ -74,8 +74,9 @@ def exp_by_quadratures(group, phi, alpha, t_grid):
     often as it takes to fit, and extended by repeated squaring; more than
     ``SQUARING_LIMIT`` halvings raise ChartDomainError up front.  The number
     of doublings and the worst membership defect of the squared matrices
-    are reported in the diagnostics.
+    are reported in the diagnostics.  A non-finite time raises ValueError.
     """
+    ts = output_times(t_grid)
     alg = group.algebra
     alpha = np.asarray(alpha, float)
     if not alg.is_coadjoint_regular(alpha):
@@ -86,7 +87,6 @@ def exp_by_quadratures(group, phi, alpha, t_grid):
     if defect > CASIMIR_POINT_TOL * max(1.0, np.linalg.norm(alpha)):
         raise ValueError(f"form is not Casimir at the base covector (defect {defect:.3e})")
 
-    ts = np.asarray(t_grid, float)
     bundle = CotangentBundle(group)
     fld = build_casimir_field(bundle, phi)
     p0 = bundle.point(group.identity(), alpha)

@@ -260,7 +260,10 @@ class CompleteSolutionChart:
     # -- chart solves ------------------------------------------------------
 
     def coords(self, p):
-        """(lam, n) of a phase point; meaningful near the center only."""
+        """(lam, n) of a phase point; meaningful near the center only.
+
+        No solve uses it: it is the forward map the tests check ``point`` against.
+        """
         ints = self.integrals
         lam = ints.value(p)
         n = self.trans @ (ints.phase_chart.to_coords(p) - ints.x0)
@@ -303,7 +306,7 @@ class CompleteSolutionChart:
         return x, list(gs), np.array(S), np.array(minv), met
 
     def point(self, lam, n):
-        return self._node(lam, n).p
+        return self._node(lam, [n])[0].p
 
     def _evaluate(self, lam, n, X):
         """Residuals against the rows (lam, n) at chart points X, and the points' data.
@@ -326,11 +329,11 @@ class CompleteSolutionChart:
         return r, gs, S, minv
 
     def _node(self, lam, n, from_node=None, partial=False):
-        """The solved node at (lam, n), or the list of nodes at the rows of n (m, k).
+        """The list of solved nodes at the rows of n (m, k).
 
         ``lam`` is one momentum value for every row or one row each;
-        ``from_node`` is the solved node each row is predicted from, one for
-        all rows or a list of one per row, the chart centre when None.  Each
+        ``from_node`` is the list of solved nodes the rows are predicted
+        from, one per row, the chart centre for every row when None.  Each
         row's first-order predictor goes through its neighbour's inverted
         system, and the stack is evaluated at once: chart inversions,
         residuals, system matrices and their inverses.  The rows that miss
@@ -339,16 +342,18 @@ class CompleteSolutionChart:
         inversion does not converge, or its system is singular) fails the
         stack, with ChartDomainError or ValueError; with ``partial`` it comes
         back as None instead, and the other rows are solved as usual.
+
+        Rows on the centre's 1-D fiber, as every row of a flow is, need no
+        Newton: that fiber is the one-parameter subgroup g0 exp(s xi) at the
+        centre's momentum, a straight line in Cayley coordinates, so the
+        first-order predictor lands on it.
         """
         n = np.asarray(n, float)
-        rows = n.reshape(-1, self.k)
-        m = len(rows)
+        m = len(n)
         lam = np.asarray(lam, float) + np.zeros((m, 1))
-        if from_node is None:
-            from_node = self._centre
-        near = from_node if isinstance(from_node, list) else [from_node] * m
+        near = [self._centre] * m if from_node is None else from_node
         step = np.concatenate(
-            [rows - np.array([q.n for q in near]), lam - np.array([q.lam for q in near])], axis=1
+            [n - np.array([q.n for q in near]), lam - np.array([q.lam for q in near])], axis=1
         )
         invs = np.array([q.inv for q in near])
         X = np.array([q.x for q in near]) + np.einsum("ijk,ik->ij", invs, step)
@@ -356,8 +361,8 @@ class CompleteSolutionChart:
         live = np.flatnonzero(self.integrals.chart.inside(X[:, :dim]) if partial else np.ones(m, bool))
         nodes = [None] * m
         if not live.size:
-            return nodes if n.ndim == 2 else nodes[0]
-        X, lam_l, rows_l = X[live], lam[live], rows[live]
+            return nodes
+        X, lam_l, rows_l = X[live], lam[live], n[live]
         r, gs, S, minv = self._evaluate(lam_l, rows_l, X)
         # |r| against NEWTON_TOL max(1, |lam|, |n|), squared
         bound = NEWTON_TOL**2 * np.maximum(np.maximum((lam_l * lam_l).sum(1), (rows_l * rows_l).sum(1)), 1)
@@ -382,7 +387,7 @@ class CompleteSolutionChart:
             nodes[live[i]] = _ChartNode(
                 self, PhasePoint(gs[i], X[i, dim:]), X[i], inv[i], minv[i], body[i], lam_l[i], rows_l[i]
             )
-        return nodes if n.ndim == 2 else nodes[0]
+        return nodes
 
     def _nodes_near(self, solved, lam, n, partial=False):
         """Nodes at the rows of n, each predicted from the nearest node of ``solved``.
@@ -403,13 +408,12 @@ class CompleteSolutionChart:
 
     # -- quadratures -------------------------------------------------------
 
-    def _segment_quad(self, integrand, ends=None, segments=None):
-        """Integrals over [0, 1] by nested panels, bisected where the error is.
+    def _segment_quad(self, integrand, segments, ends=None):
+        """Integrals over [0, 1] of m = ``segments`` segments at once, by nested panels.
 
-        ``integrand`` takes a vector of abscissae and returns its values
-        stacked, one row each.  With ``segments`` = m it integrates m
-        segments at once: the integrand takes the segment index of each
-        abscissa first, ``integrand(seg, s)``, and every integrand call below
+        Panels are bisected where the error is.  ``integrand(seg, s)`` takes
+        the segment index of each abscissa and the vector of abscissae, and
+        returns the values stacked, one row each; every integrand call below
         holds the new abscissae of every segment still open.  A panel's value
         is its 7-point Kronrod sum and its estimate the largest entry of its
         gap to the 4-point Gauss-Lobatto sum.  ``ends``, the integrand at 0
@@ -431,17 +435,9 @@ class CompleteSolutionChart:
         panel count that bisection at the rule's rate would need and gives up
         as soon as it exceeds the cap, so a probe past the chart boundary
         usually gives up after its first panel.  A non-finite value fails its
-        segment too.  The m segments return the (m, ...) stack of integrals,
-        NaN where a segment failed; one segment (``segments`` None, the
-        integrand taking s alone) returns its integral through ``_settled``,
-        which turns the NaN into ChartDomainError.
+        segment too.  Returns the (m, ...) stack of integrals, NaN where a
+        segment failed; ``_settled`` turns that NaN into ChartDomainError.
         """
-        single = segments is None
-        if single:
-            f, segments = (lambda _seg, s: integrand(s)), 1
-            ends = None if ends is None else [np.asarray(v, float)[None] for v in ends]
-        else:
-            f = integrand
 
         def tol(value):
             return QUAD_TOL * max(1.0, float(np.max(np.abs(value))))
@@ -457,7 +453,7 @@ class CompleteSolutionChart:
             new = [(p, i) for p, fp in enumerate(fs) for i, v in enumerate(fp) if v is None]
             seg = np.array([specs[p][0] for p, _i in new], int)
             s = np.array([specs[p][1] + LK_NODES[i] * (specs[p][2] - specs[p][1]) for p, i in new])
-            for (p, i), v in zip(new, f(seg, s)):
+            for (p, i), v in zip(new, integrand(seg, s)):
                 fs[p][i] = v
             for (j, a, b, *_), fp in zip(specs, fs):
                 h, fp = b - a, np.asarray(fp)
@@ -475,7 +471,7 @@ class CompleteSolutionChart:
                 else:
                     first.append(j)
             if first:
-                fm = np.asarray(f(np.array(first), np.full(len(first), LK_NODES[3])), float)
+                fm = np.asarray(integrand(np.array(first), np.full(len(first), LK_NODES[3])), float)
                 rest = []
                 for j, fmj in zip(first, fm):
                     simpson = (f0[j] + 4.0 * fmj + f1[j]) / 6.0
@@ -506,8 +502,7 @@ class CompleteSolutionChart:
                     continue
                 del panels[j]
             build(splits)
-        values = np.array([out[j] for j in range(segments)])
-        return _settled(values[0]) if single else values
+        return np.array([out[j] for j in range(segments)])
 
     def _phi_increment(self, lam, n_a, n_b, ends=None):
         """Integrals of -omega(d_lam, d_s) along the straight fiber segments n_a -> n_b.
@@ -519,8 +514,7 @@ class CompleteSolutionChart:
         (m, ell) increments, NaN where a segment failed (a node left the
         chart, or the refinement gave up).
         """
-        n_a = np.asarray(n_a, float)
-        dn = np.asarray(n_b, float) - n_a
+        dn = n_b - n_a
         if not np.any(dn):
             return np.zeros((len(dn), self.ell))
         solved = [] if ends is None else ends[0] + ends[1]
@@ -537,7 +531,7 @@ class CompleteSolutionChart:
             return values
 
         values = None if ends is None else [increments(e, dn) for e in ends]
-        return self._segment_quad(integrand, values, len(dn))
+        return self._segment_quad(integrand, len(dn), values)
 
     def generating_function(self, lam, n):
         """Path integral of the tautological form over the standard path.
@@ -555,13 +549,13 @@ class CompleteSolutionChart:
         for lam0, dlam, dn in ((zl, lam, zk), (lam, zl, n)):
             if np.any(dlam) or np.any(dn):
 
-                def leg(s):
+                def leg(_seg, s):
                     nodes = self._nodes_near(
                         solved, lam0 + np.multiply.outer(s, dlam), np.multiply.outer(s, dn)
                     )
                     return np.array([q.theta(q.tangent(dn, dlam)) for q in nodes])
 
-                total += float(self._segment_quad(leg))
+                total += float(_settled(self._segment_quad(leg, 1))[0])
         return total
 
     def linearizing_map(self, lam, n, method="fast"):
@@ -578,31 +572,21 @@ class CompleteSolutionChart:
         if method == "fast":
             return _settled(self._phi_increment(lam, np.zeros((1, self.k)), np.reshape(n, (1, self.k)))[0])
         if method == "fd":
-            lam = np.asarray(lam, float)
             h = LINMAP_FD_STEP * max(1.0, float(np.linalg.norm(lam)))
-            out = np.zeros(self.ell)
-            for j in range(self.ell):
-                e = np.zeros(self.ell)
-                e[j] = h
-                out[j] = (
-                    self.generating_function(lam + e, n)
-                    - self.generating_function(lam - e, n)
-                ) / (2.0 * h)
-            return out
+            return central_jacobian(lambda x: self.generating_function(x, n), lam, h)
         raise ValueError(f"unknown linearizing-map method {method!r}")
 
     def theta_pairing(self, lam, n):
         """Tautological form against the momentum-direction derivatives."""
-        node = self._node(lam, n)
+        node = self._node(lam, [n])[0]
         return np.array([node.theta(vj) for vj in node.lam_tangents()])
 
-    def linearizing_jacobian(self, node):
-        """Exact n-derivative of the fast linearizing map at a solved node.
+    def linearizing_jacobian(self, nodes):
+        """Exact n-derivatives of the fast linearizing map at a list of m solved nodes.
 
-        A list of nodes gives the (m, ell, k) stack from one stacked product;
-        each node caches its own.
+        Returns the (m, ell, k) stack from one stacked product; each node
+        caches its own.
         """
-        nodes = node if isinstance(node, list) else [node]
         todo = [q for q in nodes if q._ljac is None]
         if todo:
             B = np.array([q.body for q in todo])
@@ -610,7 +594,7 @@ class CompleteSolutionChart:
             L = -(B[:, :, self.k :].swapaxes(1, 2) @ (O @ B[:, :, : self.k]))
             for q, Oq, Lq in zip(todo, O, L):
                 q._omat, q._ljac = Oq, Lq
-        return np.array([q._ljac for q in nodes]) if isinstance(node, list) else node._ljac
+        return np.array([q._ljac for q in nodes])
 
     def flow_rate(self, node):
         """Time derivative of the linearizing map along the dynamics."""
@@ -640,8 +624,7 @@ class CompleteSolutionChart:
         centre = self._centre
         beta = self.flow_rate(centre)
         try:
-            nodes, phis = self._gauss_newton(
-                centre.lam, centre, beta, np.concatenate([[-RATE_DRIFT_DT, 0.0], ts]))
+            nodes, phis = self._gauss_newton(centre, beta, np.concatenate([[-RATE_DRIFT_DT, 0.0], ts]))
         except (ValueError, np.linalg.LinAlgError) as err:
             raise ChartDomainError(f"linear flow failed: {err}", t_achieved=0.0) from err
         drift = float(np.linalg.norm(self.flow_rate(nodes[0]) - beta) / max(1.0, np.linalg.norm(beta)))
@@ -655,7 +638,7 @@ class CompleteSolutionChart:
         diagnostics["audit_max"] = max(audits, default=0.0)
         return TrajectorySample(ts, [q.p for q in nodes], diagnostics)
 
-    def _gauss_newton(self, lam, centre, beta, ts):
+    def _gauss_newton(self, centre, beta, ts):
         """Fiber nodes and linearizing-map values phi at the times ts, from ``centre``, as one stack.
 
         phi is relative to the centre, and each distinct nonzero time t is
@@ -683,6 +666,7 @@ class CompleteSolutionChart:
         a nonzero time; each side of t = 0 chains on its own, so the probe row
         ``linear_flow`` adds at a negative time leaves the positive rows alone.
         """
+        lam = centre.lam
         times = np.unique(ts[ts != 0.0])
         targets = np.multiply.outer(times, beta)
         zero = np.zeros(self.ell)
@@ -716,8 +700,9 @@ class CompleteSolutionChart:
             return [nodes[i] if i >= 0 else centre for _j, i in links], [nodes[j] for j, _i in links]
 
         # (1) predict from the centre's Jacobian
-        slope = np.linalg.pinv(self.linearizing_jacobian(centre)) @ beta
-        nodes = self._node(lam, centre.n + np.multiply.outer(times, slope), centre, partial=True)
+        slope = np.linalg.pinv(self.linearizing_jacobian([centre])[0]) @ beta
+        predicted = centre.n + np.multiply.outer(times, slope)
+        nodes = self._node(lam, predicted, [centre] * len(times), partial=True)
         links = chain(nodes)
         if links:
             # (2) one correction from the trapezoid sums at the predicted rows
@@ -819,6 +804,15 @@ def chart_window(bundle, dyn_field, p):
     return REACH_MARGIN * CayleyChart(bundle.group, p.g).reach(X)
 
 
+def output_times(ts):
+    """ts as a float array, or ValueError naming the first time that is not finite."""
+    ts = np.asarray(ts, float)
+    bad = np.flatnonzero(~np.isfinite(ts))
+    if bad.size:
+        raise ValueError(f"output time ts[{bad[0]}] = {ts[bad[0]]} is not finite")
+    return ts
+
+
 def _chart_plan(ts, window):
     """The charts that serve the grid ts, as (centre time, flow times, served).
 
@@ -862,9 +856,10 @@ def integrate_by_quadratures(bundle, dyn_field, p0, ts):
     backward in time, the largest drift in the diagnostics.  The charts are
     planned up front, so more than ``RECENTER_LIMIT`` re-centres raise
     ChartDomainError before any solve; a fiber solve that fails raises it
-    with the absolute time reached as ``t_achieved``.
+    with the absolute time reached as ``t_achieved``.  A time that is not
+    finite raises ValueError before any solve.
     """
-    ts = np.asarray(ts, float)
+    ts = output_times(ts)
     plan = _chart_plan(ts, chart_window(bundle, dyn_field, p0))
     points, audits, drifts = [], [], []
     p_base = p0

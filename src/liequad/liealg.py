@@ -37,6 +37,8 @@ class LieAlgebra:
         c = np.asarray(structure_constants, dtype=float)
         if c.ndim != 3 or len(set(c.shape)) != 1:
             raise ValueError("structure constants must be an (n, n, n) array")
+        if not np.isfinite(c).all():
+            raise ValueError("structure constants must be finite")
         n = c.shape[0]
         anti = np.max(np.abs(c + np.transpose(c, (1, 0, 2)))) if n else 0.0
         if anti > STRUCTURE_TOL:
@@ -228,6 +230,8 @@ def algebra_from_file(path):
                 if len(parts) != 2 or parts[0] != "dim":
                     raise ValueError(f"{path}:{lineno}: expected header 'dim n'")
                 dim = number(int, parts[1], lineno)
+                if dim < 0:
+                    raise ValueError(f"{path}:{lineno}: negative dimension {dim}")
                 continue
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 'i j k value'")

@@ -317,35 +317,26 @@ class MatrixGroup:
         )
 
     def adjoint_matrix(self, g):
-        """Matrix of Ad_g on algebra coordinates (columns are Ad_g e_i)."""
-        if isinstance(g, GroupElement):
-            if g._ad is None:
-                g._ad = self._conjugations(g.matrix[None], g.inv_matrix[None])[0].T
-            return g._ad
-        gm = np.asarray(g)
-        return self._conjugations(gm[None], np.linalg.inv(gm)[None])[0].T
+        """Matrix of Ad_g on algebra coordinates (columns are Ad_g e_i); the element caches it."""
+        if g._ad is None:
+            g._ad = self._conjugations(g.matrix[None], g.inv_matrix[None])[0].T
+        return g._ad
 
     def adjoint_inv_transpose(self, g):
         """Transposed inverse of Ad_g: the matrix of the coadjoint action.
 
         Ad(g^-1) is the conjugation of Ad_g with g and g^-1 swapped, so no
-        dim x dim inverse is taken.  A list of k elements gives the
-        (k, dim, dim) stack from one stacked conjugation; each element caches
-        its own.
+        dim x dim inverse is taken.  ``g`` is one element, or a list of k
+        elements whose (k, dim, dim) stack comes from one stacked
+        conjugation; each element caches its own.
         """
-        if isinstance(g, list):
-            todo = [e for e in g if e._adit is None]
-            if todo:
-                adit = self._conjugations(np.array([e.inv_matrix for e in todo]), np.array([e.matrix for e in todo]))
-                for e, a in zip(todo, adit):
-                    e._adit = a
-            return np.array([e._adit for e in g])
-        if isinstance(g, GroupElement):
-            if g._adit is None:
-                self.adjoint_inv_transpose([g])
-            return g._adit
-        gm = np.asarray(g)
-        return self._conjugations(np.linalg.inv(gm)[None], gm[None])[0]
+        els = g if isinstance(g, list) else [g]
+        todo = [e for e in els if e._adit is None]
+        if todo:
+            adit = self._conjugations(np.array([e.inv_matrix for e in todo]), np.array([e.matrix for e in todo]))
+            for e, a in zip(todo, adit):
+                e._adit = a
+        return np.array([e._adit for e in g]) if isinstance(g, list) else g._adit
 
     def adjoint(self, g, xi):
         return self.adjoint_matrix(g) @ np.asarray(xi, float)
@@ -357,14 +348,12 @@ class MatrixGroup:
     # tangent helpers ----------------------------------------------------------
 
     def tangent_matrix(self, g, v_body):
-        """Tangent matrix g @ X(v) for body coordinates v."""
-        gm = g.matrix if isinstance(g, GroupElement) else np.asarray(g)
-        return gm @ self.algebra_matrix(v_body)
+        """Tangent matrix g @ X(v) for body coordinates v at the element g."""
+        return g.matrix @ self.algebra_matrix(v_body)
 
     def body_coords(self, g, tangent):
-        """Body coordinates of a tangent matrix at g: expand g^-1 dg."""
-        gm = g.matrix if isinstance(g, GroupElement) else np.asarray(g)
-        return self.algebra_coords(np.linalg.solve(gm, tangent))
+        """Body coordinates of a tangent matrix at the element g: expand g^-1 dg."""
+        return self.algebra_coords(np.linalg.solve(g.matrix, tangent))
 
 
 # -- catalogue ----------------------------------------------------------------
@@ -510,16 +499,14 @@ def matrix_exp_oracle(group, xi, t=1.0):
 def damped_newton(x, trial, step, tol, maxit, halvings):
     """Backtracking Newton iteration shared by every implicit solve.
 
-    ``x`` is one unknown vector, or a stack (m, k) of independent rows that
-    are solved together.  For a vector, ``trial(x, state)`` returns
-    ``(r, state)``: the residual at x and whatever the caller wants back at
-    an accepted iterate (``state`` is None on the first call, the last
-    accepted state after that, for warm starts), and ``step(x, r, state)``
-    returns the full step.  For a stack both take the indices of the rows at
-    hand first, ``trial(rows, x, states)`` and ``step(rows, x, r, states)``,
-    with x, r and the list of states restricted to those rows; a row whose
-    trial failed has a non-finite residual, and ``tol`` may be one bound per
-    row.
+    ``x`` is a stack (m, k) of independent rows that are solved together;
+    a single unknown is a one-row stack.  ``trial(rows, x, states)`` takes
+    the indices of the rows at hand, their x, and their states (None on the
+    first call, the last accepted states after that, for warm starts), and
+    returns ``(r, states)``: the residual rows, non-finite where a row's
+    trial failed, and whatever the caller wants back at an accepted iterate,
+    one per row.  ``step(rows, x, r, states)`` returns the full steps of the
+    rows at hand.  ``tol`` is one bound, or one per row.
 
     Each row is damped on its own: its step is halved until its |r| drops, a
     trial that raises ChartDomainError or ValueError failing every row it
@@ -529,21 +516,9 @@ def damped_newton(x, trial, step, tol, maxit, halvings):
     root is out of reach).  One trial call serves every row tried at the
     same halving.  A non-finite starting |r| raises ValueError.
 
-    Returns ``(x, r, |r|, state)``, for a stack the stacked rows and the list
-    of states; acceptance is the caller's call.
+    Returns ``(x, r, |r|, states)``, the stacked rows and the list of
+    states; acceptance is the caller's call.
     """
-    if np.ndim(x) == 1:
-
-        def rows_trial(_rows, xs, states):
-            r, state = trial(xs[0], None if states is None else states[0])
-            return np.asarray(r, float)[None], [state]
-
-        def rows_step(_rows, xs, r, states):
-            return np.asarray(step(xs[0], r[0], states[0]), float)[None]
-
-        xs, r, rn, states = damped_newton(np.asarray(x)[None], rows_trial, rows_step, tol, maxit, halvings)
-        return xs[0], r[0], float(rn[0]), states[0]
-
     x = np.array(x, float)
     tol = np.broadcast_to(np.asarray(tol, float), len(x))
     r, states = trial(np.arange(len(x)), x, None)

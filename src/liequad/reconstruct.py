@@ -410,28 +410,28 @@ class HorizontalSubmersion(_GroupFactor):
         target = sys.section(sys.project(m))
         chart = sys.chart_at(m)
         ref = chart.to_coords(m)
-        n = np.zeros(sys.group.dim) if warm is None else np.array(warm, float)
+        n = np.zeros((1, sys.group.dim)) if warm is None else np.array(warm, float)[None]
 
-        def trial(nn, _g):
+        def trial(_rows, nn, _g):
             g = self.gchart.from_coords(nn)
-            return chart.to_coords(sys.act(g, target)) - ref, g
+            return chart.to_coords(sys.act(g[0], target))[None] - ref, g
 
-        def step(nn, r, g):
+        def step(_rows, _nn, r, g):
             # small singular values are stabilizer directions; truncating
             # them keeps the step minimal-norm and bounded
-            J = self.jacobian(chart, target, g)
-            return scipy.linalg.lstsq(J, -r, cond=GAUGE_COND, lapack_driver="gelsd")[0]
+            J = self.jacobian(chart, target, g[0])
+            return scipy.linalg.lstsq(J, -r[0], cond=GAUGE_COND, lapack_driver="gelsd")[0][None]
 
         try:
             _n, _r, rn, g = damped_newton(n, trial, step, GAUGE_TOL, GAUGE_MAXIT, 20)
         except ChartDomainError as err:
             raise ReconstructionError(f"group-factor solve left the identity chart: {err}") from err
-        if rn <= GAUGE_ACCEPT:
+        if rn[0] <= GAUGE_ACCEPT:
             # stalls this small happen at ill-conditioned section points near
             # the domain edge; the residual still undercuts every consumer
-            return g
+            return g[0]
         raise ReconstructionError(
-            f"group-factor solve did not converge (residual {rn:.3e}); "
+            f"group-factor solve did not converge (residual {rn[0]:.3e}); "
             "point outside the reachable neighborhood"
         )
 

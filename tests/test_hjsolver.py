@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -12,6 +14,7 @@ from liequad.cotangent import (
     build_mixed_field,
     left_invariant_hamiltonian_field,
 )
+from liequad.expquad import exp_semisimple
 from liequad.liealg import CasimirForm, central_casimir, killing_casimir
 from liequad import hjsolver
 from liequad.liegroup import ChartDomainError, forbid_exp_oracle, make_group, matrix_exp_oracle
@@ -92,7 +95,7 @@ def test_abelian_linearizing_map_closed_form():
     assert np.isclose(np.linalg.norm(phi), np.linalg.norm(n) / np.sqrt(2.0), atol=1e-12)
     lam = np.array([0.04, -0.01, 0.03])
     assert np.allclose(chart.linearizing_map(lam, n), phi, atol=1e-12)
-    beta = chart.flow_rate(chart._node(zl, zl))
+    beta = chart.flow_rate(chart._node(zl, [zl])[0])
     assert np.isclose(np.linalg.norm(beta), np.linalg.norm(a0) / np.sqrt(2.0), atol=1e-12)
     assert np.isclose(phi @ beta, (a0 @ q_n) / 2.0, atol=1e-12)
 
@@ -299,9 +302,9 @@ def test_one_segment_of_a_whole_window(monkeypatch):
     calls = []
     solve = CompleteSolutionChart._gauss_newton
 
-    def counted(chart, lam, centre, beta, ts):
+    def counted(chart, centre, beta, ts):
         calls.append(len(ts))
-        return solve(chart, lam, centre, beta, ts)
+        return solve(chart, centre, beta, ts)
 
     monkeypatch.setattr(CompleteSolutionChart, "_gauss_newton", counted)
     b = bundle_for("so3")
@@ -345,6 +348,24 @@ def test_fiber_solve_whose_first_time_fails_is_a_typed_failure(monkeypatch):
     assert err.value.t_achieved == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_output_time_is_refused_before_any_solve(monkeypatch, bad):
+    # a NaN or infinite time has no chart plan and no doubling count: both
+    # routes name it before any node is solved
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("a node was solved")
+
+    monkeypatch.setattr(CompleteSolutionChart, "_node", no_solve)
+    b = bundle_for("so3")
+    p0 = PhasePoint(b.group.identity(), np.array([0.7, -0.2, 0.4]))
+    ts = np.array([0.0, 0.5, bad])
+    message = re.escape(f"output time ts[2] = {bad} is not finite")
+    with pytest.raises(ValueError, match=message):
+        integrate_by_quadratures(b, casimir_field_for(b), p0, ts)
+    with pytest.raises(ValueError, match=message):
+        exp_semisimple(b.group, np.array([0.3, -0.5, 0.4]), ts)
+
+
 def test_time_zero_sample_and_state_rows():
     b = bundle_for("so3")
     grp = b.group
@@ -380,9 +401,9 @@ def test_flow_rate_constant_on_fiber():
     X = casimir_field_for(b)
     chart = CompleteSolutionChart(b, X, PhasePoint(b.group.identity(), np.array([0.7, -0.2, 0.4])))
     zl = np.zeros(chart.ell)
-    beta0 = chart.flow_rate(chart._node(zl, np.zeros(chart.k)))
+    beta0 = chart.flow_rate(chart._node(zl, np.zeros((1, chart.k)))[0])
     for n in ([0.2], [-0.3], [0.45]):
-        beta = chart.flow_rate(chart._node(zl, np.array(n)))
+        beta = chart.flow_rate(chart._node(zl, [n])[0])
         assert np.allclose(beta, beta0, atol=1e-10)
 
 

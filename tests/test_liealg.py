@@ -275,6 +275,16 @@ def test_algebra_from_file(tmp_path):
     with pytest.raises(ValueError, match=r"word\.txt:1: cannot read 'three' as int"):
         algebra_from_file(word)
 
+    # non-finite constants pass no comparison with a tolerance, so they are
+    # refused as such, and a negative dimension names its line
+    for v, w in (("nan", "nan"), ("inf", "-inf")):
+        word.write_text(f"dim 2\n0 1 0 {v}\n1 0 0 {w}\n")
+        with pytest.raises(ValueError, match="must be finite"):
+            algebra_from_file(word)
+    word.write_text("dim -2\n")
+    with pytest.raises(ValueError, match=r"word\.txt:1: negative dimension -2"):
+        algebra_from_file(word)
+
 
 def test_casimir_form_energy():
     a = make_algebra("so3")

@@ -259,38 +259,39 @@ def test_damped_newton_stall_abort_after_five_slow_steps():
     # the step only halves the residual, so every accepted step is slow
     calls = []
 
-    def trial(x, _state):
+    def trial(_rows, x, _states):
         calls.append(x.copy())
-        return x, None
+        return x, [None]
 
     x, r, rn, _ = damped_newton(
-        np.array([1.0]), trial, lambda _x, r, _s: -0.5 * r, 1e-12, 50, 16
+        np.array([[1.0]]), trial, lambda _rows, _x, r, _s: -0.5 * r, 1e-12, 50, 16
     )
     assert len(calls) == 6
-    assert rn == 0.5**5 and np.array_equal(x, r)
+    assert rn[0] == 0.5**5 and np.array_equal(x, r)
 
 
 def test_damped_newton_halves_a_trial_that_leaves_the_chart():
     seen = []
 
-    def trial(x, state):
-        seen.append(float(x[0]))
-        if x[0] < -1.0:
+    def trial(_rows, x, _states):
+        seen.append(float(x[0, 0]))
+        if x[0, 0] < -1.0:
             raise ChartDomainError("left the chart")
-        return x, x[0]
+        return x, [x[0, 0]]
 
     # the doubled step from 4 lands at -4, outside; its half lands on the root
-    x, r, rn, state = damped_newton(
-        np.array([4.0]), trial, lambda _x, r, _s: -2.0 * r, 1e-12, 50, 16
+    x, r, rn, states = damped_newton(
+        np.array([[4.0]]), trial, lambda _rows, _x, r, _s: -2.0 * r, 1e-12, 50, 16
     )
     assert seen == [4.0, -4.0, 0.0]
-    assert rn == 0.0 and x[0] == 0.0 and state == 0.0
+    assert rn[0] == 0.0 and x[0, 0] == 0.0 and states == [0.0]
 
 
 def test_damped_newton_rejects_non_finite_residual():
     with pytest.raises(ValueError, match="not finite"):
         damped_newton(
-            np.array([np.nan]), lambda x, _s: (x, None), lambda _x, r, _s: -r, 1e-12, 50, 16
+            np.array([[np.nan]]), lambda _rows, x, _s: (x, [None]), lambda _rows, _x, r, _s: -r,
+            1e-12, 50, 16,
         )
 
 
@@ -320,10 +321,10 @@ def test_damped_newton_damps_each_row_of_a_stack_on_its_own():
 def test_damped_newton_maxit_bounds_the_steps():
     steps = []
 
-    def step(_x, r, _state):
+    def step(_rows, _x, r, _states):
         steps.append(1)
         return -0.9 * r  # fast contraction: the stall abort never fires
 
-    x, _r, rn, _ = damped_newton(np.array([1.0]), lambda x, _s: (x, None), step, 1e-300, 7, 16)
+    x, _r, rn, _ = damped_newton(np.array([[1.0]]), lambda _rows, x, _s: (x, [None]), step, 1e-300, 7, 16)
     assert len(steps) == 7
-    assert rn == abs(x[0]) > 0.0
+    assert rn[0] == abs(x[0, 0]) > 0.0

@@ -12,6 +12,7 @@ from liequad.hjsolver import (
     QUAD_MAX_PANELS,
     QUAD_TOL,
     CompleteSolutionChart,
+    _settled,
     integrate_by_quadratures,
 )
 from liequad.liealg import killing_casimir
@@ -33,6 +34,12 @@ def casimir_chart(key, a0=(0.7, -0.2, 0.4)):
 @pytest.fixture(scope="module")
 def chart():
     return casimir_chart("so3")
+
+
+def one_segment(chart, f, ends=None):
+    """The one-segment integral of f(s) over [0, 1], settled as the routes settle it."""
+    ends = None if ends is None else [np.asarray(v, float)[None] for v in ends]
+    return _settled(chart._segment_quad(lambda _seg, s: f(s), 1, ends))[0]
 
 
 class Counted:
@@ -63,7 +70,7 @@ def test_one_panel_integrates_degree_nine(chart, degree):
     # scaled so that the Kronrod-Lobatto gap passes the tolerance at once
     scale = 1e-12
     f = Counted(lambda s: scale * (degree + 1) * s**degree)
-    assert abs(chart._segment_quad(f) / scale - 1.0) <= 1e-14
+    assert abs(one_segment(chart, f) / scale - 1.0) <= 1e-14
     assert len(f.at) == 7
 
 
@@ -72,23 +79,23 @@ def test_estimate_is_nonzero_from_degree_six(chart, degree):
     # at this scale a one-panel estimate of the degree-6 size fails the
     # tolerance, so only a nonzero estimate makes the kernel split
     f = Counted(lambda s: 1e-8 * (degree + 1) * s**degree)
-    assert abs(chart._segment_quad(f) / 1e-8 - 1.0) <= 1e-14
+    assert abs(one_segment(chart, f) / 1e-8 - 1.0) <= 1e-14
     assert (len(f.at) > 7) == (degree == 6)
 
 
 def test_evaluation_counts(chart):
     line = Counted(lambda s: np.array([s, 2.0 - s]))
-    chart._segment_quad(line)
+    one_segment(chart, line)
     assert len(line.at) == 7
     line.at = []
-    chart._segment_quad(line, (line.f(0.0), line.f(1.0)))
+    one_segment(chart, line, (line.f(0.0), line.f(1.0)))
     assert len(line.at) == 1
     assert line.at == sorted(line.at) and 0.0 < line.at[0] and line.at[-1] < 1.0
     # each split evaluates the two half panels' interiors only: the parent's
     # ends and its centre node are the halves' ends
     for ends in (None, (0.0, 7e-8)):
         sixth = Counted(lambda s: 7e-8 * s**6)
-        assert abs(chart._segment_quad(sixth, ends) / 1e-8 - 1.0) <= 1e-14
+        assert abs(one_segment(chart, sixth, ends) / 1e-8 - 1.0) <= 1e-14
         first = 7 if ends is None else 5
         assert len(sixth.at) > first and (len(sixth.at) - first) % 10 == 0
         assert len(set(sixth.at)) == len(sixth.at)
@@ -100,7 +107,7 @@ def test_trapezoid_when_the_ends_agree(chart):
 
     f0 = np.array([0.3, -1.2])
     f1 = f0 + np.array([1e-13, -1e-13])
-    assert np.array_equal(chart._segment_quad(never, (f0, f1)), 0.5 * (f0 + f1))
+    assert np.array_equal(one_segment(chart, never, (f0, f1)), 0.5 * (f0 + f1))
 
 
 def test_simpson_rung_settles_a_cubic_on_the_centre_node(chart):
@@ -108,14 +115,14 @@ def test_simpson_rung_settles_a_cubic_on_the_centre_node(chart):
     # does not; Simpson is exact on cubics, the trapezoid 5e-13 off
     eps = 1e-12
     cubic = Counted(lambda s: 2.0 * s + (2.0 * s - 1.0) ** 3 + 3.0 * eps * s**2)
-    value = chart._segment_quad(cubic, (cubic.f(0.0), cubic.f(1.0)))
+    value = one_segment(chart, cubic, (cubic.f(0.0), cubic.f(1.0)))
     assert cubic.at == [0.5]
     assert abs(value - (1.0 + eps)) <= 1e-15
 
 
 def test_failed_simpson_rung_reuses_its_centre_node(chart):
     quartic = Counted(lambda s: 5.0 * s**4)
-    value = chart._segment_quad(quartic, (0.0, 5.0))
+    value = one_segment(chart, quartic, (0.0, 5.0))
     assert abs(value - 1.0) <= 1e-15
     assert len(quartic.at) == 5 and len(set(quartic.at)) == 5
     assert quartic.at[0] == 0.5 and 0.0 not in quartic.at and 1.0 not in quartic.at
@@ -126,7 +133,7 @@ def test_long_refinement_within_the_cap_is_unchanged(chart):
     # stays under the cap at every step
     c = 2.0
     f = Counted(lambda s: 1.0 / (1.0 + c - s))
-    assert abs(chart._segment_quad(f) - np.log((1.0 + c) / c)) <= QUAD_TOL
+    assert abs(one_segment(chart, f) - np.log((1.0 + c) / c)) <= QUAD_TOL
     assert len(f.at) == 7 + 10 * 11 and 11 < QUAD_MAX_PANELS
 
 
@@ -138,9 +145,9 @@ def test_exit_gives_up_on_a_slow_convergent_integrand(chart):
     step, whose shorter segments converge."""
     f = Counted(np.log1p)
     with pytest.raises(ChartDomainError, match="quadrature refinement exhausted"):
-        chart._segment_quad(f)
+        one_segment(chart, f)
     assert len(f.at) == 7 + 10 * 2
-    half = chart._segment_quad(lambda s: 0.5 * np.log1p(0.5 * s))
+    half = one_segment(chart, lambda s: 0.5 * np.log1p(0.5 * s))
     assert abs(half - (1.5 * np.log(1.5) - 0.5)) <= QUAD_TOL
 
 
@@ -148,7 +155,7 @@ def test_singular_integrand_fails_at_the_panel_cap(chart):
     # the first panel's estimate predicts more than QUAD_MAX_PANELS panels
     f = Counted(np.sqrt)
     with pytest.raises(ChartDomainError, match="quadrature"):
-        chart._segment_quad(f)
+        one_segment(chart, f)
     assert len(f.at) == 7
 
 
@@ -161,7 +168,7 @@ def test_segments_are_refined_together(chart):
     for f in scalars:
         one = Counted(f)
         try:
-            value = chart._segment_quad(one)
+            value = one_segment(chart, one)
         except ChartDomainError:
             value = np.nan
         alone.append((value, sorted(one.at)))
@@ -173,7 +180,7 @@ def test_segments_are_refined_together(chart):
             seen[j].append(x)
         return np.array([scalars[j](x) for j, x in zip(seg, s)])
 
-    values = chart._segment_quad(integrand, segments=len(scalars))
+    values = chart._segment_quad(integrand, len(scalars))
     for (value, at), got, abscissae in zip(alone, values, seen):
         assert (np.isnan(value) and np.isnan(got)) or got == value
         assert sorted(abscissae) == at
@@ -221,26 +228,26 @@ def test_integrand_is_the_linearizing_jacobian(key):
     rng = np.random.default_rng(11)
     zl = np.zeros(c.ell)
     for _ in range(3):
-        node = c._node(0.02 * rng.standard_normal(c.ell), 0.2 * rng.standard_normal(c.k))
+        node = c._node(0.02 * rng.standard_normal(c.ell), [0.2 * rng.standard_normal(c.k)])[0]
         dn = rng.standard_normal(c.k)
         direct = -(node.lam_body().T @ node.omat @ node.tangent(dn, zl).concat())
-        assert np.linalg.norm(c.linearizing_jacobian(node) @ dn - direct) <= 1e-13
+        assert np.linalg.norm(c.linearizing_jacobian([node])[0] @ dn - direct) <= 1e-13
 
 
 @pytest.mark.parametrize("key", ["so3", "su2", "sl2r"])
 def test_stacked_nodes_match_one_row_solves(key):
     c = casimir_chart(key)
     rng = np.random.default_rng(5)
-    base = c._node(0.02 * rng.standard_normal(c.ell), 0.2 * rng.standard_normal(c.k))
+    base = c._node(0.02 * rng.standard_normal(c.ell), [0.2 * rng.standard_normal(c.k)])[0]
     lams = base.lam + 0.01 * rng.standard_normal((4, c.ell))
     ns = base.n + 0.05 * rng.standard_normal((4, c.k))
     stack = c._node(lams, ns, from_node=[base] * 4)
     jacobians = c.linearizing_jacobian(stack)
     for node, jac, lam, n in zip(stack, jacobians, lams, ns):
-        one = c._node(lam, n, from_node=base)
+        one = c._node(lam, [n], from_node=[base])[0]
         for name in ("x", "inv", "minv"):
             assert np.max(np.abs(getattr(node, name) - getattr(one, name))) <= 1e-13, name
-        assert np.max(np.abs(jac - c.linearizing_jacobian(one))) <= 1e-13
+        assert np.max(np.abs(jac - c.linearizing_jacobian([one])[0])) <= 1e-13
 
 
 @pytest.mark.parametrize("key", ["so3", "su2", "sl2r"])
@@ -315,11 +322,31 @@ class NodeCount:
 
         def counted(chart, *args, **kwargs):
             out = node(chart, *args, **kwargs)
-            self.calls += len(out) if isinstance(out, list) else 1
+            self.calls += len(out)
             self.kernel_calls += 1
             return out
 
         monkeypatch.setattr(CompleteSolutionChart, "_node", counted)
+
+
+@pytest.mark.parametrize("key", ["so3", "su2", "sl2r"])
+def test_fiber_rows_need_no_newton(monkeypatch, key):
+    # every row of the exponential's fiber solve lies on the centre's 1-D
+    # fiber, a one-parameter subgroup and so a straight line in Cayley
+    # coordinates: the first-order predictor lands on it, and no row is
+    # handed to the chart inversion
+    inverted = []
+    invert = CompleteSolutionChart.invert
+
+    def counted(chart, lam, *args, **kwargs):
+        inverted.append(len(lam))
+        return invert(chart, lam, *args, **kwargs)
+
+    monkeypatch.setattr(CompleteSolutionChart, "invert", counted)
+    count = NodeCount(monkeypatch)
+    xi = np.array([0.3, -0.5, 0.4])
+    exp_semisimple(make_group(key), 0.75 * xi / np.linalg.norm(xi), np.linspace(0.0, 1.0, 17))
+    assert count.calls > 0 and inverted == []
 
 
 def test_one_closed_form_body_matrix_per_node(monkeypatch):
@@ -356,7 +383,7 @@ def test_non_finite_node_system_raises_value_error(chart, monkeypatch, bad):
 
     monkeypatch.setattr(ints, "evaluate", poisoned)
     with pytest.raises(ValueError):
-        chart._node(np.zeros(chart.ell), np.zeros(chart.k))
+        chart._node(np.zeros(chart.ell), np.zeros((1, chart.k)))
 
 
 def test_node_solves_behind_a_long_exponential(monkeypatch):
