@@ -25,7 +25,7 @@ import numpy as np
 
 from .liealg import CasimirForm, casimir_check
 from .liegroup import CayleyChart, GroupElement
-from .numutil import central_jacobian
+from .numutil import ball_sample, central_jacobian
 
 CASIMIR_CHECK = (32, 17)  # (count, seed) of the domain samples validating a Casimir form
 MIXED_CHECK = (16, 23)    # (count, seed) of the samples validating a mixed field
@@ -216,9 +216,9 @@ def build_casimir_field(bundle, phi):
     rng = np.random.default_rng(seed)
     if isinstance(phi, CasimirForm):
         radius = phi.domain_radius if np.isfinite(phi.domain_radius) else 1.0
-        samples = phi.domain_center + 0.9 * radius * _ball(rng, n_check, alg.dim)
+        samples = phi.domain_center + 0.9 * radius * ball_sample(rng, n_check, alg.dim)
     else:
-        samples = _ball(rng, n_check, alg.dim)
+        samples = ball_sample(rng, n_check, alg.dim)
     defect = casimir_check(alg, phi, samples)
     if defect > 1e-10:
         raise ValueError(f"form is not a Casimir on its domain (defect {defect:.3e})")
@@ -328,9 +328,3 @@ def left_invariant_hamiltonian_field(bundle, grad_h, name="invariant-hamiltonian
         return TangentPhaseVector(u, alg.ad_star(u, p.alpha))
 
     return InvariantField(bundle, evaluator, name=name)
-
-
-def _ball(rng, m, n):
-    v = rng.standard_normal((m, n))
-    v /= np.linalg.norm(v, axis=1)[:, None]
-    return v * rng.uniform(0.0, 1.0, (m, 1)) ** (1.0 / n)

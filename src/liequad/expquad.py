@@ -72,9 +72,11 @@ def exp_by_quadratures(group, phi, alpha, t_grid):
     must be coadjoint-regular and inside phi's domain.  A grid that leaves
     the base chart's ``chart_window`` is computed on the grid halved as
     often as it takes to fit, and extended by repeated squaring; more than
-    ``SQUARING_LIMIT`` halvings raise ChartDomainError up front.  The number
-    of doublings and the worst membership defect of the squared matrices
-    are reported in the diagnostics.  A non-finite time raises ValueError.
+    ``SQUARING_LIMIT`` halvings raise ChartDomainError up front, and a
+    failure on the halved grid raises it with ``t_achieved`` on the given
+    grid.  The number of doublings and the worst membership defect of the
+    squared matrices are reported in the diagnostics.  A non-finite time
+    raises ValueError.
     """
     ts = output_times(t_grid)
     alg = group.algebra
@@ -99,7 +101,15 @@ def exp_by_quadratures(group, phi, alpha, t_grid):
             f"exponential continuation failed past t={window * 2.0**SQUARING_LIMIT:g}: "
             f"the grid needs {doublings} doublings, more than {SQUARING_LIMIT}"
         )
-    traj = integrate_by_quadratures(bundle, fld, p0, ts / 2.0**doublings)
+    try:
+        traj = integrate_by_quadratures(bundle, fld, p0, ts / 2.0**doublings)
+    except ChartDomainError as err:
+        if not doublings:
+            raise
+        raise ChartDomainError(
+            f"{err}; that grid is the given one halved {doublings} times, {2**doublings}x shorter",
+            t_achieved=err.t_achieved * 2.0**doublings,
+        ) from err
 
     mats = [p.g.matrix for p in traj.points]
     drift = 0.0

@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cotangent import CotangentChart, PhasePoint, TangentPhaseVector
+from .cotangent import CotangentChart, PhasePoint
 from .liegroup import NEWTON_MAXIT, NEWTON_TOL, CayleyChart, ChartDomainError, damped_newton
 from .numutil import central_jacobian, nullspace, numerical_rank
 
-GN_TOL = 1e-10
 GN_MAXIT = 20
 AUDIT_TOL = 1e-9
 ISOTROPY_TOL = 1e-8
@@ -148,54 +147,31 @@ class FirstIntegralsMap:
         return (self.bundle.momentum_pairs(adit, alpha) - self.raw0) @ self.reduce, J
 
 
-class _ChartNode:
-    """A solved chart point with its inverted linearization.
+class _NodeRows:
+    """A chart's solved points as rows of stacked arrays; row 0 is the centre.
 
-    ``inv`` is the inverse system matrix: it takes (dn, dlam) to chart
-    velocities.  ``body`` is the same inverse with its group rows taken to
-    body coordinates by the Cayley body matrix ``minv``, so its columns are
-    the body tangents of the solution map.  ``_node`` builds a stack of
-    nodes at once; each node's arrays are its row of the stack's
-    (2 dim, 2 dim) and (dim, dim) arrays.
+    ``x`` are the chart points, ``lam`` and ``n`` their chart coordinates and
+    ``g`` the list of their group parts.  ``inv`` is each row's inverse
+    system matrix: it takes (dn, dlam) to chart velocities.  ``body`` is the
+    same inverse with its group rows taken to body coordinates by the Cayley
+    body matrix ``minv``, so its columns are the body tangents of the
+    solution map.  ``ljac`` is each row's linearizing Jacobian, NaN until
+    ``CompleteSolutionChart.linearizing_jacobian`` computes it.
     """
 
-    __slots__ = ("owner", "p", "x", "inv", "minv", "body", "lam", "n", "_omat", "_ljac")
+    def __init__(self, g, **row):
+        self.g = [g]
+        for name, a in row.items():
+            setattr(self, name, a[None])
 
-    def __init__(self, owner, p, x, inv, minv, body, lam, n):
-        self.owner = owner
-        self.p = p
-        self.x = x
-        self.inv = inv
-        self.minv = minv
-        self.body = body
-        self.lam = lam
-        self.n = n
-        self._omat = None
-        self._ljac = None
-
-    @property
-    def omat(self):
-        if self._omat is None:
-            self._omat = self.owner.bundle.omega_matrix(self.p)
-        return self._omat
-
-    def tangent(self, dn, dlam):
-        """Chart derivative of the solution map in the direction (dn, dlam)."""
-        dx = self.body @ np.concatenate([dn, dlam])
-        dim = self.owner.integrals.dim
-        return TangentPhaseVector(dx[:dim], dx[dim:])
-
-    def lam_body(self):
-        """Momentum-direction body tangents as columns of a 2*dim x ell array."""
-        return self.body[:, self.owner.k :]
-
-    def lam_tangents(self):
-        B = self.lam_body()
-        dim = self.owner.integrals.dim
-        return [TangentPhaseVector(B[:dim, j], B[dim:, j]) for j in range(B.shape[1])]
-
-    def theta(self, w):
-        return self.owner.bundle.theta(self.p, w)
+    def add(self, g, **rows):
+        """Append the rows (each array stacked, ``ljac`` NaN); returns their indices."""
+        start = len(self.g)
+        self.g += g
+        rows["ljac"] = np.full((len(g),) + self.ljac.shape[1:], np.nan)
+        for name, a in rows.items():
+            setattr(self, name, np.concatenate([getattr(self, name), a]))
+        return np.arange(start, len(self.g))
 
 
 class CompleteSolutionChart:
@@ -216,12 +192,13 @@ class CompleteSolutionChart:
         self.k = self.integrals.deficiency
         self.ell = self.integrals.rank
         ints = self.integrals
-        # the centre as a solved node, whose body matrix is I: the predictor
-        # of every row that has no solved neighbour
+        # the centre as row 0, whose body matrix is I: the predictor of every
+        # row that has no solved neighbour
         S0 = np.vstack([self.trans, ints.reduce.T @ bundle.momentum_pair_jacobian_body(center)])
         inv0 = np.linalg.inv(S0)
-        zl, zk = np.zeros(self.ell), np.zeros(self.k)
-        self._centre = _ChartNode(self, center, ints.x0, inv0, np.eye(ints.dim), inv0, zl, zk)
+        self.nodes = _NodeRows(
+            center.g, x=ints.x0, lam=np.zeros(self.ell), n=np.zeros(self.k), inv=inv0,
+            minv=np.eye(ints.dim), body=inv0, ljac=np.full((self.ell, self.k), np.nan))
         if check:
             self.check_hypotheses()
 
@@ -306,7 +283,11 @@ class CompleteSolutionChart:
         return x, list(gs), np.array(S), np.array(minv), met
 
     def point(self, lam, n):
-        return self._node(lam, [n])[0].p
+        return self._phase_point(self._node(lam, [n])[0])
+
+    def _phase_point(self, i):
+        """The phase point of row i of ``nodes``."""
+        return PhasePoint(self.nodes.g[i], self.nodes.x[i, self.integrals.dim :])
 
     def _evaluate(self, lam, n, X):
         """Residuals against the rows (lam, n) at chart points X, and the points' data.
@@ -329,39 +310,39 @@ class CompleteSolutionChart:
         return r, gs, S, minv
 
     def _node(self, lam, n, from_node=None, partial=False):
-        """The list of solved nodes at the rows of n (m, k).
+        """Solve the rows of n (m, k) into ``nodes``; returns the m new row indices.
 
         ``lam`` is one momentum value for every row or one row each;
-        ``from_node`` is the list of solved nodes the rows are predicted
-        from, one per row, the chart centre for every row when None.  Each
-        row's first-order predictor goes through its neighbour's inverted
-        system, and the stack is evaluated at once: chart inversions,
-        residuals, system matrices and their inverses.  The rows that miss
-        ``NEWTON_TOL`` continue in one stacked ``invert``.  A row that fails
-        (it leaves the chart, its residual or system is not finite, its
-        inversion does not converge, or its system is singular) fails the
-        stack, with ChartDomainError or ValueError; with ``partial`` it comes
-        back as None instead, and the other rows are solved as usual.
+        ``from_node`` holds the indices of the rows of ``nodes`` the new rows
+        are predicted from, one each, the centre (row 0) for every row when
+        None.  Each row's first-order predictor goes through its neighbour's
+        inverted system, and the stack is evaluated at once: chart
+        inversions, residuals, system matrices and their inverses.  The rows
+        that miss ``NEWTON_TOL`` continue in one stacked ``invert``.  A row
+        that fails (it leaves the chart, its residual or system is not
+        finite, its inversion does not converge, or its system is singular)
+        fails the stack, with ChartDomainError or ValueError; with
+        ``partial`` its index comes back as -1 instead, and the other rows
+        are solved as usual.  Filter the -1 out before gathering with the
+        indices: numpy reads it as the last row.
 
         Rows on the centre's 1-D fiber, as every row of a flow is, need no
         Newton: that fiber is the one-parameter subgroup g0 exp(s xi) at the
         centre's momentum, a straight line in Cayley coordinates, so the
         first-order predictor lands on it.
         """
+        nodes = self.nodes
         n = np.asarray(n, float)
         m = len(n)
         lam = np.asarray(lam, float) + np.zeros((m, 1))
-        near = [self._centre] * m if from_node is None else from_node
-        step = np.concatenate(
-            [n - np.array([q.n for q in near]), lam - np.array([q.lam for q in near])], axis=1
-        )
-        invs = np.array([q.inv for q in near])
-        X = np.array([q.x for q in near]) + np.einsum("ijk,ik->ij", invs, step)
+        near = np.zeros(m, int) if from_node is None else from_node
+        step = np.concatenate([n - nodes.n[near], lam - nodes.lam[near]], axis=1)
+        X = nodes.x[near] + np.einsum("ijk,ik->ij", nodes.inv[near], step)
         dim = self.integrals.dim
         live = np.flatnonzero(self.integrals.chart.inside(X[:, :dim]) if partial else np.ones(m, bool))
-        nodes = [None] * m
+        out = np.full(m, -1)
         if not live.size:
-            return nodes
+            return out
         X, lam_l, rows_l = X[live], lam[live], n[live]
         r, gs, S, minv = self._evaluate(lam_l, rows_l, X)
         # |r| against NEWTON_TOL max(1, |lam|, |n|), squared
@@ -383,28 +364,27 @@ class CompleteSolutionChart:
             raise ValueError("complete-solution system is not finite")
         body = inv.copy()
         body[:, :dim] = minv @ inv[:, :dim]
-        for i in np.flatnonzero(ok):
-            nodes[live[i]] = _ChartNode(
-                self, PhasePoint(gs[i], X[i, dim:]), X[i], inv[i], minv[i], body[i], lam_l[i], rows_l[i]
-            )
-        return nodes
+        ok = np.flatnonzero(ok)
+        out[live[ok]] = nodes.add([gs[i] for i in ok], x=X[ok], lam=lam_l[ok], n=rows_l[ok],
+                                  inv=inv[ok], minv=minv[ok], body=body[ok])
+        return out
 
     def _nodes_near(self, solved, lam, n, partial=False):
-        """Nodes at the rows of n, each predicted from the nearest node of ``solved``.
+        """Solve the rows of n, each predicted from the nearest row of the list ``solved``.
 
-        The chart centre predicts while ``solved`` is empty; the new nodes
-        join ``solved``.  ``partial`` is ``_node``'s: failed rows come back
-        as None.
+        ``solved`` holds row indices of ``nodes``; the centre predicts while
+        it is empty, and the new rows join it.  Returns the new row indices,
+        -1 for a row that failed under ``partial`` (``_node``'s).
         """
         lam = lam + np.zeros((len(n), 1))
         from_node = None
         if solved:
-            at = np.array([np.concatenate([q.n, q.lam]) for q in solved])
+            at = np.concatenate([self.nodes.n[solved], self.nodes.lam[solved]], axis=1)
             gap = np.concatenate([n, lam], axis=1)[:, None] - at
-            from_node = [solved[i] for i in np.argmin(np.sum(gap * gap, axis=2), axis=1)]
-        nodes = self._node(lam, n, from_node, partial)
-        solved.extend(q for q in nodes if q is not None)
-        return nodes
+            from_node = np.asarray(solved)[np.argmin(np.sum(gap * gap, axis=2), axis=1)]
+        rows = self._node(lam, n, from_node, partial)
+        solved.extend(rows[rows >= 0])
+        return rows
 
     # -- quadratures -------------------------------------------------------
 
@@ -509,25 +489,25 @@ class CompleteSolutionChart:
 
         The rows of n_a and n_b (m, k) are m segments, integrated together by
         one multi-segment quadrature whose integrand is the linearizing
-        Jacobian along each segment; ``ends``, two lists of m solved nodes,
-        are the nodes at n_a and n_b when the caller has them.  Returns the
-        (m, ell) increments, NaN where a segment failed (a node left the
-        chart, or the refinement gave up).
+        Jacobian along each segment; ``ends``, two index arrays of m rows of
+        ``nodes``, are the rows at n_a and n_b when the caller has them.
+        Returns the (m, ell) increments, NaN where a segment failed (a node
+        left the chart, or the refinement gave up).
         """
         dn = n_b - n_a
         if not np.any(dn):
             return np.zeros((len(dn), self.ell))
-        solved = [] if ends is None else ends[0] + ends[1]
+        solved = [] if ends is None else [*ends[0], *ends[1]]
 
-        def increments(nodes, steps):
-            return np.einsum("ijk,ik->ij", self.linearizing_jacobian(nodes), steps)
+        def increments(rows, steps):
+            return np.einsum("ijk,ik->ij", self.linearizing_jacobian(rows), steps)
 
         def integrand(seg, s):
-            nodes = self._nodes_near(solved, lam, n_a[seg] + s[:, None] * dn[seg], partial=True)
+            rows = self._nodes_near(solved, lam, n_a[seg] + s[:, None] * dn[seg], partial=True)
             values = np.full((len(s), self.ell), np.nan)
-            ok = [i for i, q in enumerate(nodes) if q is not None]
-            if ok:
-                values[ok] = increments([nodes[i] for i in ok], dn[seg[ok]])
+            ok = rows >= 0
+            if ok.any():
+                values[ok] = increments(rows[ok], dn[seg[ok]])
             return values
 
         values = None if ends is None else [increments(e, dn) for e in ends]
@@ -543,17 +523,20 @@ class CompleteSolutionChart:
         lam = np.asarray(lam, float)
         n = np.asarray(n, float)
         zk, zl = np.zeros(self.k), np.zeros(self.ell)
+        dim = self.integrals.dim
         total = 0.0
-        solved = []  # nodes of both legs, each new one predicted from the nearest
+        solved = []  # rows of both legs, each new one predicted from the nearest
         # leg (lam0, dlam, dn): the point at s is (lam0 + s dlam, s dn)
         for lam0, dlam, dn in ((zl, lam, zk), (lam, zl, n)):
             if np.any(dlam) or np.any(dn):
 
                 def leg(_seg, s):
-                    nodes = self._nodes_near(
+                    rows = self._nodes_near(
                         solved, lam0 + np.multiply.outer(s, dlam), np.multiply.outer(s, dn)
                     )
-                    return np.array([q.theta(q.tangent(dn, dlam)) for q in nodes])
+                    # theta of the body tangent along the leg: alpha . v
+                    v = self.nodes.body[rows, :dim] @ np.concatenate([dn, dlam])
+                    return np.einsum("ij,ij->i", self.nodes.x[rows, dim:], v)
 
                 total += float(_settled(self._segment_quad(leg, 1))[0])
         return total
@@ -578,28 +561,28 @@ class CompleteSolutionChart:
 
     def theta_pairing(self, lam, n):
         """Tautological form against the momentum-direction derivatives."""
-        node = self._node(lam, [n])[0]
-        return np.array([node.theta(vj) for vj in node.lam_tangents()])
+        i = self._node(lam, [n])[0]
+        dim = self.integrals.dim
+        return self.nodes.x[i, dim:] @ self.nodes.body[i, :dim, self.k :]
 
-    def linearizing_jacobian(self, nodes):
-        """Exact n-derivatives of the fast linearizing map at a list of m solved nodes.
+    def linearizing_jacobian(self, rows):
+        """Exact n-derivatives of the fast linearizing map at m rows of ``nodes``.
 
-        Returns the (m, ell, k) stack from one stacked product; each node
-        caches its own.
+        Returns the (m, ell, k) stack.  The rows without one yet get theirs
+        from one stacked product, kept in ``nodes.ljac``.
         """
-        todo = [q for q in nodes if q._ljac is None]
-        if todo:
-            B = np.array([q.body for q in todo])
-            O = self.bundle.omega_matrices(np.array([q.p.alpha for q in todo]))
-            L = -(B[:, :, self.k :].swapaxes(1, 2) @ (O @ B[:, :, : self.k]))
-            for q, Oq, Lq in zip(todo, O, L):
-                q._omat, q._ljac = Oq, Lq
-        return np.array([q._ljac for q in nodes])
+        nodes, rows = self.nodes, np.asarray(rows)
+        todo = rows[np.isnan(nodes.ljac[rows]).any(axis=(1, 2))]
+        if todo.size:
+            B = nodes.body[todo]
+            O = self.bundle.omega_matrices(nodes.x[todo, self.integrals.dim :])
+            nodes.ljac[todo] = -(B[:, :, self.k :].swapaxes(1, 2) @ (O @ B[:, :, : self.k]))
+        return nodes.ljac[rows]
 
-    def flow_rate(self, node):
-        """Time derivative of the linearizing map along the dynamics."""
-        X = self.field(node.p)
-        return (X.concat() @ node.omat) @ node.lam_body()
+    def flow_rate(self, i):
+        """Time derivative of the linearizing map along the dynamics at row i of ``nodes``."""
+        p = self._phase_point(i)
+        return (self.field(p).concat() @ self.bundle.omega_matrix(p)) @ self.nodes.body[i, :, self.k :]
 
     # -- linear time evolution ---------------------------------------------
 
@@ -608,7 +591,7 @@ class CompleteSolutionChart:
 
         Every time t is the root of the linear target t * rate in the fiber
         coordinates, and ``_gauss_newton`` solves all of them from the centre
-        node as one stack, whatever their order, sign or repeats.  The stack
+        as one stack, whatever their order, sign or repeats.  The stack
         leads with the rate-drift probe at -``RATE_DRIFT_DT``, then t = 0:
         backward, the probe is a chain of its own and moves no output time.
         The times must lie within one ``chart_window`` of the centre; a time
@@ -621,109 +604,105 @@ class CompleteSolutionChart:
         audit residual against the linear target, and their sup.
         """
         ts = np.asarray(ts, float)
-        centre = self._centre
-        beta = self.flow_rate(centre)
+        beta = self.flow_rate(0)
         try:
-            nodes, phis = self._gauss_newton(centre, beta, np.concatenate([[-RATE_DRIFT_DT, 0.0], ts]))
+            rows, phis = self._gauss_newton(beta, np.concatenate([[-RATE_DRIFT_DT, 0.0], ts]))
         except (ValueError, np.linalg.LinAlgError) as err:
             raise ChartDomainError(f"linear flow failed: {err}", t_achieved=0.0) from err
-        drift = float(np.linalg.norm(self.flow_rate(nodes[0]) - beta) / max(1.0, np.linalg.norm(beta)))
+        drift = float(np.linalg.norm(self.flow_rate(rows[0]) - beta) / max(1.0, np.linalg.norm(beta)))
         if drift > RATE_DRIFT_TOL:
             raise HypothesisError(
                 f"the flow rate drifts along the dynamics (relative drift {drift:.3e}); "
                 "the linearizing coordinates are not evolving linearly")
-        nodes, phis = nodes[2:], phis[2:]
+        rows, phis = rows[2:], phis[2:]
         audits = [float(a) for a in np.linalg.norm(phis - np.multiply.outer(ts, beta), axis=1)]
-        diagnostics = {"lam": centre.lam, "flow_rate": beta, "audits": audits, "rate_drift": drift}
+        diagnostics = {"lam": self.nodes.lam[0], "flow_rate": beta, "audits": audits, "rate_drift": drift}
         diagnostics["audit_max"] = max(audits, default=0.0)
-        return TrajectorySample(ts, [q.p for q in nodes], diagnostics)
+        return TrajectorySample(ts, [self._phase_point(i) for i in rows], diagnostics)
 
-    def _gauss_newton(self, centre, beta, ts):
-        """Fiber nodes and linearizing-map values phi at the times ts, from ``centre``, as one stack.
+    def _gauss_newton(self, beta, ts):
+        """Rows of ``nodes`` and linearizing-map values phi at the times ts, as one stack.
 
-        phi is relative to the centre, and each distinct nonzero time t is
-        one row, the root of phi(n) = t beta.  (1) Predict every row from
-        the centre's linearizing Jacobian and solve all rows in one node
-        stack.  (2) Correct each row once by -L(n)^+ (phi~ - t beta), phi~
-        the trapezoid running sum of the Jacobians at the predicted rows, and
-        solve the corrected rows as one stack.  (3) Integrate phi along the
-        consecutive segments outward from the centre in both time directions
-        with one multi-segment quadrature; phi at a row is the running sum.
-        (4) Correct all rows together by the stacked ``damped_newton`` with
-        steps -L(n)^+ (phi - t beta), to ``GN_TOL``; the fibers are
-        isotropic, so the integral is path independent and a trial only adds
-        the integral over its short segment.  (5) Give every row still above
-        ``QUAD_TOL`` max(1, |t beta|) one more stacked correction.  A row
-        whose chain breaks in (1)-(3) (its node left the chart or its
-        segment's quadrature gave up) starts (4) from the last row before the
-        break; in (4) a failed trial is halved like any other that did not
-        improve, and a row that ends above ``AUDIT_TOL`` runs (4) again from
-        the nearest row inside it that met it, as long as that row is a new
-        start.  A row still above ``AUDIT_TOL`` at the end raises
+        phi is relative to the centre (row 0), and each distinct nonzero time
+        t is one fiber row, the root of phi(n) = t beta.  (1) Predict every
+        row from the centre's linearizing Jacobian and solve all rows in one
+        node stack.  (2) Correct each row once by -L(n)^+ (phi~ - t beta),
+        phi~ the trapezoid running sum of the Jacobians at the predicted
+        rows, and solve the corrected rows as one stack.  (3) Integrate phi
+        along the consecutive segments outward from the centre in both time
+        directions with one multi-segment quadrature; phi at a row is the
+        running sum.  (4) Correct all rows together by the stacked
+        ``damped_newton`` with steps -L(n)^+ (phi - t beta), to ``QUAD_TOL``
+        max(1, |t beta|); the fibers are isotropic, so the integral is path
+        independent and a trial only adds the integral over its short
+        segment.  A row whose chain breaks in (1)-(3) (its node left the
+        chart or its segment's quadrature gave up) starts (4) from the last
+        row before the break; in (4) a failed trial is halved like any other
+        that did not improve, and a row that ends above ``AUDIT_TOL`` runs (4)
+        again from the nearest row inside it that met it, as long as that row
+        is a new start.  A row still above ``AUDIT_TOL`` at the end raises
         ChartDomainError, ``t_achieved`` the entry of ts before the first
-        that failed (0.0 for the first).  Returns the nodes and the phi
-        values at the entries of ts (the centre and 0 where t = 0).  ts holds
-        a nonzero time; each side of t = 0 chains on its own, so the probe row
+        that failed (0.0 for the first).  Returns the row indices and the phi
+        values at the entries of ts (row 0 and 0 where t = 0).  ts holds a
+        nonzero time; each side of t = 0 chains on its own, so the probe row
         ``linear_flow`` adds at a negative time leaves the positive rows alone.
         """
-        lam = centre.lam
+        nodes = self.nodes
+        lam = nodes.lam[0]
         times = np.unique(ts[ts != 0.0])
         targets = np.multiply.outer(times, beta)
         zero = np.zeros(self.ell)
         sides = (np.flatnonzero(times > 0.0), np.flatnonzero(times < 0.0)[::-1])  # outward
 
-        def newton(nodes, r):
-            return -np.einsum("ijk,ik->ij", np.linalg.pinv(self.linearizing_jacobian(nodes)), r)
+        def newton(rows, r):
+            return -np.einsum("ijk,ik->ij", np.linalg.pinv(self.linearizing_jacobian(rows)), r)
 
-        def chain(nodes):
-            # each side's rows out to the first without a node, with the index of
-            # the row inside each (-1 for the centre)
+        def chain(rows):
+            # each side's times out to the first without a row (-1), with the
+            # index of the time inside each (-1 for the centre)
             links = []
             for side in sides:
                 inner = -1
                 for j in side:
-                    if nodes[j] is None:
+                    if rows[j] < 0:
                         break
                     links.append((j, inner))
                     inner = j
             return links
 
         def running(links, increments):
-            # phi at each chained row, the sum of the increments out to it
+            # phi at each chained time, the sum of the increments out to it
             phis = np.full((len(times), self.ell), np.nan)
             for (j, inner), inc in zip(links, increments):
                 phis[j] = (phis[inner] if inner >= 0 else zero) + inc
             return phis
 
-        def ends(nodes, links):
-            # the nodes at the inner and outer end of each link
-            return [nodes[i] if i >= 0 else centre for _j, i in links], [nodes[j] for j, _i in links]
+        def ends(rows, links):
+            # the rows at the inner and outer end of each link
+            return np.array([rows[i] if i >= 0 else 0 for _j, i in links]), rows[[j for j, _i in links]]
 
         # (1) predict from the centre's Jacobian
-        slope = np.linalg.pinv(self.linearizing_jacobian([centre])[0]) @ beta
-        predicted = centre.n + np.multiply.outer(times, slope)
-        nodes = self._node(lam, predicted, [centre] * len(times), partial=True)
-        links = chain(nodes)
+        slope = np.linalg.pinv(self.linearizing_jacobian([0])[0]) @ beta
+        rows = self._node(lam, nodes.n[0] + np.multiply.outer(times, slope), partial=True)
+        links = chain(rows)
         if links:
             # (2) one correction from the trapezoid sums at the predicted rows
-            inner, outer = ends(nodes, links)
+            inner, outer = ends(rows, links)
             L_in, L_out = self.linearizing_jacobian(inner), self.linearizing_jacobian(outer)
-            dn = np.array([b.n - a.n for a, b in zip(inner, outer)])
-            rows = [j for j, _i in links]
-            trap = running(links, 0.5 * np.einsum("ijk,ik->ij", L_in + L_out, dn))[rows]
-            n_fix = np.array([q.n for q in outer]) + newton(outer, trap - targets[rows])
-            for j, q in zip(rows, self._node(lam, n_fix, outer, partial=True)):
-                nodes[j] = q if q is not None else nodes[j]
+            at = [j for j, _i in links]
+            dn = nodes.n[outer] - nodes.n[inner]
+            trap = running(links, 0.5 * np.einsum("ijk,ik->ij", L_in + L_out, dn))[at]
+            fixed = self._node(lam, nodes.n[outer] + newton(outer, trap - targets[at]), outer, partial=True)
+            rows[at] = np.where(fixed >= 0, fixed, outer)
         # (3) integrate along the chains
-        links = chain(nodes)
+        links = chain(rows)
         phis = np.full((len(times), self.ell), np.nan)
         if links:
-            inner, outer = ends(nodes, links)
-            n_in, n_out = np.array([q.n for q in inner]), np.array([q.n for q in outer])
-            phis = running(links, self._phi_increment(lam, n_in, n_out, (inner, outer)))
+            inner, outer = ends(rows, links)
+            phis = running(links, self._phi_increment(lam, nodes.n[inner], nodes.n[outer], (inner, outer)))
 
         def inward(usable):
-            # per row, the index of the nearest usable row at or inside it, -1 for the centre
+            # per time, the index of the nearest usable time at or inside it, -1 for the centre
             out = np.full(len(times), -1)
             for side in sides:
                 last = -1
@@ -732,31 +711,29 @@ class CompleteSolutionChart:
                     out[j] = last
             return out
 
-        states = [(q, phi) for q, phi in zip(nodes, phis)]
+        states = list(zip(rows, phis))  # (row, phi) per time
         start = inward(np.isfinite(phis).all(axis=1))
+        tight = QUAD_TOL * np.maximum(1.0, np.linalg.norm(targets, axis=1))
 
-        def solve(ids, states, tol, maxit, halvings):
-            def trial(rows, x, now):
+        def solve(ids, begin):
+            def trial(sel, x, now):
                 if now is None:
-                    now = [states[i] for i in rows]
-                    return np.array([phi for _q, phi in now]) - targets[ids[rows]], now
-                inner = [q for q, _phi in now]
+                    return np.array([phi for _i, phi in begin]) - targets[ids], begin
+                inner = np.array([i for i, _phi in now])
                 moved = self._node(lam, x, inner, partial=True)
-                r, out = np.full((len(rows), self.ell), np.nan), [None] * len(rows)
-                ok = [i for i, q in enumerate(moved) if q is not None]
-                if ok:
-                    inc = self._phi_increment(
-                        lam, np.array([inner[i].n for i in ok]), x[ok],
-                        ([inner[i] for i in ok], [moved[i] for i in ok]))
+                r, out = np.full((len(sel), self.ell), np.nan), [None] * len(sel)
+                ok = np.flatnonzero(moved >= 0)
+                if ok.size:
+                    inc = self._phi_increment(lam, nodes.n[inner[ok]], x[ok], (inner[ok], moved[ok]))
                     for i, d in zip(ok, inc):
                         out[i] = (moved[i], now[i][1] + d)
-                        r[i] = out[i][1] - targets[ids[rows[i]]]
+                        r[i] = out[i][1] - targets[ids[sel[i]]]
                 return r, out
 
-            def step(_rows, _x, r, now):
-                return newton([q for q, _phi in now], r)
+            def step(_sel, _x, r, now):
+                return newton(np.array([i for i, _phi in now]), r)
 
-            return damped_newton(np.array([q.n for q, _phi in states]), trial, step, tol, maxit, halvings)
+            return damped_newton(nodes.n[[i for i, _phi in begin]], trial, step, tight[ids], GN_MAXIT, 8)
 
         # (4) the stacked Gauss-Newton; a row that misses the audit starts again
         # from the nearest row inside it that meets it (-1 the centre), while
@@ -765,21 +742,13 @@ class CompleteSolutionChart:
         # further out and the passes end.
         rn, todo, tried = np.full(len(times), np.inf), np.arange(len(times)), np.where(start < 0, -1, -2)
         while todo.size:
-            begin = [states[i] if i >= 0 else (centre, zero) for i in start[todo]]
-            _x, _r, rn[todo], solved = solve(todo, begin, GN_TOL, GN_MAXIT, 8)
+            _x, _r, rn[todo], solved = solve(todo, [states[i] if i >= 0 else (0, zero) for i in start[todo]])
             for j, state in zip(todo, solved):
                 states[j] = state
             met = rn <= AUDIT_TOL
             nearest = inward(met)
             todo = np.flatnonzero(~met & (nearest != tried))
             start[todo] = tried[todo] = nearest[todo]
-        # (5) one more correction where it pays
-        tight = QUAD_TOL * np.maximum(1.0, np.linalg.norm(targets, axis=1))
-        redo = np.flatnonzero(rn > tight)
-        if redo.size:
-            _x, _r, rn[redo], polished = solve(redo, [states[i] for i in redo], tight[redo], 1, 1)
-            for i, state in zip(redo, polished):
-                states[i] = state
         bad = rn > AUDIT_TOL
         if bad.any():
             first = int(np.flatnonzero(np.isin(ts, times[bad]))[0])
@@ -788,8 +757,8 @@ class CompleteSolutionChart:
                 f"at t={ts[first]:g}",
                 t_achieved=float(ts[first - 1]) if first else 0.0,
             )
-        states = [states[j] if t != 0.0 else (centre, zero) for t, j in zip(ts, np.searchsorted(times, ts))]
-        return [q for q, _phi in states], np.array([phi for _q, phi in states])
+        states = [states[j] if t != 0.0 else (0, zero) for t, j in zip(ts, np.searchsorted(times, ts))]
+        return np.array([i for i, _phi in states]), np.array([phi for _i, phi in states])
 
 
 def chart_window(bundle, dyn_field, p):

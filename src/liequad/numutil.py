@@ -1,4 +1,4 @@
-"""Small shared numerical helpers: finite differences and rank tools.
+"""Small shared numerical helpers: finite differences, rank tools and ball samples.
 
 Everything here is deterministic.  Rank decisions use a relative singular
 value cutoff so that scale changes in the input do not flip decisions.
@@ -59,3 +59,10 @@ def central_jacobian(f, x, step=1e-6, richardson=False):
     if not richardson:
         return coarse
     return (4.0 * cd(step / 2.0) - coarse) / 3.0
+
+
+def ball_sample(rng, m, n):
+    """m points drawn from ``rng`` uniformly in the unit ball of R^n, as rows."""
+    v = rng.standard_normal((m, n))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    return v * rng.uniform(0.0, 1.0, (m, 1)) ** (1.0 / n)

@@ -61,12 +61,14 @@ from .liegroup import (
     _leading_block,
     _Orthogonal,
     _Pattern,
+    _pattern_projector,
+    _project_polar_real,
     _UnitDet,
     damped_newton,
     make_group,
     matrix_exp_oracle,
 )
-from .numutil import central_jacobian, nullspace
+from .numutil import ball_sample, central_jacobian, nullspace
 
 FLOW_RESIDUAL_TOL = 1e-5     # universal gate on reconstructed curves
 HORIZONTAL_TOL = 1e-6        # trivializing-submersion derivative along the field
@@ -479,14 +481,11 @@ def transversality_defect(sys, theta, m):
 
 
 def _chart_ball(sys, m0, count, seed, radius):
-    """Seeded points at random directions and radii below ``radius`` in the chart at m0."""
+    """Seeded points uniform in the ball of ``radius`` in the chart at m0."""
     chart = sys.chart_at(m0)
     u0 = chart.to_coords(m0)
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        v = rng.standard_normal(chart.dim)
-        v *= radius * rng.uniform() / np.linalg.norm(v)
-        yield chart.from_coords(u0 + v)
+    offsets = radius * ball_sample(np.random.default_rng(seed), count, chart.dim)
+    return [chart.from_coords(u0 + v) for v in offsets]
 
 
 def build_theta(sys, m0, use_exact=True):
@@ -1048,58 +1047,39 @@ def make_so3_scenario(field=None, section="position"):
         q, p = m[:3], m[3:]
         return np.array([q @ q, p @ p, q @ p])
 
-    if section == "position":
-
-        def sec(lam):
-            # clamped radicands keep the map evaluable just past the domain
-            # edge, where adaptive event location probes it
-            a, b, c = lam
-            q = np.array([np.sqrt(max(a, 0.0)), 0.0, 0.0])
-            p = np.array([c / np.sqrt(a), np.sqrt(max(b - c * c / a, 0.0)), 0.0])
-            return np.concatenate([q, p])
-
-        def sec_jacobian(ch, lam):
-            # rows q1, p1, p2 of the section in (a, b, c); past the edge the
-            # clamped p2 stays 0 and its row vanishes
-            a, b, c = lam
-            ra, r = np.sqrt(a), b - c * c / a
-            D = np.zeros((6, 3))
-            D[0] = [0.5 / ra, 0.0, 0.0]
-            D[3] = [-0.5 * c / (a * ra), 0.0, 1.0 / ra]
-            if r > 0:
-                D[4] = np.array([c * c / (a * a), 1.0, -2.0 * c / a]) / (2.0 * np.sqrt(r))
-            return D
-
-        def margin(lam):
-            a, b, c = lam
-            return float(min(a - SECTION_EPS, a * b - c * c - SECTION_EPS))
-
-    elif section == "momentum":
-
-        def sec(lam):
-            a, b, c = lam
-            p = np.array([np.sqrt(max(b, 0.0)), 0.0, 0.0])
-            q = np.array([c / np.sqrt(b), np.sqrt(max(a - c * c / b, 0.0)), 0.0])
-            return np.concatenate([q, p])
-
-        def sec_jacobian(ch, lam):
-            # rows q1, q2, p1 of the section in (a, b, c); past the edge the
-            # clamped q2 stays 0 and its row vanishes
-            a, b, c = lam
-            rb, r = np.sqrt(b), a - c * c / b
-            D = np.zeros((6, 3))
-            D[0] = [0.0, -0.5 * c / (b * rb), 1.0 / rb]
-            if r > 0:
-                D[1] = np.array([1.0, c * c / (b * b), -2.0 * c / b]) / (2.0 * np.sqrt(r))
-            D[3] = [0.0, 0.5 / rb, 0.0]
-            return D
-
-        def margin(lam):
-            a, b, c = lam
-            return float(min(b - SECTION_EPS, a * b - c * c - SECTION_EPS))
-
-    else:
+    if section not in ("position", "momentum"):
         raise ValueError(f"unknown section convention {section!r}")
+    # the momentum convention is the position one with q and p, and a and b,
+    # trading places
+    swap = section == "momentum"
+
+    def abc(lam):
+        a, b, c = lam
+        return (b, a, c) if swap else (a, b, c)
+
+    def sec(lam):
+        # clamped radicands keep the map evaluable just past the domain
+        # edge, where adaptive event location probes it
+        a, b, c = abc(lam)
+        q = np.array([np.sqrt(max(a, 0.0)), 0.0, 0.0])
+        p = np.array([c / np.sqrt(a), np.sqrt(max(b - c * c / a, 0.0)), 0.0])
+        return np.concatenate([p, q] if swap else [q, p])
+
+    def sec_jacobian(ch, lam):
+        # rows q1, p1, p2 of the position section in (a, b, c); past the edge
+        # the clamped p2 stays 0 and its row vanishes
+        a, b, c = abc(lam)
+        ra, r = np.sqrt(a), b - c * c / a
+        D = np.zeros((6, 3))
+        D[0] = [0.5 / ra, 0.0, 0.0]
+        D[3] = [-0.5 * c / (a * ra), 0.0, 1.0 / ra]
+        if r > 0:
+            D[4] = np.array([c * c / (a * a), 1.0, -2.0 * c / a]) / (2.0 * np.sqrt(r))
+        return D[[3, 4, 5, 0, 1, 2]][:, [1, 0, 2]] if swap else D
+
+    def margin(lam):
+        a, b, c = abc(lam)
+        return float(min(a - SECTION_EPS, a * b - c * c - SECTION_EPS))
 
     def random_point(rng):
         while True:
@@ -1158,20 +1138,12 @@ def _product_group():
                 continue
             pairs.append((idx, 1.0 if i == j else 0.0))
     pat = _Pattern(pairs)
+    pattern = _pattern_projector(pairs, lambda u: u.reshape(5, 5), lambda m: m.reshape(-1))
 
     def project(m):
-        out = np.array(m, dtype=float)
-        u, _s, vt = np.linalg.svd(out[:3, :3])
-        B = u @ vt
-        if np.linalg.det(B) < 0:
-            u = u.copy()
-            u[:, -1] = -u[:, -1]
-            B = u @ vt
-        out[:3, :3] = B
-        flat = out.reshape(-1)
-        for idx, val in pairs:
-            flat[idx] = val
-        return flat.reshape(5, 5)
+        out = np.array(m, dtype=float)  # the pattern writes into this copy
+        out[:3, :3] = _project_polar_real(out[:3, :3])
+        return pattern(out)
 
     block = _leading_block(3, 5)
     return MatrixGroup(

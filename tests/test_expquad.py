@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from liequad import hjsolver
 from liequad.cotangent import CotangentBundle, build_casimir_field
 from liequad.expquad import (
     ExponentialCurve,
@@ -229,6 +230,16 @@ def test_continuation_failure_reports_reached_time():
     xi = np.array([0.0, 0.0, 1.0])
     with pytest.raises(ChartDomainError, match="past t="):
         exp_semisimple(g, xi, np.array([0.0, 400.0]))
+
+
+def test_failure_on_a_halved_grid_reports_the_given_grid_time(monkeypatch):
+    # a window of three times the Cayley reach takes exp(t e3) over [0, 12] to
+    # 2 doublings, and the halved grid fails at t = 1.875 having reached 1.5:
+    # on the given grid those are 7.5 and 6.0
+    monkeypatch.setattr(hjsolver, "REACH_MARGIN", 3.0)
+    with pytest.raises(ChartDomainError, match="halved 2 times") as err:
+        exp_semisimple(make_group("so3"), np.array([0.0, 0.0, 1.0]), np.linspace(0.0, 12.0, 9))
+    assert err.value.t_achieved == 6.0
 
 
 def test_regular_scan_heis3():

@@ -302,9 +302,9 @@ def test_one_segment_of_a_whole_window(monkeypatch):
     calls = []
     solve = CompleteSolutionChart._gauss_newton
 
-    def counted(chart, centre, beta, ts):
+    def counted(chart, beta, ts):
         calls.append(len(ts))
-        return solve(chart, centre, beta, ts)
+        return solve(chart, beta, ts)
 
     monkeypatch.setattr(CompleteSolutionChart, "_gauss_newton", counted)
     b = bundle_for("so3")

@@ -194,10 +194,11 @@ def test_partial_stack_returns_the_failed_rows_as_none():
     far = ns.copy()
     far[2] = 1e3
     far[1] = np.nan
-    nodes = c._node(zl, far, partial=True)
-    assert nodes[1] is None and nodes[2] is None
-    for q, one in zip([nodes[0], nodes[3]], c._node(zl, ns[[0, 3]])):
-        assert np.array_equal(q.x, one.x) and np.array_equal(q.inv, one.inv)
+    rows = c._node(zl, far, partial=True)
+    assert rows[1] == -1 and rows[2] == -1
+    for q, one in zip(rows[[0, 3]], c._node(zl, ns[[0, 3]])):
+        for name in ("x", "inv"):
+            assert np.array_equal(getattr(c.nodes, name)[q], getattr(c.nodes, name)[one]), name
 
 
 def test_partial_stack_returns_a_singular_row_as_none(monkeypatch):
@@ -214,10 +215,11 @@ def test_partial_stack_returns_a_singular_row_as_none(monkeypatch):
         return r, gs, S, minv
 
     monkeypatch.setattr(c, "_evaluate", singular)
-    nodes = c._node(zl, ns, partial=True)
-    assert nodes[1] is None
-    for q, one in zip([nodes[0], nodes[2], nodes[3]], alone):
-        assert np.array_equal(q.x, one.x) and np.array_equal(q.inv, one.inv)
+    rows = c._node(zl, ns, partial=True)
+    assert rows[1] == -1
+    for q, one in zip(rows[[0, 2, 3]], alone):
+        for name in ("x", "inv"):
+            assert np.array_equal(getattr(c.nodes, name)[q], getattr(c.nodes, name)[one]), name
     with pytest.raises(ValueError, match="not finite"):
         c._node(zl, ns)
 
@@ -228,10 +230,12 @@ def test_integrand_is_the_linearizing_jacobian(key):
     rng = np.random.default_rng(11)
     zl = np.zeros(c.ell)
     for _ in range(3):
-        node = c._node(0.02 * rng.standard_normal(c.ell), [0.2 * rng.standard_normal(c.k)])[0]
+        i = c._node(0.02 * rng.standard_normal(c.ell), [0.2 * rng.standard_normal(c.k)])[0]
         dn = rng.standard_normal(c.k)
-        direct = -(node.lam_body().T @ node.omat @ node.tangent(dn, zl).concat())
-        assert np.linalg.norm(c.linearizing_jacobian([node])[0] @ dn - direct) <= 1e-13
+        body = c.nodes.body[i]
+        omat = c.bundle.omega_matrix(c._phase_point(i))
+        direct = -(body[:, c.k :].T @ omat @ (body @ np.concatenate([dn, zl])))
+        assert np.linalg.norm(c.linearizing_jacobian([i])[0] @ dn - direct) <= 1e-13
 
 
 @pytest.mark.parametrize("key", ["so3", "su2", "sl2r"])
@@ -239,14 +243,15 @@ def test_stacked_nodes_match_one_row_solves(key):
     c = casimir_chart(key)
     rng = np.random.default_rng(5)
     base = c._node(0.02 * rng.standard_normal(c.ell), [0.2 * rng.standard_normal(c.k)])[0]
-    lams = base.lam + 0.01 * rng.standard_normal((4, c.ell))
-    ns = base.n + 0.05 * rng.standard_normal((4, c.k))
-    stack = c._node(lams, ns, from_node=[base] * 4)
+    lams = c.nodes.lam[base] + 0.01 * rng.standard_normal((4, c.ell))
+    ns = c.nodes.n[base] + 0.05 * rng.standard_normal((4, c.k))
+    stack = c._node(lams, ns, from_node=np.full(4, base))
     jacobians = c.linearizing_jacobian(stack)
-    for node, jac, lam, n in zip(stack, jacobians, lams, ns):
-        one = c._node(lam, [n], from_node=[base])[0]
+    for row, jac, lam, n in zip(stack, jacobians, lams, ns):
+        one = c._node(lam, [n], from_node=np.array([base]))[0]
         for name in ("x", "inv", "minv"):
-            assert np.max(np.abs(getattr(node, name) - getattr(one, name))) <= 1e-13, name
+            rows = getattr(c.nodes, name)
+            assert np.max(np.abs(rows[row] - rows[one])) <= 1e-13, name
         assert np.max(np.abs(jac - c.linearizing_jacobian([one])[0])) <= 1e-13
 
 
@@ -327,6 +332,25 @@ class NodeCount:
             return out
 
         monkeypatch.setattr(CompleteSolutionChart, "_node", counted)
+
+
+@pytest.mark.parametrize("key", ["so3", "su2", "sl2r"])
+def test_phase_points_behind_one_exponential(monkeypatch, key):
+    # work-count guard: the chart keeps its solved points as rows of arrays and
+    # builds a phase point only where one leaves it (the 17 samples, the two
+    # flow-rate field calls, the tangency check's 9), 29 in all (164-174 with
+    # one per solved node); the ceiling is 10% more
+    built = []
+    post_init = PhasePoint.__post_init__
+
+    def counted(p):
+        built.append(p)
+        post_init(p)
+
+    monkeypatch.setattr(PhasePoint, "__post_init__", counted)
+    xi = np.array([0.3, -0.5, 0.4])
+    exp_semisimple(make_group(key), 0.75 * xi / np.linalg.norm(xi), np.linspace(0.0, 1.0, 17))
+    assert 0 < len(built) <= 32
 
 
 @pytest.mark.parametrize("key", ["so3", "su2", "sl2r"])
