@@ -41,7 +41,8 @@ act(g(t), section(lam(t))) and certifies that same curve three ways: it
 starts at the initial point, it satisfies the flow equation (centered finite
 differences with a small internal step, independent of how the curve was
 built), and it projects onto the quotient curve.  A curve that fails any of
-the three is refused.
+the three is refused.  The tail computes each emitted point once, and the
+gate reuses it as a stencil centre and takes its off-grid points as one batch.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import scipy.linalg
 
 from .cotangent import CotangentBundle, CotangentChart, PhasePoint
 from .expquad import NoAdmissibleCovectorError, exp_general
-from .hjsolver import HypothesisError, TrajectorySample
+from .hjsolver import HypothesisError, TrajectorySample, output_times
 from .liealg import LieAlgebra, killing_casimir
 from .liegroup import (
     CayleyChart,
@@ -304,57 +305,34 @@ def validate_invariant_system(sys):
     n_samples, seed = AXIOM_SAMPLES
     rng = np.random.default_rng(seed)
     grp = sys.group
-    out = {
-        "action_identity": 0.0,
-        "action_composition": 0.0,
-        "projection_invariance": 0.0,
-        "section_property": 0.0,
-        "field_invariance": 0.0,
-    }
+    keys = ["action_identity", "action_composition", "projection_invariance", "section_property",
+            "field_invariance"]
     if sys.momentum is not None:
-        out["momentum_equivariance"] = 0.0
-        if sys.omega_matrix is not None:
-            out["momentum_equation"] = 0.0
+        keys += ["momentum_equivariance"] + (["momentum_equation"] if sys.omega_matrix is not None else [])
+    out = dict.fromkeys(keys, 0.0)
+
+    def worst(key, value):
+        out[key] = max(out[key], float(value))
+
     for _ in range(n_samples):
         m = sys.random_point(rng)
         g = matrix_exp_oracle(grp, 0.4 * rng.standard_normal(grp.dim))
         h = matrix_exp_oracle(grp, 0.4 * rng.standard_normal(grp.dim))
-        out["action_identity"] = max(
-            out["action_identity"], sys.chart_distance(m, sys.act(grp.identity(), m))
-        )
-        out["action_composition"] = max(
-            out["action_composition"],
-            sys.chart_distance(sys.act(g @ h, m), sys.act(g, sys.act(h, m))),
-        )
-        out["projection_invariance"] = max(
-            out["projection_invariance"],
-            float(np.linalg.norm(sys.project(sys.act(g, m)) - sys.project(m))),
-        )
+        worst("action_identity", sys.chart_distance(m, sys.act(grp.identity(), m)))
+        worst("action_composition", sys.chart_distance(sys.act(g @ h, m), sys.act(g, sys.act(h, m))))
+        worst("projection_invariance", np.linalg.norm(sys.project(sys.act(g, m)) - sys.project(m)))
         lam = sys.project(m)
         if sys.section_margin(lam) > 0:
-            out["section_property"] = max(
-                out["section_property"],
-                float(np.linalg.norm(sys.project(sys.section(lam)) - lam)),
-            )
+            worst("section_property", np.linalg.norm(sys.project(sys.section(lam)) - lam))
         chart, u, du = sys.velocity_at(m)
         gm = sys.act(g, m)
         gchart = sys.chart_at(gm)
         pushed = _along_field(lambda mm: gchart.to_coords(sys.act(g, mm)), chart, u, du)
-        dv = sys.velocity(gchart, gchart.to_coords(gm), point=gm)
-        out["field_invariance"] = max(
-            out["field_invariance"], float(np.linalg.norm(pushed - dv))
-        )
+        worst("field_invariance", np.linalg.norm(pushed - sys.velocity(gchart, gchart.to_coords(gm), point=gm)))
         if sys.momentum is not None:
-            out["momentum_equivariance"] = max(
-                out["momentum_equivariance"],
-                float(
-                    np.linalg.norm(
-                        sys.momentum(sys.act(g, m)) - grp.coadjoint(g, sys.momentum(m))
-                    )
-                ),
-            )
+            worst("momentum_equivariance", np.linalg.norm(sys.momentum(gm) - grp.coadjoint(g, sys.momentum(m))))
             if sys.omega_matrix is not None:
-                out["momentum_equation"] = max(out["momentum_equation"], momentum_defect(sys, m))
+                worst("momentum_equation", momentum_defect(sys, m))
     return out
 
 
@@ -364,8 +342,9 @@ def validate_invariant_system(sys):
 class _GroupFactor:
     """Group-factor map m -> g with act(g, section(project(m))) = m.
 
-    Subclasses define ``__call__(m, warm=None)``; ``warm`` is a start in the
-    Cayley chart of the group at the identity, as returned by ``coords_of``.
+    Subclasses define ``__call__(m, warm=None)`` and ``factors(ms, warm=None)``,
+    its stacked form; ``warm`` is a start in the Cayley chart of the group at
+    the identity, as returned by ``coords_of``.
     """
 
     def __init__(self, sys):
@@ -385,13 +364,14 @@ class HorizontalSubmersion(_GroupFactor):
     """Group-factor map of a section: solves act(g, section(project(m))) = m.
 
     The solve is Gauss-Newton over Cayley-chart coordinates n of g near the
-    identity, with minimum-norm steps; on positive-dimensional stabilizers
-    the steps stay orthogonal to the gauge directions, which fixes the
-    representative deterministically.  The base point maps to the identity.
-    The Jacobian is exact: moving n by dn moves g by the body velocity
-    M(g)^-1 dn, M the Cayley chart's tangent matrix, which moves
-    act(g, target) along the generator of Ad_g M(g)^-1 dn, so
-    J = W(act(g, target)) Ad_g M(g)^-1 with W the scenario's generators.
+    identity, one stacked solve per call of ``factors``, with minimum-norm
+    steps; on positive-dimensional stabilizers the steps stay orthogonal to
+    the gauge directions, which fixes the representative deterministically.
+    The base point maps to the identity.  The Jacobian is exact: moving n by
+    dn moves g by the body velocity M(g)^-1 dn, M the Cayley chart's tangent
+    matrix, which moves act(g, target) along the generator of
+    Ad_g M(g)^-1 dn, so J = W(act(g, target)) Ad_g M(g)^-1 with W the
+    scenario's generators.
 
     A point whose factor cannot be certified raises ReconstructionError:
     either the residual stalls above ``GAUGE_ACCEPT``, or the solve's start
@@ -408,32 +388,37 @@ class HorizontalSubmersion(_GroupFactor):
         super().__init__(sys)
 
     def __call__(self, m, warm=None):
+        return self.factors([m], warm)[0]
+
+    def factors(self, ms, warm=None):
+        """Group factors of the points ms as one stack, every row started from ``warm``."""
         sys = self.sys
-        target = sys.section(sys.project(m))
-        chart = sys.chart_at(m)
-        ref = chart.to_coords(m)
-        n = np.zeros((1, sys.group.dim)) if warm is None else np.array(warm, float)[None]
+        targets = [sys.section(sys.project(m)) for m in ms]
+        charts = [sys.chart_at(m) for m in ms]
+        ref = np.array([c.to_coords(m) for c, m in zip(charts, ms)])
+        n = np.tile(np.zeros(sys.group.dim) if warm is None else np.asarray(warm, float), (len(ms), 1))
 
-        def trial(_rows, nn, _g):
+        def trial(rows, nn, _g):
             g = self.gchart.from_coords(nn)
-            return chart.to_coords(sys.act(g[0], target))[None] - ref, g
+            r = [charts[i].to_coords(sys.act(gi, targets[i])) for i, gi in zip(rows, g)]
+            return np.array(r) - ref[rows], g
 
-        def step(_rows, _nn, r, g):
+        def step(rows, _nn, r, g):
             # small singular values are stabilizer directions; truncating
             # them keeps the step minimal-norm and bounded
-            J = self.jacobian(chart, target, g[0])
-            return scipy.linalg.lstsq(J, -r[0], cond=GAUGE_COND, lapack_driver="gelsd")[0][None]
+            return np.array([scipy.linalg.lstsq(self.jacobian(charts[i], targets[i], gi), -ri, cond=GAUGE_COND,
+                                                lapack_driver="gelsd")[0] for i, gi, ri in zip(rows, g, r)])
 
         try:
             _n, _r, rn, g = damped_newton(n, trial, step, GAUGE_TOL, GAUGE_MAXIT, 20)
         except ChartDomainError as err:
             raise ReconstructionError(f"group-factor solve left the identity chart: {err}") from err
-        if rn[0] <= GAUGE_ACCEPT:
+        if np.max(rn) <= GAUGE_ACCEPT:
             # stalls this small happen at ill-conditioned section points near
             # the domain edge; the residual still undercuts every consumer
-            return g[0]
+            return g
         raise ReconstructionError(
-            f"group-factor solve did not converge (residual {rn[0]:.3e}); "
+            f"group-factor solve did not converge (residual {np.max(rn):.3e}); "
             "point outside the reachable neighborhood"
         )
 
@@ -460,6 +445,9 @@ class ClosedFormFactor(_GroupFactor):
 
     def __call__(self, m, warm=None):
         return self.fn(m)
+
+    def factors(self, ms, warm=None):
+        return [self.fn(m) for m in ms]
 
 
 def transversality_defect(sys, theta, m):
@@ -493,8 +481,9 @@ def build_theta(sys, m0, use_exact=True):
 
     Scenarios with a closed-form group factor use it directly unless
     ``use_exact`` is off.  Certification samples the defining identity and
-    the section-to-identity property in a chart ball around the base point,
-    and checks joint transversality with the quotient projection there.
+    the section-to-identity property in a chart ball around the base point
+    (one stacked factor solve for both), and checks joint transversality
+    with the quotient projection there.
     """
     if use_exact and sys.exact_theta is not None:
         theta = ClosedFormFactor(sys, sys.exact_theta)
@@ -506,14 +495,11 @@ def build_theta(sys, m0, use_exact=True):
         raise ReconstructionError(
             f"group factor at the base point is not the identity (gap {ident_gap:.3e})"
         )
-    worst = 0.0
-    worst_sec = 0.0
-    for m in _chart_ball(sys, m0, *THETA_BALL):
-        if sys.section_margin(sys.project(m)) <= 0:
-            continue
-        worst = max(worst, theta.defining_defect(m))
-        gs = theta(sys.section(sys.project(m)))
-        worst_sec = max(worst_sec, float(np.linalg.norm(gs.matrix - np.eye(sys.group.N))))
+    ball = [m for m in _chart_ball(sys, m0, *THETA_BALL) if sys.section_margin(sys.project(m)) > 0]
+    secs = [sys.section(sys.project(m)) for m in ball]
+    gs = theta.factors(ball + secs) if ball else []
+    worst = max([sys.chart_distance(m, sys.act(g, s)) for m, g, s in zip(ball, gs, secs)], default=0.0)
+    worst_sec = max([float(np.linalg.norm(g.matrix - np.eye(sys.group.N))) for g in gs[len(ball):]], default=0.0)
     if worst > THETA_SAMPLE_TOL or worst_sec > THETA_SAMPLE_TOL:
         raise ReconstructionError(
             f"trivializing submersion failed certification "
@@ -542,55 +528,56 @@ def _algebra_fit(group, mat):
 # -- flow-equation gate --------------------------------------------------------
 
 
-def flow_residual_rows(sys, evaluate, ts):
+def flow_residual_rows(sys, evaluate, ts, points):
     """Per-sample |centered-difference derivative - field| along a curve.
 
-    ``evaluate`` must produce the curve point at any time in a small
-    enlargement of the grid interval; near the ends the difference stencil
-    is shifted inward so only interior evaluations occur.
+    ``points`` are the curve at ts; ``evaluate`` takes a vector of times in
+    a small enlargement of the grid interval and returns the curve points
+    there.  Each stencil t -+ ``FD_STEP`` is centred on the emitted point;
+    near the ends it is shifted inward so only interior evaluations occur,
+    and the shifted centre is evaluated too.  Every off-grid point comes
+    from one ``evaluate`` call.
     """
     ts = np.asarray(ts, float)
-    lo, hi = ts[0] + FD_STEP, ts[-1] - FD_STEP
+    k = len(ts)
+    tc = np.clip(ts, ts[0] + FD_STEP, ts[-1] - FD_STEP)
+    off = evaluate(np.concatenate([tc + FD_STEP, tc - FD_STEP, tc[tc != ts]]))
+    shifted = iter(off[2 * k:])
+    centres = [next(shifted) if c != t else m for t, c, m in zip(ts, tc, points)]
     rows = []
-    for t in ts:
-        tc = min(max(t, lo), hi)
-        mc = evaluate(tc)
+    for mc, plus, minus in zip(centres, off[:k], off[k:2 * k]):
         chart = sys.chart_at(mc)
-        dfd = (
-            chart.to_coords(evaluate(tc + FD_STEP)) - chart.to_coords(evaluate(tc - FD_STEP))
-        ) / (2.0 * FD_STEP)
+        dfd = (chart.to_coords(plus) - chart.to_coords(minus)) / (2.0 * FD_STEP)
         du = sys.velocity(chart, chart.to_coords(mc), point=mc)
         rows.append(float(np.linalg.norm(dfd - du)))
     return np.asarray(rows)
 
 
-def flow_residual_max(sys, evaluate, ts):
-    """Sup over the grid of the per-sample flow-equation defect."""
-    return float(np.max(flow_residual_rows(sys, evaluate, ts)))
-
-
 def _certified(sys, p0, ts, factor, lam, quotient_tol, diagnostics, t_reached=None, audit=None):
     """Emit act(factor(t), section(lam(t))) on ts and certify that same curve.
 
-    The curve must start at p0, satisfy the flow equation (the gate's
-    ``evaluate`` is built from the same factor and quotient curve) and
-    project onto lam within ``quotient_tol``; ``audit`` runs a route's own
-    check on the emitted points.  A quotient curve cut at ``t_reached``
-    raises SectionDomainError carrying the certified partial sample.
+    ``lam`` is called once per output time with that time, and once with the
+    vector of the gate's off-grid times, for which it returns the quotient
+    points as columns (as a dense ODE solution does).  The curve must start
+    at p0, satisfy the flow equation (``flow_residual_rows`` centres its
+    stencils on the emitted points and builds its off-grid points from the
+    same factor and quotient curve) and project onto the emitted quotient
+    points within ``quotient_tol``; ``audit`` runs a route's own check on
+    the emitted points.  A quotient curve cut at ``t_reached`` raises
+    SectionDomainError carrying the certified partial sample.
     """
     ts = np.asarray(ts, float)
     kept = ts if t_reached is None else ts[ts <= t_reached + 1e-12]
+    lams = [np.asarray(lam(t), float) for t in kept]
+    points = [sys.act(factor(t), sys.section(q)) for t, q in zip(kept, lams)]
 
-    def evaluate(t):
-        return sys.act(factor(t), sys.section(np.asarray(lam(t), float)))
+    def evaluate(times):
+        return [sys.act(factor(t), sys.section(q)) for t, q in zip(times, np.asarray(lam(times), float).T)]
 
-    points = [evaluate(t) for t in kept]
     start = sys.chart_distance(p0, points[0])
-    flow_rows = flow_residual_rows(sys, evaluate, kept)
+    flow_rows = flow_residual_rows(sys, evaluate, kept, points)
     flow = float(np.max(flow_rows))
-    qrows = np.array(
-        [float(np.linalg.norm(sys.project(m) - np.asarray(lam(t), float))) for t, m in zip(kept, points)]
-    )
+    qrows = np.array([float(np.linalg.norm(sys.project(m) - q)) for m, q in zip(points, lams)])
     qdrift = float(np.max(qrows))
     diagnostics.update(
         start_defect=start,
@@ -615,6 +602,15 @@ def _certified(sys, p0, ts, factor, lam, quotient_tol, diagnostics, t_reached=No
     return sample
 
 
+def _output_grid(t_grid):
+    """Output times read by ``output_times``; ValueError names the first one below its predecessor."""
+    ts = output_times(t_grid)
+    back = np.flatnonzero(ts[1:] < ts[:-1]) + 1
+    if back.size:
+        raise ValueError(f"output time ts[{back[0]}] = {ts[back[0]]} is smaller than the one before it")
+    return ts
+
+
 # -- quotient integration --------------------------------------------------------
 
 
@@ -622,8 +618,9 @@ def _default_quotient_integrator(sys):
     """Dense quotient solution by adaptive integration, cut at the domain edge.
 
     Returns (gamma, t_reached): gamma evaluates the quotient curve for
-    t <= t_reached; t_reached is the requested endpoint unless the section
-    margin hit its floor first.
+    t <= t_reached, at one time or, as columns, at a vector of times;
+    t_reached is the requested endpoint unless the section margin hit its
+    floor first.
     """
 
     def integrator(Y, lam0, t_span):
@@ -690,11 +687,13 @@ def two_step_reconstruct(sys, theta, p0, t_grid, quotient_integrator=None):
     """Reconstruct the trajectory through p0 as a moving section point.
 
     The quotient curve is integrated first; the output is the section along
-    it, transported by the group factor of the initial point.  The group
+    it, transported by the group factor g0 of the initial point.  The group
     factor is checked to be constant along the field beforehand and along
-    the output afterwards.
+    the output afterwards, by one stacked solve of the emitted points'
+    factors from g0.  ``quotient_integrator`` returns what
+    ``_default_quotient_integrator``'s integrator does.
     """
-    ts = np.asarray(t_grid, float)
+    ts = _output_grid(t_grid)
     horiz = check_theta_horizontal(sys, p0)
     g0 = theta(p0)
     integrator = quotient_integrator or _default_quotient_integrator(sys)
@@ -702,14 +701,11 @@ def two_step_reconstruct(sys, theta, p0, t_grid, quotient_integrator=None):
     diagnostics = {"route": "two-step", "horizontality_defect": horiz}
 
     def drift(points):
-        rows = []
-        warm = theta.coords_of(g0)
-        for m in points:
-            gt = theta(m, warm=warm)
-            warm = theta.coords_of(gt)
-            rows.append(float(np.linalg.norm(np.linalg.solve(g0.matrix, gt.matrix) - np.eye(sys.group.N))))
+        gs = np.array([g.matrix for g in theta.factors(points, warm=theta.coords_of(g0))])
+        rows = np.linalg.norm(np.linalg.solve(np.broadcast_to(g0.matrix, gs.shape), gs) - np.eye(sys.group.N),
+                              axis=(1, 2))
         tdrift = float(np.max(rows))
-        diagnostics.update(factor_drift_max=tdrift, factor_drift_rows=np.array(rows))
+        diagnostics.update(factor_drift_max=tdrift, factor_drift_rows=rows)
         if tdrift > THETA_DRIFT_TOL:
             raise ReconstructionError(f"group factor drifted along the output ({tdrift:.3e})")
 
@@ -786,19 +782,20 @@ def usual_reconstruct(sys, connection, p0, t_grid):
     the linear equation g' = g eta(t), eta the connection value of the field
     at d(t), from g(0) = theta(p0) by fourth-order Magnus steps on a fine
     grid of ``CONNECTION_SUBSTEPS`` steps per grid interval; the output is
-    act(g(t), d(t)).  Off the fine grid the factor is one more step from the
-    last stored factor at or before t, so the gate's backward point steps
-    across the stored node it checks.  eta and the quotient field both come
-    from the linear split at the section (``section_split``), so the route
-    never differentiates the group-factor map; the connection's own
-    derivative serves only the reproduction check.
+    act(g(t), d(t)).  The gate centres its stencils on those points; each of
+    its off-grid points is one more step from the last stored factor at or
+    before its time, so its backward point steps across the stored node it
+    checks.  eta and the quotient field both come from the linear split at
+    the section (``section_split``), so the route never differentiates the
+    group-factor map; the connection's own derivative serves only the
+    reproduction check.
     """
     if not sys.free:
         raise ReconstructionError(
             "reconstruction by connection needs a free action; "
             f"scenario {sys.name} has stabilizers"
         )
-    ts = np.asarray(t_grid, float)
+    ts = _output_grid(t_grid)
     rep = connection_reproduction_defect(sys, connection, p0)
     if rep > CONNECTION_TOL:
         raise ReconstructionError(
@@ -857,15 +854,16 @@ def vertical_integrate(sys, theta, p0, t_grid, chi=None):
     quadrature route when the direction admits it and from the series oracle
     otherwise; diagnostics record which.
 
-    The gate uses the emitted factors f_k: off the grid the factor is the
-    nearest f_k times E(t - t_k), sampled by the same exponential call at the
-    gate's offsets, with E(-s) = E(s)^-1; f_k^-1 f_(k+1) is held to
-    E(t_(k+1) - t_k) from that call, so the emitted factors agree.  Each
-    distinct grid step d is also held to its short factor E(d / 2^m),
-    d / 2^m <= FD_STEP, squared m times, which ties the speed of the output
-    times to the speed the gate sees at its offsets.
+    The gate uses the emitted factors g0 f_k, each composed once: off the
+    grid the factor is the nearest g0 f_k times E(t - t_k), sampled by the
+    same exponential call at the gate's offsets, with E(-s) = E(s)^-1
+    inverted once per call.  f_k^-1 f_(k+1) is held to E(t_(k+1) - t_k) from
+    that call, so the emitted factors agree.  Each distinct grid step d is
+    also held to its short factor E(d / 2^m), d / 2^m <= FD_STEP, squared m
+    times, which ties the speed of the output times to the speed the gate
+    sees at its offsets.
     """
-    ts = np.asarray(t_grid, float)
+    ts = _output_grid(t_grid)
     if abs(ts[0]) > 1e-14:
         raise ValueError("vertical integration expects a grid starting at t=0")
     vert = check_vertical(sys, p0)
@@ -893,9 +891,13 @@ def vertical_integrate(sys, theta, p0, t_grid, chi=None):
         provenance = "oracle"
         warnings.append(f"group factor by series oracle: {err}")
 
+    inverses = {}  # E(-s) for the samples the gate steps back by
+
     def exp_at(s):
-        e = samples[int(np.argmin(np.abs(grid - abs(s))))]
-        return e if s >= 0 else e.inverse()
+        i = int(np.argmin(np.abs(grid - abs(s))))
+        if s < 0 and i not in inverses:
+            inverses[i] = samples[i].inverse()
+        return samples[i] if s >= 0 else inverses[i]
 
     factors = [exp_at(t) for t in ts]
     gaps = [np.linalg.solve(f.matrix, f1.matrix) - exp_at(b - a).matrix
@@ -909,10 +911,11 @@ def vertical_integrate(sys, theta, p0, t_grid, chi=None):
     if consistency > THETA_DRIFT_TOL:
         raise ReconstructionError(f"emitted group factors disagree with their steps ({consistency:.3e})")
 
+    composed = [g0 @ f for f in factors]
+
     def factor(t):
         k = int(np.argmin(np.abs(ts - t)))
-        g = g0 @ factors[k]
-        return g if t == ts[k] else g @ exp_at(t - ts[k])
+        return composed[k] if t == ts[k] else composed[k] @ exp_at(t - ts[k])
 
     diagnostics = {
         "route": "vertical",
@@ -922,7 +925,8 @@ def vertical_integrate(sys, theta, p0, t_grid, chi=None):
         "eta": eta,
         "warnings": warnings,
     }
-    return _certified(sys, p0, ts, factor, lambda t: lam, THETA_DRIFT_TOL, diagnostics)
+    return _certified(sys, p0, ts, factor, lambda t: np.multiply.outer(lam, np.ones_like(t)),
+                      THETA_DRIFT_TOL, diagnostics)
 
 
 # -- scenario: trivialized cotangent bundle -----------------------------------------

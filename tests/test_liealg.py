@@ -17,6 +17,7 @@ from liequad.liealg import (
     killing_casimir,
     make_algebra,
 )
+from liequad.numutil import ball_sample
 
 ALL_KEYS = ["so3", "su2", "sl2r", "heis3", "rn:3"]
 
@@ -217,7 +218,7 @@ def test_casimir_through_point_so3():
     phi = casimir_through_point(a, xi, alpha0)
     assert np.allclose(phi(alpha0), xi, atol=1e-12)
     rng = np.random.default_rng(10)
-    inside = alpha0 + phi.domain_radius * 0.9 * _unit_ball(rng, 40, 3)
+    inside = alpha0 + phi.domain_radius * 0.9 * ball_sample(rng, 40, 3)
     assert casimir_check(a, phi, inside) <= 1e-10
     # phi(alpha) is the projection of xi onto the ray through alpha
     alpha = alpha0 + np.array([0.1, -0.05, 0.2])
@@ -294,12 +295,6 @@ def test_casimir_form_energy():
     assert np.isclose(phi.energy(alpha), 0.5 * alpha @ np.linalg.solve(a.killing_form(), alpha))
 
 
-def _unit_ball(rng, m, n):
-    v = rng.standard_normal((m, n))
-    v /= np.linalg.norm(v, axis=1)[:, None]
-    return v * rng.uniform(0, 1, (m, 1)) ** (1.0 / n)
-
-
 def bianchi_constants(n, a):
     """[e_i, e_j] = eps_ijl n_l e_l + a_i e_j - a_j e_i with a = (a, 0, 0)."""
     eps = np.zeros((3, 3, 3))
@@ -334,7 +329,7 @@ def test_bianchi_algebras_orbits_and_casimirs(n, class_b, a, seed):
     Q = alg.isotropy_basis(alpha0)
     xi = Q @ rng.standard_normal(Q.shape[1])
     phi = casimir_through_point(alg, xi, alpha0)
-    inside = alpha0 + phi.domain_radius * 0.9 * _unit_ball(rng, 20, 3)
+    inside = alpha0 + phi.domain_radius * 0.9 * ball_sample(rng, 20, 3)
     assert casimir_check(alg, phi, inside) <= 1e-10
 
 

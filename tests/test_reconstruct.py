@@ -24,7 +24,7 @@ from liequad.reconstruct import (
     _magnus_step,
     build_theta,
     connection_reproduction_defect,
-    flow_residual_max,
+    flow_residual_rows,
     isotropy_basis_at,
     isotropy_dimension_at,
     make_product_scenario,
@@ -774,6 +774,72 @@ def test_every_route_rejects_a_curve_off_the_initial_point(route):
         else:
             vertical_integrate(sys_, shifted, p0, grid)
 
+
+class ShiftedOffStart(ShiftedAtStart):
+    """A factor map moved by exp(0.01 e3) at every point but p0, in its stacked solve too."""
+
+    def __call__(self, m, warm=None):
+        return self.factors([m], warm)[0]
+
+    def factors(self, ms, warm=None):
+        return [g if m is self.p0 else g @ self.shift for m, g in zip(ms, self.theta.factors(ms, warm))]
+
+
+def pairs_momentum():
+    sys_ = cached("pairs-momentum", lambda: make_so3_scenario(section="momentum"))
+    theta = cached("theta-pairs-momentum", lambda: build_theta(sys_, sys_.section(np.array([2.0, 3.0, 1.0]))))
+    return sys_, theta, pair_start(sys_)[0]
+
+
+def test_two_step_drift_audit_rejects_a_moved_factor():
+    # the curve starts at p0 and solves the flow equation; only the stacked
+    # solve of the emitted points' factors sees that they are not g0
+    sys_, theta, p0 = pairs_momentum()
+    with pytest.raises(ReconstructionError, match="drifted"):
+        two_step_reconstruct(sys_, ShiftedOffStart(theta, p0), p0, np.linspace(0.0, 1.0, 9))
+
+
+def test_two_step_evaluates_the_quotient_curve_once_per_output_time():
+    # one call per emitted point and one stacked call for the gate's offsets
+    sys_, theta, p0 = pairs_momentum()
+    inner = _default_quotient_integrator(sys_)
+    calls = []
+
+    def counted(Y, lam0, t_span):
+        gamma, t_reached = inner(Y, lam0, t_span)
+
+        def counted_gamma(t):
+            calls.append(t)
+            return gamma(t)
+
+        return counted_gamma, t_reached
+
+    two_step_reconstruct(sys_, theta, p0, TS, quotient_integrator=counted)
+    assert len(calls) <= len(TS) + 1
+
+
+@pytest.mark.parametrize("route", ["two-step", "connection", "vertical"])
+def test_every_route_rejects_bad_output_times(route, monkeypatch):
+    # a time that is not finite or steps back is refused before any solve
+    if route == "two-step":
+        sys_, theta, p0 = pairs_momentum()
+        run = lambda grid: two_step_reconstruct(sys_, theta, p0, grid)
+    elif route == "connection":
+        _b, _fld, sys_ = anisotropic_scenario("so3")
+        conn = ThetaConnection(sys_, build_theta(sys_, sys_.section(np.array([0.7, -0.4, 0.5]))))
+        p0, _ = tstar_start()
+        run = lambda grid: usual_reconstruct(sys_, conn, p0, grid)
+    else:
+        sys_, theta, p0 = product_start()
+        run = lambda grid: vertical_integrate(sys_, theta, p0, grid)
+    splits, split = [], reconstruct.section_split
+    monkeypatch.setattr(reconstruct, "section_split", lambda *args: splits.append(args) or split(*args))
+    for grid, bad in ((np.linspace(0.0, -1.0, 9), 1), ([0.0, 0.5, 0.25, 1.0], 2), ([0.0, np.nan, 1.0], 1)):
+        with pytest.raises(ValueError, match=rf"output time ts\[{bad}\]"):
+            run(grid)
+    assert not splits
+
+
 # -- projected dynamics and the gate ------------------------------------------------
 
 
@@ -791,9 +857,12 @@ def test_flow_gate_flags_wrong_curve():
     sys_ = cached("pairs-momentum", lambda: make_so3_scenario(section="momentum"))
     p0, _, _ = pair_start(sys_)
 
-    def drifted(t):
-        out = np.array(p0)
-        out[:3] = p0[:3] + 0.9 * t * p0[3:]
+    def drifted(ts):
+        out = []
+        for t in ts:
+            m = np.array(p0)
+            m[:3] = p0[:3] + 0.9 * t * p0[3:]
+            out.append(m)
         return out
 
-    assert flow_residual_max(sys_, drifted, TS) > 1e-2
+    assert flow_residual_rows(sys_, drifted, TS, drifted(TS)).max() > 1e-2
