@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cotangent import CotangentChart, PhasePoint
-from .liegroup import NEWTON_MAXIT, NEWTON_TOL, CayleyChart, ChartDomainError, damped_newton
+from .liegroup import NEWTON_MAXIT, NEWTON_TOL, CayleyChart, ChartDomainError, GroupElement, damped_newton
 from .numutil import central_jacobian, nullspace, numerical_rank
 
 GN_MAXIT = 20
@@ -150,28 +150,27 @@ class FirstIntegralsMap:
 class _NodeRows:
     """A chart's solved points as rows of stacked arrays; row 0 is the centre.
 
-    ``x`` are the chart points, ``lam`` and ``n`` their chart coordinates and
-    ``g`` the list of their group parts.  ``inv`` is each row's inverse
-    system matrix: it takes (dn, dlam) to chart velocities.  ``body`` is the
-    same inverse with its group rows taken to body coordinates by the Cayley
-    body matrix ``minv``, so its columns are the body tangents of the
-    solution map.  ``ljac`` is each row's linearizing Jacobian, NaN until
+    ``x`` are the chart points, whose group parts are a closed form of their
+    Cayley coordinates and are not kept, and ``lam`` and ``n`` their chart
+    coordinates.  ``inv`` is each row's inverse system matrix: it takes
+    (dn, dlam) to chart velocities.  ``body`` is the same inverse with its
+    group rows taken to body coordinates by the Cayley body matrix ``minv``,
+    so its columns are the body tangents of the solution map.  ``ljac`` is
+    each row's linearizing Jacobian, NaN until
     ``CompleteSolutionChart.linearizing_jacobian`` computes it.
     """
 
-    def __init__(self, g, **row):
-        self.g = [g]
+    def __init__(self, **row):
         for name, a in row.items():
             setattr(self, name, a[None])
 
-    def add(self, g, **rows):
+    def add(self, **rows):
         """Append the rows (each array stacked, ``ljac`` NaN); returns their indices."""
-        start = len(self.g)
-        self.g += g
-        rows["ljac"] = np.full((len(g),) + self.ljac.shape[1:], np.nan)
+        start, k = len(self.x), len(rows["x"])
+        rows["ljac"] = np.full((k,) + self.ljac.shape[1:], np.nan)
         for name, a in rows.items():
             setattr(self, name, np.concatenate([getattr(self, name), a]))
-        return np.arange(start, len(self.g))
+        return np.arange(start, start + k)
 
 
 class CompleteSolutionChart:
@@ -197,7 +196,7 @@ class CompleteSolutionChart:
         S0 = np.vstack([self.trans, ints.reduce.T @ bundle.momentum_pair_jacobian_body(center)])
         inv0 = np.linalg.inv(S0)
         self.nodes = _NodeRows(
-            center.g, x=ints.x0, lam=np.zeros(self.ell), n=np.zeros(self.k), inv=inv0,
+            x=ints.x0, lam=np.zeros(self.ell), n=np.zeros(self.k), inv=inv0,
             minv=np.eye(ints.dim), body=inv0, ljac=np.full((self.ell, self.k), np.nan))
         if check:
             self.check_hypotheses()
@@ -221,16 +220,18 @@ class CompleteSolutionChart:
         """Sup of |DF X| over sampled chart points (F the raw momentum pair).
 
         The centre and the seeded points around it are one stack: one chart
-        inversion and one stacked momentum-pair Jacobian.
+        inversion and one stacked momentum-pair Jacobian; the field takes
+        each point as an element.
         """
         ints = self.integrals
         dim = ints.dim
         rng = np.random.default_rng(TANGENCY_SEED)
         X = ints.x0 + TANGENCY_RADIUS * np.vstack(
             [np.zeros(2 * dim), rng.standard_normal((TANGENCY_SAMPLES, 2 * dim))])
-        gs = ints.chart.from_coords(X[:, :dim])
-        W = np.array([self.field(PhasePoint(g, x[dim:])).concat() for g, x in zip(gs, X)])
-        J = self.bundle.momentum_pair_jacobians(self.bundle.group.adjoint_inv_transpose(gs), X[:, dim:])
+        G, Ginv = ints.chart.from_coords(X[:, :dim])
+        W = np.array([self.field(PhasePoint(GroupElement(g, self.bundle.group, ginv), x[dim:])).concat()
+                      for g, ginv, x in zip(G, Ginv, X)])
+        J = self.bundle.momentum_pair_jacobians(ints.chart.body_and_coadjoint(G, Ginv)[1], X[:, dim:])
         img = np.einsum("ijk,ik->ij", J, W)
         return float(np.max(np.linalg.norm(img, axis=1) / np.maximum(1.0, np.linalg.norm(W, axis=1))))
 
@@ -251,8 +252,8 @@ class CompleteSolutionChart:
 
         Each trial evaluates the rows at hand in one ``_evaluate``, a row
         whose trial point leaves the chart counting as failed; returns the
-        rows' x, group parts, system matrices and body matrices at the
-        accepted iterates, and the mask of the rows that met ``NEWTON_TOL``.
+        rows' x, system matrices and body matrices at the accepted iterates,
+        and the mask of the rows that met ``NEWTON_TOL``.
         A row that misses it raises ChartDomainError unless ``partial``.
         """
         dim = self.integrals.dim
@@ -263,14 +264,14 @@ class CompleteSolutionChart:
             r, states = np.full(xx.shape, np.nan), [None] * len(rows)
             ok = np.flatnonzero(self.integrals.chart.inside(xx[:, :dim]))
             if ok.size:
-                r[ok], gs, S, minv = self._evaluate(lam[rows[ok]], n[rows[ok]], xx[ok])
-                for i, state in zip(ok, zip(gs, S, minv)):
+                r[ok], S, minv = self._evaluate(lam[rows[ok]], n[rows[ok]], xx[ok])
+                for i, state in zip(ok, zip(S, minv)):
                     states[i] = state
             return r, states
 
         def step(_rows, _x, r, states):
             # a singular system gives a NaN step, whose trial then fails
-            S = np.array([state[1] for state in states])
+            S = np.array([state[0] for state in states])
             return _solve_stack(S, -r[:, :, None])[:, :, 0]
 
         x, _r, rn, states = damped_newton(x, trial, step, tol, NEWTON_MAXIT, 16)
@@ -279,27 +280,32 @@ class CompleteSolutionChart:
             raise ChartDomainError(
                 f"complete-solution inversion did not converge (residual {rn[~met].max():.3e})"
             )
-        gs, S, minv = zip(*states)
-        return x, list(gs), np.array(S), np.array(minv), met
+        S, minv = zip(*states)
+        return x, np.array(S), np.array(minv), met
 
     def point(self, lam, n):
         return self._phase_point(self._node(lam, [n])[0])
 
     def _phase_point(self, i):
         """The phase point of row i of ``nodes``."""
-        return PhasePoint(self.nodes.g[i], self.nodes.x[i, self.integrals.dim :])
+        return self._phase_points([i])[0]
+
+    def _phase_points(self, rows):
+        """The phase points of the rows of ``nodes``, their group parts from one stacked chart inversion."""
+        x, dim, group = self.nodes.x[rows], self.integrals.dim, self.bundle.group
+        G, Ginv = self.integrals.chart.from_coords(x[:, :dim])
+        return [PhasePoint(GroupElement(g, group, ginv), a) for g, ginv, a in zip(G, Ginv, x[:, dim:])]
 
     def _evaluate(self, lam, n, X):
         """Residuals against the rows (lam, n) at chart points X, and the points' data.
 
-        Returns the residuals, the group parts, the system matrices and the
-        Cayley body matrices, one row each.
+        The group parts stay the stacks of one chart inversion.  Returns the
+        residuals, the system matrices and the Cayley body matrices, one row
+        each.
         """
         ints = self.integrals
         dim, k = ints.dim, self.k
-        gs = ints.chart.from_coords(X[:, :dim])
-        minv = ints.chart.body_coords_matrix(gs)  # fills each element's coadjoint matrix
-        adit = self.bundle.group.adjoint_inv_transpose(gs)
+        minv, adit = ints.chart.body_and_coadjoint(*ints.chart.from_coords(X[:, :dim]))
         values, J = ints.evaluate(adit, X[:, dim:], minv)
         r = np.empty_like(X)
         r[:, :k] = (X - ints.x0) @ self.trans.T - n
@@ -307,7 +313,7 @@ class CompleteSolutionChart:
         S = np.empty((len(X), 2 * dim, 2 * dim))
         S[:, :k] = self.trans
         S[:, k:] = J
-        return r, gs, S, minv
+        return r, S, minv
 
     def _node(self, lam, n, from_node=None, partial=False):
         """Solve the rows of n (m, k) into ``nodes``; returns the m new row indices.
@@ -344,18 +350,14 @@ class CompleteSolutionChart:
         if not live.size:
             return out
         X, lam_l, rows_l = X[live], lam[live], n[live]
-        r, gs, S, minv = self._evaluate(lam_l, rows_l, X)
+        r, S, minv = self._evaluate(lam_l, rows_l, X)
         # |r| against NEWTON_TOL max(1, |lam|, |n|), squared
         bound = NEWTON_TOL**2 * np.maximum(np.maximum((lam_l * lam_l).sum(1), (rows_l * rows_l).sum(1)), 1)
         ok = (r * r).sum(1) <= bound
         finite = np.isfinite(r).all(axis=1)
         if not (ok | ~finite).all():
             miss = np.flatnonzero(~ok & finite)
-            X[miss], g_miss, S[miss], minv[miss], ok[miss] = self.invert(
-                lam_l[miss], rows_l[miss], X[miss], partial
-            )
-            for i, g in zip(miss, g_miss):
-                gs[i] = g
+            X[miss], S[miss], minv[miss], ok[miss] = self.invert(lam_l[miss], rows_l[miss], X[miss], partial)
         ok &= np.isfinite(S).all(axis=(1, 2))
         inv = np.full_like(S, np.nan)
         inv[ok] = _solve_stack(S[ok], np.broadcast_to(np.eye(2 * dim), S[ok].shape))
@@ -364,9 +366,8 @@ class CompleteSolutionChart:
             raise ValueError("complete-solution system is not finite")
         body = inv.copy()
         body[:, :dim] = minv @ inv[:, :dim]
-        ok = np.flatnonzero(ok)
-        out[live[ok]] = nodes.add([gs[i] for i in ok], x=X[ok], lam=lam_l[ok], n=rows_l[ok],
-                                  inv=inv[ok], minv=minv[ok], body=body[ok])
+        out[live[ok]] = nodes.add(
+            x=X[ok], lam=lam_l[ok], n=rows_l[ok], inv=inv[ok], minv=minv[ok], body=body[ok])
         return out
 
     def _nodes_near(self, solved, lam, n, partial=False):
@@ -618,7 +619,7 @@ class CompleteSolutionChart:
         audits = [float(a) for a in np.linalg.norm(phis - np.multiply.outer(ts, beta), axis=1)]
         diagnostics = {"lam": self.nodes.lam[0], "flow_rate": beta, "audits": audits, "rate_drift": drift}
         diagnostics["audit_max"] = max(audits, default=0.0)
-        return TrajectorySample(ts, [self._phase_point(i) for i in rows], diagnostics)
+        return TrajectorySample(ts, self._phase_points(rows), diagnostics)
 
     def _gauss_newton(self, beta, ts):
         """Rows of ``nodes`` and linearizing-map values phi at the times ts, as one stack.

@@ -9,7 +9,9 @@ maps the algebra into every catalogued group: so3, su2 and sl2r are
 quadratic groups, and on heis3, rn:k and the product's line A is nilpotent.
 A one-parameter subgroup through g0 is a straight line in these coordinates,
 since exp(tX) = cay(2 tanh(tX/2)).  The phase-space chart of ``cotangent``
-and the group-factor solves of ``reconstruct`` use it.
+and the group-factor solves of ``reconstruct`` use it.  A stack of chart
+points stays a pair of (k, N, N) arrays of g and g^-1; a ``GroupElement``
+wraps one point where a caller needs it as an object.
 
 ``matrix_exp_oracle`` exists only as an independent reference and honors a
 purity guard that the quadrature tests switch on.
@@ -152,13 +154,14 @@ class _Pattern:
 
 
 class GroupElement:
-    """A group matrix with lazily cached point data.
+    """A group matrix with its inverse and coadjoint matrix, each computed on first use.
 
     ``inv``, when the constructor knows g^-1 (the Cayley chart gets it from
-    the solve that gives g), saves every later inversion.
+    the solve that gives g), saves every later inversion.  Only
+    ``MatrixGroup.adjoint_inv_transpose`` fills the coadjoint matrix.
     """
 
-    __slots__ = ("matrix", "group", "_inv", "_ad", "_adit")
+    __slots__ = ("matrix", "group", "_inv", "_adit")
 
     def __init__(self, matrix, group, inv=None):
         m = np.array(matrix)
@@ -166,7 +169,6 @@ class GroupElement:
         self.matrix = m
         self.group = group
         self._inv = inv
-        self._ad = None
         self._adit = None
 
     @property
@@ -317,26 +319,18 @@ class MatrixGroup:
         )
 
     def adjoint_matrix(self, g):
-        """Matrix of Ad_g on algebra coordinates (columns are Ad_g e_i); the element caches it."""
-        if g._ad is None:
-            g._ad = self._conjugations(g.matrix[None], g.inv_matrix[None])[0].T
-        return g._ad
+        """Matrix of Ad_g on algebra coordinates (columns are Ad_g e_i)."""
+        return self._conjugations(g.matrix[None], g.inv_matrix[None])[0].T
 
     def adjoint_inv_transpose(self, g):
-        """Transposed inverse of Ad_g: the matrix of the coadjoint action.
+        """Transposed inverse of Ad_g: the matrix of the coadjoint action, cached by g.
 
         Ad(g^-1) is the conjugation of Ad_g with g and g^-1 swapped, so no
-        dim x dim inverse is taken.  ``g`` is one element, or a list of k
-        elements whose (k, dim, dim) stack comes from one stacked
-        conjugation; each element caches its own.
+        dim x dim inverse is taken.
         """
-        els = g if isinstance(g, list) else [g]
-        todo = [e for e in els if e._adit is None]
-        if todo:
-            adit = self._conjugations(np.array([e.inv_matrix for e in todo]), np.array([e.matrix for e in todo]))
-            for e, a in zip(todo, adit):
-                e._adit = a
-        return np.array([e._adit for e in g]) if isinstance(g, list) else g._adit
+        if g._adit is None:
+            g._adit = self._conjugations(g.inv_matrix[None], g.matrix[None])[0]
+        return g._adit
 
     def adjoint(self, g, xi):
         return self.adjoint_matrix(g) @ np.asarray(xi, float)
@@ -569,12 +563,12 @@ class CayleyChart:
     of x whose A/2 has every eigenvalue inside ``CAYLEY_RADIUS``; nilpotent A
     (heis3, rn:k) has none outside, so there the chart is global.
 
-    Both take stacks.  ``from_coords`` turns k coordinate rows (k, dim) into
-    k elements, (k, N, N) as a stack, with one stacked solve, which also
-    gives C^-1 = cay(-A); so each element carries g^-1 = C^-1 g0^-1.
-    ``body_coords_matrix`` turns a list of k elements into the (k, dim, dim)
-    stack and reads C^-1 from them, so neither the body matrices nor the
-    adjoints of chart points invert anything.
+    ``from_coords`` turns one coordinate vector into an element, and k rows
+    (k, dim) into the stacks (G, G^-1), each (k, N, N), with one stacked
+    solve, which also gives C^-1 = cay(-A), so g^-1 = C^-1 g0^-1.
+    ``body_and_coadjoint`` turns those stacks into the (k, dim, dim) stacks
+    of body matrices and coadjoint matrices with one stacked expansion, so
+    neither inverts anything.
     """
 
     def __init__(self, group, g0=None):
@@ -636,15 +630,14 @@ class CayleyChart:
         return both[:k], both[k:]
 
     def from_coords(self, x):
-        """g0 cay(A(x)), or a list of k elements for rows x (k, dim).
+        """The element g0 cay(A(x)), or for rows x (k, dim) the stacks (G, G^-1) (k, N, N).
 
         ChartDomainError when a row is outside the chart, ValueError when one
         is not finite; either fails the whole stack.
         """
         C, Cinv = self._cayley(x)
         gs, ginvs = self.g0.matrix @ C, Cinv @ self._g0inv
-        out = [GroupElement(g, self.group, inv) for g, inv in zip(gs, ginvs)]
-        return out if np.ndim(x) == 2 else out[0]
+        return (gs, ginvs) if np.ndim(x) == 2 else GroupElement(gs[0], self.group, ginvs[0])
 
     def tangent_coords_matrix(self, g):
         """Matrix M with M @ v_body = d(to_coords)/dt along tangent g X(v).
@@ -656,28 +649,24 @@ class CayleyChart:
         return self.group._conjugations((self._eye + half)[None], (self._eye - half)[None])[0].T
 
     def body_coords_matrix(self, g):
-        """Inverse of ``tangent_coords_matrix``: takes chart velocities at g to body ones.
-
-        Column i is the algebra coordinates of (I + C^-1) E_i (I + C) / 4,
-        C = g0^-1 g, with C^-1 read from the element.  A list of k elements
-        gives the (k, dim, dim) stack.  The expansion that gives the body
-        matrices also gives the elements' coadjoint matrices Ad(g^-1)^T,
-        which each element caches.
-        """
+        """Inverse of ``tangent_coords_matrix``: takes chart velocities at the element g to body ones."""
         if g is self.g0:
             return np.eye(self.group.dim)
-        els = g if isinstance(g, list) else [g]
-        gs = np.array([e.matrix for e in els])
-        ginvs = np.array([e.inv_matrix for e in els])
-        k = len(els)
+        return self.body_and_coadjoint(g.matrix[None], g.inv_matrix[None])[0][0]
+
+    def body_and_coadjoint(self, gs, ginvs):
+        """Body matrices and coadjoint matrices Ad(g^-1)^T at the chart points with stacks gs, ginvs.
+
+        Column i of a body matrix is the algebra coordinates of
+        (I + C^-1) E_i (I + C) / 4, C = g0^-1 g; one stacked expansion gives
+        both (k, dim, dim) stacks.
+        """
+        k = len(gs)
         both = self.group._conjugations(
             np.concatenate([ginvs, self._eye + ginvs @ self.g0.matrix]),
             np.concatenate([gs, self._eye + self._g0inv @ gs]),
         )
-        for e, adit in zip(els, both[:k]):
-            e._adit = adit
-        out = 0.25 * both[k:].swapaxes(1, 2)
-        return out if isinstance(g, list) else out[0]
+        return 0.25 * both[k:].swapaxes(1, 2), both[:k]
 
     def reach(self, X):
         """Largest t with g0 exp(s X) inside the chart for every s < t.

@@ -58,6 +58,7 @@ from .liealg import LieAlgebra, killing_casimir
 from .liegroup import (
     CayleyChart,
     ChartDomainError,
+    GroupElement,
     MatrixGroup,
     _leading_block,
     _Orthogonal,
@@ -355,10 +356,6 @@ class _GroupFactor:
         """Cayley-chart coordinates of a group factor, for warm starts."""
         return self.gchart.to_coords(g)
 
-    def defining_defect(self, m):
-        back = self.sys.act(self(m), self.sys.section(self.sys.project(m)))
-        return float(self.sys.chart_distance(m, back))
-
 
 class HorizontalSubmersion(_GroupFactor):
     """Group-factor map of a section: solves act(g, section(project(m))) = m.
@@ -399,7 +396,7 @@ class HorizontalSubmersion(_GroupFactor):
         n = np.tile(np.zeros(sys.group.dim) if warm is None else np.asarray(warm, float), (len(ms), 1))
 
         def trial(rows, nn, _g):
-            g = self.gchart.from_coords(nn)
+            g = [GroupElement(a, sys.group, ainv) for a, ainv in zip(*self.gchart.from_coords(nn))]
             r = [charts[i].to_coords(sys.act(gi, targets[i])) for i, gi in zip(rows, g)]
             return np.array(r) - ref[rows], g
 
@@ -603,11 +600,14 @@ def _certified(sys, p0, ts, factor, lam, quotient_tol, diagnostics, t_reached=No
 
 
 def _output_grid(t_grid):
-    """Output times read by ``output_times``; ValueError names the first one below its predecessor."""
+    """Output times read by ``output_times``; ValueError names the first one below its
+    predecessor, or a span shorter than the flow gate's stencil, 2 ``FD_STEP``."""
     ts = output_times(t_grid)
     back = np.flatnonzero(ts[1:] < ts[:-1]) + 1
     if back.size:
         raise ValueError(f"output time ts[{back[0]}] = {ts[back[0]]} is smaller than the one before it")
+    if ts.size < 2 or ts[-1] - ts[0] < 2.0 * FD_STEP:
+        raise ValueError(f"the output times span less than the gate's stencil 2 FD_STEP = {2 * FD_STEP:g}")
     return ts
 
 

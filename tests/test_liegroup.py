@@ -44,17 +44,25 @@ def test_catalogue_and_membership():
         assert g.algebra.dim == g.dim
 
 
-def test_element_reprojection_policy():
-    g = make_group("so3")
+@pytest.mark.parametrize("key", ALL_KEYS + ["so3xr"])
+def test_element_reprojection_policy(constraint_groups, key):
+    # every catalogued group's projector: polar (so3, and the product's
+    # rotation block), unitary polar (su2), determinant scaling (sl2r) and
+    # the entry pattern (heis3, rn:3, the product's translation part)
+    g = constraint_groups[key]
     rng = np.random.default_rng(0)
     a = random_element(g, rng)
+
+    def noise(scale):
+        real = scale * rng.standard_normal(a.matrix.shape)
+        return real + 1j * scale * rng.standard_normal(a.matrix.shape) if g.is_complex else real
+
     # small off-manifold noise: re-projected silently
-    noisy = a.matrix + 1e-6 * rng.standard_normal((3, 3))
-    fixed = g.element(noisy)
+    fixed = g.element(a.matrix + noise(1e-6))
     assert g.membership_residual(fixed.matrix) <= 1e-8
     # gross violation: hard error
     with pytest.raises(ValueError, match="off the group manifold"):
-        g.element(a.matrix + 0.1 * rng.standard_normal((3, 3)))
+        g.element(a.matrix + noise(0.1))
 
 
 def test_compose_inverse():

@@ -11,6 +11,7 @@ from liequad.hjsolver import (
     LK_NODES,
     QUAD_MAX_PANELS,
     QUAD_TOL,
+    TANGENCY_SAMPLES,
     CompleteSolutionChart,
     _settled,
     integrate_by_quadratures,
@@ -19,6 +20,7 @@ from liequad.liealg import killing_casimir
 from liequad.liegroup import (
     CayleyChart,
     ChartDomainError,
+    GroupElement,
     forbid_exp_oracle,
     make_group,
     matrix_exp_oracle,
@@ -210,9 +212,9 @@ def test_partial_stack_returns_a_singular_row_as_none(monkeypatch):
     evaluate = c._evaluate
 
     def singular(lam, n, X):
-        r, gs, S, minv = evaluate(lam, n, X)
+        r, S, minv = evaluate(lam, n, X)
         S[np.all(n == ns[1], axis=1)] = 0.0
-        return r, gs, S, minv
+        return r, S, minv
 
     monkeypatch.setattr(c, "_evaluate", singular)
     rows = c._node(zl, ns, partial=True)
@@ -354,6 +356,24 @@ def test_phase_points_behind_one_exponential(monkeypatch, key):
 
 
 @pytest.mark.parametrize("key", ["so3", "su2", "sl2r"])
+def test_group_elements_behind_one_exponential(monkeypatch, key):
+    # work-count guard: inside the chart solve group parts stay stacked arrays,
+    # and an element is built only where a point leaves the chart; 46 in all
+    # (181-191 with one element per chart inversion row)
+    built = []
+    init = GroupElement.__init__
+
+    def counted(g, *args, **kwargs):
+        built.append(g)
+        init(g, *args, **kwargs)
+
+    monkeypatch.setattr(GroupElement, "__init__", counted)
+    xi = np.array([0.3, -0.5, 0.4])
+    exp_semisimple(make_group(key), 0.75 * xi / np.linalg.norm(xi), np.linspace(0.0, 1.0, 17))
+    assert 0 < len(built) <= 50
+
+
+@pytest.mark.parametrize("key", ["so3", "su2", "sl2r"])
 def test_fiber_rows_need_no_newton(monkeypatch, key):
     # every row of the exponential's fiber solve lies on the centre's 1-D
     # fiber, a one-parameter subgroup and so a straight line in Cayley
@@ -375,21 +395,27 @@ def test_fiber_rows_need_no_newton(monkeypatch, key):
 
 def test_one_closed_form_body_matrix_per_node(monkeypatch):
     # work-count guard: the node solve reads the Cayley differential's inverse
-    # in closed form, once per node, and never forms the tangent matrix
+    # in closed form, one stacked row per node, and never forms the tangent
+    # matrix; the tangency check's stack of sampled points is the only other
+    # caller of the stacked body matrices
     count = NodeCount(monkeypatch)
-    calls = {"tangent_coords_matrix": 0, "body_coords_matrix": 0}
-    for name in calls:
-        method = getattr(CayleyChart, name)
+    calls = {"tangent": 0, "rows": 0}
+    tangent, stacked = CayleyChart.tangent_coords_matrix, CayleyChart.body_and_coadjoint
 
-        def counted(chart, g, name=name, method=method):
-            calls[name] += len(g) if isinstance(g, list) else 1
-            return method(chart, g)
+    def counted_tangent(chart, g):
+        calls["tangent"] += 1
+        return tangent(chart, g)
 
-        monkeypatch.setattr(CayleyChart, name, counted)
+    def counted_rows(chart, gs, ginvs):
+        calls["rows"] += len(gs)
+        return stacked(chart, gs, ginvs)
+
+    monkeypatch.setattr(CayleyChart, "tangent_coords_matrix", counted_tangent)
+    monkeypatch.setattr(CayleyChart, "body_and_coadjoint", counted_rows)
     xi = np.array([0.3, -0.5, 0.4])
     exp_semisimple(make_group("so3"), 0.75 * xi / np.linalg.norm(xi), np.linspace(0.0, 1.0, 17))
-    assert count.calls > 0 and calls["tangent_coords_matrix"] == 0
-    assert calls["body_coords_matrix"] <= count.calls
+    assert count.calls > 0 and calls["tangent"] == 0
+    assert 0 < calls["rows"] <= count.calls + TANGENCY_SAMPLES + 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

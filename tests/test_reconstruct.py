@@ -210,7 +210,7 @@ def test_build_theta_certifies_vector_pair_factor():
     rng = np.random.default_rng(31)
     for _ in range(10):
         m = near_section_point(sys_, rng)
-        assert theta.defining_defect(m) <= 1e-8
+        assert sys_.chart_distance(m, sys_.act(theta(m), sys_.section(sys_.project(m)))) <= 1e-8
         on_sec = sys_.section(sys_.project(m))
         assert np.linalg.norm(theta(on_sec).matrix - ident) <= 1e-8
 
@@ -257,7 +257,7 @@ def test_factor_solve_failures_are_typed():
         g = matrix_exp_oracle(sys_.group, 0.5 * rng.standard_normal(3))
         m = sys_.act(g, sys_.section(lam0 + 0.2 * rng.standard_normal(3)))
         try:
-            defect = theta.defining_defect(m)
+            defect = sys_.chart_distance(m, sys_.act(theta(m), sys_.section(sys_.project(m))))
         except ReconstructionError:
             continue
         assert defect <= 1e-8
@@ -836,6 +836,10 @@ def test_every_route_rejects_bad_output_times(route, monkeypatch):
     monkeypatch.setattr(reconstruct, "section_split", lambda *args: splits.append(args) or split(*args))
     for grid, bad in ((np.linspace(0.0, -1.0, 9), 1), ([0.0, 0.5, 0.25, 1.0], 2), ([0.0, np.nan, 1.0], 1)):
         with pytest.raises(ValueError, match=rf"output time ts\[{bad}\]"):
+            run(grid)
+    # a span shorter than the gate's stencil leaves the gate nothing to certify
+    for grid in ([], [0.0], [0.0, 0.0, 0.0], [0.0, 1e-7]):
+        with pytest.raises(ValueError, match="span less than the gate's stencil"):
             run(grid)
     assert not splits
 
