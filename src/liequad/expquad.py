@@ -3,8 +3,9 @@
 The quadrature route never touches a matrix exponential: the curve is read
 off the complete-solution chart of the vertical Hamiltonian field of a
 Casimir form on T*G, where the linearizing coordinates evolve affinely in
-time.  ``matrix_exp_oracle`` appears only in tests, as an independent
-reference.
+time.  ``matrix_exp_oracle`` is an independent reference for the tests; in
+the package only the vertical reconstruction's fallback and the scenario
+checks call it.
 
 Times past the chart of the base point are reached through the group law
 g(t) = g(t/2)^2 applied recursively: the identity is exact for the true
@@ -111,13 +112,12 @@ def exp_by_quadratures(group, phi, alpha, t_grid):
             t_achieved=err.t_achieved * 2.0**doublings,
         ) from err
 
-    mats = [p.g.matrix for p in traj.points]
-    drift = 0.0
+    mats = np.array([p.g.matrix for p in traj.points]).reshape(-1, group.N, group.N)
     for _ in range(doublings):
-        mats = [m @ m for m in mats]
-    if doublings:
-        drift = max(group.membership_residual(m) for m in mats)
-    elements = [group.element(m) for m in mats]
+        mats = mats @ mats
+    membership = group.membership_residuals(mats)
+    elements = group.elements(mats, membership)
+    drift = float(membership.max()) if doublings else 0.0
     return ExponentialCurve(
         ts,
         elements,

@@ -69,7 +69,9 @@ class ChartDomainError(RuntimeError):
 
 # -- membership constraints --------------------------------------------------
 #
-# Each constraint exposes residual(mat) -> vector.  A constraint on a square
+# Each constraint exposes squares(mats) -> (k,): for a stack (k, N, N) of
+# matrices, the squared norm of each matrix's residual vector, so one group's
+# constraints add up to its membership residual.  A constraint on a square
 # block takes the block as an array of positions in the row-major entry list
 # of the matrix.
 
@@ -77,6 +79,15 @@ class ChartDomainError(RuntimeError):
 def _leading_block(n, N):
     """Row-major entry positions of the leading n x n block of an N x N matrix."""
     return np.arange(N * N).reshape(N, N)[:n, :n]
+
+
+def _entries(mats):
+    """The row-major entry lists (k, N * N) of a stack of matrices, also for k = 0."""
+    return mats.reshape(len(mats), mats.shape[1] * mats.shape[2])
+
+
+def _row_squares(r):
+    return np.add.reduce(r * r, axis=1)
 
 
 class _Orthogonal:
@@ -89,9 +100,9 @@ class _Orthogonal:
         self._triu = rows[0] * n + rows[1]
         self._eye_rows = (rows[0] == rows[1]).astype(float)
 
-    def residual(self, g):
-        B = np.asarray(g).reshape(-1)[self.block]
-        return B.T.dot(B).reshape(-1)[self._triu] - self._eye_rows
+    def squares(self, mats):
+        B = _entries(mats)[:, self.block]
+        return _row_squares(_entries(B.swapaxes(1, 2) @ B)[:, self._triu] - self._eye_rows)
 
 
 class _Unitary:
@@ -108,35 +119,23 @@ class _Unitary:
         self._gather = np.concatenate([2 * (re_a * N + re_b), 2 * (im_a * N + im_b) + 1])
         self._eye_rows = np.concatenate([(re_a == re_b).astype(float), np.zeros(len(im_a))])
 
-    def residual(self, g):
-        g = np.asarray(g, dtype=complex)
-        M = g.conj().T.dot(g)
-        return M.reshape(-1).view(float)[self._gather] - self._eye_rows
-
-
-def _det(g):
-    """det(g) of a 2x2 or 3x3 matrix in closed form."""
-    if g.shape[0] == 2:
-        a, b, c, d = g.reshape(-1).tolist()
-        return a * d - b * c
-    a, b, c, d, e, f, p, q, s = g.reshape(-1).tolist()
-    return a * (e * s - f * q) - b * (d * s - f * p) + c * (d * q - e * p)
+    def squares(self, mats):
+        g = np.asarray(mats, dtype=complex)
+        M = g.conj().swapaxes(1, 2) @ g
+        return _row_squares(_entries(M).view(float)[:, self._gather] - self._eye_rows)
 
 
 class _UnitDet:
     """det B = 1 for a real or complex 2x2 or 3x3 block B (Re and Im parts if complex)."""
 
-    def __init__(self, block, complex_entries=False):
+    def __init__(self, block):
         self.block = np.asarray(block)
         if self.block.shape not in ((2, 2), (3, 3)):
             raise ValueError(f"unit determinant needs a 2x2 or 3x3 block, got {self.block.shape}")
-        self.complex_entries = complex_entries
 
-    def residual(self, g):
-        d = _det(np.asarray(g).reshape(-1)[self.block])
-        if self.complex_entries:
-            return np.array([d.real - 1.0, d.imag])
-        return np.array([d - 1.0])
+    def squares(self, mats):
+        d = np.abs(np.linalg.det(_entries(mats)[:, self.block]) - 1.0)
+        return d * d
 
 
 class _Pattern:
@@ -146,8 +145,8 @@ class _Pattern:
         self.idx = np.array([idx for idx, _ in pairs], dtype=int)
         self.val = np.array([val for _, val in pairs], dtype=float)
 
-    def residual(self, g):
-        return np.asarray(g).reshape(-1)[self.idx] - self.val
+    def squares(self, mats):
+        return _row_squares(_entries(mats)[:, self.idx] - self.val)
 
 
 # -- the group class ---------------------------------------------------------
@@ -271,28 +270,41 @@ class MatrixGroup:
 
     # membership --------------------------------------------------------------
 
-    def membership_vector(self, matrix):
-        return np.concatenate([con.residual(matrix) for con in self.constraints])
+    def membership_residuals(self, mats):
+        """Membership residual of each matrix of a stack (k, N, N): one stacked residual per constraint."""
+        m = np.asarray(mats)
+        return np.sqrt(sum(con.squares(m) for con in self.constraints))
 
     def membership_residual(self, matrix):
-        return float(np.linalg.norm(self.membership_vector(matrix)))
+        return float(self.membership_residuals(np.asarray(matrix)[None])[0])
 
     def element(self, matrix):
-        """Wrap a matrix, applying the re-projection policy.
+        """Wrap one matrix under the re-projection policy of ``elements``."""
+        return self.elements(np.asarray(matrix)[None])[0]
 
-        Residual <= 1e-8: accept.  In (1e-8, 1e-4]: re-project onto the
-        manifold and re-validate.  Larger: hard error.
+    def elements(self, mats, residuals=None):
+        """Wrap a stack (k, N, N) of matrices as k elements, applying the re-projection policy per row.
+
+        A row with residual <= ``MEMBERSHIP_TOL`` is accepted as it is.  A row
+        in (``MEMBERSHIP_TOL``, ``REPROJECT_LIMIT``] is re-projected onto the
+        manifold and re-validated on its own; a larger residual is a hard
+        error.  Rows are checked in order, so the first failing row names the
+        error.  ``residuals`` are the rows' ``membership_residuals`` when the
+        caller has them already.
         """
-        m = np.asarray(matrix, dtype=complex if self.is_complex else float)
-        r = self.membership_residual(m)
-        if r > MEMBERSHIP_TOL:
-            if r > REPROJECT_LIMIT:
-                raise ValueError(f"{self.name}: matrix off the group manifold (residual {r:.3e})")
-            m = self._project_matrix(m)
-            r = self.membership_residual(m)
-            if r > MEMBERSHIP_TOL:
-                raise ValueError(f"{self.name}: re-projection failed (residual {r:.3e})")
-        return GroupElement(m, self)
+        m = np.asarray(mats, dtype=complex if self.is_complex else float)
+        r = self.membership_residuals(m) if residuals is None else residuals
+        rows = list(m)
+        for i, ri in enumerate(r.tolist()):
+            if not ri > MEMBERSHIP_TOL:
+                continue
+            if ri > REPROJECT_LIMIT:
+                raise ValueError(f"{self.name}: matrix off the group manifold (residual {ri:.3e})")
+            rows[i] = self._project_matrix(rows[i])
+            ri = self.membership_residual(rows[i])
+            if ri > MEMBERSHIP_TOL:
+                raise ValueError(f"{self.name}: re-projection failed (residual {ri:.3e})")
+        return [GroupElement(row, self) for row in rows]
 
     def identity(self):
         dtype = complex if self.is_complex else float
@@ -362,13 +374,10 @@ def _so3_basis():
 
 
 def _project_polar_real(m):
+    # only residuals up to REPROJECT_LIMIT reach a projector, and on SO(3)
+    # that residual holds det - 1, so the polar factor already has det +1
     u, _s, vt = np.linalg.svd(m)
-    p = u @ vt
-    if np.linalg.det(p) < 0:
-        u = u.copy()
-        u[:, -1] = -u[:, -1]
-        p = u @ vt
-    return p
+    return u @ vt
 
 
 def _project_polar_unitary(m):
@@ -412,7 +421,7 @@ def make_group(key):
         basis = np.stack([-0.5j * s1, -0.5j * s2, -0.5j * s3])
         return MatrixGroup(
             "su2", alg, basis,
-            [_Unitary(2), _UnitDet(_leading_block(2, 2), complex_entries=True)],
+            [_Unitary(2), _UnitDet(_leading_block(2, 2))],
             _project_polar_unitary,
         )
     if key == "sl2r":
@@ -467,8 +476,12 @@ def make_group(key):
 def matrix_exp_oracle(group, xi, t=1.0):
     """exp(t xi) by scaling-and-squaring with an 18-term Taylor series.
 
-    Independent reference implementation; the quadrature route never calls
-    this.  Raises under the purity guard.
+    Independent reference implementation; no quadrature route and no
+    connection route calls this.  In the package it serves the vertical
+    route's fallback, for a direction the quadrature exponential cannot take,
+    and the seeded group elements of the scenario checks
+    (``validate_invariant_system``, ``random_point``).  Raises under the
+    purity guard.
     """
     if _oracle_state["forbidden"]:
         raise RuntimeError("matrix_exp_oracle invoked while the purity guard is active")

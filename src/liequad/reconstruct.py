@@ -18,8 +18,8 @@ Three reconstruction routes are implemented.
 * ``usual_reconstruct``: the horizontal lift of the quotient curve through the
   section is the section curve; the group factor solves the linear equation
   g' = g eta, eta the connection value of the field there, by fourth-order
-  Magnus steps g exp(Omega).  Free actions only.  The matrix exponential is
-  permitted on this route.
+  Cayley-Magnus steps g cay(Omega - Omega^3/12).  Free actions only.  No
+  matrix exponential runs on this route.
 * ``vertical_integrate``: for fields tangent to the orbits the whole motion
   is a one-parameter group factor exp(t eta) acting on a frozen section
   point.  The factor is produced by the quadrature exponential when the
@@ -29,14 +29,15 @@ Three reconstruction routes are implemented.
 Every scenario gives its action generators W (the chart velocities of the
 one-parameter action flows) and the section's Jacobian Ds in closed form.
 The group factor is the identity on the section image, so there the field
-splits as X = W eta + Ds Y: one least-squares solve gives the rate eta and
-the quotient field Y exactly, with no derivative of the group-factor map and
+splits as X = W eta + Ds Y: one linear solve gives the rate eta and the
+quotient field Y exactly, with no derivative of the group-factor map and
 no chart inversion.  That split is the only source of rates: the connection
 route's reconstruction equation, the vertical route's factor and both
 hypothesis checks read it.  The solved group-factor map takes its
 Gauss-Newton Jacobian from W as well.
 
-Each route supplies only its group factor g(t); one shared tail emits
+Each route supplies only its group factor g(t), for a vector of times as
+one stack; one shared tail emits
 act(g(t), section(lam(t))) and certifies that same curve three ways: it
 starts at the initial point, it satisfies the flow equation (centered finite
 differences with a small internal step, independent of how the curve was
@@ -85,7 +86,7 @@ GAUGE_MAXIT = 40
 GAUGE_COND = 1e-6            # singular-value cutoff for gauge-fixing steps
 CONNECTION_TOL = 1e-6        # reproduction of action generators by a connection
 CONNECTION_DIRS = 4          # sampled directions of the reproduction check
-CONNECTION_SUBSTEPS = 2      # fourth-order steps per grid interval of the connection route
+CONNECTION_SUBSTEPS = 4      # fourth-order steps per grid interval of the connection route
 TRANSVERSALITY_FLOOR = 1e-6  # relative smallest singular value of stacked Jacobians
 SECTION_EPS = 1e-9           # section domain margin floor
 FD_STEP = 1e-6
@@ -215,27 +216,41 @@ def _along_field(f, chart, u, du):
     return (f(chart.from_coords(u + h * du)) - f(chart.from_coords(u - h * du))) / (2.0 * h)
 
 
-def section_split(sys, lam):
-    """Connection rate eta and quotient field Y at the section point over lam.
+def section_split(sys, lams):
+    """Connection rates eta and quotient fields Y at the section points over lams.
 
+    ``lams`` is one vector of orbit coordinates, which gives one eta and one
+    Y, or k of them as the columns of a (quotient_dim, k) array, as a dense
+    ODE solution returns them, which gives the row stacks (k, dim) of eta
+    and (k, quotient_dim) of Y.
     The group factor is the identity on the section image, so the field there
-    is an action generator plus a section velocity: X = W eta + Ds Y.  One
-    least-squares solve of that system gives both exactly.  Y is unique
-    because the orbit and section tangents are transversal (``build_theta``
-    certifies it); under a stabilizer eta is the minimum-norm rate.
+    is an action generator plus a section velocity: X = W eta + Ds Y, which
+    gives both exactly.  Y is unique because the orbit and section tangents
+    are transversal (``build_theta`` certifies it).  For a free action the
+    system [W Ds] is square and nonsingular, and one stacked solve takes
+    every point; under a stabilizer each point is a least-squares solve and
+    eta the minimum-norm rate.
     """
-    lam = np.asarray(lam, float)
-    m = sys.section(lam)
-    chart, _u, du = sys.velocity_at(m)
-    split = np.hstack([sys.generators(chart, m), sys.section_jacobian(chart, lam)])
-    sol = np.linalg.lstsq(split, du, rcond=None)[0]
+    lams = np.asarray(lams, float)
+    splits, rates = [], []
+    for lam in lams.reshape(sys.quotient_dim, -1).T:
+        m = sys.section(lam)
+        chart, _u, du = sys.velocity_at(m)
+        splits.append(np.hstack([sys.generators(chart, m), sys.section_jacobian(chart, lam)]))
+        rates.append(du)
+    if sys.free:
+        sol = np.linalg.solve(np.array(splits), np.array(rates)[..., None])[..., 0]
+    else:
+        sol = np.array([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(splits, rates)])
     k = sys.group.dim
-    return sol[:k], sol[k:]
+    if lams.ndim == 1:
+        return sol[0, :k], sol[0, k:]
+    return sol[:, :k], sol[:, k:]
 
 
-def split_eta(sys, lam):
-    """Connection rate at the section point over lam, from ``section_split``."""
-    return section_split(sys, lam)[0]
+def split_eta(sys, lams):
+    """Connection rates at the section points over lams, from ``section_split``."""
+    return section_split(sys, lams)[0]
 
 
 def quotient_field(sys):
@@ -525,20 +540,31 @@ def _algebra_fit(group, mat):
 # -- flow-equation gate --------------------------------------------------------
 
 
+def _stencil_times(ts):
+    """Centres of the flow gate's stencils on ts, and the times ``flow_residual_rows`` evaluates.
+
+    Each centre is its output time, shifted inward near the ends so only
+    interior evaluations occur; the times are every centre + ``FD_STEP``,
+    then every centre - ``FD_STEP``, then the shifted centres.
+    """
+    tc = np.clip(ts, ts[0] + FD_STEP, ts[-1] - FD_STEP)
+    return tc, np.concatenate([tc + FD_STEP, tc - FD_STEP, tc[tc != ts]])
+
+
 def flow_residual_rows(sys, evaluate, ts, points):
     """Per-sample |centered-difference derivative - field| along a curve.
 
     ``points`` are the curve at ts; ``evaluate`` takes a vector of times in
     a small enlargement of the grid interval and returns the curve points
-    there.  Each stencil t -+ ``FD_STEP`` is centred on the emitted point;
-    near the ends it is shifted inward so only interior evaluations occur,
-    and the shifted centre is evaluated too.  Every off-grid point comes
-    from one ``evaluate`` call.
+    there.  Each stencil t -+ ``FD_STEP`` is centred on the emitted point,
+    or on the shifted centre of ``_stencil_times``, which is evaluated too.
+    Every off-grid point comes from one ``evaluate`` call, at the times of
+    ``_stencil_times``.
     """
     ts = np.asarray(ts, float)
     k = len(ts)
-    tc = np.clip(ts, ts[0] + FD_STEP, ts[-1] - FD_STEP)
-    off = evaluate(np.concatenate([tc + FD_STEP, tc - FD_STEP, tc[tc != ts]]))
+    tc, times = _stencil_times(ts)
+    off = evaluate(times)
     shifted = iter(off[2 * k:])
     centres = [next(shifted) if c != t else m for t, c, m in zip(ts, tc, points)]
     rows = []
@@ -553,6 +579,9 @@ def flow_residual_rows(sys, evaluate, ts, points):
 def _certified(sys, p0, ts, factor, lam, quotient_tol, diagnostics, t_reached=None, audit=None):
     """Emit act(factor(t), section(lam(t))) on ts and certify that same curve.
 
+    ``factor`` takes a vector of times and returns their group factors,
+    from one stacked product; it is called once with the output times and
+    once with the gate's off-grid times (``_stencil_times``).
     ``lam`` is called once per output time with that time, and once with the
     vector of the gate's off-grid times, for which it returns the quotient
     points as columns (as a dense ODE solution does).  The curve must start
@@ -566,10 +595,10 @@ def _certified(sys, p0, ts, factor, lam, quotient_tol, diagnostics, t_reached=No
     ts = np.asarray(ts, float)
     kept = ts if t_reached is None else ts[ts <= t_reached + 1e-12]
     lams = [np.asarray(lam(t), float) for t in kept]
-    points = [sys.act(factor(t), sys.section(q)) for t, q in zip(kept, lams)]
+    points = [sys.act(g, sys.section(q)) for g, q in zip(factor(kept), lams)]
 
     def evaluate(times):
-        return [sys.act(factor(t), sys.section(q)) for t, q in zip(times, np.asarray(lam(times), float).T)]
+        return [sys.act(g, sys.section(q)) for g, q in zip(factor(times), np.asarray(lam(times), float).T)]
 
     start = sys.chart_distance(p0, points[0])
     flow_rows = flow_residual_rows(sys, evaluate, kept, points)
@@ -663,7 +692,8 @@ def _split_near(sys, p0, part):
     eta, part 1 the quotient field Y.
     """
     points = [p0, *_chart_ball(sys, p0, *FIELD_CHECK_BALL)]
-    return max(float(np.linalg.norm(section_split(sys, sys.project(m))[part])) for m in points)
+    rows = section_split(sys, np.array([sys.project(m) for m in points]).T)[part]
+    return float(np.max(np.linalg.norm(rows, axis=1)))
 
 
 def check_theta_horizontal(sys, p0):
@@ -709,7 +739,8 @@ def two_step_reconstruct(sys, theta, p0, t_grid, quotient_integrator=None):
         if tdrift > THETA_DRIFT_TOL:
             raise ReconstructionError(f"group factor drifted along the output ({tdrift:.3e})")
 
-    return _certified(sys, p0, ts, lambda t: g0, gamma, QUOTIENT_MATCH_TOL, diagnostics, t_reached, drift)
+    return _certified(sys, p0, ts, lambda times: [g0] * len(times), gamma, QUOTIENT_MATCH_TOL, diagnostics,
+                      t_reached, drift)
 
 
 # -- connection route --------------------------------------------------------------
@@ -755,20 +786,32 @@ def connection_reproduction_defect(sys, connection, m, rng=None):
     return worst
 
 
-def _magnus_step(sys, gamma, g, t, h):
-    """Fourth-order Magnus step of g' = g eta(t) from g at t over h.
+def _magnus_step(sys, gamma, t, h):
+    """Factors of fourth-order Cayley-Magnus steps of g' = g eta(t), as a stack (k, N, N).
 
-    eta is the connection rate of the field at the section over gamma(t)
-    (``split_eta``), taken at the two Gauss nodes; the step is g exp(Omega)
-    with Omega = h/2 (eta1 + eta2) + sqrt(3) h^2/12 [eta1, eta2], so it stays
-    on the group by construction.
+    Step i starts at t[i] and lasts h[i].  eta is the connection rate of the
+    field at the section over the quotient curve gamma (``split_eta``),
+    taken at the two Gauss nodes of every step, all from one call of gamma
+    and one stacked split.  With Omega = h/2 (eta1 + eta2) + sqrt(3) h^2/12
+    [eta1, eta2], the fourth-order Magnus exponent as a matrix, the factor
+    is C = cay(Omega - Omega^3/12).  cay(X) = exp(X + X^3/12 + O(X^5)), so
+    C = exp(Omega) + O(h^5) and no exponential is taken (Iserles, Found.
+    Comput. Math. 1, 2001; Marthinsen and Owren, Appl. Numer. Math. 39,
+    2001).  Omega^3 lies in the algebra of every catalogued group.  cay is
+    the identity-centred ``CayleyChart``, so C lies on the group by
+    construction, and a step past the chart raises its ChartDomainError.
     """
+    t, h = np.asarray(t, float), np.asarray(h, float)
     c = np.sqrt(3.0) / 6.0
-    eta1 = split_eta(sys, gamma(t + (0.5 - c) * h))
-    eta2 = split_eta(sys, gamma(t + (0.5 + c) * h))
+    k = len(t)
+    eta = split_eta(sys, gamma(np.concatenate([t + (0.5 - c) * h, t + (0.5 + c) * h])))
+    eta1, eta2 = eta[:k], eta[k:]
     grp = sys.group
-    omega = 0.5 * h * (eta1 + eta2) + (np.sqrt(3.0) * h * h / 12.0) * grp.algebra.bracket(eta1, eta2)
-    return g @ matrix_exp_oracle(grp, omega)
+    bracket = np.einsum("ki,kj,ijl->kl", eta1, eta2, grp.algebra.c)
+    omega = (0.5 * h)[:, None] * (eta1 + eta2) + (np.sqrt(3.0) * h * h / 12.0)[:, None] * bracket
+    om = (omega @ grp._basis_rows).reshape(k, grp.N, grp.N)
+    x = omega - grp._algebra_coords_stack(om @ om @ om) / 12.0
+    return CayleyChart(grp).from_coords(x)[0]
 
 
 def usual_reconstruct(sys, connection, p0, t_grid):
@@ -780,15 +823,18 @@ def usual_reconstruct(sys, connection, p0, t_grid):
     horizontal lift of the quotient curve gamma through the section is the
     section curve d(t) = section(gamma(t)) itself.  The group factor solves
     the linear equation g' = g eta(t), eta the connection value of the field
-    at d(t), from g(0) = theta(p0) by fourth-order Magnus steps on a fine
-    grid of ``CONNECTION_SUBSTEPS`` steps per grid interval; the output is
-    act(g(t), d(t)).  The gate centres its stencils on those points; each of
-    its off-grid points is one more step from the last stored factor at or
-    before its time, so its backward point steps across the stored node it
-    checks.  eta and the quotient field both come from the linear split at
-    the section (``section_split``), so the route never differentiates the
-    group-factor map; the connection's own derivative serves only the
-    reproduction check.
+    at d(t), from g(0) = theta(p0) by fourth-order Cayley-Magnus steps on a
+    fine grid of ``CONNECTION_SUBSTEPS`` steps per grid interval; the output
+    is act(g(t), d(t)), and no matrix exponential runs.  The stored factors
+    are the running product of the steps, checked by one ``elements`` call.
+    The gate centres its stencils on those points; each of its off-grid
+    points is one more step from the last stored factor at or before its
+    time, so its backward point steps across the stored node it checks.
+    The fine steps and the gate's steps are one ``_magnus_step`` stack, so
+    every eta comes from one stacked split.  eta and the quotient field both
+    come from the linear split at the section (``section_split``), so the
+    route never differentiates the group-factor map; the connection's own
+    derivative serves only the reproduction check.
     """
     if not sys.free:
         raise ReconstructionError(
@@ -809,18 +855,35 @@ def usual_reconstruct(sys, connection, p0, t_grid):
     for a, b in zip(kept[:-1], kept[1:]):
         fine_ts.extend(np.linspace(a, b, CONNECTION_SUBSTEPS + 1)[1:])
     fine_ts = np.asarray(fine_ts)
-    factors = [connection.theta(p0)]
-    for t, t_next in zip(fine_ts[:-1], fine_ts[1:]):
-        factors.append(_magnus_step(sys, gamma, factors[-1], t, t_next - t))
 
-    def factor(t):
-        k = int(np.searchsorted(fine_ts, t + 1e-14, side="right")) - 1
-        s = t - fine_ts[k]
-        return factors[k] if s <= 1e-14 else _magnus_step(sys, gamma, factors[k], fine_ts[k], s)
+    def last_stored(times):
+        """Index of the last stored factor at or before each time, and the time past it."""
+        k = np.searchsorted(fine_ts, times + 1e-14, side="right") - 1
+        return k, times - fine_ts[k]
+
+    gate_ts = _stencil_times(kept)[1]
+    base, past = last_stored(gate_ts)
+    partial = past > 1e-14
+    n = len(fine_ts) - 1
+    steps = _magnus_step(sys, gamma, np.concatenate([fine_ts[:-1], fine_ts[base[partial]]]),
+                         np.concatenate([np.diff(fine_ts), past[partial]]))
+    mats = [connection.theta(p0).matrix]
+    for c in steps[:n]:
+        mats.append(mats[-1] @ c)
+    mats = np.array(mats)
+    membership = sys.group.membership_residuals(mats)
+    stored = sys.group.elements(mats, membership)
+    # the gate's off-grid factors by time; factor() serves no other off-grid time
+    gate = dict(zip(gate_ts[partial].tolist(), sys.group.elements(mats[base[partial]] @ steps[n:])))
+
+    def factor(times):
+        times = np.asarray(times, float)
+        k, s = last_stored(times)
+        return [stored[i] if si <= 1e-14 else gate[t] for t, i, si in zip(times.tolist(), k, s)]
 
     diagnostics = {
         "route": "connection",
-        "membership_max": max(sys.group.membership_residual(g.matrix) for g in factors),
+        "membership_max": float(membership.max()),
         "connection_reproduction": rep,
     }
     return _certified(sys, p0, ts, factor, gamma, QUOTIENT_MATCH_TOL, diagnostics, t_reached)
@@ -854,11 +917,12 @@ def vertical_integrate(sys, theta, p0, t_grid, chi=None):
     quadrature route when the direction admits it and from the series oracle
     otherwise; diagnostics record which.
 
-    The gate uses the emitted factors g0 f_k, each composed once: off the
-    grid the factor is the nearest g0 f_k times E(t - t_k), sampled by the
-    same exponential call at the gate's offsets, with E(-s) = E(s)^-1
-    inverted once per call.  f_k^-1 f_(k+1) is held to E(t_(k+1) - t_k) from
-    that call, so the emitted factors agree.  Each distinct grid step d is
+    The gate uses the emitted factors g0 f_k, composed as one stack and
+    checked by one ``elements`` call: off the grid the factor is the nearest
+    g0 f_k times E(t - t_k), sampled by the same exponential call at the
+    gate's offsets, with E(-s) = E(s)^-1, all as one stacked product.
+    f_k^-1 f_(k+1) is held to E(t_(k+1) - t_k) from that call by one stacked
+    solve, so the emitted factors agree.  Each distinct grid step d is
     also held to its short factor E(d / 2^m), d / 2^m <= FD_STEP, squared m
     times, which ties the speed of the output times to the speed the gate
     sees at its offsets.
@@ -890,32 +954,40 @@ def vertical_integrate(sys, theta, p0, t_grid, chi=None):
         samples = [matrix_exp_oracle(grp, zeta, t) for t in grid]
         provenance = "oracle"
         warnings.append(f"group factor by series oracle: {err}")
-
-    inverses = {}  # E(-s) for the samples the gate steps back by
+    samples = np.array([e.matrix for e in samples])
 
     def exp_at(s):
-        i = int(np.argmin(np.abs(grid - abs(s))))
-        if s < 0 and i not in inverses:
-            inverses[i] = samples[i].inverse()
-        return samples[i] if s >= 0 else inverses[i]
+        """The sampled factors E(s) at a vector of offsets s, with E(-s) = E(s)^-1."""
+        s = np.asarray(s, float)
+        E = samples[np.argmin(np.abs(grid - np.abs(s)[:, None]), axis=1)]
+        back = s < 0
+        if back.any():
+            E[back] = np.linalg.inv(E[back])
+        return E
 
-    factors = [exp_at(t) for t in ts]
-    gaps = [np.linalg.solve(f.matrix, f1.matrix) - exp_at(b - a).matrix
-            for f, f1, a, b in zip(factors, factors[1:], ts, ts[1:])]
+    F = exp_at(ts)
+    gaps = list(np.linalg.solve(F[:-1], F[1:]) - exp_at(np.diff(ts)))
     for d, m in halvings:
-        e = exp_at(d / 2.0**m).matrix
+        e = exp_at([d / 2.0**m])[0]
         for _ in range(m):
             e = e @ e
-        gaps.append(e - exp_at(d).matrix)
+        gaps.append(e - exp_at([d])[0])
     consistency = max((float(np.linalg.norm(d)) for d in gaps), default=0.0)
     if consistency > THETA_DRIFT_TOL:
         raise ReconstructionError(f"emitted group factors disagree with their steps ({consistency:.3e})")
 
-    composed = [g0 @ f for f in factors]
+    composed = grp.elements(g0.matrix @ F)
+    composed_mats = np.array([g.matrix for g in composed])
 
-    def factor(t):
-        k = int(np.argmin(np.abs(ts - t)))
-        return composed[k] if t == ts[k] else composed[k] @ exp_at(t - ts[k])
+    def factor(times):
+        times = np.asarray(times, float)
+        k = np.argmin(np.abs(ts - times[:, None]), axis=1)
+        s = times - ts[k]
+        out = [composed[i] for i in k]
+        moved = np.flatnonzero(s != 0.0)
+        for j, g in zip(moved, grp.elements(composed_mats[k[moved]] @ exp_at(s[moved]))):
+            out[j] = g
+        return out
 
     diagnostics = {
         "route": "vertical",

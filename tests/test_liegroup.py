@@ -65,6 +65,39 @@ def test_element_reprojection_policy(constraint_groups, key):
         g.element(a.matrix + noise(0.1))
 
 
+def _noise(group, rng, scale):
+    real = scale * rng.standard_normal((group.N, group.N))
+    return real + 1j * scale * rng.standard_normal((group.N, group.N)) if group.is_complex else real
+
+
+@pytest.mark.parametrize("key", ALL_KEYS + ["so3xr"])
+def test_stacked_policy_equals_the_per_matrix_policy(constraint_groups, key):
+    # on-manifold rows pass as they are, 1e-6-noise rows are re-projected,
+    # and one row of gross noise fails the whole stack
+    g = constraint_groups[key]
+    rng = np.random.default_rng(1)
+    stack = np.array([random_element(g, rng).matrix + _noise(g, rng, scale) for scale in (0.0, 1e-6) * 3])
+    want = [g.element(m) for m in stack]
+    got = g.elements(stack)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(got, want))
+    stack[3] += _noise(g, rng, 0.1)
+    with pytest.raises(ValueError, match="off the group manifold"):
+        g.elements(stack)
+
+
+@pytest.mark.parametrize("key", ["so3", "so3xr"])
+def test_a_reflection_is_off_the_group_manifold(constraint_groups, key):
+    # det -1 is a residual of 2 on the rotation block, past every re-projection
+    g = constraint_groups[key]
+    reflection = np.eye(g.N)
+    reflection[2, 2] = -1.0
+    with pytest.raises(ValueError, match="off the group manifold"):
+        g.element(reflection)
+    with pytest.raises(ValueError, match="off the group manifold"):
+        g.elements(np.array([np.eye(g.N), reflection]))
+
+
 def test_compose_inverse():
     rng = np.random.default_rng(1)
     for key in ALL_KEYS:

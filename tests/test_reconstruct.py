@@ -11,7 +11,7 @@ from liequad.cotangent import (
 )
 from liequad import reconstruct
 from liequad.expquad import exp_general
-from liequad.liegroup import ChartDomainError, forbid_exp_oracle, make_group, matrix_exp_oracle
+from liequad.liegroup import ChartDomainError, MatrixGroup, forbid_exp_oracle, make_group, matrix_exp_oracle
 from liequad.reconstruct import (
     CONNECTION_SUBSTEPS,
     HorizontalityError,
@@ -466,6 +466,17 @@ def test_lifted_route_off_so3_vs_adaptive_oracle(group_name):
     assert sample.diagnostics["flow_residual_max"] <= 1e-5
 
 
+@pytest.mark.parametrize("group_name", ["so3", "su2", "sl2r"])
+def test_connection_route_needs_no_oracle(group_name):
+    # the Cayley-Magnus steps take no matrix exponential
+    b, _fld, sys_ = anisotropic_scenario(group_name)
+    theta = build_theta(sys_, sys_.section(np.array([0.7, -0.4, 0.5])))
+    p0 = PhasePoint(matrix_exp_oracle(b.group, np.array([0.2, 0.1, -0.3])), np.array([0.7, -0.4, 0.5]))
+    with forbid_exp_oracle():
+        sample = usual_reconstruct(sys_, ThetaConnection(sys_, theta), p0, TS)
+    assert sample.diagnostics["flow_residual_max"] <= 1e-5
+
+
 def test_lifted_route_with_solved_factor_matches_closed_form():
     # the route takes g(0) and eta from the connection's own factor map
     _b, _fld, sys_ = anisotropic_scenario("so3")
@@ -488,9 +499,9 @@ def test_connection_route_evaluates_eta_once_per_stage_time(monkeypatch):
     grid = np.linspace(0.0, 1.0, 9)
     seen = []
 
-    def counted(s, lam):
-        seen.append(np.asarray(lam, float).tobytes())
-        return split_eta(s, lam)
+    def counted(s, lams):
+        seen.extend(col.tobytes() for col in np.asarray(lams, float).reshape(len(p0.alpha), -1).T)
+        return split_eta(s, lams)
 
     monkeypatch.setattr(reconstruct, "split_eta", counted)
     sample = usual_reconstruct(sys_, conn, p0, grid)
@@ -501,11 +512,11 @@ def test_connection_route_evaluates_eta_once_per_stage_time(monkeypatch):
     fine = [0.0]
     for a, b in zip(grid[:-1], grid[1:]):
         fine.extend(np.linspace(a, b, CONNECTION_SUBSTEPS + 1)[1:])
-    factors = [conn.theta(p0)]
+    factors = [conn.theta(p0).matrix]
     for t, t_next in zip(fine[:-1], fine[1:]):
-        factors.append(_magnus_step(sys_, gamma, factors[-1], t, t_next - t))
+        factors.append(factors[-1] @ _magnus_step(sys_, gamma, [t], [t_next - t])[0])
     for pt, g, t in zip(sample.points, factors[::CONNECTION_SUBSTEPS], grid):
-        ref = sys_.act(g, sys_.section(np.asarray(gamma(t), float)))
+        ref = sys_.act(sys_.group.element(g), sys_.section(np.asarray(gamma(t), float)))
         assert np.array_equal(pt.g.matrix, ref.g.matrix) and np.array_equal(pt.alpha, ref.alpha)
 
 
@@ -516,21 +527,21 @@ def test_magnus_step_is_fourth_order(monkeypatch):
     coef = np.random.default_rng(11).standard_normal((3, 3))
 
     def eta(t):
-        return coef[0] + coef[1] * t + coef[2] * t * t
+        return coef[0] + np.multiply.outer(t, coef[1]) + np.multiply.outer(t * t, coef[2])
 
     ref = solve_ivp(
         lambda t, y: (y.reshape(3, 3) @ grp.algebra_matrix(eta(t))).ravel(),
         (0.0, 1.0), np.eye(3).ravel(), method="DOP853", rtol=1e-13, atol=1e-14,
     ).y[:, -1].reshape(3, 3)
     # the quotient curve is the time itself and eta is read off it
-    monkeypatch.setattr(reconstruct, "split_eta", lambda _s, lam: eta(lam))
+    monkeypatch.setattr(reconstruct, "split_eta", lambda _s, lams: eta(lams[0]))
     sys_ = make_tstar_scenario(grp)
     errs = []
     for n in (4, 8):
-        g = grp.identity()
-        for k in range(n):
-            g = _magnus_step(sys_, float, g, k / n, 1.0 / n)
-        errs.append(float(np.max(np.abs(g.matrix - ref))))
+        g = np.eye(3)
+        for step in _magnus_step(sys_, np.atleast_2d, np.arange(n) / n, np.full(n, 1.0 / n)):
+            g = g @ step
+        errs.append(float(np.max(np.abs(g - ref))))
     assert errs[0] >= 12.0 * errs[1]
 
 
@@ -554,8 +565,9 @@ def test_connection_gate_sees_the_stored_factors(monkeypatch):
     p0, _ = tstar_start()
     step = _magnus_step
 
-    def long_step(s, gamma, g, t, h):
-        return step(s, gamma, g, t, 1.001 * h if h > 1e-3 else h)
+    def long_step(s, gamma, t, h):
+        h = np.asarray(h)
+        return step(s, gamma, t, np.where(h > 1e-3, 1.001 * h, h))
 
     monkeypatch.setattr(reconstruct, "_magnus_step", long_step)
     with pytest.raises(ReconstructionError, match="flow-equation"):
@@ -732,6 +744,17 @@ def test_quadrature_vertical_route_needs_no_oracle(scenario):
         sample = vertical_integrate(sys_, theta, p0, TS)
     assert sample.diagnostics["group_factor"] == "quadrature"
     assert sample.diagnostics["flow_residual_max"] <= 1e-5
+
+
+def test_vertical_route_checks_membership_per_stack(monkeypatch):
+    # the route's factors, their products and the exponential's samples each
+    # pass one stacked membership check; only a re-projected row is checked alone
+    prod, theta, p0 = product_start()
+    calls = []
+    one = MatrixGroup.membership_residual
+    monkeypatch.setattr(MatrixGroup, "membership_residual", lambda grp, m: calls.append(1) or one(grp, m))
+    vertical_integrate(prod, theta, p0, TS)
+    assert len(calls) <= 20
 
 
 class ShiftedAtStart:
