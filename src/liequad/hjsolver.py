@@ -197,7 +197,7 @@ class CompleteSolutionChart:
         inv0 = np.linalg.inv(S0)
         self.nodes = _NodeRows(
             x=ints.x0, lam=np.zeros(self.ell), n=np.zeros(self.k), inv=inv0,
-            minv=np.eye(ints.dim), body=inv0, ljac=np.full((self.ell, self.k), np.nan))
+            body=inv0, ljac=np.full((self.ell, self.k), np.nan))
         if check:
             self.check_hypotheses()
 
@@ -367,7 +367,7 @@ class CompleteSolutionChart:
         body = inv.copy()
         body[:, :dim] = minv @ inv[:, :dim]
         out[live[ok]] = nodes.add(
-            x=X[ok], lam=lam_l[ok], n=rows_l[ok], inv=inv[ok], minv=minv[ok], body=body[ok])
+            x=X[ok], lam=lam_l[ok], n=rows_l[ok], inv=inv[ok], body=body[ok])
         return out
 
     def _nodes_near(self, solved, lam, n, partial=False):

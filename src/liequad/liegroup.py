@@ -180,9 +180,6 @@ class GroupElement:
     def __matmul__(self, other):
         return self.group.compose(self, other)
 
-    def inverse(self):
-        return self.group.inverse(self)
-
     def __repr__(self):
         return f"GroupElement({self.group.name}, {np.array2string(self.matrix, precision=4)})"
 

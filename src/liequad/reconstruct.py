@@ -36,14 +36,15 @@ route's reconstruction equation, the vertical route's factor and both
 hypothesis checks read it.  The solved group-factor map takes its
 Gauss-Newton Jacobian from W as well.
 
-Each route supplies only its group factor g(t), for a vector of times as
-one stack; one shared tail emits
+Each route supplies only its group factor g(t); one shared tail emits
 act(g(t), section(lam(t))) and certifies that same curve three ways: it
 starts at the initial point, it satisfies the flow equation (centered finite
 differences with a small internal step, independent of how the curve was
 built), and it projects onto the quotient curve.  A curve that fails any of
-the three is refused.  The tail computes each emitted point once, and the
-gate reuses it as a stencil centre and takes its off-grid points as one batch.
+the three is refused.  The tail alone places the gate's stencil points,
+each as an offset from the output time it belongs to and all inside the
+curve's domain; it asks a route for the factors at the output times and at
+those points in one stacked call, and builds every point once.
 """
 
 from __future__ import annotations
@@ -147,6 +148,9 @@ class InvariantSystem:
     ``project`` (orbit coordinates), ``section`` (one point per orbit) and
     ``velocity`` (the field as a coordinate velocity).  ``section_margin``
     is positive inside the section domain; curves are cut where it vanishes.
+    ``velocity(chart, u, point)`` and the optional
+    ``omega_matrix(chart, u, point)`` (the symplectic form) are taken at a
+    point given both as itself and as its coordinates u in ``chart``.
     Instances are immutable after construction.
 
     Two closed forms are required, each in the coordinates of a given chart:
@@ -540,37 +544,44 @@ def _algebra_fit(group, mat):
 # -- flow-equation gate --------------------------------------------------------
 
 
-def _stencil_times(ts):
-    """Centres of the flow gate's stencils on ts, and the times ``flow_residual_rows`` evaluates.
+def _stencil(ts, t_end):
+    """The flow gate's stencils on the output times ts of a curve that lasts to t_end.
 
-    Each centre is its output time, shifted inward near the ends so only
-    interior evaluations occur; the times are every centre + ``FD_STEP``,
-    then every centre - ``FD_STEP``, then the shifted centres.
+    Each sample's stencil is a centre and the points ``FD_STEP`` after and
+    before it.  The centre is its output time, shifted inward where that
+    time is nearer than ``FD_STEP`` to ts[0] or t_end, so the whole stencil
+    lies in [ts[0], t_end].  Every point is an offset from the output time
+    it belongs to.  Returns (owner, offset, rows): the curve is read at the
+    times ts[owner] + offset, the output times themselves first, then each
+    stencil point that is not one of them; rows (3, k) are the indices of
+    every sample's centre, + and - point into that list.  A curve shorter
+    than the stencil raises ReconstructionError.
     """
-    tc = np.clip(ts, ts[0] + FD_STEP, ts[-1] - FD_STEP)
-    return tc, np.concatenate([tc + FD_STEP, tc - FD_STEP, tc[tc != ts]])
+    k = len(ts)
+    lo, hi = ts[0] - ts + FD_STEP, t_end - ts - FD_STEP
+    if hi[0] < lo[0]:
+        raise ReconstructionError(
+            f"quotient curve ends at t={t_end:g}, inside the gate's stencil 2 FD_STEP from its start"
+        )
+    shift = np.clip(0.0, lo, hi)
+    offset = np.concatenate([shift, shift + FD_STEP, shift - FD_STEP])
+    owner = np.tile(np.arange(k), 3)
+    off = offset != 0.0
+    rows = np.where(off, k + np.cumsum(off) - 1, owner).reshape(3, k)
+    return np.concatenate([np.arange(k), owner[off]]), np.concatenate([np.zeros(k), offset[off]]), rows
 
 
-def flow_residual_rows(sys, evaluate, ts, points):
+def flow_residual_rows(sys, centres, plus, minus):
     """Per-sample |centered-difference derivative - field| along a curve.
 
-    ``points`` are the curve at ts; ``evaluate`` takes a vector of times in
-    a small enlargement of the grid interval and returns the curve points
-    there.  Each stencil t -+ ``FD_STEP`` is centred on the emitted point,
-    or on the shifted centre of ``_stencil_times``, which is evaluated too.
-    Every off-grid point comes from one ``evaluate`` call, at the times of
-    ``_stencil_times``.
+    Sample i reads the curve at its stencil centre ``centres[i]`` and at
+    ``plus[i]`` and ``minus[i]``, the points ``FD_STEP`` after and before
+    it in time, all in the chart at the centre.
     """
-    ts = np.asarray(ts, float)
-    k = len(ts)
-    tc, times = _stencil_times(ts)
-    off = evaluate(times)
-    shifted = iter(off[2 * k:])
-    centres = [next(shifted) if c != t else m for t, c, m in zip(ts, tc, points)]
     rows = []
-    for mc, plus, minus in zip(centres, off[:k], off[k:2 * k]):
+    for mc, mp, mm in zip(centres, plus, minus):
         chart = sys.chart_at(mc)
-        dfd = (chart.to_coords(plus) - chart.to_coords(minus)) / (2.0 * FD_STEP)
+        dfd = (chart.to_coords(mp) - chart.to_coords(mm)) / (2.0 * FD_STEP)
         du = sys.velocity(chart, chart.to_coords(mc), point=mc)
         rows.append(float(np.linalg.norm(dfd - du)))
     return np.asarray(rows)
@@ -579,29 +590,30 @@ def flow_residual_rows(sys, evaluate, ts, points):
 def _certified(sys, p0, ts, factor, lam, quotient_tol, diagnostics, t_reached=None, audit=None):
     """Emit act(factor(t), section(lam(t))) on ts and certify that same curve.
 
-    ``factor`` takes a vector of times and returns their group factors,
-    from one stacked product; it is called once with the output times and
-    once with the gate's off-grid times (``_stencil_times``).
-    ``lam`` is called once per output time with that time, and once with the
-    vector of the gate's off-grid times, for which it returns the quotient
-    points as columns (as a dense ODE solution does).  The curve must start
-    at p0, satisfy the flow equation (``flow_residual_rows`` centres its
-    stencils on the emitted points and builds its off-grid points from the
-    same factor and quotient curve) and project onto the emitted quotient
-    points within ``quotient_tol``; ``audit`` runs a route's own check on
-    the emitted points.  A quotient curve cut at ``t_reached`` raises
-    SectionDomainError carrying the certified partial sample.
+    The curve is read at the output times and at the gate's stencil points
+    (``_stencil``), each point built once: ``factor(owner, offset)`` is
+    called once, for all of them, and returns the group factors at the
+    times ts[owner] + offset as one stack; ``lam`` is called once per
+    output time with that time, and once with the vector of the other
+    times, for which it returns the quotient points as columns (as a dense
+    ODE solution does).  The curve must start at p0, satisfy the flow
+    equation (``flow_residual_rows`` on the stencils) and project onto the
+    emitted quotient points within ``quotient_tol``; ``audit`` runs a
+    route's own check on the emitted points.  A quotient curve cut at
+    ``t_reached`` raises SectionDomainError carrying the certified partial
+    sample; no stencil point lies past ``t_reached``.
     """
     ts = np.asarray(ts, float)
-    kept = ts if t_reached is None else ts[ts <= t_reached + 1e-12]
+    t_end = float(ts[-1]) if t_reached is None else t_reached
+    kept = ts[ts <= t_end + 1e-12]
+    owner, offset, rows = _stencil(kept, t_end)
+    k = len(kept)
     lams = [np.asarray(lam(t), float) for t in kept]
-    points = [sys.act(g, sys.section(q)) for g, q in zip(factor(kept), lams)]
-
-    def evaluate(times):
-        return [sys.act(g, sys.section(q)) for g, q in zip(factor(times), np.asarray(lam(times), float).T)]
-
+    lams += list(np.asarray(lam(kept[owner[k:]] + offset[k:]), float).T)
+    curve = [sys.act(g, sys.section(q)) for g, q in zip(factor(owner, offset), lams)]
+    points = curve[:k]
     start = sys.chart_distance(p0, points[0])
-    flow_rows = flow_residual_rows(sys, evaluate, kept, points)
+    flow_rows = flow_residual_rows(sys, *([curve[i] for i in r] for r in rows))
     flow = float(np.max(flow_rows))
     qrows = np.array([float(np.linalg.norm(sys.project(m) - q)) for m, q in zip(points, lams)])
     qdrift = float(np.max(qrows))
@@ -739,8 +751,8 @@ def two_step_reconstruct(sys, theta, p0, t_grid, quotient_integrator=None):
         if tdrift > THETA_DRIFT_TOL:
             raise ReconstructionError(f"group factor drifted along the output ({tdrift:.3e})")
 
-    return _certified(sys, p0, ts, lambda times: [g0] * len(times), gamma, QUOTIENT_MATCH_TOL, diagnostics,
-                      t_reached, drift)
+    return _certified(sys, p0, ts, lambda owner, _offset: [g0] * len(owner), gamma, QUOTIENT_MATCH_TOL,
+                      diagnostics, t_reached, drift)
 
 
 # -- connection route --------------------------------------------------------------
@@ -826,15 +838,16 @@ def usual_reconstruct(sys, connection, p0, t_grid):
     at d(t), from g(0) = theta(p0) by fourth-order Cayley-Magnus steps on a
     fine grid of ``CONNECTION_SUBSTEPS`` steps per grid interval; the output
     is act(g(t), d(t)), and no matrix exponential runs.  The stored factors
-    are the running product of the steps, checked by one ``elements`` call.
-    The gate centres its stencils on those points; each of its off-grid
-    points is one more step from the last stored factor at or before its
-    time, so its backward point steps across the stored node it checks.
-    The fine steps and the gate's steps are one ``_magnus_step`` stack, so
-    every eta comes from one stacked split.  eta and the quotient field both
-    come from the linear split at the section (``section_split``), so the
-    route never differentiates the group-factor map; the connection's own
-    derivative serves only the reproduction check.
+    are the running product of the steps.  Each of the gate's stencil points
+    is one more step from the last stored factor at or before its time, so
+    a backward point steps across the stored node it checks.  The fine
+    steps and those partial steps, taken from the times the gate asks for,
+    are one ``_magnus_step`` stack, so every eta comes from one stacked
+    split, and every factor the curve reads passes one ``elements`` check.
+    eta and the quotient field both come from the linear split at the
+    section (``section_split``), so the route never differentiates the
+    group-factor map; the connection's own derivative serves only the
+    reproduction check.
     """
     if not sys.free:
         raise ReconstructionError(
@@ -855,37 +868,26 @@ def usual_reconstruct(sys, connection, p0, t_grid):
     for a, b in zip(kept[:-1], kept[1:]):
         fine_ts.extend(np.linspace(a, b, CONNECTION_SUBSTEPS + 1)[1:])
     fine_ts = np.asarray(fine_ts)
-
-    def last_stored(times):
-        """Index of the last stored factor at or before each time, and the time past it."""
-        k = np.searchsorted(fine_ts, times + 1e-14, side="right") - 1
-        return k, times - fine_ts[k]
-
-    gate_ts = _stencil_times(kept)[1]
-    base, past = last_stored(gate_ts)
-    partial = past > 1e-14
     n = len(fine_ts) - 1
-    steps = _magnus_step(sys, gamma, np.concatenate([fine_ts[:-1], fine_ts[base[partial]]]),
-                         np.concatenate([np.diff(fine_ts), past[partial]]))
-    mats = [connection.theta(p0).matrix]
-    for c in steps[:n]:
-        mats.append(mats[-1] @ c)
-    mats = np.array(mats)
-    membership = sys.group.membership_residuals(mats)
-    stored = sys.group.elements(mats, membership)
-    # the gate's off-grid factors by time; factor() serves no other off-grid time
-    gate = dict(zip(gate_ts[partial].tolist(), sys.group.elements(mats[base[partial]] @ steps[n:])))
+    diagnostics = {"route": "connection", "connection_reproduction": rep}
 
-    def factor(times):
-        times = np.asarray(times, float)
-        k, s = last_stored(times)
-        return [stored[i] if si <= 1e-14 else gate[t] for t, i, si in zip(times.tolist(), k, s)]
+    def factor(owner, offset):
+        times = kept[owner] + offset
+        # the last stored factor at or before each time, and the partial step past it
+        base = np.searchsorted(fine_ts, times + 1e-14, side="right") - 1
+        past = times - fine_ts[base]
+        partial = np.flatnonzero(past > 1e-14)
+        steps = _magnus_step(sys, gamma, np.concatenate([fine_ts[:-1], fine_ts[base[partial]]]),
+                             np.concatenate([np.diff(fine_ts), past[partial]]))
+        mats = [connection.theta(p0).matrix]
+        for c in steps[:n]:
+            mats.append(mats[-1] @ c)
+        mats = np.array(mats)[base]
+        mats[partial] = mats[partial] @ steps[n:]
+        membership = sys.group.membership_residuals(mats)
+        diagnostics["membership_max"] = float(membership.max())
+        return sys.group.elements(mats, membership)
 
-    diagnostics = {
-        "route": "connection",
-        "membership_max": float(membership.max()),
-        "connection_reproduction": rep,
-    }
     return _certified(sys, p0, ts, factor, gamma, QUOTIENT_MATCH_TOL, diagnostics, t_reached)
 
 
@@ -917,10 +919,10 @@ def vertical_integrate(sys, theta, p0, t_grid, chi=None):
     quadrature route when the direction admits it and from the series oracle
     otherwise; diagnostics record which.
 
-    The gate uses the emitted factors g0 f_k, composed as one stack and
-    checked by one ``elements`` call: off the grid the factor is the nearest
-    g0 f_k times E(t - t_k), sampled by the same exponential call at the
-    gate's offsets, with E(-s) = E(s)^-1, all as one stacked product.
+    The factor at output time t_k is g0 f_k, f_k = E(t_k); a gate point at
+    offset s from the output time it belongs to is g0 f_k E(s), with
+    E(-s) = E(s)^-1.  One exponential call samples E at exactly the output
+    times and the offsets, and every factor passes one ``elements`` check.
     f_k^-1 f_(k+1) is held to E(t_(k+1) - t_k) from that call by one stacked
     solve, so the emitted factors agree.  Each distinct grid step d is
     also held to its short factor E(d / 2^m), d / 2^m <= FD_STEP, squared m
@@ -937,66 +939,49 @@ def vertical_integrate(sys, theta, p0, t_grid, chi=None):
     zeta = eta if chi is None else eta + np.asarray(chi, float)
 
     grp = sys.group
-    # output times and gate offsets; then each distinct grid step d, with m the
-    # halvings that take it to a short step d / 2^m <= FD_STEP
-    grid = np.unique(np.concatenate([ts, [FD_STEP, 2.0 * FD_STEP]]))
-    halvings = []
-    for d in np.diff(ts):
-        if d != 0.0 and all(abs(d - e) > 1e-12 for e, _m in halvings):
-            halvings.append((d, max(0, int(np.ceil(np.log2(abs(d) / FD_STEP))))))
-    extra = [t for d, m in halvings for t in (d, d / 2.0**m)]
-    grid = np.unique(np.concatenate([grid, [s for s in extra if np.min(np.abs(grid - s)) > 1e-12]]))
-    warnings = []
-    try:
-        samples = exp_general(grp, zeta, grid).elements
-        provenance = "quadrature"
-    except (NoAdmissibleCovectorError, ValueError, ChartDomainError, HypothesisError) as err:
-        samples = [matrix_exp_oracle(grp, zeta, t) for t in grid]
-        provenance = "oracle"
-        warnings.append(f"group factor by series oracle: {err}")
-    samples = np.array([e.matrix for e in samples])
+    diagnostics = {"route": "vertical", "verticality_defect": vert, "eta": eta}
 
-    def exp_at(s):
-        """The sampled factors E(s) at a vector of offsets s, with E(-s) = E(s)^-1."""
-        s = np.asarray(s, float)
-        E = samples[np.argmin(np.abs(grid - np.abs(s)[:, None]), axis=1)]
-        back = s < 0
-        if back.any():
-            E[back] = np.linalg.inv(E[back])
-        return E
+    def factor(owner, offset):
+        # E is sampled at the output times, the offsets, each distinct grid step
+        # d (steps at most 1e-12 apart share the smallest) and its short step
+        # d / 2^m <= FD_STEP, m the halvings that take d there
+        d = np.unique(np.diff(ts))
+        d = d[np.diff(d, prepend=-1.0) > 1e-12]
+        steps = d[np.searchsorted(d, np.diff(ts) + 1e-12, side="right") - 1]
+        m = np.ceil(np.log2(np.maximum(d, FD_STEP) / FD_STEP)).astype(int)
+        grid = np.unique(np.concatenate([ts, np.abs(offset), d, d / 2.0**m]))
+        warnings = []
+        try:
+            samples = exp_general(grp, zeta, grid).elements
+            provenance = "quadrature"
+        except (NoAdmissibleCovectorError, ValueError, ChartDomainError, HypothesisError) as err:
+            samples = [matrix_exp_oracle(grp, zeta, t) for t in grid]
+            provenance = "oracle"
+            warnings.append(f"group factor by series oracle: {err}")
+        samples = np.array([e.matrix for e in samples])
 
-    F = exp_at(ts)
-    gaps = list(np.linalg.solve(F[:-1], F[1:]) - exp_at(np.diff(ts)))
-    for d, m in halvings:
-        e = exp_at([d / 2.0**m])[0]
-        for _ in range(m):
-            e = e @ e
-        gaps.append(e - exp_at([d])[0])
-    consistency = max((float(np.linalg.norm(d)) for d in gaps), default=0.0)
-    if consistency > THETA_DRIFT_TOL:
-        raise ReconstructionError(f"emitted group factors disagree with their steps ({consistency:.3e})")
+        def exp_at(s):
+            """The sampled factors E(s) at a vector of sampled offsets s, with E(-s) = E(s)^-1."""
+            E = samples[np.searchsorted(grid, np.abs(s))]
+            back = s < 0
+            if back.any():
+                E[back] = np.linalg.inv(E[back])
+            return E
 
-    composed = grp.elements(g0.matrix @ F)
-    composed_mats = np.array([g.matrix for g in composed])
+        F = exp_at(ts)
+        short = exp_at(d / 2.0**m)
+        for i in range(m.max()):
+            short[m > i] = short[m > i] @ short[m > i]
+        gaps = np.concatenate([np.linalg.solve(F[:-1], F[1:]) - exp_at(steps), short - exp_at(d)])
+        consistency = float(np.linalg.norm(gaps, axis=(1, 2)).max())
+        diagnostics.update(group_factor=provenance, factor_consistency_max=consistency, warnings=warnings)
+        if consistency > THETA_DRIFT_TOL:
+            raise ReconstructionError(f"emitted group factors disagree with their steps ({consistency:.3e})")
+        mats = (g0.matrix @ F)[owner]
+        moved = offset != 0.0
+        mats[moved] = mats[moved] @ exp_at(offset[moved])
+        return grp.elements(mats)
 
-    def factor(times):
-        times = np.asarray(times, float)
-        k = np.argmin(np.abs(ts - times[:, None]), axis=1)
-        s = times - ts[k]
-        out = [composed[i] for i in k]
-        moved = np.flatnonzero(s != 0.0)
-        for j, g in zip(moved, grp.elements(composed_mats[k[moved]] @ exp_at(s[moved]))):
-            out[j] = g
-        return out
-
-    diagnostics = {
-        "route": "vertical",
-        "group_factor": provenance,
-        "verticality_defect": vert,
-        "factor_consistency_max": consistency,
-        "eta": eta,
-        "warnings": warnings,
-    }
     return _certified(sys, p0, ts, factor, lambda t: np.multiply.outer(lam, np.ones_like(t)),
                       THETA_DRIFT_TOL, diagnostics)
 
@@ -1038,10 +1023,9 @@ def make_tstar_scenario(group, field=None):
         # the group part's tangent matrix M(g), fixed over the section image
         return home_tangents if chart is home and g is ident else chart.gchart.tangent_coords_matrix(g)
 
-    def velocity(chart, u, point=None):
-        p = point if point is not None else chart.from_coords(u)
-        w = field(p)
-        return np.concatenate([tangents(chart, p.g) @ w.v, w.beta])
+    def velocity(chart, u, point):
+        w = field(point)
+        return np.concatenate([tangents(chart, point.g) @ w.v, w.beta])
 
     def act(g, p):
         return bundle.action(g, p)
@@ -1063,10 +1047,9 @@ def make_tstar_scenario(group, field=None):
         g = matrix_exp_oracle(group, 0.3 * rng.standard_normal(n))
         return PhasePoint(g, rng.standard_normal(n))
 
-    def omega_matrix(chart, u, point=None):
-        p = point if point is not None else chart.from_coords(u)
-        S = chart.body_from_coords(p)
-        return S.T @ bundle.omega_matrix(p) @ S
+    def omega_matrix(chart, u, point):
+        S = chart.body_from_coords(point)
+        return S.T @ bundle.omega_matrix(point) @ S
 
     return InvariantSystem(
         name=f"tstar:{group.name}",
@@ -1170,7 +1153,7 @@ def make_so3_scenario(field=None, section="position"):
         quotient_dim=3,
         chart_at=lambda m: chart,
         act=act,
-        velocity=lambda ch, u, point=None: np.asarray(fld(u), float),
+        velocity=lambda ch, u, point: np.asarray(fld(u), float),
         project=project,
         section=sec,
         generators=lambda ch, m: -np.vstack([_hat3(m[:3]), _hat3(m[3:])]),
@@ -1178,7 +1161,7 @@ def make_so3_scenario(field=None, section="position"):
         random_point=random_point,
         section_margin=margin,
         momentum=lambda m: np.cross(m[:3], m[3:]),
-        omega_matrix=lambda ch, u, point=None: O,
+        omega_matrix=lambda ch, u, point: O,
         free=False,
     )
 
@@ -1261,7 +1244,7 @@ def make_product_scenario(rate=0.7):
         W[3, 3] = 1.0
         return W
 
-    def velocity(ch, u, point=None):
+    def velocity(ch, u, point):
         a = u[:3] @ u[:3]
         return np.array([0.0, 0.0, 0.0, rate * (1.0 + a)])
 

@@ -251,7 +251,7 @@ def test_stacked_nodes_match_one_row_solves(key):
     jacobians = c.linearizing_jacobian(stack)
     for row, jac, lam, n in zip(stack, jacobians, lams, ns):
         one = c._node(lam, [n], from_node=np.array([base]))[0]
-        for name in ("x", "inv", "minv"):
+        for name in ("x", "inv", "body"):
             rows = getattr(c.nodes, name)
             assert np.max(np.abs(rows[row] - rows[one])) <= 1e-13, name
         assert np.max(np.abs(jac - c.linearizing_jacobian([one])[0])) <= 1e-13

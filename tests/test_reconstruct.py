@@ -14,6 +14,7 @@ from liequad.expquad import exp_general
 from liequad.liegroup import ChartDomainError, MatrixGroup, forbid_exp_oracle, make_group, matrix_exp_oracle
 from liequad.reconstruct import (
     CONNECTION_SUBSTEPS,
+    FD_STEP,
     HorizontalityError,
     HorizontalSubmersion,
     ReconstructionError,
@@ -347,16 +348,23 @@ def test_two_step_cotangent_fiber_motion_vs_adaptive_oracle():
     assert sample.diagnostics["flow_residual_max"] <= 1e-5
 
 
-def test_two_step_reports_section_domain_exit():
-    # the relative-alignment invariant decays to the domain edge in finite time
+def decay_start():
+    """A field whose relative-alignment invariant decays to the domain edge in finite time."""
+
     def decay(m, rate=2.0):
         q, p = m[:3], m[3:]
         return np.concatenate([np.zeros(3), rate * ((q @ p) / (q @ q) * q - p)])
 
-    sys_ = make_so3_scenario(field=decay, section="position")
-    m0 = sys_.section(np.array([2.0, 3.0, 1.0]))
-    theta = build_theta(sys_, m0)
-    p0 = sys_.act(matrix_exp_oracle(sys_.group, np.array([0.3, -0.2, 0.4])), m0)
+    def build():
+        sys_ = make_so3_scenario(field=decay, section="position")
+        m0 = sys_.section(np.array([2.0, 3.0, 1.0]))
+        return sys_, build_theta(sys_, m0), sys_.act(matrix_exp_oracle(sys_.group, np.array([0.3, -0.2, 0.4])), m0)
+
+    return cached("decay", build)
+
+
+def test_two_step_reports_section_domain_exit():
+    sys_, theta, p0 = decay_start()
     grid = np.linspace(0.0, 8.0, 129)
     with pytest.raises(SectionDomainError) as info:
         two_step_reconstruct(sys_, theta, p0, grid)
@@ -365,6 +373,37 @@ def test_two_step_reports_section_domain_exit():
     assert 0 < len(err.partial.points) < len(grid)
     assert err.partial.diagnostics["flow_residual_max"] <= 1e-5
     assert err.partial.diagnostics["factor_drift_max"] <= 1e-6
+
+
+def test_gate_stencil_stays_inside_the_cut_curve():
+    # one output time is kept before the cut at t_reached = 5.41: the gate
+    # still reads the quotient curve only inside [0, t_reached]
+    sys_, theta, p0 = decay_start()
+    inner = _default_quotient_integrator(sys_)
+    read = []
+
+    def spied(Y, lam0, t_span):
+        gamma, t_reached = inner(Y, lam0, t_span)
+        return lambda t: read.append(np.atleast_1d(t)) or gamma(t), t_reached
+
+    with pytest.raises(SectionDomainError) as info:
+        two_step_reconstruct(sys_, theta, p0, [0.0, 8.0], quotient_integrator=spied)
+    assert len(info.value.partial.points) == 1
+    read = np.concatenate(read)
+    assert 0.0 <= read.min() and read.max() <= info.value.t_achieved
+
+
+def test_gate_refuses_a_curve_shorter_than_its_stencil():
+    # 1.5e-6 of quotient curve leaves no room for a stencil 2 FD_STEP wide
+    sys_, theta, p0 = decay_start()
+    inner = _default_quotient_integrator(sys_)
+
+    def cut(Y, lam0, t_span):
+        return inner(Y, lam0, t_span)[0], 1.5e-6
+
+    with pytest.raises(ReconstructionError, match=r"ends at t=1\.5e-06, inside the gate's stencil") as info:
+        two_step_reconstruct(sys_, theta, p0, [0.0, 8.0], quotient_integrator=cut)
+    assert not isinstance(info.value, SectionDomainError)
 
 
 def test_two_step_gate_rejects_skewed_quotient_motion():
@@ -732,6 +771,16 @@ def test_vertical_route_rejects_one_moved_factor(monkeypatch):
         vertical_integrate(prod, theta, p0, TS)
 
 
+@pytest.mark.parametrize("grid", [[0.0, 2.5e-6, 5e-6], np.sort(np.append(TS, 1e-7))],
+                         ids=["steps-of-2.5e-6", "extra-time-1e-7"])
+def test_vertical_gate_reads_the_factor_at_its_exact_offsets(grid):
+    # output times closer than 2 FD_STEP: a stencil point belongs to its own
+    # output time, not to the nearest one, and E is sampled at its exact offset
+    prod, theta, p0 = product_start()
+    sample = vertical_integrate(prod, theta, p0, grid)
+    assert sample.diagnostics["flow_residual_max"] <= 1e-9
+
+
 @pytest.mark.parametrize("scenario", ["product", "tstar-so3"])
 def test_quadrature_vertical_route_needs_no_oracle(scenario):
     if scenario == "product":
@@ -841,20 +890,38 @@ def test_two_step_evaluates_the_quotient_curve_once_per_output_time():
     assert len(calls) <= len(TS) + 1
 
 
-@pytest.mark.parametrize("route", ["two-step", "connection", "vertical"])
-def test_every_route_rejects_bad_output_times(route, monkeypatch):
-    # a time that is not finite or steps back is refused before any solve
+def route_runner(route):
+    """The route's call on a grid, from its test scenario and start."""
     if route == "two-step":
         sys_, theta, p0 = pairs_momentum()
-        run = lambda grid: two_step_reconstruct(sys_, theta, p0, grid)
-    elif route == "connection":
+        return lambda grid: two_step_reconstruct(sys_, theta, p0, grid)
+    if route == "connection":
         _b, _fld, sys_ = anisotropic_scenario("so3")
         conn = ThetaConnection(sys_, build_theta(sys_, sys_.section(np.array([0.7, -0.4, 0.5]))))
         p0, _ = tstar_start()
-        run = lambda grid: usual_reconstruct(sys_, conn, p0, grid)
-    else:
-        sys_, theta, p0 = product_start()
-        run = lambda grid: vertical_integrate(sys_, theta, p0, grid)
+        return lambda grid: usual_reconstruct(sys_, conn, p0, grid)
+    sys_, theta, p0 = product_start()
+    return lambda grid: vertical_integrate(sys_, theta, p0, grid)
+
+
+@pytest.mark.parametrize("route", ["two-step", "connection", "vertical"])
+def test_every_route_calls_its_group_factor_once(route, monkeypatch):
+    # the shared tail asks for the output times and the gate's stencil points together
+    run = route_runner(route)
+    calls, certified = [], reconstruct._certified
+
+    def counted(sys_, p0, ts, factor, *args, **kwargs):
+        return certified(sys_, p0, ts, lambda *a: calls.append(1) or factor(*a), *args, **kwargs)
+
+    monkeypatch.setattr(reconstruct, "_certified", counted)
+    run(np.linspace(0.0, 1.0, 9))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("route", ["two-step", "connection", "vertical"])
+def test_every_route_rejects_bad_output_times(route, monkeypatch):
+    # a time that is not finite or steps back is refused before any solve
+    run = route_runner(route)
     splits, split = [], reconstruct.section_split
     monkeypatch.setattr(reconstruct, "section_split", lambda *args: splits.append(args) or split(*args))
     for grid, bad in ((np.linspace(0.0, -1.0, 9), 1), ([0.0, 0.5, 0.25, 1.0], 2), ([0.0, np.nan, 1.0], 1)):
@@ -892,4 +959,4 @@ def test_flow_gate_flags_wrong_curve():
             out.append(m)
         return out
 
-    assert flow_residual_rows(sys_, drifted, TS, drifted(TS)).max() > 1e-2
+    assert flow_residual_rows(sys_, drifted(TS), drifted(TS + FD_STEP), drifted(TS - FD_STEP)).max() > 1e-2
