@@ -5,17 +5,18 @@ conserved momentum pair to its locally independent components, (2) build a
 complete solution chart parametrizing the nearby momentum fibers, (3) obtain
 a generating function and a linearizing map by one-dimensional quadratures,
 (4) evolve linearly in the linearized coordinates and map back.  Inside one
-chart the linearized coordinates move on a straight line, phi(n(t)) = t beta,
-so every output time is an independent root-find, and step (4) solves all
-the times a chart serves as one stacked Gauss-Newton: one node stack and one
-multi-segment quadrature per round, plus a probe row backward in time whose
-flow rate checks that beta is constant.  No matrix exponential is used.
+chart the linearized coordinates move affinely, phi(n(t)) = t beta, so step
+(4) collocates the fiber rows n(t) on Chebyshev time panels outward from the
+centre and interpolates the output times inside them; a probe row backward in
+time checks by its flow rate that beta is constant.  No matrix exponential is
+used.
 """
 
 import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from .cotangent import CotangentChart, PhasePoint
 from .liegroup import NEWTON_MAXIT, NEWTON_TOL, CayleyChart, ChartDomainError, GroupElement, damped_newton
@@ -29,15 +30,20 @@ TANGENCY_SAMPLES = 8     # seeded chart points the tangency check draws around t
 TANGENCY_SEED = 4321
 TANGENCY_RADIUS = 0.1
 RATE_DRIFT_TOL = 1e-5
-RATE_DRIFT_DT = 1e-2     # the rate-drift probe row sits at -RATE_DRIFT_DT, off the output chain
+RATE_DRIFT_DT = 1e-2     # the rate-drift probe row sits at -RATE_DRIFT_DT, on the fiber solve's backward side
 REACH_MARGIN = 0.8      # share of the Cayley reach along the flow that one chart serves
 RECENTER_LIMIT = 64
 QUAD_MAX_PANELS = 16    # panels a fiber quadrature may need, by its predicted count, before it
                         # counts as a domain failure
-QUAD_TOL = 1e-12        # relative bound on the summed panel error estimates
+QUAD_TOL = 1e-12        # relative bound on the summed panel error estimates, a time panel's
+                        # Chebyshev tail and its fiber residual
 LINMAP_FD_STEP = 1e-6   # relative step of the "fd" linearizing map
 HJ_FD_STEP = 1e-5       # difference step of the potential-property residual
 HJ_ORDER = 16           # Gauss-Legendre nodes of its path integrals
+CHEB_DEGREE = 16        # degree of a fiber-solve time panel: a flow is analytic inside its chart,
+                        # and 17 points resolve a whole so3 Killing-flow window to QUAD_TOL
+PANEL_HALVINGS = 8      # panel halvings one side of a flow may take: a side that runs into the
+                        # chart boundary gives up on panels 256x shorter than its span
 
 # 4-point Gauss-Lobatto rule (degree 5) and its 7-point Kronrod extension (degree 9) on
 # [0, 1], nodes ascending; a panel shares its ends with its neighbours and its centre with
@@ -46,6 +52,15 @@ LK_NODES = 0.5 + 0.5 * np.array(
     [-1.0, -np.sqrt(2 / 3), -np.sqrt(0.2), 0.0, np.sqrt(0.2), np.sqrt(2 / 3), 1.0])
 LK_KRONROD = 0.5 * np.array([11 / 210, 72 / 245, 125 / 294, 16 / 35, 125 / 294, 72 / 245, 11 / 210])
 LK_LOBATTO = 0.5 * np.array([1 / 6, 0.0, 5 / 6, 0.0, 5 / 6, 0.0, 1 / 6])
+
+# Chebyshev-Lobatto points on [-1, 1], ascending, and the matrices that take values there to
+# Chebyshev coefficients, to derivative values and to integrals from -1, with the points'
+# barycentric weights (Trefethen, Approximation Theory and Approximation Practice, 2013, chs. 2-5)
+_CHEB_X = np.sin(0.5 * np.pi * np.arange(-CHEB_DEGREE, CHEB_DEGREE + 1, 2) / CHEB_DEGREE)
+_CHEB_COEFFS = np.linalg.inv(chebyshev.chebvander(_CHEB_X, CHEB_DEGREE))
+_CHEB_DIFF = chebyshev.chebvander(_CHEB_X, CHEB_DEGREE - 1) @ chebyshev.chebder(_CHEB_COEFFS)
+_CHEB_INT = chebyshev.chebvander(_CHEB_X, CHEB_DEGREE + 1) @ chebyshev.chebint(_CHEB_COEFFS, lbnd=-1)
+_CHEB_BARY = (-1.0) ** np.arange(CHEB_DEGREE + 1) * np.r_[0.5, np.ones(CHEB_DEGREE - 1), 0.5]
 
 
 class HypothesisError(ValueError):
@@ -332,10 +347,11 @@ class CompleteSolutionChart:
         are solved as usual.  Filter the -1 out before gathering with the
         indices: numpy reads it as the last row.
 
-        Rows on the centre's 1-D fiber, as every row of a flow is, need no
-        Newton: that fiber is the one-parameter subgroup g0 exp(s xi) at the
-        centre's momentum, a straight line in Cayley coordinates, so the
-        first-order predictor lands on it.
+        Rows on the centre's fiber, as every row of a flow is, need no
+        Newton: at the centre's momentum it is g0 exp(s xi) over the isotropy
+        algebra, flat in Cayley coordinates on the catalogue's groups (a line
+        on the 3-D groups, a plane on so3 x R), so the first-order predictor
+        lands on it.  On a plane a flow's rows still curve.
         """
         nodes = self.nodes
         n = np.asarray(n, float)
@@ -389,27 +405,19 @@ class CompleteSolutionChart:
 
     # -- quadratures -------------------------------------------------------
 
-    def _segment_quad(self, integrand, segments, ends=None):
+    def _segment_quad(self, integrand, segments):
         """Integrals over [0, 1] of m = ``segments`` segments at once, by nested panels.
 
         Panels are bisected where the error is.  ``integrand(seg, s)`` takes
         the segment index of each abscissa and the vector of abscissae, and
-        returns the values stacked, one row each; every integrand call below
-        holds the new abscissae of every segment still open.  A panel's value
-        is its 7-point Kronrod sum and its estimate the largest entry of its
-        gap to the 4-point Gauss-Lobatto sum.  ``ends``, the integrand at 0
-        and 1 when the caller has it (stacked over the segments), opens a
-        ladder of nested rules, each judged by its gap to the rung below: the
-        trapezoid, at no evaluation, when the trapezoid-rectangle half-gap
-        passes the tolerance; then Simpson's rule, at one evaluation, the
-        centre node s = 1/2, when its gap to the trapezoid passes; then the
-        7-point panel, which reuses that centre value and so costs 4 more
-        evaluations.  The centres are their own call; every other call is the
-        vector of new abscissae of the panels being built, ascending within a
+        returns the values stacked, one row each; every integrand call holds
+        the new abscissae of every panel being built, ascending within a
         segment, so an integrand that solves nodes predicts each one from the
-        nearest node already solved.  While a segment's summed estimates
-        exceed ``QUAD_TOL`` of its total, its panel of largest estimate is
-        halved; its end and centre values are reused, so a split costs 10
+        nearest node already solved.  A panel's value is its 7-point Kronrod
+        sum and its estimate the largest entry of its gap to the 4-point
+        Gauss-Lobatto sum.  While a segment's summed estimates exceed
+        ``QUAD_TOL`` of its total, its panel of largest estimate is halved;
+        its end and centre values are reused, so a split costs 10
         evaluations.  Integrands are analytic inside the chart, so a
         refinement that cannot reach the tolerance within ``QUAD_MAX_PANELS``
         panels is a domain failure: after every step the kernel predicts the
@@ -423,7 +431,7 @@ class CompleteSolutionChart:
         def tol(value):
             return QUAD_TOL * max(1.0, float(np.max(np.abs(value))))
 
-        out, panels = {}, {}  # settled integrals, and the panels of each open segment
+        out, panels = {}, {j: [] for j in range(segments)}  # settled integrals, open segments' panels
 
         def build(specs):
             # panels (seg, a, b, fa, fm, fb), None for each value still unknown;
@@ -441,29 +449,7 @@ class CompleteSolutionChart:
                 gap = np.max(np.abs(h * ((LK_KRONROD - LK_LOBATTO) @ fp)))
                 panels[j].append((float(gap), h * (LK_KRONROD @ fp), (j, a, b, fp[0], fp[3], fp[-1])))
 
-        first = [(j, 0.0, 1.0, None, None, None) for j in range(segments)]
-        if ends is not None:
-            f0, f1 = ends
-            trap = 0.5 * (f0 + f1)
-            first = []
-            for j in range(segments):
-                if 0.5 * np.max(np.abs(f1[j] - f0[j])) <= tol(trap[j]):
-                    out[j] = trap[j]
-                else:
-                    first.append(j)
-            if first:
-                fm = np.asarray(integrand(np.array(first), np.full(len(first), LK_NODES[3])), float)
-                rest = []
-                for j, fmj in zip(first, fm):
-                    simpson = (f0[j] + 4.0 * fmj + f1[j]) / 6.0
-                    if np.max(np.abs(simpson - trap[j])) <= tol(simpson):
-                        out[j] = simpson
-                    else:
-                        rest.append((j, 0.0, 1.0, f0[j], fmj, f1[j]))
-                first = rest
-        for j, *_ in first:
-            panels[j] = []
-        build(first)
+        build([(j, 0.0, 1.0, None, None, None) for j in range(segments)])
         while panels:
             splits = []
             for j in list(panels):
@@ -485,34 +471,29 @@ class CompleteSolutionChart:
             build(splits)
         return np.array([out[j] for j in range(segments)])
 
-    def _phi_increment(self, lam, n_a, n_b, ends=None):
+    def _phi_increment(self, lam, n_a, n_b):
         """Integrals of -omega(d_lam, d_s) along the straight fiber segments n_a -> n_b.
 
         The rows of n_a and n_b (m, k) are m segments, integrated together by
         one multi-segment quadrature whose integrand is the linearizing
-        Jacobian along each segment; ``ends``, two index arrays of m rows of
-        ``nodes``, are the rows at n_a and n_b when the caller has them.
-        Returns the (m, ell) increments, NaN where a segment failed (a node
-        left the chart, or the refinement gave up).
+        Jacobian along each segment.  Returns the (m, ell) increments, NaN
+        where a segment failed (a node left the chart, or the refinement gave
+        up).
         """
         dn = n_b - n_a
         if not np.any(dn):
             return np.zeros((len(dn), self.ell))
-        solved = [] if ends is None else [*ends[0], *ends[1]]
-
-        def increments(rows, steps):
-            return np.einsum("ijk,ik->ij", self.linearizing_jacobian(rows), steps)
+        solved = []
 
         def integrand(seg, s):
             rows = self._nodes_near(solved, lam, n_a[seg] + s[:, None] * dn[seg], partial=True)
             values = np.full((len(s), self.ell), np.nan)
             ok = rows >= 0
             if ok.any():
-                values[ok] = increments(rows[ok], dn[seg[ok]])
+                values[ok] = np.einsum("ijk,ik->ij", self.linearizing_jacobian(rows[ok]), dn[seg[ok]])
             return values
 
-        values = None if ends is None else [increments(e, dn) for e in ends]
-        return self._segment_quad(integrand, len(dn), values)
+        return self._segment_quad(integrand, len(dn))
 
     def generating_function(self, lam, n):
         """Path integral of the tautological form over the standard path.
@@ -590,15 +571,15 @@ class CompleteSolutionChart:
     def linear_flow(self, ts):
         """Evolve the chart centre by the times ts via the linearized coordinates.
 
-        Every time t is the root of the linear target t * rate in the fiber
-        coordinates, and ``_gauss_newton`` solves all of them from the centre
-        as one stack, whatever their order, sign or repeats.  The stack
-        leads with the rate-drift probe at -``RATE_DRIFT_DT``, then t = 0:
-        backward, the probe is a chain of its own and moves no output time.
-        The times must lie within one ``chart_window`` of the centre; a time
-        whose solve fails raises ChartDomainError whose ``t_achieved`` is the
-        time before it in ts, 0.0 for the first and for the probe; a
-        ValueError or LinAlgError out of the stack also becomes
+        Every time t is the fiber row where the linearizing map reaches
+        t * rate, and one ``_gauss_newton`` solves all of them on time panels
+        outward from the centre, whatever their order, sign or repeats.  Its
+        times lead with the rate-drift probe at -``RATE_DRIFT_DT``, then
+        t = 0: the probe sits on the backward side, so no positive time
+        depends on it.  The times must lie within one ``chart_window`` of the
+        centre; a time whose solve fails raises ChartDomainError whose
+        ``t_achieved`` is the time before it in ts, 0.0 for the first and for
+        the probe; a ValueError or LinAlgError out of the solve also becomes
         ChartDomainError, with ``t_achieved`` 0.0.  A flow rate at the probe
         off the centre's by more than ``RATE_DRIFT_TOL`` relative raises
         HypothesisError.  The diagnostics hold that drift and each sample's
@@ -624,142 +605,103 @@ class CompleteSolutionChart:
     def _gauss_newton(self, beta, ts):
         """Rows of ``nodes`` and linearizing-map values phi at the times ts, as one stack.
 
-        phi is relative to the centre (row 0), and each distinct nonzero time
-        t is one fiber row, the root of phi(n) = t beta.  (1) Predict every
-        row from the centre's linearizing Jacobian and solve all rows in one
-        node stack.  (2) Correct each row once by -L(n)^+ (phi~ - t beta),
-        phi~ the trapezoid running sum of the Jacobians at the predicted
-        rows, and solve the corrected rows as one stack.  (3) Integrate phi
-        along the consecutive segments outward from the centre in both time
-        directions with one multi-segment quadrature; phi at a row is the
-        running sum.  (4) Correct all rows together by the stacked
-        ``damped_newton`` with steps -L(n)^+ (phi - t beta), to ``QUAD_TOL``
-        max(1, |t beta|); the fibers are isotropic, so the integral is path
-        independent and a trial only adds the integral over its short
-        segment.  A row whose chain breaks in (1)-(3) (its node left the
-        chart or its segment's quadrature gave up) starts (4) from the last
-        row before the break; in (4) a failed trial is halved like any other
-        that did not improve, and a row that ends above ``AUDIT_TOL`` runs (4)
-        again from the nearest row inside it that met it, as long as that row
-        is a new start.  A row still above ``AUDIT_TOL`` at the end raises
-        ChartDomainError, ``t_achieved`` the entry of ts before the first
-        that failed (0.0 for the first).  Returns the row indices and the phi
-        values at the entries of ts (row 0 and 0 where t = 0).  ts holds a
-        nonzero time; each side of t = 0 chains on its own, so the probe row
-        ``linear_flow`` adds at a negative time leaves the positive rows alone.
+        phi is relative to the centre (row 0), and each nonzero time t is the
+        fiber row where phi(n) = t beta.  Each side of t = 0 is covered by
+        ``_panel`` solves outward from the centre, each starting from the last
+        row of the one before.  The first panel is the whole side, and each
+        later one as wide as the last accepted one, or what is left; a
+        refused panel is halved, at most ``PANEL_HALVINGS`` times per side,
+        and at the next refusal the side stops where it got.  Each time's row
+        and phi are interpolated in its panel, barycentrically from the
+        increments over the panel's first row, which keeps their relative
+        accuracy near the panel start, and the rows of every time are solved
+        as one node stack, each predicted from the nearest panel row.  A time
+        that no panel reached, or whose row fails, raises ChartDomainError,
+        ``t_achieved`` the entry of ts before the first that failed (0.0 for
+        the first).  Returns the row indices and the phi values at the
+        entries of ts (row 0 and 0 where t = 0).
         """
-        nodes = self.nodes
-        lam = nodes.lam[0]
-        times = np.unique(ts[ts != 0.0])
-        targets = np.multiply.outer(times, beta)
-        zero = np.zeros(self.ell)
-        sides = (np.flatnonzero(times > 0.0), np.flatnonzero(times < 0.0)[::-1])  # outward
-
-        def newton(rows, r):
-            return -np.einsum("ijk,ik->ij", np.linalg.pinv(self.linearizing_jacobian(rows)), r)
-
-        def chain(rows):
-            # each side's times out to the first without a row (-1), with the
-            # index of the time inside each (-1 for the centre)
-            links = []
-            for side in sides:
-                inner = -1
-                for j in side:
-                    if rows[j] < 0:
+        nodes, k = self.nodes, self.k
+        rows, phis = np.zeros(len(ts), int), np.zeros((len(ts), self.ell))
+        at, n, near = [], [], []
+        for side in (ts[ts > 0.0], ts[ts < 0.0]):
+            end = side[np.argmax(np.abs(side))] if side.size else 0.0
+            a, start, width, halvings = 0.0, 0, end, 0
+            while a != end:
+                b = end if abs(end - a) <= abs(width) else a + width
+                panel = self._panel(beta, a, b, start)
+                if panel is None:
+                    if halvings == PANEL_HALVINGS:
                         break
-                    links.append((j, inner))
-                    inner = j
-            return links
-
-        def running(links, increments):
-            # phi at each chained time, the sum of the increments out to it
-            phis = np.full((len(times), self.ell), np.nan)
-            for (j, inner), inc in zip(links, increments):
-                phis[j] = (phis[inner] if inner >= 0 else zero) + inc
-            return phis
-
-        def ends(rows, links):
-            # the rows at the inner and outer end of each link
-            return np.array([rows[i] if i >= 0 else 0 for _j, i in links]), rows[[j for j, _i in links]]
-
-        # (1) predict from the centre's Jacobian
-        slope = np.linalg.pinv(self.linearizing_jacobian([0])[0]) @ beta
-        rows = self._node(lam, nodes.n[0] + np.multiply.outer(times, slope), partial=True)
-        links = chain(rows)
-        if links:
-            # (2) one correction from the trapezoid sums at the predicted rows
-            inner, outer = ends(rows, links)
-            L_in, L_out = self.linearizing_jacobian(inner), self.linearizing_jacobian(outer)
-            at = [j for j, _i in links]
-            dn = nodes.n[outer] - nodes.n[inner]
-            trap = running(links, 0.5 * np.einsum("ijk,ik->ij", L_in + L_out, dn))[at]
-            fixed = self._node(lam, nodes.n[outer] + newton(outer, trap - targets[at]), outer, partial=True)
-            rows[at] = np.where(fixed >= 0, fixed, outer)
-        # (3) integrate along the chains
-        links = chain(rows)
-        phis = np.full((len(times), self.ell), np.nan)
-        if links:
-            inner, outer = ends(rows, links)
-            phis = running(links, self._phi_increment(lam, nodes.n[inner], nodes.n[outer], (inner, outer)))
-
-        def inward(usable):
-            # per time, the index of the nearest usable time at or inside it, -1 for the centre
-            out = np.full(len(times), -1)
-            for side in sides:
-                last = -1
-                for j in side:
-                    last = j if usable[j] else last
-                    out[j] = last
-            return out
-
-        states = list(zip(rows, phis))  # (row, phi) per time
-        start = inward(np.isfinite(phis).all(axis=1))
-        tight = QUAD_TOL * np.maximum(1.0, np.linalg.norm(targets, axis=1))
-
-        def solve(ids, begin):
-            def trial(sel, x, now):
-                if now is None:
-                    return np.array([phi for _i, phi in begin]) - targets[ids], begin
-                inner = np.array([i for i, _phi in now])
-                moved = self._node(lam, x, inner, partial=True)
-                r, out = np.full((len(sel), self.ell), np.nan), [None] * len(sel)
-                ok = np.flatnonzero(moved >= 0)
-                if ok.size:
-                    inc = self._phi_increment(lam, nodes.n[inner[ok]], x[ok], (inner[ok], moved[ok]))
-                    for i, d in zip(ok, inc):
-                        out[i] = (moved[i], now[i][1] + d)
-                        r[i] = out[i][1] - targets[ids[sel[i]]]
-                return r, out
-
-            def step(_sel, _x, r, now):
-                return newton(np.array([i for i, _phi in now]), r)
-
-            return damped_newton(nodes.n[[i for i, _phi in begin]], trial, step, tight[ids], GN_MAXIT, 8)
-
-        # (4) the stacked Gauss-Newton; a row that misses the audit starts again
-        # from the nearest row inside it that meets it (-1 the centre), while
-        # that row is not the one it last started from (-2 before its first
-        # start from a met row).  Met rows stay met, so each restart starts
-        # further out and the passes end.
-        rn, todo, tried = np.full(len(times), np.inf), np.arange(len(times)), np.where(start < 0, -1, -2)
-        while todo.size:
-            _x, _r, rn[todo], solved = solve(todo, [states[i] if i >= 0 else (0, zero) for i in start[todo]])
-            for j, state in zip(todo, solved):
-                states[j] = state
-            met = rn <= AUDIT_TOL
-            nearest = inward(met)
-            todo = np.flatnonzero(~met & (nearest != tried))
-            start[todo] = tried[todo] = nearest[todo]
-        bad = rn > AUDIT_TOL
-        if bad.any():
-            first = int(np.flatnonzero(np.isin(ts, times[bad]))[0])
+                    halvings, width = halvings + 1, 0.5 * width
+                    continue
+                prow, pphi = panel
+                inside = np.flatnonzero(((ts - a) * end > 0.0) & ((b - ts) * end >= 0.0))
+                gap = (2.0 * ts[inside] - a - b) / (b - a) - _CHEB_X[:, None]
+                hit = gap == 0.0
+                exact = hit.any(axis=0)  # a time on a panel row takes that row
+                w = _CHEB_BARY[:, None] / np.where(hit, 1.0, gap)
+                w[:, exact] = hit[:, exact]
+                inc = w.T @ np.concatenate([nodes.n[prow] - nodes.n[prow[0]], pphi - pphi[0]], axis=1)
+                inc /= w.sum(axis=0)[:, None]
+                at.extend(inside)
+                n.extend(nodes.n[prow[0]] + inc[:, :k])
+                phis[inside] = pphi[0] + inc[:, k:]
+                near.extend(prow[np.argmin(np.abs(gap), axis=0)])
+                a, start = b, prow[-1]
+        reached = ts == 0.0
+        if at:
+            rows[at] = self._node(nodes.lam[0], np.array(n), np.array(near), partial=True)
+            reached[at] = rows[at] >= 0
+        if not reached.all():
+            first = int(np.flatnonzero(~reached)[0])
             raise ChartDomainError(
-                f"fiber solve did not meet the audit tolerance (residual {rn[bad].max():.3e}) "
-                f"at t={ts[first]:g}",
-                t_achieved=float(ts[first - 1]) if first else 0.0,
-            )
-        states = [states[j] if t != 0.0 else (0, zero) for t, j in zip(ts, np.searchsorted(times, ts))]
-        return np.array([i for i, _phi in states]), np.array([phi for _i, phi in states])
+                f"fiber solve did not reach t={ts[first]:g}", t_achieved=float(ts[first - 1]) if first else 0.0)
+        return rows, phis
+
+    def _panel(self, beta, a, b, start):
+        """Fiber rows at the Chebyshev-Lobatto times of [a, b] where phi = t beta, or None.
+
+        Row 0 is ``start``, the row of ``nodes`` at time a; the others start
+        on its tangent, n_a + (t - a) L^+ beta, L the linearizing Jacobian.
+        phi at each row is a beta plus the integral from a of L(n) n', through
+        the Chebyshev differentiation and integration matrices.  While some
+        row is above ``QUAD_TOL`` max(1, |t beta|) and every such row is still
+        falling, each row moves by -L^+ (phi - t beta), and the rows are
+        solved as one node stack.  The panel is refused (None) if a row
+        leaves the chart, if the rows settle above ``AUDIT_TOL`` or not within
+        ``GN_MAXIT`` rounds, or if the integrand's last two Chebyshev
+        coefficients exceed ``QUAD_TOL`` of its largest (at least 1); the
+        integrand is in the panel's [-1, 1] variable, so its coefficients
+        scale with the panel width.  Returns the rows and their phi.
+        """
+        nodes, lam = self.nodes, self.nodes.lam[0]
+        times = 0.5 * (a + b) + 0.5 * (b - a) * _CHEB_X
+        targets = np.multiply.outer(times, beta)
+        tight = QUAD_TOL * np.maximum(1.0, np.linalg.norm(targets, axis=1))
+        rows = np.full(len(times), start)
+        slope = np.linalg.pinv(self.linearizing_jacobian([start])[0]) @ beta
+        n = nodes.n[start] + np.multiply.outer(times - a, slope)
+        last = np.inf
+        for _ in range(GN_MAXIT):
+            rows[1:] = self._node(lam, n[1:], rows[1:], partial=True)
+            if (rows < 0).any():
+                return None
+            L = self.linearizing_jacobian(rows)
+            integrand = np.einsum("ijk,ik->ij", L, _CHEB_DIFF @ nodes.n[rows])
+            phis = a * beta + _CHEB_INT @ integrand
+            r = phis - targets
+            rn = np.linalg.norm(r, axis=1)
+            above = rn > tight
+            if above.any() and (rn < last)[above].all():
+                last = rn
+                n = nodes.n[rows] - np.einsum("ijk,ik->ij", np.linalg.pinv(L), r)
+                continue
+            coeffs = np.abs(_CHEB_COEFFS @ integrand).max(axis=1)
+            if rn.max() > AUDIT_TOL or coeffs[-2:].max() > QUAD_TOL * max(1.0, coeffs.max()):
+                return None
+            return rows, phis
+        return None
 
 
 def chart_window(bundle, dyn_field, p):
@@ -819,10 +761,10 @@ def integrate_by_quadratures(bundle, dyn_field, p0, ts):
     hypotheses there, and evolves linearly in the linearized fiber
     coordinates.  ts are absolute times from p0, taken in the given order
     (ascending recommended).  Each chart serves the consecutive times within
-    one ``chart_window`` of its centre, all of them in one stacked
-    ``linear_flow``, and the next is centred at the last time served when
-    the next time lies within one window of it, else at the window's edge
-    toward the next time; each checks its rate drift with a probe row
+    one ``chart_window`` of its centre, all of them in one ``linear_flow`` on
+    Chebyshev time panels, and the next is centred at the last time served
+    when the next time lies within one window of it, else at the window's
+    edge toward the next time; each checks its rate drift with a probe row
     backward in time, the largest drift in the diagnostics.  The charts are
     planned up front, so more than ``RECENTER_LIMIT`` re-centres raise
     ChartDomainError before any solve; a fiber solve that fails raises it

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from liequad import hjsolver
 from liequad.cotangent import CotangentBundle, build_casimir_field
@@ -22,6 +23,7 @@ from liequad.liegroup import (
     make_group,
     matrix_exp_oracle,
 )
+from liequad.reconstruct import make_product_scenario
 
 TS = np.linspace(0.0, 1.0, 17)
 
@@ -87,11 +89,23 @@ def test_sl2r_hyperbolic_direction():
         assert abs(np.linalg.det(e.matrix) - 1.0) <= 1e-8
 
 
+@pytest.mark.parametrize("xi", [(0.2, -0.3, 0.1, 0.3), (0.5, 0.2, -0.4, 0.7)])
+def test_curved_two_dimensional_fiber(xi):
+    # on rotations x translations the fiber is a plane in Cayley coordinates
+    # and the flow rows curve inside it, so the fiber solve cannot follow one
+    # straight line in n
+    grp = make_product_scenario().group
+    xi = np.array(xi)
+    with forbid_exp_oracle():
+        curve = exp_general(grp, xi, TS)
+    for t, e in zip(TS, curve.elements):
+        assert np.linalg.norm(e.matrix - expm(t * grp.algebra_matrix(xi))) <= 1e-8
+
+
 def test_sl2r_hyperbolic_coarse_grid_restarts_from_the_converged_row():
     # a real spectrum never leaves the Cayley chart, so one chart serves
-    # [0, 6.6]; the chain's first segment gives up, every row starts from the
-    # centre, and the row at 6.6 stalls on slow steps until it starts again
-    # from the converged row at 4.4
+    # [0, 6.6]; the fiber solve halves its first panel twice, and the last
+    # panel once more, each panel starting from the converged row before it
     grp = make_group("sl2r")
     xi = np.array([-0.3237, 0.3145, 0.1172])
     with forbid_exp_oracle():

@@ -206,6 +206,23 @@ def test_long_run_recenters_and_stays_accurate():
         assert np.linalg.norm(p.g.matrix - want.matrix) <= 1e-8
 
 
+def test_hyperbolic_killing_flow_on_several_panels():
+    # a real spectrum gives one chart with an infinite window, so one fiber
+    # solve covers [0, 12] on several Chebyshev time panels
+    b = bundle_for("sl2r")
+    grp = b.group
+    X = casimir_field_for(b)
+    a0 = 4.0 * np.array([0.5, 0.3, -0.2])
+    ts = np.linspace(0.0, 12.0, 17)
+    with forbid_exp_oracle():
+        s = integrate_by_quadratures(b, X, PhasePoint(grp.identity(), a0), ts)
+    assert s.diagnostics["recenters"] == 0
+    xi = np.linalg.solve(b.algebra.killing_form(), a0)
+    for t, p in zip(ts, s.points):
+        want = expm(t * grp.algebra_matrix(xi))
+        assert np.linalg.norm(p.g.matrix - want) <= 1e-8 * np.linalg.norm(want)
+
+
 def test_backward_times():
     b = bundle_for("so3")
     grp = b.group
@@ -296,9 +313,9 @@ def test_failed_rate_drift_probe_reaches_nothing(monkeypatch):
 
 
 def test_one_segment_of_a_whole_window(monkeypatch):
-    # [0, 3.0] is one chart whose single segment spans almost its window of
-    # 3.026, longer than one quadrature can refine: the row is halved back into
-    # reach inside the one stacked solve of the flow
+    # [0, 3.0] is one chart whose single time spans almost its window of
+    # 3.026: one Chebyshev time panel covers it, inside the one fiber solve of
+    # the flow
     calls = []
     solve = CompleteSolutionChart._gauss_newton
 
@@ -335,9 +352,9 @@ def test_fiber_solve_past_the_chart_is_a_typed_failure(monkeypatch):
 
 
 def test_fiber_solve_whose_first_time_fails_is_a_typed_failure(monkeypatch):
-    # the only time lies past the Cayley boundary, so no row inside it meets
-    # the audit: the solve must stop after its restart from the centre and
-    # report that it reached nothing
+    # the only time lies past the Cayley boundary, so no panel reaches it:
+    # the solve must stop after its last panel halving and report that it
+    # reached nothing
     window = hjsolver.chart_window
     monkeypatch.setattr(hjsolver, "chart_window", lambda *args: 10.0 * window(*args))
     b = bundle_for("so3")

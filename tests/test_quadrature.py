@@ -38,10 +38,9 @@ def chart():
     return casimir_chart("so3")
 
 
-def one_segment(chart, f, ends=None):
+def one_segment(chart, f):
     """The one-segment integral of f(s) over [0, 1], settled as the routes settle it."""
-    ends = None if ends is None else [np.asarray(v, float)[None] for v in ends]
-    return _settled(chart._segment_quad(lambda _seg, s: f(s), 1, ends))[0]
+    return _settled(chart._segment_quad(lambda _seg, s: f(s), 1))[0]
 
 
 class Counted:
@@ -89,45 +88,12 @@ def test_evaluation_counts(chart):
     line = Counted(lambda s: np.array([s, 2.0 - s]))
     one_segment(chart, line)
     assert len(line.at) == 7
-    line.at = []
-    one_segment(chart, line, (line.f(0.0), line.f(1.0)))
-    assert len(line.at) == 1
-    assert line.at == sorted(line.at) and 0.0 < line.at[0] and line.at[-1] < 1.0
     # each split evaluates the two half panels' interiors only: the parent's
     # ends and its centre node are the halves' ends
-    for ends in (None, (0.0, 7e-8)):
-        sixth = Counted(lambda s: 7e-8 * s**6)
-        assert abs(one_segment(chart, sixth, ends) / 1e-8 - 1.0) <= 1e-14
-        first = 7 if ends is None else 5
-        assert len(sixth.at) > first and (len(sixth.at) - first) % 10 == 0
-        assert len(set(sixth.at)) == len(sixth.at)
-
-
-def test_trapezoid_when_the_ends_agree(chart):
-    def never(_s):
-        raise AssertionError("the trapezoid path evaluates nothing")
-
-    f0 = np.array([0.3, -1.2])
-    f1 = f0 + np.array([1e-13, -1e-13])
-    assert np.array_equal(one_segment(chart, never, (f0, f1)), 0.5 * (f0 + f1))
-
-
-def test_simpson_rung_settles_a_cubic_on_the_centre_node(chart):
-    # S - T = 5e-13 passes the tolerance while the trapezoid's half-gap (2)
-    # does not; Simpson is exact on cubics, the trapezoid 5e-13 off
-    eps = 1e-12
-    cubic = Counted(lambda s: 2.0 * s + (2.0 * s - 1.0) ** 3 + 3.0 * eps * s**2)
-    value = one_segment(chart, cubic, (cubic.f(0.0), cubic.f(1.0)))
-    assert cubic.at == [0.5]
-    assert abs(value - (1.0 + eps)) <= 1e-15
-
-
-def test_failed_simpson_rung_reuses_its_centre_node(chart):
-    quartic = Counted(lambda s: 5.0 * s**4)
-    value = one_segment(chart, quartic, (0.0, 5.0))
-    assert abs(value - 1.0) <= 1e-15
-    assert len(quartic.at) == 5 and len(set(quartic.at)) == 5
-    assert quartic.at[0] == 0.5 and 0.0 not in quartic.at and 1.0 not in quartic.at
+    sixth = Counted(lambda s: 7e-8 * s**6)
+    assert abs(one_segment(chart, sixth) / 1e-8 - 1.0) <= 1e-14
+    assert len(sixth.at) > 7 and (len(sixth.at) - 7) % 10 == 0
+    assert len(set(sixth.at)) == len(sixth.at)
 
 
 def test_long_refinement_within_the_cap_is_unchanged(chart):
@@ -278,34 +244,36 @@ def one_exponential():
 
 
 def test_node_solves_behind_one_exponential(monkeypatch):
-    # work-count guard: 153 node solves on the Cayley chart (193 on the graph
-    # chart, 472 with the earlier 6+3-node Gauss-Legendre pair refined globally)
+    # work-count guard: 113 node solves on Chebyshev time panels, 16 rows per
+    # panel round and 17 output rows (164 with the chained Gauss-Newton, 193
+    # on the graph chart); the ceiling is 10% more
     count = NodeCount(monkeypatch)
     one_exponential()
-    assert count.calls <= 168
+    assert count.calls <= 124
 
 
 def test_panel_nodes_are_solved_as_stacks(monkeypatch):
-    # batching guard: the 153 nodes come from 99 kernel calls (ceiling: 10%
-    # more), so a fall-back to one solve per node fails here
+    # batching guard: the 113 nodes come from 7 kernel calls, one per panel
+    # round and one for the output rows (ceiling: 10% more), so a fall-back to
+    # one solve per node fails here
     count = NodeCount(monkeypatch)
     one_exponential()
-    assert count.kernel_calls <= 108
+    assert count.kernel_calls <= 8
 
 
 def test_output_times_are_solved_as_one_stack(monkeypatch):
-    # batching guard: one stacked Gauss-Newton over the chart's output times
-    # takes 15 kernel calls for the 166 nodes (99 with one solve per time), so
-    # a fall-back to one solve per output time fails here
+    # batching guard: the chart's output rows are one node stack after the
+    # panels, 7 kernel calls in all, so a fall-back to one solve per output
+    # time (17 more calls) fails here
     count = NodeCount(monkeypatch)
     one_exponential()
     assert count.kernel_calls <= 20
 
 
 def test_one_fiber_solve_behind_one_exponential(monkeypatch):
-    # work-count guard: the rate-drift probe is one more row of the chart's
-    # stacked fiber solve, so the exponential makes one Gauss-Newton and 8
-    # kernel calls (15 with the probe as a fiber solve of its own)
+    # work-count guard: the rate-drift probe is one more output time of the
+    # chart's fiber solve, its panel [-RATE_DRIFT_DT, 0] inside the same call,
+    # so the exponential makes one fiber solve and 7 kernel calls
     solves = []
     gauss_newton = CompleteSolutionChart._gauss_newton
 
@@ -420,7 +388,7 @@ def test_one_closed_form_body_matrix_per_node(monkeypatch):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_node_system_raises_value_error(chart, monkeypatch, bad):
-    # damped_newton and _gauss_newton take a ValueError for a failed trial;
+    # invert's damped_newton takes a ValueError for a failed trial;
     # the centre row meets the Newton tolerance at its predictor, so only
     # the poisoned system can fail it
     ints = chart.integrals
@@ -437,29 +405,32 @@ def test_non_finite_node_system_raises_value_error(chart, monkeypatch, bad):
 
 
 def test_node_solves_behind_a_long_exponential(monkeypatch):
-    # work-count guard: 140 node solves with the doubling count predicted from
-    # the Cayley chart's reach (673 on the graph chart, whose first attempt on
-    # the full grid was thrown away)
+    # work-count guard: 109 node solves with the doubling count predicted from
+    # the Cayley chart's reach (128 with the chained Gauss-Newton, 673 on the
+    # graph chart, whose first attempt on the full grid was thrown away); the
+    # ceiling is 10% more
     count = NodeCount(monkeypatch)
     exp_semisimple(make_group("so3"), np.array([0.0, 0.0, 1.0]), np.linspace(0.0, 6.0, 13))
-    assert count.calls <= 154
+    assert count.calls <= 119
 
 
 def test_node_solves_behind_a_long_casimir_flow(monkeypatch):
-    # work-count guard: 396 node solves on the Cayley chart (1239 on the graph
-    # chart); the flow re-centres once on [0, 6]
+    # work-count guard: 250 node solves on Chebyshev time panels (396 with the
+    # chained Gauss-Newton, 1239 on the graph chart); the flow re-centres once
+    # on [0, 6], and the ceiling is 10% more
     count = NodeCount(monkeypatch)
     b = CotangentBundle(make_group("so3"))
     X = build_casimir_field(b, killing_casimir(b.algebra))
     p0 = PhasePoint(b.group.identity(), np.array([0.7, -0.2, 0.4]))
     s = integrate_by_quadratures(b, X, p0, np.linspace(0.0, 6.0, 25))
     assert len(s.points) == 25 and s.diagnostics["recenters"] == 1
-    assert count.calls <= 436
+    assert count.calls <= 275
 
 
 def test_a_casimir_flow_past_a_half_turn_recenters(monkeypatch):
     # the flow turns by about 5 rad on [0, 12], past what one Cayley chart
-    # covers; 836 node solves (2673 on the graph chart)
+    # covers; 500 node solves on Chebyshev time panels (792 with the chained
+    # Gauss-Newton, 2673 on the graph chart), and the ceiling is 10% more
     count = NodeCount(monkeypatch)
     b = CotangentBundle(make_group("so3"))
     X = build_casimir_field(b, killing_casimir(b.algebra))
@@ -468,7 +439,7 @@ def test_a_casimir_flow_past_a_half_turn_recenters(monkeypatch):
     with forbid_exp_oracle():
         s = integrate_by_quadratures(b, X, PhasePoint(b.group.identity(), a0), ts)
     assert len(s.points) == len(ts) and s.diagnostics["recenters"] >= 1
-    assert count.calls <= 920
+    assert count.calls <= 550
     xi = np.linalg.solve(b.algebra.killing_form(), a0)
     for t, p in zip(ts, s.points):
         assert np.linalg.norm(p.g.matrix - matrix_exp_oracle(b.group, xi, t).matrix) <= 1e-8

@@ -682,6 +682,7 @@ def test_vertical_route_stabilizer_shift_leaves_curve_fixed():
     chi_dir = isotropy_basis_at(prod, prod.section(prod.project(p0)))[:, 0]
     for scale in (1.7, -0.6):
         shifted = vertical_integrate(prod, theta, p0, TS, chi=scale * chi_dir)
+        assert shifted.diagnostics["group_factor"] == "quadrature"
         gap = max(np.linalg.norm(a - b) for a, b in zip(base.points, shifted.points))
         assert gap <= 1e-8
     # free-pair states have no stabilizer to shift by
