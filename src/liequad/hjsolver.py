@@ -33,25 +33,15 @@ RATE_DRIFT_TOL = 1e-5
 RATE_DRIFT_DT = 1e-2     # the rate-drift probe row sits at -RATE_DRIFT_DT, on the fiber solve's backward side
 REACH_MARGIN = 0.8      # share of the Cayley reach along the flow that one chart serves
 RECENTER_LIMIT = 64
-QUAD_MAX_PANELS = 16    # panels a fiber quadrature may need, by its predicted count, before it
-                        # counts as a domain failure
-QUAD_TOL = 1e-12        # relative bound on the summed panel error estimates, a time panel's
-                        # Chebyshev tail and its fiber residual
+QUAD_TOL = 1e-12        # relative bound on a panel's Chebyshev tail, of a fiber quadrature or a
+                        # time panel, and on a time panel's fiber residual
 LINMAP_FD_STEP = 1e-6   # relative step of the "fd" linearizing map
 HJ_FD_STEP = 1e-5       # difference step of the potential-property residual
 HJ_ORDER = 16           # Gauss-Legendre nodes of its path integrals
 CHEB_DEGREE = 16        # degree of a fiber-solve time panel: a flow is analytic inside its chart,
                         # and 17 points resolve a whole so3 Killing-flow window to QUAD_TOL
-PANEL_HALVINGS = 8      # panel halvings one side of a flow may take: a side that runs into the
-                        # chart boundary gives up on panels 256x shorter than its span
-
-# 4-point Gauss-Lobatto rule (degree 5) and its 7-point Kronrod extension (degree 9) on
-# [0, 1], nodes ascending; a panel shares its ends with its neighbours and its centre with
-# its halves (Gander and Gautschi, "Adaptive quadrature -- revisited", BIT 40, 2000).
-LK_NODES = 0.5 + 0.5 * np.array(
-    [-1.0, -np.sqrt(2 / 3), -np.sqrt(0.2), 0.0, np.sqrt(0.2), np.sqrt(2 / 3), 1.0])
-LK_KRONROD = 0.5 * np.array([11 / 210, 72 / 245, 125 / 294, 16 / 35, 125 / 294, 72 / 245, 11 / 210])
-LK_LOBATTO = 0.5 * np.array([1 / 6, 0.0, 5 / 6, 0.0, 5 / 6, 0.0, 1 / 6])
+PANEL_HALVINGS = 8      # halvings of one panel walk, a flow side or a fiber quadrature: a walk into
+                        # the chart boundary gives up on panels 256x shorter than its span
 
 # Chebyshev-Lobatto points on [-1, 1], ascending, and the matrices that take values there to
 # Chebyshev coefficients, to derivative values and to integrals from -1, with the points'
@@ -80,11 +70,42 @@ def _solve_stack(S, b):
 
 
 def _settled(values):
-    """Quadrature values, or ChartDomainError when a segment gave up (a NaN value)."""
+    """Quadrature values, or ChartDomainError when the quadrature gave up (a NaN value)."""
     if not np.isfinite(values).all():
         raise ChartDomainError(
-            "quadrature refinement exhausted: a node left the chart or the panels passed the cap")
+            "quadrature gave up: a node left the chart or the panels did not resolve the integrand")
     return values
+
+
+def _walk(end, panel):
+    """The panels (a, b, result) that ``panel(a, b)`` accepts, from 0 outward to ``end``.
+
+    The first panel is the whole span, and each later one as wide as the
+    last accepted one, or what is left; ``panel`` refuses one by returning
+    None, and a refused panel is halved, at most ``PANEL_HALVINGS`` times,
+    after which the next refusal stops the walk where it got.
+    """
+    a, width, halvings = 0.0, end, 0
+    while a != end:
+        b = end if abs(end - a) <= abs(width) else a + width
+        result = panel(a, b)
+        if result is not None:
+            yield a, b, result
+            a = b
+        elif halvings == PANEL_HALVINGS:
+            return
+        else:
+            halvings, width = halvings + 1, 0.5 * width
+
+
+def _resolved(values):
+    """Whether the values (17, ...) at the Chebyshev-Lobatto points are finite and resolved.
+
+    Resolved: their interpolant's last two Chebyshev coefficients are within
+    ``QUAD_TOL`` of its largest, at least 1, all over the trailing axes.
+    """
+    coeffs = np.abs(_CHEB_COEFFS @ np.reshape(values, (len(values), -1))).max(axis=1)
+    return bool(np.isfinite(coeffs).all() and coeffs[-2:].max() <= QUAD_TOL * max(1.0, coeffs.max()))
 
 
 @dataclass
@@ -405,122 +426,73 @@ class CompleteSolutionChart:
 
     # -- quadratures -------------------------------------------------------
 
-    def _segment_quad(self, integrand, segments):
-        """Integrals over [0, 1] of m = ``segments`` segments at once, by nested panels.
+    def _segment_quad(self, integrand):
+        """Integral over [0, 1] of ``integrand`` on Clenshaw-Curtis panels, NaN if it gives up.
 
-        Panels are bisected where the error is.  ``integrand(seg, s)`` takes
-        the segment index of each abscissa and the vector of abscissae, and
-        returns the values stacked, one row each; every integrand call holds
-        the new abscissae of every panel being built, ascending within a
-        segment, so an integrand that solves nodes predicts each one from the
-        nearest node already solved.  A panel's value is its 7-point Kronrod
-        sum and its estimate the largest entry of its gap to the 4-point
-        Gauss-Lobatto sum.  While a segment's summed estimates exceed
-        ``QUAD_TOL`` of its total, its panel of largest estimate is halved;
-        its end and centre values are reused, so a split costs 10
-        evaluations.  Integrands are analytic inside the chart, so a
-        refinement that cannot reach the tolerance within ``QUAD_MAX_PANELS``
-        panels is a domain failure: after every step the kernel predicts the
-        panel count that bisection at the rule's rate would need and gives up
-        as soon as it exceeds the cap, so a probe past the chart boundary
-        usually gives up after its first panel.  A non-finite value fails its
-        segment too.  Returns the (m, ...) stack of integrals, NaN where a
-        segment failed; ``_settled`` turns that NaN into ChartDomainError.
+        ``integrand(s)`` takes a panel's 17 Chebyshev-Lobatto abscissae,
+        ascending, and returns their values stacked.  The panels are
+        ``_walk``'s from 0 to 1, and one whose values are not ``_resolved`` is
+        refused.  The integrands are analytic inside the chart (Trefethen, "Is
+        Gauss quadrature better than Clenshaw-Curtis?", SIAM Rev. 50, 2008),
+        so a walk that stops short of 1 is a domain failure; ``_settled``
+        turns its NaN into ChartDomainError.
         """
 
-        def tol(value):
-            return QUAD_TOL * max(1.0, float(np.max(np.abs(value))))
+        def panel(a, b):
+            # the integrand in the panel's [-1, 1] variable, as a time panel tests it
+            values = 0.5 * (b - a) * integrand(0.5 * (a + b) + 0.5 * (b - a) * _CHEB_X)
+            return _CHEB_INT[-1] @ values if _resolved(values) else None
 
-        out, panels = {}, {j: [] for j in range(segments)}  # settled integrals, open segments' panels
+        total, reached = 0.0, 0.0
+        for _a, reached, value in _walk(1.0, panel):
+            total += value
+        return total if reached == 1.0 else np.nan
 
-        def build(specs):
-            # panels (seg, a, b, fa, fm, fb), None for each value still unknown;
-            # one integrand call takes the new abscissae of every panel
-            if not specs:
-                return
-            fs = [[fa, None, None, fm, None, None, fb] for *_, fa, fm, fb in specs]
-            new = [(p, i) for p, fp in enumerate(fs) for i, v in enumerate(fp) if v is None]
-            seg = np.array([specs[p][0] for p, _i in new], int)
-            s = np.array([specs[p][1] + LK_NODES[i] * (specs[p][2] - specs[p][1]) for p, i in new])
-            for (p, i), v in zip(new, integrand(seg, s)):
-                fs[p][i] = v
-            for (j, a, b, *_), fp in zip(specs, fs):
-                h, fp = b - a, np.asarray(fp)
-                gap = np.max(np.abs(h * ((LK_KRONROD - LK_LOBATTO) @ fp)))
-                panels[j].append((float(gap), h * (LK_KRONROD @ fp), (j, a, b, fp[0], fp[3], fp[-1])))
+    def _line_quad(self, solved, lam0, dlam, dn, value):
+        """``_segment_quad`` of ``value(rows)`` at the rows (lam0 + s dlam, s dn) of ``nodes``.
 
-        build([(j, 0.0, 1.0, None, None, None) for j in range(segments)])
-        while panels:
-            splits = []
-            for j in list(panels):
-                ps = panels[j]
-                total = sum(p[1] for p in ps)
-                err = sum(p[0] for p in ps)
-                if err <= tol(total):
-                    out[j] = total
-                # LK_LOBATTO has degree 5, so the summed gap is O(h^6) in the panel
-                # width: each doubling of the panels divides it by 2^6
-                elif not (len(ps) * (err / tol(total)) ** (1 / 6) <= QUAD_MAX_PANELS):
-                    out[j] = np.full(np.shape(total), np.nan)
-                else:
-                    _j, a, b, fa, fm, fb = ps.pop(max(range(len(ps)), key=lambda i: ps[i][0]))[2]
-                    m = a + LK_NODES[3] * (b - a)
-                    splits += [(j, a, m, fa, None, fm), (j, m, b, fm, None, fb)]
-                    continue
-                del panels[j]
-            build(splits)
-        return np.array([out[j] for j in range(segments)])
-
-    def _phi_increment(self, lam, n_a, n_b):
-        """Integrals of -omega(d_lam, d_s) along the straight fiber segments n_a -> n_b.
-
-        The rows of n_a and n_b (m, k) are m segments, integrated together by
-        one multi-segment quadrature whose integrand is the linearizing
-        Jacobian along each segment.  Returns the (m, ell) increments, NaN
-        where a segment failed (a node left the chart, or the refinement gave
-        up).
+        The rows are solved by ``_nodes_near(solved, ..., partial=True)``, and
+        a row that fails reads NaN, which refuses its panel.
         """
-        dn = n_b - n_a
-        if not np.any(dn):
-            return np.zeros((len(dn), self.ell))
-        solved = []
 
-        def integrand(seg, s):
-            rows = self._nodes_near(solved, lam, n_a[seg] + s[:, None] * dn[seg], partial=True)
-            values = np.full((len(s), self.ell), np.nan)
-            ok = rows >= 0
-            if ok.any():
-                values[ok] = np.einsum("ijk,ik->ij", self.linearizing_jacobian(rows[ok]), dn[seg[ok]])
+        def integrand(s):
+            rows = self._nodes_near(solved, lam0 + np.multiply.outer(s, dlam), np.multiply.outer(s, dn),
+                                    partial=True)
+            values = value(np.maximum(rows, 0))
+            values[rows < 0] = np.nan
             return values
 
-        return self._segment_quad(integrand, len(dn))
+        return self._segment_quad(integrand)
+
+    def _phi_increment(self, lam, n):
+        """Integral of -omega(d_lam, d_s) = L dn along the fiber segment 0 -> n at lam, NaN if it gave up."""
+        if not np.any(n):
+            return np.zeros(self.ell)
+        return self._line_quad([], lam, np.zeros(self.ell), n, lambda rows: self.linearizing_jacobian(rows) @ n)
 
     def generating_function(self, lam, n):
         """Path integral of the tautological form over the standard path.
 
         The path runs (0,0) -> (lam,0) in the momentum values, then
         (lam,0) -> (lam,n) inside the fiber; the fiber leg is
-        path-independent because the fibers are isotropic.
+        path-independent because the fibers are isotropic.  Each leg is one
+        ``_line_quad``, their rows each predicted from the nearest solved
+        before it; a leg that gives up raises ChartDomainError.
         """
-        lam = np.asarray(lam, float)
-        n = np.asarray(n, float)
+        lam, n = np.asarray(lam, float), np.asarray(n, float)
         zk, zl = np.zeros(self.k), np.zeros(self.ell)
-        dim = self.integrals.dim
-        total = 0.0
-        solved = []  # rows of both legs, each new one predicted from the nearest
+        dim, nodes = self.integrals.dim, self.nodes
+        total, solved = 0.0, []
         # leg (lam0, dlam, dn): the point at s is (lam0 + s dlam, s dn)
         for lam0, dlam, dn in ((zl, lam, zk), (lam, zl, n)):
             if np.any(dlam) or np.any(dn):
+                v = np.concatenate([dn, dlam])
 
-                def leg(_seg, s):
-                    rows = self._nodes_near(
-                        solved, lam0 + np.multiply.outer(s, dlam), np.multiply.outer(s, dn)
-                    )
+                def theta(rows):
                     # theta of the body tangent along the leg: alpha . v
-                    v = self.nodes.body[rows, :dim] @ np.concatenate([dn, dlam])
-                    return np.einsum("ij,ij->i", self.nodes.x[rows, dim:], v)
+                    return np.einsum("ij,ij->i", nodes.x[rows, dim:], nodes.body[rows, :dim] @ v)
 
-                total += float(_settled(self._segment_quad(leg, 1))[0])
+                total += float(_settled(self._line_quad(solved, lam0, dlam, dn, theta)))
         return total
 
     def linearizing_map(self, lam, n, method="fast"):
@@ -535,7 +507,7 @@ class CompleteSolutionChart:
         evolution coordinate.
         """
         if method == "fast":
-            return _settled(self._phi_increment(lam, np.zeros((1, self.k)), np.reshape(n, (1, self.k)))[0])
+            return _settled(self._phi_increment(lam, np.asarray(n, float)))
         if method == "fd":
             h = LINMAP_FD_STEP * max(1.0, float(np.linalg.norm(lam)))
             return central_jacobian(lambda x: self.generating_function(x, n), lam, h)
@@ -606,50 +578,42 @@ class CompleteSolutionChart:
         """Rows of ``nodes`` and linearizing-map values phi at the times ts, as one stack.
 
         phi is relative to the centre (row 0), and each nonzero time t is the
-        fiber row where phi(n) = t beta.  Each side of t = 0 is covered by
-        ``_panel`` solves outward from the centre, each starting from the last
-        row of the one before.  The first panel is the whole side, and each
-        later one as wide as the last accepted one, or what is left; a
-        refused panel is halved, at most ``PANEL_HALVINGS`` times per side,
-        and at the next refusal the side stops where it got.  Each time's row
-        and phi are interpolated in its panel, barycentrically from the
-        increments over the panel's first row, which keeps their relative
-        accuracy near the panel start, and the rows of every time are solved
-        as one node stack, each predicted from the nearest panel row.  A time
-        that no panel reached, or whose row fails, raises ChartDomainError,
-        ``t_achieved`` the entry of ts before the first that failed (0.0 for
-        the first).  Returns the row indices and the phi values at the
-        entries of ts (row 0 and 0 where t = 0).
+        fiber row where phi(n) = t beta.  Each side of t = 0 is one ``_walk``
+        of ``_panel`` solves outward from the centre, each starting from the
+        last row of the one before.  A time on a panel's Chebyshev-Lobatto
+        time takes that panel row and its phi.  Every other time's row and phi
+        are interpolated in its panel, barycentrically from the increments
+        over the panel's first row, which keeps their relative accuracy near
+        the panel start, and those rows are solved as one node stack, each
+        predicted from the nearest panel row.  A time that no panel reached,
+        or whose row fails, raises ChartDomainError, ``t_achieved`` the entry
+        of ts before the first that failed (0.0 for the first).  Returns the
+        row indices and the phi values at the entries of ts (row 0 and 0
+        where t = 0).
         """
         nodes, k = self.nodes, self.k
         rows, phis = np.zeros(len(ts), int), np.zeros((len(ts), self.ell))
+        reached = ts == 0.0
         at, n, near = [], [], []
         for side in (ts[ts > 0.0], ts[ts < 0.0]):
-            end = side[np.argmax(np.abs(side))] if side.size else 0.0
-            a, start, width, halvings = 0.0, 0, end, 0
-            while a != end:
-                b = end if abs(end - a) <= abs(width) else a + width
-                panel = self._panel(beta, a, b, start)
-                if panel is None:
-                    if halvings == PANEL_HALVINGS:
-                        break
-                    halvings, width = halvings + 1, 0.5 * width
-                    continue
-                prow, pphi = panel
+            end, start = (side[np.argmax(np.abs(side))] if side.size else 0.0), 0
+            # the walk calls the panel solve after the body below has moved start
+            for a, b, (prow, pphi) in _walk(end, lambda lo, hi: self._panel(beta, lo, hi, start)):
                 inside = np.flatnonzero(((ts - a) * end > 0.0) & ((b - ts) * end >= 0.0))
-                gap = (2.0 * ts[inside] - a - b) / (b - a) - _CHEB_X[:, None]
-                hit = gap == 0.0
-                exact = hit.any(axis=0)  # a time on a panel row takes that row
-                w = _CHEB_BARY[:, None] / np.where(hit, 1.0, gap)
-                w[:, exact] = hit[:, exact]
+                x = (2.0 * ts[inside] - a - b) / (b - a)
+                hit = x[:, None] == _CHEB_X
+                exact = hit.any(axis=1)  # a time on a panel row takes that row and its phi
+                on, j = inside[exact], hit[exact].argmax(axis=1)
+                rows[on], phis[on], reached[on] = prow[j], pphi[j], True
+                inside, gap = inside[~exact], x[~exact] - _CHEB_X[:, None]
+                w = _CHEB_BARY[:, None] / gap
                 inc = w.T @ np.concatenate([nodes.n[prow] - nodes.n[prow[0]], pphi - pphi[0]], axis=1)
                 inc /= w.sum(axis=0)[:, None]
                 at.extend(inside)
                 n.extend(nodes.n[prow[0]] + inc[:, :k])
                 phis[inside] = pphi[0] + inc[:, k:]
                 near.extend(prow[np.argmin(np.abs(gap), axis=0)])
-                a, start = b, prow[-1]
-        reached = ts == 0.0
+                start = prow[-1]
         if at:
             rows[at] = self._node(nodes.lam[0], np.array(n), np.array(near), partial=True)
             reached[at] = rows[at] >= 0
@@ -670,8 +634,7 @@ class CompleteSolutionChart:
         falling, each row moves by -L^+ (phi - t beta), and the rows are
         solved as one node stack.  The panel is refused (None) if a row
         leaves the chart, if the rows settle above ``AUDIT_TOL`` or not within
-        ``GN_MAXIT`` rounds, or if the integrand's last two Chebyshev
-        coefficients exceed ``QUAD_TOL`` of its largest (at least 1); the
+        ``GN_MAXIT`` rounds, or if the integrand is not ``_resolved``; the
         integrand is in the panel's [-1, 1] variable, so its coefficients
         scale with the panel width.  Returns the rows and their phi.
         """
@@ -697,8 +660,7 @@ class CompleteSolutionChart:
                 last = rn
                 n = nodes.n[rows] - np.einsum("ijk,ik->ij", np.linalg.pinv(L), r)
                 continue
-            coeffs = np.abs(_CHEB_COEFFS @ integrand).max(axis=1)
-            if rn.max() > AUDIT_TOL or coeffs[-2:].max() > QUAD_TOL * max(1.0, coeffs.max()):
+            if rn.max() > AUDIT_TOL or not _resolved(integrand):
                 return None
             return rows, phis
         return None

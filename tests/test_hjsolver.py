@@ -424,10 +424,12 @@ def test_flow_rate_constant_on_fiber():
         assert np.allclose(beta, beta0, atol=1e-10)
 
 
-def test_linearizing_map_evolves_linearly():
+@pytest.mark.parametrize("key", ["so3", "su2", "sl2r"])
+def test_linearizing_map_evolves_linearly(key):
     # independent recomputation of the map at flowed points, not the running
-    # bookkeeping: checks path independence of the fiber-leg integral too
-    b = bundle_for("so3")
+    # bookkeeping: checks path independence of the fiber-leg integral too, and
+    # the fiber quadrature against the flow's time panels
+    b = bundle_for(key)
     X = casimir_field_for(b)
     p0 = PhasePoint(b.group.identity(), np.array([0.7, -0.2, 0.4]))
     chart = CompleteSolutionChart(b, X, p0)

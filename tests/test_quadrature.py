@@ -1,4 +1,10 @@
-"""The fiber-quadrature kernel: nested Lobatto-Kronrod panels with local bisection."""
+"""The fiber quadrature and the flow's node solves.
+
+The quadrature kernel integrates on Clenshaw-Curtis panels at the
+Chebyshev-Lobatto points, walked outward from 0 by the ``_walk`` that also
+walks the flow's time panels; the rest checks the stacked node solves and the
+work they take behind a flow.
+"""
 
 import numpy as np
 import pytest
@@ -6,14 +12,13 @@ import pytest
 from liequad.cotangent import CotangentBundle, PhasePoint, build_casimir_field
 from liequad.expquad import exp_semisimple
 from liequad.hjsolver import (
-    LK_KRONROD,
-    LK_LOBATTO,
-    LK_NODES,
-    QUAD_MAX_PANELS,
+    CHEB_DEGREE,
+    PANEL_HALVINGS,
     QUAD_TOL,
     TANGENCY_SAMPLES,
     CompleteSolutionChart,
     _settled,
+    _walk,
     integrate_by_quadratures,
 )
 from liequad.liealg import killing_casimir
@@ -39,8 +44,8 @@ def chart():
 
 
 def one_segment(chart, f):
-    """The one-segment integral of f(s) over [0, 1], settled as the routes settle it."""
-    return _settled(chart._segment_quad(lambda _seg, s: f(s), 1))[0]
+    """The integral of f(s) over [0, 1], settled as the routes settle it."""
+    return _settled(chart._segment_quad(f))
 
 
 class Counted:
@@ -55,104 +60,98 @@ class Counted:
         return np.array([self.f(x) for x in s])
 
 
-def test_rule_degrees():
-    # Kronrod exact to degree 9, Lobatto to degree 5, so the gap vanishes
-    # on degree 5 and not on degree 6
-    for d in range(10):
-        assert abs(LK_KRONROD @ LK_NODES**d - 1.0 / (d + 1)) <= 1e-15
-    for d in range(6):
-        assert abs(LK_LOBATTO @ LK_NODES**d - 1.0 / (d + 1)) <= 1e-15
-    assert abs(LK_LOBATTO @ LK_NODES**6 - 1.0 / 7.0) > 1e-4
-    assert np.all(np.diff(LK_NODES) > 0) and LK_NODES[0] == 0.0 and LK_NODES[-1] == 1.0
-
-
-@pytest.mark.parametrize("degree", range(10))
-def test_one_panel_integrates_degree_nine(chart, degree):
-    # scaled so that the Kronrod-Lobatto gap passes the tolerance at once
+@pytest.mark.parametrize("degree", range(CHEB_DEGREE))
+def test_one_panel_integrates_degree_fifteen(chart, degree):
+    # Clenshaw-Curtis on 17 points is exact through degree 16; scaled so that
+    # the Chebyshev tail passes the tolerance at once
     scale = 1e-12
     f = Counted(lambda s: scale * (degree + 1) * s**degree)
     assert abs(one_segment(chart, f) / scale - 1.0) <= 1e-14
-    assert len(f.at) == 7
+    assert len(f.at) == CHEB_DEGREE + 1
 
 
-@pytest.mark.parametrize("degree", [5, 6])
-def test_estimate_is_nonzero_from_degree_six(chart, degree):
-    # at this scale a one-panel estimate of the degree-6 size fails the
-    # tolerance, so only a nonzero estimate makes the kernel split
-    f = Counted(lambda s: 1e-8 * (degree + 1) * s**degree)
-    assert abs(one_segment(chart, f) / 1e-8 - 1.0) <= 1e-14
-    assert (len(f.at) > 7) == (degree == 6)
+@pytest.mark.parametrize("f, exact", [
+    (lambda s: 1.0 / (3.0 - s), np.log(1.5)),
+    (np.log1p, 2.0 * np.log(2.0) - 1.0),
+])
+def test_analytic_integrands_converge_in_one_panel(chart, f, exact):
+    # both are analytic on a Bernstein ellipse around [0, 1] wide enough for
+    # 17 points to reach QUAD_TOL
+    f = Counted(f)
+    assert abs(one_segment(chart, f) - exact) <= QUAD_TOL
+    assert len(f.at) == CHEB_DEGREE + 1
 
 
-def test_evaluation_counts(chart):
-    line = Counted(lambda s: np.array([s, 2.0 - s]))
-    one_segment(chart, line)
-    assert len(line.at) == 7
-    # each split evaluates the two half panels' interiors only: the parent's
-    # ends and its centre node are the halves' ends
-    sixth = Counted(lambda s: 7e-8 * s**6)
-    assert abs(one_segment(chart, sixth) / 1e-8 - 1.0) <= 1e-14
-    assert len(sixth.at) > 7 and (len(sixth.at) - 7) % 10 == 0
-    assert len(set(sixth.at)) == len(sixth.at)
-
-
-def test_long_refinement_within_the_cap_is_unchanged(chart):
-    # 12 panels, as before the predicted-exhaustion exit: the prediction
-    # stays under the cap at every step
-    c = 2.0
-    f = Counted(lambda s: 1.0 / (1.0 + c - s))
-    assert abs(one_segment(chart, f) - np.log((1.0 + c) / c)) <= QUAD_TOL
-    assert len(f.at) == 7 + 10 * 11 and 11 < QUAD_MAX_PANELS
-
-
-def test_exit_gives_up_on_a_slow_convergent_integrand(chart):
-    """The exit's known edge case: log(1 + s) used to converge on exactly the
-    16th panel.  Local bisection beats the uniform-halving prediction, which
-    reads 14.2, 15.2 and then 16.3 panels, so the kernel now raises after its
-    third panel.  Callers treat the raise as a domain failure and halve the
-    step, whose shorter segments converge."""
-    f = Counted(np.log1p)
-    with pytest.raises(ChartDomainError, match="quadrature refinement exhausted"):
-        one_segment(chart, f)
-    assert len(f.at) == 7 + 10 * 2
-    half = one_segment(chart, lambda s: 0.5 * np.log1p(0.5 * s))
-    assert abs(half - (1.5 * np.log(1.5) - 0.5)) <= QUAD_TOL
-
-
-def test_singular_integrand_fails_at_the_panel_cap(chart):
-    # the first panel's estimate predicts more than QUAD_MAX_PANELS panels
+def test_singular_integrand_gives_up_after_the_last_halving(chart):
+    # sqrt is not analytic at 0, so every panel from [0, 1] down to
+    # [0, 2**-PANEL_HALVINGS] is refused, and the walk reaches nothing
     f = Counted(np.sqrt)
+    assert np.isnan(chart._segment_quad(f))
+    assert len(f.at) == (PANEL_HALVINGS + 1) * (CHEB_DEGREE + 1)
+    assert min(f.at) == 0.0 and max(f.at[-(CHEB_DEGREE + 1):]) == 0.5**PANEL_HALVINGS
     with pytest.raises(ChartDomainError, match="quadrature"):
-        one_segment(chart, f)
-    assert len(f.at) == 7
+        one_segment(chart, np.sqrt)
 
 
-def test_segments_are_refined_together(chart):
-    # each of m segments gets the value and the abscissae it gets alone, one
-    # integrand call holds every open segment's new abscissae, and a segment
-    # that gives up comes back NaN without failing the others
-    scalars = [lambda s: 1e-12 * s**3, lambda s: 7e-8 * s**6, np.sqrt, lambda s: 1.0 / (3.0 - s)]
-    alone = []
-    for f in scalars:
-        one = Counted(f)
-        try:
-            value = one_segment(chart, one)
-        except ChartDomainError:
-            value = np.nan
-        alone.append((value, sorted(one.at)))
-    calls, seen = [], [[] for _ in scalars]
+def test_a_failed_row_refuses_its_panel(chart):
+    # one NaN value, as a node row that fails reads, refuses the first panel;
+    # its halves are integrated as usual
+    calls = []
 
-    def integrand(seg, s):
-        calls.append(sorted(set(seg.tolist())))
-        for j, x in zip(seg, s):
-            seen[j].append(x)
-        return np.array([scalars[j](x) for j, x in zip(seg, s)])
+    def integrand(s):
+        calls.append(s)
+        values = np.cos(s)
+        if len(calls) == 1:
+            values[5] = np.nan
+        return values
 
-    values = chart._segment_quad(integrand, len(scalars))
-    for (value, at), got, abscissae in zip(alone, values, seen):
-        assert (np.isnan(value) and np.isnan(got)) or got == value
-        assert sorted(abscissae) == at
-    assert calls[0] == [0, 1, 2, 3] and len(calls) == max(1 + (len(at) - 7) // 10 for _v, at in alone)
+    assert abs(one_segment(chart, integrand) - np.sin(1.0)) <= QUAD_TOL
+    assert [(s[0], s[-1]) for s in calls] == [(0.0, 1.0), (0.0, 0.5), (0.5, 1.0)]
+
+
+def test_a_node_row_past_the_chart_fails_the_quadrature(chart):
+    # the fiber segment runs far past the Cayley boundary: its rows fail,
+    # every panel is refused, and the linearizing map raises the typed error
+    with pytest.raises(ChartDomainError, match="quadrature"):
+        chart.linearizing_map(np.zeros(chart.ell), 1e3 * np.ones(chart.k))
+
+
+@pytest.mark.parametrize("end", [1.0, -1.0])
+def test_walk_halves_a_refused_panel(end):
+    # panels wider than 0.3 are refused: the whole span and its half, then
+    # quarters out to the end, each as wide as the last accepted one
+    calls = []
+
+    def panel(a, b):
+        calls.append((a, b))
+        return "ok" if abs(b - a) <= 0.3 else None
+
+    walked = [(a, b) for a, b, _result in _walk(end, panel)]
+    quarters = [(end * q, end * (q + 0.25)) for q in (0.0, 0.25, 0.5, 0.75)]
+    assert walked == quarters
+    assert calls == [(0.0, end), (0.0, 0.5 * end)] + quarters
+
+
+def test_walk_stops_after_the_last_halving():
+    # panels that end past 0.6 are refused, so the walk closes in on 0.6 and
+    # stops at the refusal after its PANEL_HALVINGS-th halving
+    refused = []
+
+    def panel(a, b):
+        if b > 0.6:
+            refused.append((a, b))
+            return None
+        return b - a
+
+    walked = list(_walk(1.0, panel))
+    assert len(refused) == PANEL_HALVINGS + 1
+    assert refused[-1][1] - refused[-1][0] == 0.5**PANEL_HALVINGS
+    assert walked[0] == (0.0, 0.5, 0.5) and all(w[1] == v[0] for w, v in zip(walked, walked[1:]))
+    assert 0.6 - 0.5**PANEL_HALVINGS < walked[-1][1] <= 0.6
+
+
+def test_nothing_to_walk():
+    assert list(_walk(0.0, None)) == []
 
 
 def test_partial_stack_returns_the_failed_rows_as_none():
@@ -244,16 +243,18 @@ def one_exponential():
 
 
 def test_node_solves_behind_one_exponential(monkeypatch):
-    # work-count guard: 113 node solves on Chebyshev time panels, 16 rows per
-    # panel round and 17 output rows (164 with the chained Gauss-Newton, 193
-    # on the graph chart); the ceiling is 10% more
+    # work-count guard: 110 node solves on Chebyshev time panels, 16 rows per
+    # panel round and 14 output rows; the output times 0.5 and 1 and the
+    # rate-drift probe lie on panel rows and take them (113 when they were
+    # solved again, 164 with the chained Gauss-Newton, 193 on the graph
+    # chart); the ceiling is 10% more
     count = NodeCount(monkeypatch)
     one_exponential()
-    assert count.calls <= 124
+    assert count.calls <= 121
 
 
 def test_panel_nodes_are_solved_as_stacks(monkeypatch):
-    # batching guard: the 113 nodes come from 7 kernel calls, one per panel
+    # batching guard: the 110 nodes come from 7 kernel calls, one per panel
     # round and one for the output rows (ceiling: 10% more), so a fall-back to
     # one solve per node fails here
     count = NodeCount(monkeypatch)
@@ -405,32 +406,35 @@ def test_non_finite_node_system_raises_value_error(chart, monkeypatch, bad):
 
 
 def test_node_solves_behind_a_long_exponential(monkeypatch):
-    # work-count guard: 109 node solves with the doubling count predicted from
-    # the Cayley chart's reach (128 with the chained Gauss-Newton, 673 on the
-    # graph chart, whose first attempt on the full grid was thrown away); the
-    # ceiling is 10% more
+    # work-count guard: 106 node solves with the doubling count predicted from
+    # the Cayley chart's reach (109 when output times on panel rows were
+    # solved again, 128 with the chained Gauss-Newton, 673 on the graph chart,
+    # whose first attempt on the full grid was thrown away); the ceiling is
+    # 10% more
     count = NodeCount(monkeypatch)
     exp_semisimple(make_group("so3"), np.array([0.0, 0.0, 1.0]), np.linspace(0.0, 6.0, 13))
-    assert count.calls <= 119
+    assert count.calls <= 116
 
 
 def test_node_solves_behind_a_long_casimir_flow(monkeypatch):
-    # work-count guard: 250 node solves on Chebyshev time panels (396 with the
-    # chained Gauss-Newton, 1239 on the graph chart); the flow re-centres once
-    # on [0, 6], and the ceiling is 10% more
+    # work-count guard: 244 node solves on Chebyshev time panels (250 when
+    # output times on panel rows were solved again, 396 with the chained
+    # Gauss-Newton, 1239 on the graph chart); the flow re-centres once on
+    # [0, 6], and the ceiling is 10% more
     count = NodeCount(monkeypatch)
     b = CotangentBundle(make_group("so3"))
     X = build_casimir_field(b, killing_casimir(b.algebra))
     p0 = PhasePoint(b.group.identity(), np.array([0.7, -0.2, 0.4]))
     s = integrate_by_quadratures(b, X, p0, np.linspace(0.0, 6.0, 25))
     assert len(s.points) == 25 and s.diagnostics["recenters"] == 1
-    assert count.calls <= 275
+    assert count.calls <= 268
 
 
 def test_a_casimir_flow_past_a_half_turn_recenters(monkeypatch):
     # the flow turns by about 5 rad on [0, 12], past what one Cayley chart
-    # covers; 500 node solves on Chebyshev time panels (792 with the chained
-    # Gauss-Newton, 2673 on the graph chart), and the ceiling is 10% more
+    # covers; 488 node solves on Chebyshev time panels (500 when output times
+    # on panel rows were solved again, 792 with the chained Gauss-Newton, 2673
+    # on the graph chart), and the ceiling is 10% more
     count = NodeCount(monkeypatch)
     b = CotangentBundle(make_group("so3"))
     X = build_casimir_field(b, killing_casimir(b.algebra))
@@ -439,7 +443,7 @@ def test_a_casimir_flow_past_a_half_turn_recenters(monkeypatch):
     with forbid_exp_oracle():
         s = integrate_by_quadratures(b, X, PhasePoint(b.group.identity(), a0), ts)
     assert len(s.points) == len(ts) and s.diagnostics["recenters"] >= 1
-    assert count.calls <= 550
+    assert count.calls <= 536
     xi = np.linalg.solve(b.algebra.killing_form(), a0)
     for t, p in zip(ts, s.points):
         assert np.linalg.norm(p.g.matrix - matrix_exp_oracle(b.group, xi, t).matrix) <= 1e-8
