@@ -136,7 +136,13 @@ class CotangentBundle:
     # -- group action ---------------------------------------------------------
 
     def action(self, h, p):
-        return PhasePoint(self.group.compose(h, p.g), p.alpha)
+        return self.actions([h], [p])[0]
+
+    def actions(self, hs, ps):
+        """``action`` row by row over the elements hs and the points ps: one stacked
+        product and one ``elements`` check of every product."""
+        prods = np.array([h.matrix for h in hs]) @ np.array([p.g.matrix for p in ps])
+        return [PhasePoint(g, p.alpha) for g, p in zip(self.group.elements(prods), ps)]
 
     def lifted_fundamental(self, eta, p):
         """Infinitesimal generator of the lifted action at p, body coordinates."""

@@ -67,6 +67,7 @@ from .liegroup import (
     _Pattern,
     _pattern_projector,
     _project_polar_real,
+    _so3_basis,
     _UnitDet,
     damped_newton,
     make_group,
@@ -143,55 +144,56 @@ class FlatChart:
 class InvariantSystem:
     """A group action with quotient data and one invariant vector field.
 
-    Points are scenario-specific objects; every algorithm reaches them only
-    through ``chart_at`` (local coordinates), ``act`` (the action),
-    ``project`` (orbit coordinates), ``section`` (one point per orbit) and
-    ``velocity`` (the field as a coordinate velocity).  ``section_margin``
-    is positive inside the section domain; curves are cut where it vanishes.
-    ``velocity(chart, u, point)`` and the optional
-    ``omega_matrix(chart, u, point)`` (the symplectic form) are taken at a
+    Points are scenario-specific objects.  The scenario hands over its
+    callbacks in row-stacked form, where a stack of points is a sequence of
+    them and a form that returns points returns a list; algorithms reach
+    points only through these forms and ``chart_at`` (the local chart at a
+    point, for stepping in coordinates):
+
+    * ``sections(lams)``: the section points over the rows of lams (k, q);
+    * ``actions(gs, points)``: gs[i] acting on points[i];
+    * ``projections(points)``: orbit coordinates (k, q);
+    * ``chart_coords(points, centres)``: (k, dim), row i the coordinates of
+      points[i] in the chart at centres[i], ``chart_at(c).to_coords(p)``;
+    * ``velocities(points, centres=None)``: the field as chart velocities
+      (k, dim), in the charts at the centres, by default each point's own;
+    * ``generator_matrices(points, centres=None)``: W (k, dim, group.dim) in
+      the same charts, column i the velocity of t -> act(exp(t e_i), m);
+    * ``section_jacobians(lams)``: the section's derivative Ds (k, dim, q),
+      each in the chart at its section point.
+
+    W and Ds give the connection rate and the quotient field
+    (``section_split``) and the Jacobian of the solved group-factor map.
+    The field itself is called point by point: it is caller code, such as
+    an ``InvariantField`` whose gradient takes one covector, and a gradient
+    like ``lambda a: Q @ a`` handed a (3, 3) stack returns a wrong result
+    silently.  ``velocities`` stacks only the chart algebra around it.
+
+    ``act``, ``project``, ``section``, ``velocity`` and ``section_jacobian``
+    are one-row calls of these forms.  A chart object stands for the chart
+    at its origin, ``chart.from_coords(0)``; ``section_jacobian`` expects
+    the chart at section(lam).  ``section_margin`` is positive inside the
+    section domain; curves are cut where it vanishes.  The optional
+    ``omega_matrix(chart, u, point)`` (the symplectic form) is taken at a
     point given both as itself and as its coordinates u in ``chart``.
     Instances are immutable after construction.
-
-    Two closed forms are required, each in the coordinates of a given chart:
-    ``generators(chart, m)`` is the matrix W whose column i is the velocity
-    at m of the action flow t -> act(exp(t e_i), m), and
-    ``section_jacobian(chart, lam)`` is the derivative Ds of the section at
-    lam.  They give the connection rate and the quotient field
-    (``section_split``) and the Jacobian of the solved group-factor map.
     """
 
-    def __init__(
-        self,
-        name,
-        group,
-        dim,
-        quotient_dim,
-        chart_at,
-        act,
-        velocity,
-        project,
-        section,
-        generators,
-        section_jacobian,
-        random_point,
-        section_margin=None,
-        momentum=None,
-        omega_matrix=None,
-        free=False,
-        exact_theta=None,
-    ):
+    def __init__(self, name, group, dim, quotient_dim, chart_at, coords, act, velocity, project, section,
+                 generators, section_jacobian, random_point, section_margin=None, momentum=None,
+                 omega_matrix=None, free=False, exact_theta=None):
         self.name = name
         self.group = group
         self.dim = dim
         self.quotient_dim = quotient_dim
         self.chart_at = chart_at
-        self.act = act
-        self.velocity = velocity
-        self.project = project
-        self.section = section
-        self.generators = generators
-        self.section_jacobian = section_jacobian
+        self.chart_coords = coords
+        self.actions = act
+        self.velocities = velocity
+        self.projections = project
+        self.sections = section
+        self.generator_matrices = generators
+        self.section_jacobians = section_jacobian
         self.random_point = random_point
         self.section_margin = section_margin or (lambda lam: np.inf)
         self.momentum = momentum
@@ -199,16 +201,36 @@ class InvariantSystem:
         self.free = free
         self.exact_theta = exact_theta
 
+    def act(self, g, m):
+        return self.actions([g], [m])[0]
+
+    def project(self, m):
+        return self.projections([m])[0]
+
+    def section(self, lam):
+        return self.sections(np.asarray(lam, float)[None])[0]
+
+    def velocity(self, chart, u, point):
+        """The field at point in ``chart``; u, the point's coordinates there, is not read."""
+        return self.velocities([point], [_origin(chart)])[0]
+
+    def section_jacobian(self, chart, lam):
+        return self.section_jacobians(np.asarray(lam, float)[None])[0]
+
     def velocity_at(self, m):
         """Field at a point in that point's own chart: (chart, coords, velocity)."""
         chart = self.chart_at(m)
-        u = chart.to_coords(m)
-        return chart, u, self.velocity(chart, u, point=m)
+        return chart, chart.to_coords(m), self.velocities([m])[0]
 
     def chart_distance(self, a, b):
         """Coordinate distance of b from a in the chart centered at a."""
-        chart = self.chart_at(a)
-        return float(np.linalg.norm(chart.to_coords(b) - chart.to_coords(a)))
+        u = self.chart_coords([b, a], [a, a])
+        return float(np.linalg.norm(u[0] - u[1]))
+
+
+def _origin(chart):
+    """The point at coordinates 0 of a chart, where ``chart_at`` gives that chart back."""
+    return chart.from_coords(np.zeros(chart.dim))
 
 
 def _along_field(f, chart, u, du):
@@ -230,20 +252,20 @@ def section_split(sys, lams):
     The group factor is the identity on the section image, so the field there
     is an action generator plus a section velocity: X = W eta + Ds Y, which
     gives both exactly.  Y is unique because the orbit and section tangents
-    are transversal (``build_theta`` certifies it).  For a free action the
-    system [W Ds] is square and nonsingular, and one stacked solve takes
-    every point; under a stabilizer each point is a least-squares solve and
-    eta the minimum-norm rate.
+    are transversal (``build_theta`` certifies it).  One call of each
+    stacked form gives every [W Ds] and every field value, in the section
+    points' own charts.  For a free action [W Ds] is square and
+    nonsingular, and one stacked solve takes every point; under a
+    stabilizer each point is a least-squares solve and eta the minimum-norm
+    rate.
     """
     lams = np.asarray(lams, float)
-    splits, rates = [], []
-    for lam in lams.reshape(sys.quotient_dim, -1).T:
-        m = sys.section(lam)
-        chart, _u, du = sys.velocity_at(m)
-        splits.append(np.hstack([sys.generators(chart, m), sys.section_jacobian(chart, lam)]))
-        rates.append(du)
+    rows = lams.reshape(sys.quotient_dim, -1).T
+    points = sys.sections(rows)
+    splits = np.concatenate([sys.generator_matrices(points), sys.section_jacobians(rows)], axis=2)
+    rates = sys.velocities(points)
     if sys.free:
-        sol = np.linalg.solve(np.array(splits), np.array(rates)[..., None])[..., 0]
+        sol = np.linalg.solve(splits, rates[..., None])[..., 0]
     else:
         sol = np.array([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(splits, rates)])
     k = sys.group.dim
@@ -282,7 +304,7 @@ def projected_field_defect(sys, m):
 
 def fundamental_matrix(sys, m):
     """Columns: chart velocities at m of the one-parameter action flows."""
-    return sys.generators(sys.chart_at(m), m)
+    return sys.generator_matrices([m])[0]
 
 
 def isotropy_basis_at(sys, m):
@@ -348,7 +370,7 @@ def validate_invariant_system(sys):
         gm = sys.act(g, m)
         gchart = sys.chart_at(gm)
         pushed = _along_field(lambda mm: gchart.to_coords(sys.act(g, mm)), chart, u, du)
-        worst("field_invariance", np.linalg.norm(pushed - sys.velocity(gchart, gchart.to_coords(gm), point=gm)))
+        worst("field_invariance", np.linalg.norm(pushed - sys.velocities([gm])[0]))
         if sys.momentum is not None:
             worst("momentum_equivariance", np.linalg.norm(sys.momentum(gm) - grp.coadjoint(g, sys.momentum(m))))
             if sys.omega_matrix is not None:
@@ -383,11 +405,14 @@ class HorizontalSubmersion(_GroupFactor):
     identity, one stacked solve per call of ``factors``, with minimum-norm
     steps; on positive-dimensional stabilizers the steps stay orthogonal to
     the gauge directions, which fixes the representative deterministically.
-    The base point maps to the identity.  The Jacobian is exact: moving n by
-    dn moves g by the body velocity M(g)^-1 dn, M the Cayley chart's tangent
-    matrix, which moves act(g, target) along the generator of
-    Ad_g M(g)^-1 dn, so J = W(act(g, target)) Ad_g M(g)^-1 with W the
-    scenario's generators.
+    The base point maps to the identity.  Every trial takes its residuals
+    with one stacked action and one stacked ``chart_coords`` call, and
+    every step its Jacobians with one stacked ``jacobians`` call.  The
+    Jacobian is exact: moving n by dn moves g = cay(A(n)) by the spatial
+    velocity dg g^-1 = (I + g) dA (I + g^-1) / 4, which moves
+    act(g, target) along the generator of that velocity, so J = W S with W
+    the scenario's generators at act(g, target) in the chart at m and S
+    the matrix of dn -> dg g^-1.
 
     A point whose factor cannot be certified raises ReconstructionError:
     either the residual stalls above ``GAUGE_ACCEPT``, or the solve's start
@@ -409,30 +434,30 @@ class HorizontalSubmersion(_GroupFactor):
     def factors(self, ms, warm=None):
         """Group factors of the points ms as one stack, every row started from ``warm``."""
         sys = self.sys
-        targets = [sys.section(sys.project(m)) for m in ms]
-        charts = [sys.chart_at(m) for m in ms]
-        ref = np.array([c.to_coords(m) for c, m in zip(charts, ms)])
+        targets = sys.sections(sys.projections(ms))
+        ref = sys.chart_coords(ms, ms)
         n = np.tile(np.zeros(sys.group.dim) if warm is None else np.asarray(warm, float), (len(ms), 1))
 
-        def trial(rows, nn, _g):
+        def trial(rows, nn, _states):
             g = [GroupElement(a, sys.group, ainv) for a, ainv in zip(*self.gchart.from_coords(nn))]
-            r = [charts[i].to_coords(sys.act(gi, targets[i])) for i, gi in zip(rows, g)]
-            return np.array(r) - ref[rows], g
+            moved = sys.actions(g, [targets[i] for i in rows])
+            return sys.chart_coords(moved, [ms[i] for i in rows]) - ref[rows], list(zip(g, moved))
 
-        def step(rows, _nn, r, g):
+        def step(rows, _nn, r, states):
+            g, moved = zip(*states)
             # small singular values are stabilizer directions; truncating
             # them keeps the step minimal-norm and bounded
-            return np.array([scipy.linalg.lstsq(self.jacobian(charts[i], targets[i], gi), -ri, cond=GAUGE_COND,
-                                                lapack_driver="gelsd")[0] for i, gi, ri in zip(rows, g, r)])
+            return np.array([scipy.linalg.lstsq(J, -ri, cond=GAUGE_COND, lapack_driver="gelsd")[0]
+                             for J, ri in zip(self.jacobians([ms[i] for i in rows], moved, g), r)])
 
         try:
-            _n, _r, rn, g = damped_newton(n, trial, step, GAUGE_TOL, GAUGE_MAXIT, 20)
+            _n, _r, rn, states = damped_newton(n, trial, step, GAUGE_TOL, GAUGE_MAXIT, 20)
         except ChartDomainError as err:
             raise ReconstructionError(f"group-factor solve left the identity chart: {err}") from err
         if np.max(rn) <= GAUGE_ACCEPT:
             # stalls this small happen at ill-conditioned section points near
             # the domain edge; the residual still undercuts every consumer
-            return g
+            return [g for g, _moved in states]
         raise ReconstructionError(
             f"group-factor solve did not converge (residual {np.max(rn):.3e}); "
             "point outside the reachable neighborhood"
@@ -440,12 +465,15 @@ class HorizontalSubmersion(_GroupFactor):
 
     def jacobian(self, chart, target, g):
         """Derivative of chart.to_coords(act(g, target)) in the Cayley-chart coordinates of g."""
-        sys = self.sys
-        return (
-            sys.generators(chart, sys.act(g, target))
-            @ sys.group.adjoint_matrix(g)
-            @ self.gchart.body_coords_matrix(g)
-        )
+        return self.jacobians([_origin(chart)], [self.sys.act(g, target)], [g])[0]
+
+    def jacobians(self, centres, moved, gs):
+        """``jacobian`` at the factors gs, moved[i] = act(gs[i], target i), in the charts at the centres."""
+        grp = self.sys.group
+        eye = np.eye(grp.N)
+        G = np.array([g.matrix for g in gs])
+        spatial = 0.25 * grp._conjugations(eye + G, eye + np.array([g.inv_matrix for g in gs])).swapaxes(1, 2)
+        return self.sys.generator_matrices(moved, centres) @ spatial
 
 
 class ClosedFormFactor(_GroupFactor):
@@ -512,10 +540,14 @@ def build_theta(sys, m0, use_exact=True):
             f"group factor at the base point is not the identity (gap {ident_gap:.3e})"
         )
     ball = [m for m in _chart_ball(sys, m0, *THETA_BALL) if sys.section_margin(sys.project(m)) > 0]
-    secs = [sys.section(sys.project(m)) for m in ball]
-    gs = theta.factors(ball + secs) if ball else []
-    worst = max([sys.chart_distance(m, sys.act(g, s)) for m, g, s in zip(ball, gs, secs)], default=0.0)
-    worst_sec = max([float(np.linalg.norm(g.matrix - np.eye(sys.group.N))) for g in gs[len(ball):]], default=0.0)
+    worst = worst_sec = 0.0
+    if ball:
+        k = len(ball)
+        secs = sys.sections(sys.projections(ball))
+        gs = theta.factors(ball + secs)
+        u = sys.chart_coords(sys.actions(gs[:k], secs) + ball, ball + ball)
+        worst = float(np.max(np.linalg.norm(u[:k] - u[k:], axis=1)))
+        worst_sec = max(float(np.linalg.norm(g.matrix - np.eye(sys.group.N))) for g in gs[k:])
     if worst > THETA_SAMPLE_TOL or worst_sec > THETA_SAMPLE_TOL:
         raise ReconstructionError(
             f"trivializing submersion failed certification "
@@ -576,15 +608,13 @@ def flow_residual_rows(sys, centres, plus, minus):
 
     Sample i reads the curve at its stencil centre ``centres[i]`` and at
     ``plus[i]`` and ``minus[i]``, the points ``FD_STEP`` after and before
-    it in time, all in the chart at the centre.
+    it in time, all in the chart at the centre: one stacked ``chart_coords``
+    call gives the differences, one stacked ``velocities`` call the field.
     """
-    rows = []
-    for mc, mp, mm in zip(centres, plus, minus):
-        chart = sys.chart_at(mc)
-        dfd = (chart.to_coords(mp) - chart.to_coords(mm)) / (2.0 * FD_STEP)
-        du = sys.velocity(chart, chart.to_coords(mc), point=mc)
-        rows.append(float(np.linalg.norm(dfd - du)))
-    return np.asarray(rows)
+    k = len(centres)
+    u = sys.chart_coords([*plus, *minus], [*centres, *centres])
+    dfd = (u[:k] - u[k:]) / (2.0 * FD_STEP)
+    return np.linalg.norm(dfd - sys.velocities(centres), axis=1)
 
 
 def _certified(sys, p0, ts, factor, lam, quotient_tol, diagnostics, t_reached=None, audit=None):
@@ -596,26 +626,27 @@ def _certified(sys, p0, ts, factor, lam, quotient_tol, diagnostics, t_reached=No
     times ts[owner] + offset as one stack; ``lam`` is called once per
     output time with that time, and once with the vector of the other
     times, for which it returns the quotient points as columns (as a dense
-    ODE solution does).  The curve must start at p0, satisfy the flow
-    equation (``flow_residual_rows`` on the stencils) and project onto the
-    emitted quotient points within ``quotient_tol``; ``audit`` runs a
-    route's own check on the emitted points.  A quotient curve cut at
-    ``t_reached`` raises SectionDomainError carrying the certified partial
-    sample; no stencil point lies past ``t_reached``.
+    ODE solution does).  The curve is one stacked ``sections`` and one
+    ``actions`` call, and its emitted points one ``projections`` call.  It
+    must start at p0, satisfy the flow equation (``flow_residual_rows`` on
+    the stencils) and project onto the emitted quotient points within
+    ``quotient_tol``; ``audit`` runs a route's own check on the emitted
+    points.  A quotient curve cut at ``t_reached`` raises
+    SectionDomainError carrying the certified partial sample; no stencil
+    point lies past ``t_reached``.
     """
     ts = np.asarray(ts, float)
     t_end = float(ts[-1]) if t_reached is None else t_reached
     kept = ts[ts <= t_end + 1e-12]
     owner, offset, rows = _stencil(kept, t_end)
     k = len(kept)
-    lams = [np.asarray(lam(t), float) for t in kept]
-    lams += list(np.asarray(lam(kept[owner[k:]] + offset[k:]), float).T)
-    curve = [sys.act(g, sys.section(q)) for g, q in zip(factor(owner, offset), lams)]
+    lams = np.vstack([[lam(t) for t in kept], np.asarray(lam(kept[owner[k:]] + offset[k:]), float).T])
+    curve = sys.actions(factor(owner, offset), sys.sections(lams))
     points = curve[:k]
     start = sys.chart_distance(p0, points[0])
     flow_rows = flow_residual_rows(sys, *([curve[i] for i in r] for r in rows))
     flow = float(np.max(flow_rows))
-    qrows = np.array([float(np.linalg.norm(sys.project(m) - q)) for m, q in zip(points, lams)])
+    qrows = np.linalg.norm(sys.projections(points) - lams[:k], axis=1)
     qdrift = float(np.max(qrows))
     diagnostics.update(
         start_defect=start,
@@ -704,7 +735,7 @@ def _split_near(sys, p0, part):
     eta, part 1 the quotient field Y.
     """
     points = [p0, *_chart_ball(sys, p0, *FIELD_CHECK_BALL)]
-    rows = section_split(sys, np.array([sys.project(m) for m in points]).T)[part]
+    rows = section_split(sys, sys.projections(points).T)[part]
     return float(np.max(np.linalg.norm(rows, axis=1)))
 
 
@@ -1000,7 +1031,11 @@ def make_tstar_scenario(group, field=None):
     the exact group-factor map is the group component itself.  The action
     moves g along xi g = g Ad_g^-1 xi and leaves the fiber alone, so the
     generators are [M(g) Ad_g^-1 ; 0] with M the phase chart's tangent
-    matrix of the group part, and the section's Jacobian is [0 ; I].
+    matrix of the group part, and the section's Jacobian is [0 ; I].  In
+    the chart at a centre c the group part has the Cayley coordinates A of
+    C = c^-1 g, A/2 = (C + I)^-1 (C - I), and M is the matrix of
+    v -> (I + A/2) X(v) (I - A/2) on algebra coordinates; in a point's own
+    chart A = 0.
     """
     if isinstance(group, str):
         group = make_group(group)
@@ -1013,35 +1048,45 @@ def make_tstar_scenario(group, field=None):
     # every section point shares one identity element and so one chart
     ident = group.identity()
     home = CotangentChart(group, ident)
-    home_tangents = home.gchart.tangent_coords_matrix(ident)
+    eye = ident.matrix
+    # M in a point's own chart, and the generators there of the section points
+    own_tangents = home.gchart.tangent_coords_matrix(ident)
+    section_generators = np.vstack([own_tangents @ group.adjoint_inv_transpose(ident).T, np.zeros((n, n))])
     section_jac = np.vstack([np.zeros((n, n)), np.eye(n)])
 
     def chart_at(p):
         return home if p.g is ident else CotangentChart(group, p.g)
 
-    def tangents(chart, g):
-        # the group part's tangent matrix M(g), fixed over the section image
-        return home_tangents if chart is home and g is ident else chart.gchart.tangent_coords_matrix(g)
+    def halves(points, centres):
+        # A/2 of each group part in its centre's chart, exactly 0 where the two share their element
+        C = np.linalg.solve(np.array([c.g.matrix for c in centres]), np.array([p.g.matrix for p in points]))
+        half = np.linalg.solve(C + eye, C - eye)
+        half[[p.g is c.g for p, c in zip(points, centres)]] = 0.0
+        return half
 
-    def velocity(chart, u, point):
-        w = field(point)
-        return np.concatenate([tangents(chart, point.g) @ w.v, w.beta])
+    def tangents(points, centres):
+        if centres is None:
+            return own_tangents
+        half = halves(points, centres)
+        return group._conjugations(eye + half, eye - half).swapaxes(1, 2)
 
-    def act(g, p):
-        return bundle.action(g, p)
+    def coords(points, centres):
+        return np.hstack([2.0 * group._algebra_coords_stack(halves(points, centres)), project(points)])
 
-    def project(p):
-        return np.array(p.alpha)
+    def velocity(points, centres=None):
+        w = np.array([field(p).concat() for p in points])
+        w[:, :n] = (tangents(points, centres) @ w[:, :n, None])[..., 0]
+        return w
 
-    def section(lam):
-        return PhasePoint(ident, np.asarray(lam, float))
+    def project(points):
+        return np.array([p.alpha for p in points])
 
-    def generators(chart, p):
-        top = tangents(chart, p.g) @ group.adjoint_inv_transpose(p.g).T
-        return np.vstack([top, np.zeros((n, n))])
-
-    def section_jacobian(chart, lam):
-        return section_jac
+    def generators(points, centres=None):
+        if centres is None and all(p.g is ident for p in points):
+            return section_generators[None].repeat(len(points), 0)
+        G = np.array([p.g.matrix for p in points])
+        top = tangents(points, centres) @ group._conjugations(np.linalg.inv(G), G).swapaxes(1, 2)
+        return np.concatenate([top, np.zeros((len(G), n, n))], axis=1)
 
     def random_point(rng):
         g = matrix_exp_oracle(group, 0.3 * rng.standard_normal(n))
@@ -1052,22 +1097,11 @@ def make_tstar_scenario(group, field=None):
         return S.T @ bundle.omega_matrix(point) @ S
 
     return InvariantSystem(
-        name=f"tstar:{group.name}",
-        group=group,
-        dim=2 * n,
-        quotient_dim=n,
-        chart_at=chart_at,
-        act=act,
-        velocity=velocity,
-        project=project,
-        section=section,
-        generators=generators,
-        section_jacobian=section_jacobian,
-        random_point=random_point,
-        momentum=bundle.spatial_momentum,
-        omega_matrix=omega_matrix,
-        free=True,
-        exact_theta=lambda p: p.g,
+        name=f"tstar:{group.name}", group=group, dim=2 * n, quotient_dim=n, chart_at=chart_at, coords=coords,
+        act=bundle.actions, velocity=velocity, project=project,
+        section=lambda lams: [PhasePoint(ident, lam) for lam in lams], generators=generators,
+        section_jacobian=lambda lams: section_jac[None].repeat(len(lams), 0), random_point=random_point,
+        momentum=bundle.spatial_momentum, omega_matrix=omega_matrix, free=True, exact_theta=lambda p: p.g,
     )
 
 
@@ -1089,7 +1123,9 @@ def make_so3_scenario(field=None, section="position"):
     straight-line motion, which makes the free particle horizontal for the
     induced trivialization; the position section's is not.  A rotation
     generator xi moves the pair by (xi x q, xi x p), so the generators are
-    [-hat(q) ; -hat(p)].
+    [-hat(q) ; -hat(p)], hat(v) = v . (so3 basis) the cross-product matrix.
+    A stack of points is read as rows (k, 6); the chart is the identity, so
+    every form ignores its centres.
     """
     group = make_group("so3")
     fld = field if field is not None else free_particle_field
@@ -1098,13 +1134,14 @@ def make_so3_scenario(field=None, section="position"):
     O[:3, 3:] = np.eye(3)
     O[3:, :3] = -np.eye(3)
 
-    def act(g, m):
-        R = g.matrix
-        return np.concatenate([R @ m[:3], R @ m[3:]])
+    def act(gs, ms):
+        R = np.array([g.matrix for g in gs])
+        return list((np.asarray(ms, float).reshape(-1, 2, 3) @ R.swapaxes(1, 2)).reshape(-1, 6))
 
-    def project(m):
-        q, p = m[:3], m[3:]
-        return np.array([q @ q, p @ p, q @ p])
+    def project(ms):
+        x = np.asarray(ms, float).reshape(-1, 2, 3)
+        # (|q|^2, |p|^2, q.p) from the Gram matrix of each pair
+        return (x @ x.swapaxes(1, 2))[:, [0, 1, 0], [0, 1, 1]]
 
     if section not in ("position", "momentum"):
         raise ValueError(f"unknown section convention {section!r}")
@@ -1112,29 +1149,39 @@ def make_so3_scenario(field=None, section="position"):
     # trading places
     swap = section == "momentum"
 
-    def abc(lam):
-        a, b, c = lam
-        return (b, a, c) if swap else (a, b, c)
+    # the slots of q1 and p1 among the coordinates, and of a and b among the invariants
+    iq, ip, ia, ib = (3, 0, 1, 0) if swap else (0, 3, 0, 1)
 
-    def sec(lam):
+    def abc(lams):
+        lams = np.asarray(lams, float).T
+        return lams[ia], lams[ib], lams[2]
+
+    def sec(lams):
         # clamped radicands keep the map evaluable just past the domain
         # edge, where adaptive event location probes it
-        a, b, c = abc(lam)
-        q = np.array([np.sqrt(max(a, 0.0)), 0.0, 0.0])
-        p = np.array([c / np.sqrt(a), np.sqrt(max(b - c * c / a, 0.0)), 0.0])
-        return np.concatenate([p, q] if swap else [q, p])
+        a, b, c = abc(lams)
+        m = np.zeros((len(a), 6))
+        m[:, iq] = np.sqrt(np.maximum(a, 0.0))
+        m[:, ip] = c / np.sqrt(a)
+        m[:, ip + 1] = np.sqrt(np.maximum(b - c * c / a, 0.0))
+        return list(m)
 
-    def sec_jacobian(ch, lam):
+    def sec_jacobian(lams):
         # rows q1, p1, p2 of the position section in (a, b, c); past the edge
         # the clamped p2 stays 0 and its row vanishes
-        a, b, c = abc(lam)
-        ra, r = np.sqrt(a), b - c * c / a
-        D = np.zeros((6, 3))
-        D[0] = [0.5 / ra, 0.0, 0.0]
-        D[3] = [-0.5 * c / (a * ra), 0.0, 1.0 / ra]
-        if r > 0:
-            D[4] = np.array([c * c / (a * a), 1.0, -2.0 * c / a]) / (2.0 * np.sqrt(r))
-        return D[[3, 4, 5, 0, 1, 2]][:, [1, 0, 2]] if swap else D
+        a, b, c = abc(lams)
+        ra, w = np.sqrt(a), c / a
+        r = b - c * w
+        # 1 / (2 sqrt(r)), 0 past the edge
+        s = np.divide(0.5, np.sqrt(np.maximum(r, 0.0)), out=np.zeros_like(r), where=r > 0)
+        D = np.zeros((len(a), 6, 3))
+        D[:, iq, ia] = 0.5 / ra
+        D[:, ip, ia] = -0.5 * w / ra
+        D[:, ip, 2] = 1.0 / ra
+        D[:, ip + 1, ia] = w * w * s
+        D[:, ip + 1, ib] = s
+        D[:, ip + 1, 2] = -2.0 * w * s
+        return D
 
     def margin(lam):
         a, b, c = abc(lam)
@@ -1143,36 +1190,23 @@ def make_so3_scenario(field=None, section="position"):
     def random_point(rng):
         while True:
             m = rng.standard_normal(6)
-            if margin(project(m)) > 0.05:
+            if margin(project([m])[0]) > 0.05:
                 return m
 
+    def generators(ms, centres=None):
+        return -(np.asarray(ms, float).reshape(-1, 2, 3) @ group._basis_rows).reshape(-1, 6, 3)
+
     return InvariantSystem(
-        name="so3-r3",
-        group=group,
-        dim=6,
-        quotient_dim=3,
-        chart_at=lambda m: chart,
-        act=act,
-        velocity=lambda ch, u, point: np.asarray(fld(u), float),
-        project=project,
-        section=sec,
-        generators=lambda ch, m: -np.vstack([_hat3(m[:3]), _hat3(m[3:])]),
-        section_jacobian=sec_jacobian,
-        random_point=random_point,
-        section_margin=margin,
-        momentum=lambda m: np.cross(m[:3], m[3:]),
-        omega_matrix=lambda ch, u, point: O,
-        free=False,
+        name="so3-r3", group=group, dim=6, quotient_dim=3, chart_at=lambda m: chart,
+        coords=lambda ms, centres: np.array(ms, dtype=float), act=act,
+        velocity=lambda ms, centres=None: np.array([fld(m) for m in np.asarray(ms, float)], dtype=float),
+        project=project, section=sec, generators=generators, section_jacobian=sec_jacobian,
+        random_point=random_point, section_margin=margin, momentum=lambda m: np.cross(m[:3], m[3:]),
+        omega_matrix=lambda ch, u, point: O, free=False,
     )
 
 
 # -- scenario: rotation-translation product with stabilizers --------------------------
-
-
-def _hat3(v):
-    return np.array(
-        [[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]
-    )
 
 
 def _product_group():
@@ -1183,10 +1217,7 @@ def _product_group():
         c[k, j, i] = -1.0
     alg = LieAlgebra("so3xr", c)
     basis = np.zeros((4, 5, 5))
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = 1.0
-        basis[i, :3, :3] = _hat3(e)
+    basis[:3, :3, :3] = _so3_basis()
     basis[3, 3, 4] = 1.0
     free = {3 * 5 + 4}
     pairs = []
@@ -1220,33 +1251,43 @@ def make_product_scenario(rate=0.7):
     tangent to the orbits, so the vertical route applies with a genuinely
     nontrivial stabilizer gauge.  The generators are [[-hat(v), 0], [0, 1]]
     on (vector, offset), and the section's Jacobian is (1/(2 sqrt(lam)), 0,
-    0, 0).
+    0, 0).  A stack of states is read as rows (k, 4); the chart is the
+    identity, so every form ignores its centres.
     """
     group = _product_group()
     chart = FlatChart(4)
+    hats = _so3_basis().reshape(3, 9)  # hat(v) = v @ hats, hat(v) w = v x w
 
-    def act(g, m):
-        R = g.matrix[:3, :3]
-        return np.append(R @ m[:3], m[3] + g.matrix[3, 4])
+    def act(gs, ms):
+        G, m = np.array([g.matrix for g in gs]), np.asarray(ms, float)
+        return list(np.hstack([(G[:, :3, :3] @ m[:, :3, None])[..., 0], m[:, 3:] + G[:, 3, 4:]]))
 
-    def project(m):
-        return np.array([m[:3] @ m[:3]])
+    def project(ms):
+        v = np.asarray(ms, float)[:, :3]
+        return np.einsum("ki,ki->k", v, v)[:, None]
 
-    def sec(lam):
-        return np.array([np.sqrt(lam[0]), 0.0, 0.0, 0.0])
+    def sec(lams):
+        lams = np.asarray(lams, float)
+        m = np.zeros((len(lams), 4))
+        m[:, 0] = np.sqrt(lams[:, 0])
+        return list(m)
 
-    def margin(lam):
-        return float(lam[0] - SECTION_EPS)
-
-    def generators(ch, m):
-        W = np.zeros((4, 4))
-        W[:3, :3] = -_hat3(m[:3])
-        W[3, 3] = 1.0
+    def generators(ms, centres=None):
+        W = np.zeros((len(ms), 4, 4))
+        W[:, :3, :3] = -(np.asarray(ms, float)[:, :3] @ hats).reshape(-1, 3, 3)
+        W[:, 3, 3] = 1.0
         return W
 
-    def velocity(ch, u, point):
-        a = u[:3] @ u[:3]
-        return np.array([0.0, 0.0, 0.0, rate * (1.0 + a)])
+    def velocity(ms, centres=None):
+        v = np.asarray(ms, float)[:, :3]
+        out = np.zeros((len(v), 4))
+        out[:, 3] = rate * (1.0 + np.einsum("ki,ki->k", v, v))
+        return out
+
+    def section_jacobian(lams):
+        D = np.zeros((len(lams), 4, 1))
+        D[:, 0, 0] = 0.5 / np.sqrt(np.asarray(lams, float)[:, 0])
+        return D
 
     def random_point(rng):
         while True:
@@ -1255,19 +1296,8 @@ def make_product_scenario(rate=0.7):
                 return m
 
     return InvariantSystem(
-        name="so3xr-product",
-        group=group,
-        dim=4,
-        quotient_dim=1,
-        chart_at=lambda m: chart,
-        act=act,
-        velocity=velocity,
-        project=project,
-        section=sec,
-        generators=generators,
-        section_jacobian=lambda ch, lam: np.array([[0.5 / np.sqrt(lam[0])], [0.0], [0.0], [0.0]]),
-        random_point=random_point,
-        section_margin=margin,
-        free=False,
+        name="so3xr-product", group=group, dim=4, quotient_dim=1, chart_at=lambda m: chart,
+        coords=lambda ms, centres: np.array(ms, dtype=float), act=act, velocity=velocity, project=project,
+        section=sec, generators=generators, section_jacobian=section_jacobian, random_point=random_point,
+        section_margin=lambda lam: float(lam[0] - SECTION_EPS), free=False,
     )
-

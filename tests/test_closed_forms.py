@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from liequad import reconstruct
-from liequad.cotangent import CotangentBundle, left_invariant_hamiltonian_field
+from liequad.cotangent import CotangentBundle, PhasePoint, left_invariant_hamiltonian_field
 from liequad.liegroup import CayleyChart, make_group, matrix_exp_oracle
 from liequad.numutil import central_jacobian
 from liequad.reconstruct import (
@@ -104,6 +104,56 @@ SCENARIOS = {
 def seeded_points(sys_, seed, count=4):
     rng = np.random.default_rng(seed)
     return [sys_.random_point(rng) for _ in range(count)]
+
+
+def as_row(x):
+    """A point or form value as one real vector; a phase point is its group matrix and its momentum."""
+    if isinstance(x, PhasePoint):
+        return np.concatenate([x.g.matrix.real.ravel(), x.g.matrix.imag.ravel(), x.alpha])
+    return np.ravel(x)
+
+
+@pytest.mark.parametrize("key", sorted(SCENARIOS))
+def test_stacked_forms_match_one_row_calls(key):
+    # row i of a stacked form is the form's one-row call on row i: no row
+    # reads another, and the one-point forms are those one-row calls
+    sys_ = SCENARIOS[key]()
+    rng = np.random.default_rng(39)
+    points = seeded_points(sys_, 40, count=5)
+    centres = points[1:] + points[:1]
+    gs = [matrix_exp_oracle(sys_.group, 0.4 * rng.standard_normal(sys_.group.dim)) for _ in points]
+    lams = sys_.projections(points)
+    secs = sys_.sections(lams)
+    pairs = {
+        "projections": (lams, [sys_.project(m) for m in points]),
+        "sections": (secs, [sys_.section(lam) for lam in lams]),
+        "actions": (sys_.actions(gs, points), [sys_.act(g, m) for g, m in zip(gs, points)]),
+        "chart_coords": (sys_.chart_coords(points, centres),
+                         [sys_.chart_coords([m], [c])[0] for m, c in zip(points, centres)]),
+        "velocities": (sys_.velocities(points), [sys_.velocity_at(m)[2] for m in points]),
+        "velocities in the centres' charts": (
+            sys_.velocities(points, centres),
+            [sys_.velocity(sys_.chart_at(c), sys_.chart_at(c).to_coords(m), m) for m, c in zip(points, centres)]),
+        "generator_matrices": (sys_.generator_matrices(points), [fundamental_matrix(sys_, m) for m in points]),
+        "generator_matrices in the centres' charts": (
+            sys_.generator_matrices(points, centres),
+            [sys_.generator_matrices([m], [c])[0] for m, c in zip(points, centres)]),
+        "section_jacobians": (sys_.section_jacobians(lams),
+                              [sys_.section_jacobian(sys_.chart_at(s), lam) for s, lam in zip(secs, lams)]),
+    }
+    for name, (stacked, rows) in pairs.items():
+        assert len(stacked) == len(rows) == 5, name
+        for a, b in zip(stacked, rows):
+            a, b = as_row(a), as_row(b)
+            assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-15 * max(1.0, np.max(np.abs(b))), name
+    # the stacked coordinates are those of the chart objects
+    for m, c, u in zip(points, centres, sys_.chart_coords(points, centres)):
+        assert np.max(np.abs(u - sys_.chart_at(c).to_coords(m))) <= 1e-12
+    # one solve per row, free or under a stabilizer, bitwise that of the row alone
+    eta, Y = section_split(sys_, lams.T)
+    for i, lam in enumerate(lams):
+        eta_i, Y_i = section_split(sys_, lam)
+        assert np.array_equal(eta[i], eta_i) and np.array_equal(Y[i], Y_i)
 
 
 @pytest.mark.parametrize("key", sorted(SCENARIOS))

@@ -920,6 +920,43 @@ def test_every_route_calls_its_group_factor_once(route, monkeypatch):
 
 
 @pytest.mark.parametrize("route", ["two-step", "connection", "vertical"])
+def test_gate_reads_its_curve_through_one_stacked_act(route, monkeypatch):
+    # the tail builds the whole curve, the emitted points and the gate's, with
+    # one stacked action of the route's factors, and acts on no point alone
+    run = route_runner(route)
+    certified, calls = reconstruct._certified, []
+
+    def spied(sys_, p0, ts, factor, *args, **kwargs):
+        made, actions, act = [], sys_.actions, type(sys_).act
+
+        def kept(*a):
+            made.append(factor(*a))
+            return made[-1]
+
+        def stacked(gs, points):
+            calls.append(("stacked", any(gs is f for f in made), len(points)))
+            return actions(gs, points)
+
+        def one_point(self, g, m):
+            calls.append(("one-point",))
+            return act(self, g, m)
+
+        monkeypatch.setattr(sys_, "actions", stacked)
+        monkeypatch.setattr(type(sys_), "act", one_point)
+        try:
+            return certified(sys_, p0, ts, kept, *args, **kwargs)
+        finally:
+            monkeypatch.setattr(sys_, "actions", actions)
+            monkeypatch.setattr(type(sys_), "act", act)
+
+    monkeypatch.setattr(reconstruct, "_certified", spied)
+    sample = run(np.linspace(0.0, 1.0, 9))
+    curve = [c for c in calls if c[0] == "stacked" and c[1]]
+    assert len(curve) == 1 and curve[0][2] > len(sample.points)
+    assert ("one-point",) not in calls
+
+
+@pytest.mark.parametrize("route", ["two-step", "connection", "vertical"])
 def test_every_route_rejects_bad_output_times(route, monkeypatch):
     # a time that is not finite or steps back is refused before any solve
     run = route_runner(route)
