@@ -201,10 +201,10 @@ class MatrixGroup:
         # flat images of the basis, and a pseudo-inverse for expanding
         # algebra-valued matrices back into coordinates
         self._basis_flat = np.stack([self.flat(X) for X in basis])
-        self._expand = np.linalg.pinv(self._basis_flat.T)
+        expand = np.linalg.pinv(self._basis_flat.T)
         # flat rows u times _split: their coordinates, then their part outside the algebra
-        leak = self._expand.T @ self._basis_flat - np.eye(self.flat_dim)
-        self._split = np.hstack([self._expand.T, leak])
+        leak = expand.T @ self._basis_flat - np.eye(self.flat_dim)
+        self._split = np.hstack([expand.T, leak])
         self._basis_stack = np.stack([np.asarray(X) for X in basis])
         self._basis_rows = self._basis_stack.reshape(self.dim, -1)
         self._check_bracket_consistency()
@@ -247,12 +247,7 @@ class MatrixGroup:
 
     def algebra_coords(self, matrix):
         """Expand an algebra-valued matrix in the basis; error if it does not fit."""
-        u = self.flat(matrix)
-        coords = self._expand @ u
-        resid = np.linalg.norm(self._basis_flat.T @ coords - u)
-        if resid > EXPANSION_TOL * max(1.0, np.linalg.norm(u)):
-            raise ValueError(f"{self.name}: matrix does not lie in the algebra (residual {resid:.2e})")
-        return coords
+        return self._algebra_coords_stack(np.asarray(matrix)[None])[0]
 
     def _algebra_coords_stack(self, mats):
         """Expand a stack of algebra-valued matrices; rows are coordinate vectors."""

@@ -7,7 +7,10 @@ left-trivialized cotangent bundle of a catalogue group under left translation
 (a free action, flat quotient geometry), and pairs of vectors under the
 diagonal rotation action (non-free globally, with a genuinely curved section
 and trivializing submersion).  A synthetic rotation-translation product
-scenario supplies constant positive-dimensional stabilizers.
+scenario supplies constant positive-dimensional stabilizers.  The routes
+and checks reach points only through a scenario's row-stacked forms
+(``InvariantSystem``); they step in phase-space coordinates by
+``chart_coords`` and its inverse ``chart_points``, with no chart object.
 
 Three reconstruction routes are implemented.
 
@@ -53,7 +56,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from .cotangent import CotangentBundle, CotangentChart, PhasePoint
+from .cotangent import CotangentBundle, PhasePoint
 from .expquad import NoAdmissibleCovectorError, exp_general
 from .hjsolver import HypothesisError, TrajectorySample, output_times
 from .liealg import LieAlgebra, killing_casimir
@@ -122,22 +125,6 @@ class SectionDomainError(ReconstructionError):
         self.t_achieved = t_achieved
 
 
-# -- charts -------------------------------------------------------------------
-
-
-class FlatChart:
-    """Identity chart on a vector-space phase space."""
-
-    def __init__(self, dim):
-        self.dim = dim
-
-    def to_coords(self, m):
-        return np.array(m, dtype=float)
-
-    def from_coords(self, u):
-        return np.array(u, dtype=float)
-
-
 # -- scenario container ---------------------------------------------------------
 
 
@@ -147,20 +134,23 @@ class InvariantSystem:
     Points are scenario-specific objects.  The scenario hands over its
     callbacks in row-stacked form, where a stack of points is a sequence of
     them and a form that returns points returns a list; algorithms reach
-    points only through these forms and ``chart_at`` (the local chart at a
-    point, for stepping in coordinates):
+    points only through these forms.  Each keyword of the constructor is
+    the name of the form it stores:
 
+    * ``chart_coords(points, centres)``: (k, dim), row i the coordinates of
+      points[i] in the chart at centres[i];
+    * ``chart_points(coords, centres)``: its inverse, the points at the
+      coordinate rows (k, dim) in the charts at the centres;
     * ``sections(lams)``: the section points over the rows of lams (k, q);
     * ``actions(gs, points)``: gs[i] acting on points[i];
     * ``projections(points)``: orbit coordinates (k, q);
-    * ``chart_coords(points, centres)``: (k, dim), row i the coordinates of
-      points[i] in the chart at centres[i], ``chart_at(c).to_coords(p)``;
     * ``velocities(points, centres=None)``: the field as chart velocities
-      (k, dim), in the charts at the centres, by default each point's own;
+      (k, dim), in the charts at the centres, by default each point's own
+      (centres = points);
     * ``generator_matrices(points, centres=None)``: W (k, dim, group.dim) in
       the same charts, column i the velocity of t -> act(exp(t e_i), m);
     * ``section_jacobians(lams)``: the section's derivative Ds (k, dim, q),
-      each in the chart at its section point.
+      each in its section point's own chart.
 
     W and Ds give the connection rate and the quotient field
     (``section_split``) and the Jacobian of the solved group-factor map.
@@ -169,31 +159,28 @@ class InvariantSystem:
     like ``lambda a: Q @ a`` handed a (3, 3) stack returns a wrong result
     silently.  ``velocities`` stacks only the chart algebra around it.
 
-    ``act``, ``project``, ``section``, ``velocity`` and ``section_jacobian``
-    are one-row calls of these forms.  A chart object stands for the chart
-    at its origin, ``chart.from_coords(0)``; ``section_jacobian`` expects
-    the chart at section(lam).  ``section_margin`` is positive inside the
-    section domain; curves are cut where it vanishes.  The optional
-    ``omega_matrix(chart, u, point)`` (the symplectic form) is taken at a
-    point given both as itself and as its coordinates u in ``chart``.
-    Instances are immutable after construction.
+    ``act``, ``project`` and ``section`` are one-row calls of these forms.
+    ``section_margin`` is positive inside the section domain; curves are cut
+    where it vanishes.  The optional ``omega_matrix(point)`` is the
+    symplectic form in the point's own chart.  Instances are immutable
+    after construction.
     """
 
-    def __init__(self, name, group, dim, quotient_dim, chart_at, coords, act, velocity, project, section,
-                 generators, section_jacobian, random_point, section_margin=None, momentum=None,
-                 omega_matrix=None, free=False, exact_theta=None):
+    def __init__(self, name, group, dim, quotient_dim, chart_coords, chart_points, actions, velocities,
+                 projections, sections, generator_matrices, section_jacobians, random_point,
+                 section_margin=None, momentum=None, omega_matrix=None, free=False, exact_theta=None):
         self.name = name
         self.group = group
         self.dim = dim
         self.quotient_dim = quotient_dim
-        self.chart_at = chart_at
-        self.chart_coords = coords
-        self.actions = act
-        self.velocities = velocity
-        self.projections = project
-        self.sections = section
-        self.generator_matrices = generators
-        self.section_jacobians = section_jacobian
+        self.chart_coords = chart_coords
+        self.chart_points = chart_points
+        self.actions = actions
+        self.velocities = velocities
+        self.projections = projections
+        self.sections = sections
+        self.generator_matrices = generator_matrices
+        self.section_jacobians = section_jacobians
         self.random_point = random_point
         self.section_margin = section_margin or (lambda lam: np.inf)
         self.momentum = momentum
@@ -210,36 +197,22 @@ class InvariantSystem:
     def section(self, lam):
         return self.sections(np.asarray(lam, float)[None])[0]
 
-    def velocity(self, chart, u, point):
-        """The field at point in ``chart``; u, the point's coordinates there, is not read."""
-        return self.velocities([point], [_origin(chart)])[0]
-
-    def section_jacobian(self, chart, lam):
-        return self.section_jacobians(np.asarray(lam, float)[None])[0]
-
-    def velocity_at(self, m):
-        """Field at a point in that point's own chart: (chart, coords, velocity)."""
-        chart = self.chart_at(m)
-        return chart, chart.to_coords(m), self.velocities([m])[0]
-
     def chart_distance(self, a, b):
         """Coordinate distance of b from a in the chart centered at a."""
         u = self.chart_coords([b, a], [a, a])
         return float(np.linalg.norm(u[0] - u[1]))
 
 
-def _origin(chart):
-    """The point at coordinates 0 of a chart, where ``chart_at`` gives that chart back."""
-    return chart.from_coords(np.zeros(chart.dim))
+def _along_field(sys, f, m):
+    """Centered derivative of f(point) along the field at m, stepped in m's own chart.
 
-
-def _along_field(f, chart, u, du):
-    """Centered derivative of f(point) along the field velocity du at chart coordinates u.
-
-    The step is scaled down by |du|, so the stencil moves at most ``FD_STEP``.
+    The step shrinks with the field's chart speed, so the stencil moves at most ``FD_STEP``.
     """
+    u = sys.chart_coords([m], [m])[0]
+    du = sys.velocities([m])[0]
     h = FD_STEP / max(1.0, float(np.linalg.norm(du)))
-    return (f(chart.from_coords(u + h * du)) - f(chart.from_coords(u - h * du))) / (2.0 * h)
+    fwd, bwd = sys.chart_points([u + h * du, u - h * du], [m, m])
+    return (f(fwd) - f(bwd)) / (2.0 * h)
 
 
 def section_split(sys, lams):
@@ -295,7 +268,7 @@ def quotient_field(sys):
 
 def projected_field_defect(sys, m):
     """|push-forward of the field at m - projected field at project(m)|."""
-    rate = _along_field(sys.project, *sys.velocity_at(m))
+    rate = _along_field(sys, sys.project, m)
     return float(np.linalg.norm(rate - quotient_field(sys)(sys.project(m))))
 
 
@@ -325,11 +298,10 @@ def momentum_defect(sys, m):
     """
     if sys.momentum is None or sys.omega_matrix is None:
         raise ValueError(f"scenario {sys.name} carries no momentum map")
-    chart = sys.chart_at(m)
-    u = chart.to_coords(m)
+    u = sys.chart_coords([m], [m])[0]
     W = fundamental_matrix(sys, m)
-    O = sys.omega_matrix(chart, u, m)
-    JK = central_jacobian(lambda x: sys.momentum(chart.from_coords(x)), u, 1e-4, richardson=True)
+    O = sys.omega_matrix(m)
+    JK = central_jacobian(lambda x: sys.momentum(sys.chart_points([x], [m])[0]), u, 1e-4, richardson=True)
     return float(np.max(np.abs(W.T @ O - JK)))
 
 
@@ -366,10 +338,8 @@ def validate_invariant_system(sys):
         lam = sys.project(m)
         if sys.section_margin(lam) > 0:
             worst("section_property", np.linalg.norm(sys.project(sys.section(lam)) - lam))
-        chart, u, du = sys.velocity_at(m)
         gm = sys.act(g, m)
-        gchart = sys.chart_at(gm)
-        pushed = _along_field(lambda mm: gchart.to_coords(sys.act(g, mm)), chart, u, du)
+        pushed = _along_field(sys, lambda mm: sys.chart_coords([sys.act(g, mm)], [gm])[0], m)
         worst("field_invariance", np.linalg.norm(pushed - sys.velocities([gm])[0]))
         if sys.momentum is not None:
             worst("momentum_equivariance", np.linalg.norm(sys.momentum(gm) - grp.coadjoint(g, sys.momentum(m))))
@@ -463,12 +433,9 @@ class HorizontalSubmersion(_GroupFactor):
             "point outside the reachable neighborhood"
         )
 
-    def jacobian(self, chart, target, g):
-        """Derivative of chart.to_coords(act(g, target)) in the Cayley-chart coordinates of g."""
-        return self.jacobians([_origin(chart)], [self.sys.act(g, target)], [g])[0]
-
     def jacobians(self, centres, moved, gs):
-        """``jacobian`` at the factors gs, moved[i] = act(gs[i], target i), in the charts at the centres."""
+        """Jacobians (k, dim, group.dim): row i differentiates the coordinates of moved[i] =
+        act(gs[i], target i) in the chart at centres[i] by the Cayley-chart coordinates of gs[i]."""
         grp = self.sys.group
         eye = np.eye(grp.N)
         G = np.array([g.matrix for g in gs])
@@ -501,23 +468,20 @@ def transversality_defect(sys, theta, m):
     when their kernels intersect trivially, which (dimensions adding up)
     makes the two kernels span the tangent space.
     """
-    chart = sys.chart_at(m)
     tchart = CayleyChart(sys.group, theta(m))
 
     def both(x):
-        mx = chart.from_coords(x)
+        mx = sys.chart_points([x], [m])[0]
         return np.concatenate([sys.project(mx), tchart.to_coords(theta(mx))])
 
-    s = np.linalg.svd(central_jacobian(both, chart.to_coords(m), FD_STEP), compute_uv=False)
-    return float(s[chart.dim - 1] / s[0])
+    s = np.linalg.svd(central_jacobian(both, sys.chart_coords([m], [m])[0], FD_STEP), compute_uv=False)
+    return float(s[sys.dim - 1] / s[0])
 
 
 def _chart_ball(sys, m0, count, seed, radius):
     """Seeded points uniform in the ball of ``radius`` in the chart at m0."""
-    chart = sys.chart_at(m0)
-    u0 = chart.to_coords(m0)
-    offsets = radius * ball_sample(np.random.default_rng(seed), count, chart.dim)
-    return [chart.from_coords(u0 + v) for v in offsets]
+    offsets = radius * ball_sample(np.random.default_rng(seed), count, sys.dim)
+    return sys.chart_points(sys.chart_coords([m0], [m0])[0] + offsets, [m0] * count)
 
 
 def build_theta(sys, m0, use_exact=True):
@@ -623,24 +587,25 @@ def _certified(sys, p0, ts, factor, lam, quotient_tol, diagnostics, t_reached=No
     The curve is read at the output times and at the gate's stencil points
     (``_stencil``), each point built once: ``factor(owner, offset)`` is
     called once, for all of them, and returns the group factors at the
-    times ts[owner] + offset as one stack; ``lam`` is called once per
-    output time with that time, and once with the vector of the other
-    times, for which it returns the quotient points as columns (as a dense
-    ODE solution does).  The curve is one stacked ``sections`` and one
-    ``actions`` call, and its emitted points one ``projections`` call.  It
-    must start at p0, satisfy the flow equation (``flow_residual_rows`` on
-    the stencils) and project onto the emitted quotient points within
-    ``quotient_tol``; ``audit`` runs a route's own check on the emitted
-    points.  A quotient curve cut at ``t_reached`` raises
-    SectionDomainError carrying the certified partial sample; no stencil
-    point lies past ``t_reached``.
+    times ts[owner] + offset as one stack; ``lam`` is called twice, with
+    the vector of the output times and with the vector of the other times,
+    and returns the quotient points as columns (as a dense ODE solution
+    does).  The curve is one stacked ``sections`` and one ``actions`` call,
+    and its emitted points one ``projections`` call.  It must start at p0,
+    satisfy the flow equation (``flow_residual_rows`` on the stencils) and
+    project onto the emitted quotient points within ``quotient_tol``;
+    ``audit`` runs a route's own check on the emitted points.  A quotient
+    curve cut at ``t_reached`` raises SectionDomainError carrying the
+    certified partial sample; no stencil point lies past ``t_reached``.
     """
     ts = np.asarray(ts, float)
     t_end = float(ts[-1]) if t_reached is None else t_reached
     kept = ts[ts <= t_end + 1e-12]
     owner, offset, rows = _stencil(kept, t_end)
     k = len(kept)
-    lams = np.vstack([[lam(t) for t in kept], np.asarray(lam(kept[owner[k:]] + offset[k:]), float).T])
+    # two reads, not one: read in one vector with the stencil times, a dense
+    # solution's rows at the output times can move in the last bit
+    lams = np.vstack([np.asarray(lam(t), float).T for t in (kept, kept[owner[k:]] + offset[k:])])
     curve = sys.actions(factor(owner, offset), sys.sections(lams))
     points = curve[:k]
     start = sys.chart_distance(p0, points[0])
@@ -802,24 +767,25 @@ class ThetaConnection:
         self.sys = sys
         self.theta = theta
 
-    def matrix(self, chart, u):
-        """Matrix taking chart velocities to algebra coordinates."""
-        theta = self.theta
-        g0 = theta(chart.from_coords(u))
+    def matrix(self, m):
+        """Matrix taking chart velocities at m, in m's own chart, to algebra coordinates.
+
+        The factor map is read at the points of that chart only, its centre
+        too: at chart_points(chart_coords([m], [m]), [m]), not at m itself.
+        """
+        sys, theta = self.sys, self.theta
+        u = sys.chart_coords([m], [m])[0]
+        g0 = theta(sys.chart_points([u], [m])[0])
         warm = theta.coords_of(g0)
         g0inv = np.linalg.inv(g0.matrix)
-        D = central_jacobian(lambda x: theta(chart.from_coords(x), warm=warm).matrix, u, FD_STEP)
-        return np.stack(
-            [_algebra_fit(self.sys.group, D[..., i] @ g0inv) for i in range(chart.dim)], axis=-1
-        )
+        D = central_jacobian(lambda x: theta(sys.chart_points([x], [m])[0], warm=warm).matrix, u, FD_STEP)
+        return np.stack([_algebra_fit(sys.group, D[..., i] @ g0inv) for i in range(sys.dim)], axis=-1)
 
 
 def connection_reproduction_defect(sys, connection, m, rng=None):
     """Max |connection(action generator of xi) - xi| over sampled directions."""
     rng = rng or np.random.default_rng(5)
-    chart = sys.chart_at(m)
-    u = chart.to_coords(m)
-    A = connection.matrix(chart, u)
+    A = connection.matrix(m)
     W = fundamental_matrix(sys, m)
     worst = 0.0
     for _ in range(CONNECTION_DIRS):
@@ -1035,7 +1001,7 @@ def make_tstar_scenario(group, field=None):
     the chart at a centre c the group part has the Cayley coordinates A of
     C = c^-1 g, A/2 = (C + I)^-1 (C - I), and M is the matrix of
     v -> (I + A/2) X(v) (I - A/2) on algebra coordinates; in a point's own
-    chart A = 0.
+    chart A = 0, M = I, and the symplectic form is the bundle's body one.
     """
     if isinstance(group, str):
         group = make_group(group)
@@ -1047,15 +1013,12 @@ def make_tstar_scenario(group, field=None):
     n = group.dim
     # every section point shares one identity element and so one chart
     ident = group.identity()
-    home = CotangentChart(group, ident)
+    gchart = CayleyChart(group, ident)
     eye = ident.matrix
     # M in a point's own chart, and the generators there of the section points
-    own_tangents = home.gchart.tangent_coords_matrix(ident)
+    own_tangents = gchart.tangent_coords_matrix(ident)
     section_generators = np.vstack([own_tangents @ group.adjoint_inv_transpose(ident).T, np.zeros((n, n))])
     section_jac = np.vstack([np.zeros((n, n)), np.eye(n)])
-
-    def chart_at(p):
-        return home if p.g is ident else CotangentChart(group, p.g)
 
     def halves(points, centres):
         # A/2 of each group part in its centre's chart, exactly 0 where the two share their element
@@ -1070,18 +1033,26 @@ def make_tstar_scenario(group, field=None):
         half = halves(points, centres)
         return group._conjugations(eye + half, eye - half).swapaxes(1, 2)
 
-    def coords(points, centres):
-        return np.hstack([2.0 * group._algebra_coords_stack(halves(points, centres)), project(points)])
+    def chart_coords(points, centres):
+        return np.hstack([2.0 * group._algebra_coords_stack(halves(points, centres)), projections(points)])
 
-    def velocity(points, centres=None):
+    def chart_points(coords, centres):
+        # g = c cay(A), g^-1 = cay(-A) c^-1 from one identity-centred solve
+        coords = np.asarray(coords, float)
+        C, Cinv = gchart.from_coords(coords[:, :n])
+        G = np.array([c.g.matrix for c in centres]) @ C
+        Ginv = Cinv @ np.array([c.g.inv_matrix for c in centres])
+        return [PhasePoint(GroupElement(g, group, ginv), a) for g, ginv, a in zip(G, Ginv, coords[:, n:])]
+
+    def velocities(points, centres=None):
         w = np.array([field(p).concat() for p in points])
         w[:, :n] = (tangents(points, centres) @ w[:, :n, None])[..., 0]
         return w
 
-    def project(points):
+    def projections(points):
         return np.array([p.alpha for p in points])
 
-    def generators(points, centres=None):
+    def generator_matrices(points, centres=None):
         if centres is None and all(p.g is ident for p in points):
             return section_generators[None].repeat(len(points), 0)
         G = np.array([p.g.matrix for p in points])
@@ -1092,16 +1063,12 @@ def make_tstar_scenario(group, field=None):
         g = matrix_exp_oracle(group, 0.3 * rng.standard_normal(n))
         return PhasePoint(g, rng.standard_normal(n))
 
-    def omega_matrix(chart, u, point):
-        S = chart.body_from_coords(point)
-        return S.T @ bundle.omega_matrix(point) @ S
-
     return InvariantSystem(
-        name=f"tstar:{group.name}", group=group, dim=2 * n, quotient_dim=n, chart_at=chart_at, coords=coords,
-        act=bundle.actions, velocity=velocity, project=project,
-        section=lambda lams: [PhasePoint(ident, lam) for lam in lams], generators=generators,
-        section_jacobian=lambda lams: section_jac[None].repeat(len(lams), 0), random_point=random_point,
-        momentum=bundle.spatial_momentum, omega_matrix=omega_matrix, free=True, exact_theta=lambda p: p.g,
+        name=f"tstar:{group.name}", group=group, dim=2 * n, quotient_dim=n, chart_coords=chart_coords,
+        chart_points=chart_points, actions=bundle.actions, velocities=velocities, projections=projections,
+        sections=lambda lams: [PhasePoint(ident, lam) for lam in lams], generator_matrices=generator_matrices,
+        section_jacobians=lambda lams: section_jac[None].repeat(len(lams), 0), random_point=random_point,
+        momentum=bundle.spatial_momentum, omega_matrix=bundle.omega_matrix, free=True, exact_theta=lambda p: p.g,
     )
 
 
@@ -1129,16 +1096,15 @@ def make_so3_scenario(field=None, section="position"):
     """
     group = make_group("so3")
     fld = field if field is not None else free_particle_field
-    chart = FlatChart(6)
     O = np.zeros((6, 6))
     O[:3, 3:] = np.eye(3)
     O[3:, :3] = -np.eye(3)
 
-    def act(gs, ms):
+    def actions(gs, ms):
         R = np.array([g.matrix for g in gs])
         return list((np.asarray(ms, float).reshape(-1, 2, 3) @ R.swapaxes(1, 2)).reshape(-1, 6))
 
-    def project(ms):
+    def projections(ms):
         x = np.asarray(ms, float).reshape(-1, 2, 3)
         # (|q|^2, |p|^2, q.p) from the Gram matrix of each pair
         return (x @ x.swapaxes(1, 2))[:, [0, 1, 0], [0, 1, 1]]
@@ -1156,7 +1122,7 @@ def make_so3_scenario(field=None, section="position"):
         lams = np.asarray(lams, float).T
         return lams[ia], lams[ib], lams[2]
 
-    def sec(lams):
+    def sections(lams):
         # clamped radicands keep the map evaluable just past the domain
         # edge, where adaptive event location probes it
         a, b, c = abc(lams)
@@ -1166,7 +1132,7 @@ def make_so3_scenario(field=None, section="position"):
         m[:, ip + 1] = np.sqrt(np.maximum(b - c * c / a, 0.0))
         return list(m)
 
-    def sec_jacobian(lams):
+    def section_jacobians(lams):
         # rows q1, p1, p2 of the position section in (a, b, c); past the edge
         # the clamped p2 stays 0 and its row vanishes
         a, b, c = abc(lams)
@@ -1190,19 +1156,19 @@ def make_so3_scenario(field=None, section="position"):
     def random_point(rng):
         while True:
             m = rng.standard_normal(6)
-            if margin(project([m])[0]) > 0.05:
+            if margin(projections([m])[0]) > 0.05:
                 return m
 
-    def generators(ms, centres=None):
+    def generator_matrices(ms, centres=None):
         return -(np.asarray(ms, float).reshape(-1, 2, 3) @ group._basis_rows).reshape(-1, 6, 3)
 
     return InvariantSystem(
-        name="so3-r3", group=group, dim=6, quotient_dim=3, chart_at=lambda m: chart,
-        coords=lambda ms, centres: np.array(ms, dtype=float), act=act,
-        velocity=lambda ms, centres=None: np.array([fld(m) for m in np.asarray(ms, float)], dtype=float),
-        project=project, section=sec, generators=generators, section_jacobian=sec_jacobian,
-        random_point=random_point, section_margin=margin, momentum=lambda m: np.cross(m[:3], m[3:]),
-        omega_matrix=lambda ch, u, point: O, free=False,
+        name="so3-r3", group=group, dim=6, quotient_dim=3, chart_coords=lambda ms, centres: np.array(ms, float),
+        chart_points=lambda us, centres: list(np.array(us, float)), actions=actions,
+        velocities=lambda ms, centres=None: np.array([fld(m) for m in np.asarray(ms, float)], dtype=float),
+        projections=projections, sections=sections, generator_matrices=generator_matrices,
+        section_jacobians=section_jacobians, random_point=random_point, section_margin=margin,
+        momentum=lambda m: np.cross(m[:3], m[3:]), omega_matrix=lambda m: O, free=False,
     )
 
 
@@ -1255,36 +1221,35 @@ def make_product_scenario(rate=0.7):
     identity, so every form ignores its centres.
     """
     group = _product_group()
-    chart = FlatChart(4)
     hats = _so3_basis().reshape(3, 9)  # hat(v) = v @ hats, hat(v) w = v x w
 
-    def act(gs, ms):
+    def actions(gs, ms):
         G, m = np.array([g.matrix for g in gs]), np.asarray(ms, float)
         return list(np.hstack([(G[:, :3, :3] @ m[:, :3, None])[..., 0], m[:, 3:] + G[:, 3, 4:]]))
 
-    def project(ms):
+    def projections(ms):
         v = np.asarray(ms, float)[:, :3]
         return np.einsum("ki,ki->k", v, v)[:, None]
 
-    def sec(lams):
+    def sections(lams):
         lams = np.asarray(lams, float)
         m = np.zeros((len(lams), 4))
         m[:, 0] = np.sqrt(lams[:, 0])
         return list(m)
 
-    def generators(ms, centres=None):
+    def generator_matrices(ms, centres=None):
         W = np.zeros((len(ms), 4, 4))
         W[:, :3, :3] = -(np.asarray(ms, float)[:, :3] @ hats).reshape(-1, 3, 3)
         W[:, 3, 3] = 1.0
         return W
 
-    def velocity(ms, centres=None):
+    def velocities(ms, centres=None):
         v = np.asarray(ms, float)[:, :3]
         out = np.zeros((len(v), 4))
         out[:, 3] = rate * (1.0 + np.einsum("ki,ki->k", v, v))
         return out
 
-    def section_jacobian(lams):
+    def section_jacobians(lams):
         D = np.zeros((len(lams), 4, 1))
         D[:, 0, 0] = 0.5 / np.sqrt(np.asarray(lams, float)[:, 0])
         return D
@@ -1296,8 +1261,9 @@ def make_product_scenario(rate=0.7):
                 return m
 
     return InvariantSystem(
-        name="so3xr-product", group=group, dim=4, quotient_dim=1, chart_at=lambda m: chart,
-        coords=lambda ms, centres: np.array(ms, dtype=float), act=act, velocity=velocity, project=project,
-        section=sec, generators=generators, section_jacobian=section_jacobian, random_point=random_point,
+        name="so3xr-product", group=group, dim=4, quotient_dim=1, chart_coords=lambda ms, centres: np.array(ms, float),
+        chart_points=lambda us, centres: list(np.array(us, float)), actions=actions, velocities=velocities,
+        projections=projections, sections=sections, generator_matrices=generator_matrices,
+        section_jacobians=section_jacobians, random_point=random_point,
         section_margin=lambda lam: float(lam[0] - SECTION_EPS), free=False,
     )

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from liequad import reconstruct
-from liequad.cotangent import CotangentBundle, PhasePoint, left_invariant_hamiltonian_field
+from liequad.cotangent import CotangentBundle, CotangentChart, PhasePoint, left_invariant_hamiltonian_field
 from liequad.liegroup import CayleyChart, make_group, matrix_exp_oracle
 from liequad.numutil import central_jacobian
 from liequad.reconstruct import (
@@ -52,11 +52,10 @@ def fd_generators(sys_, m):
     second-order truncation term, so the columns come out to about twelve
     digits.
     """
-    chart = sys_.chart_at(m)
-    u0 = chart.to_coords(m)
+    u0 = sys_.chart_coords([m], [m])[0]
 
     def along(xi):
-        return chart.to_coords(sys_.act(matrix_exp_oracle(sys_.group, xi), m)) - u0
+        return sys_.chart_coords([sys_.act(matrix_exp_oracle(sys_.group, xi), m)], [m])[0] - u0
 
     return central_jacobian(along, np.zeros(sys_.group.dim), 1e-4, richardson=True)
 
@@ -68,11 +67,11 @@ def fd_eta(sys_, theta, m):
     ``FD_STEP``, so the factor solves' noise stays far below the compared
     tolerances.
     """
-    chart, u, du = sys_.velocity_at(m)
+    u, du = sys_.chart_coords([m], [m])[0], sys_.velocities([m])[0]
     g0 = theta(m)
     warm = theta.coords_of(g0)
     h = 1e-5 / max(1.0, float(np.linalg.norm(du)))
-    fwd, bwd = (theta(chart.from_coords(u + s * h * du), warm=warm).matrix for s in (1.0, -1.0))
+    fwd, bwd = (theta(p, warm=warm).matrix for p in sys_.chart_points([u + h * du, u - h * du], [m, m]))
     return _algebra_fit(sys_.group, (fwd - bwd) / (2.0 * h) @ np.linalg.inv(g0.matrix))
 
 
@@ -124,31 +123,36 @@ def test_stacked_forms_match_one_row_calls(key):
     gs = [matrix_exp_oracle(sys_.group, 0.4 * rng.standard_normal(sys_.group.dim)) for _ in points]
     lams = sys_.projections(points)
     secs = sys_.sections(lams)
+    coords = sys_.chart_coords(points, centres)
+    back = sys_.chart_points(coords, centres)
     pairs = {
         "projections": (lams, [sys_.project(m) for m in points]),
         "sections": (secs, [sys_.section(lam) for lam in lams]),
         "actions": (sys_.actions(gs, points), [sys_.act(g, m) for g, m in zip(gs, points)]),
-        "chart_coords": (sys_.chart_coords(points, centres),
-                         [sys_.chart_coords([m], [c])[0] for m, c in zip(points, centres)]),
-        "velocities": (sys_.velocities(points), [sys_.velocity_at(m)[2] for m in points]),
+        "chart_coords": (coords, [sys_.chart_coords([m], [c])[0] for m, c in zip(points, centres)]),
+        "chart_points": (back, [sys_.chart_points([u], [c])[0] for u, c in zip(coords, centres)]),
+        "velocities": (sys_.velocities(points), [sys_.velocities([m])[0] for m in points]),
         "velocities in the centres' charts": (
-            sys_.velocities(points, centres),
-            [sys_.velocity(sys_.chart_at(c), sys_.chart_at(c).to_coords(m), m) for m, c in zip(points, centres)]),
+            sys_.velocities(points, centres), [sys_.velocities([m], [c])[0] for m, c in zip(points, centres)]),
         "generator_matrices": (sys_.generator_matrices(points), [fundamental_matrix(sys_, m) for m in points]),
         "generator_matrices in the centres' charts": (
             sys_.generator_matrices(points, centres),
             [sys_.generator_matrices([m], [c])[0] for m, c in zip(points, centres)]),
-        "section_jacobians": (sys_.section_jacobians(lams),
-                              [sys_.section_jacobian(sys_.chart_at(s), lam) for s, lam in zip(secs, lams)]),
+        "section_jacobians": (sys_.section_jacobians(lams), [sys_.section_jacobians(lam[None])[0] for lam in lams]),
     }
     for name, (stacked, rows) in pairs.items():
         assert len(stacked) == len(rows) == 5, name
         for a, b in zip(stacked, rows):
             a, b = as_row(a), as_row(b)
             assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-15 * max(1.0, np.max(np.abs(b))), name
-    # the stacked coordinates are those of the chart objects
-    for m, c, u in zip(points, centres, sys_.chart_coords(points, centres)):
-        assert np.max(np.abs(u - sys_.chart_at(c).to_coords(m))) <= 1e-12
+    # chart_points inverts chart_coords, and on the cotangent bundle both
+    # are those of the independent CotangentChart at the centre
+    assert np.max(np.abs(sys_.chart_coords(back, centres) - coords)) <= 1e-12
+    if isinstance(points[0], PhasePoint):
+        for m, c, u, p in zip(points, centres, coords, back):
+            chart = CotangentChart(sys_.group, c.g)
+            assert np.max(np.abs(u - chart.to_coords(m))) <= 1e-12
+            assert np.max(np.abs(as_row(p) - as_row(chart.from_coords(u)))) <= 1e-12
     # one solve per row, free or under a stabilizer, bitwise that of the row alone
     eta, Y = section_split(sys_, lams.T)
     for i, lam in enumerate(lams):
@@ -170,9 +174,9 @@ def test_section_jacobian_matches_central_differences(key):
     sys_ = SCENARIOS[key]()
     for m in seeded_points(sys_, 32):
         lam = sys_.project(m)
-        chart = sys_.chart_at(sys_.section(lam))
-        Ds = sys_.section_jacobian(chart, lam)
-        fd = central_jacobian(lambda x: chart.to_coords(sys_.section(x)), lam, 1e-6)
+        sec = sys_.section(lam)
+        Ds = sys_.section_jacobians(lam[None])[0]
+        fd = central_jacobian(lambda x: sys_.chart_coords([sys_.section(x)], [sec])[0], lam, 1e-6)
         assert Ds.shape == (sys_.dim, sys_.quotient_dim)
         assert np.max(np.abs(Ds - fd)) <= 1e-7
 
@@ -184,9 +188,9 @@ def test_section_jacobian_past_the_edge_is_that_of_the_clamped_section(conventio
     sys_ = make_so3_scenario(section=convention)
     lam = np.array([2.0, 3.0, 2.6])
     assert sys_.section_margin(lam) < 0
-    chart = sys_.chart_at(sys_.section(lam))
-    fd = central_jacobian(lambda x: chart.to_coords(sys_.section(x)), lam, 1e-6)
-    assert np.max(np.abs(sys_.section_jacobian(chart, lam) - fd)) <= 1e-7
+    sec = sys_.section(lam)
+    fd = central_jacobian(lambda x: sys_.chart_coords([sys_.section(x)], [sec])[0], lam, 1e-6)
+    assert np.max(np.abs(sys_.section_jacobians(lam[None])[0] - fd)) <= 1e-7
     assert np.all(np.isfinite(section_split(sys_, lam)[1]))
 
 
@@ -200,7 +204,7 @@ def test_split_matches_difference_rate_and_push_forward(key):
         sec = sys_.section(lam)
         eta, Y = section_split(sys_, lam)
         assert np.linalg.norm(eta - fd_eta(sys_, theta, sec)) <= 1e-7
-        assert np.linalg.norm(Y - _along_field(sys_.project, *sys_.velocity_at(sec))) <= 1e-7
+        assert np.linalg.norm(Y - _along_field(sys_, sys_.project, sec)) <= 1e-7
 
 
 @pytest.mark.parametrize("key", ["pairs-momentum", "pairs-position"])
@@ -215,7 +219,7 @@ def test_hypothesis_checks_read_the_split_and_solve_no_factor(key, monkeypatch):
     p0 = sys_.act(matrix_exp_oracle(sys_.group, np.array([0.3, -0.2, 0.4])), sys_.section(lam0))
     points = [p0, *_chart_ball(sys_, p0, *FIELD_CHECK_BALL)]
     horizontal = max(float(np.linalg.norm(fd_eta(sys_, theta, m))) for m in points)
-    vertical = max(float(np.linalg.norm(_along_field(sys_.project, *sys_.velocity_at(m)))) for m in points)
+    vertical = max(float(np.linalg.norm(_along_field(sys_, sys_.project, m))) for m in points)
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("group-factor solve")
@@ -268,7 +272,7 @@ def test_split_under_a_stabilizer_gives_the_minimum_norm_rate():
         eta, Y = section_split(sys_, lam)
         chi = isotropy_basis_at(sys_, sec)[:, 0]
         assert abs(eta @ chi) <= 1e-12
-        _chart, _u, du = sys_.velocity_at(sec)
+        du = sys_.velocities([sec])[0]
         assert np.linalg.norm(fundamental_matrix(sys_, sec) @ eta - du) <= 1e-12
         assert np.linalg.norm(Y) <= 1e-12
 
@@ -281,15 +285,14 @@ def test_factor_solve_jacobian_matches_central_differences(key):
     rng = np.random.default_rng(37)
     for m in seeded_points(sys_, 38):
         target = sys_.section(sys_.project(m))
-        chart = sys_.chart_at(m)
         n = 0.3 * rng.standard_normal(sys_.group.dim)
         g = gchart.from_coords(n)
 
         def residual(x):
-            return chart.to_coords(sys_.act(gchart.from_coords(x), target))
+            return sys_.chart_coords([sys_.act(gchart.from_coords(x), target)], [m])[0]
 
         fd = central_jacobian(residual, n, 1e-6)
-        assert np.max(np.abs(theta.jacobian(chart, target, g) - fd)) <= 1e-7
+        assert np.max(np.abs(theta.jacobians([m], [sys_.act(g, target)], [g])[0] - fd)) <= 1e-7
 
 
 def test_connection_route_never_differentiates_the_factor_map(monkeypatch):

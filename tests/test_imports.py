@@ -184,6 +184,48 @@ def test_module_options_are_all_passed(module, reader_sources):
     assert never_passed_options((SRC / module).read_text(), reader_sources) == []
 
 
+def unread_parameters(source):
+    """Required parameters that their ``def`` never reads, as ``(line, "function(parameter)")``.
+
+    Every ``def`` counts, nested ones too, and a read in a nested body is a
+    read.  ``self``, ``cls``, ``_``-prefixed names, defaulted parameters,
+    ``*args``, ``**kwargs`` and lambdas are skipped.
+    """
+    flagged = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        required = positional[: len(positional) - len(args.defaults)]
+        required += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is None]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        flagged += [(fn.lineno, f"{fn.name}({a.arg})") for a in required
+                    if a.arg not in read and a.arg not in ("self", "cls") and not a.arg.startswith("_")]
+    return sorted(flagged)
+
+
+def test_checker_flags_an_unread_parameter():
+    src = (
+        "def f(a, b, _c, d=1, *e, f, g=2, **h):\n    return a + f\n"
+        "class K:\n"
+        "    def m(self, x, y):\n"
+        "        def inner(z):\n            return y\n"
+        "        return inner\n"
+        "    @classmethod\n"
+        "    def n(cls, w):\n        return w\n"
+        "k = lambda p, q: p\n"
+    )
+    # a closure's read counts for the def around it
+    assert unread_parameters(src) == [(1, "f(b)"), (4, "m(x)"), (5, "inner(z)")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_reads_every_required_parameter(module):
+    assert unread_parameters((SRC / module).read_text()) == []
+
+
 def test_benchmark_trace_targets_resolve():
     # the tracer patches each target where it is defined, so a method must
     # sit in its own class's namespace, not be inherited

@@ -420,6 +420,23 @@ def test_two_step_gate_rejects_skewed_quotient_motion():
         two_step_reconstruct(sys_, theta, p0, TS, quotient_integrator=skewed)
 
 
+def test_gate_reads_the_quotient_curve_in_two_vector_calls():
+    # one read at the output times and one at the stencil points, not one per output time
+    sys_ = cached("pairs-momentum", lambda: make_so3_scenario(section="momentum"))
+    theta = cached("theta-pairs-momentum", lambda: build_theta(sys_, sys_.section(np.array([2.0, 3.0, 1.0]))))
+    p0, _, _ = pair_start(sys_)
+    inner = _default_quotient_integrator(sys_)
+    reads = []
+
+    def spied(Y, lam0, t_span):
+        gamma, t_reached = inner(Y, lam0, t_span)
+        return lambda t: reads.append(np.shape(t)) or gamma(t), t_reached
+
+    sample = two_step_reconstruct(sys_, theta, p0, TS, quotient_integrator=spied)
+    assert len(sample.points) == len(TS)
+    assert len(reads) == 2 and reads[0] == TS.shape
+
+
 # -- lift through a connection ----------------------------------------------------
 
 
