@@ -4,8 +4,9 @@ The quadrature route never touches a matrix exponential: the curve is read
 off the complete-solution chart of the vertical Hamiltonian field of a
 Casimir form on T*G, where the linearizing coordinates evolve affinely in
 time.  ``matrix_exp_oracle`` is an independent reference for the tests; in
-the package only the vertical reconstruction's fallback and the scenario
-checks call it.
+the package only the vertical reconstruction's fallback, the scenario
+checks and the invariance check of ``build_mixed_field``
+(``cotangent._validate_invariance``) call it.
 
 Times past the chart of the base point are reached through the group law
 g(t) = g(t/2)^2 applied recursively: the identity is exact for the true

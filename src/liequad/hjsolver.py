@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .cotangent import CotangentChart, PhasePoint
+from .cotangent import PhasePoint
 from .liegroup import NEWTON_MAXIT, NEWTON_TOL, CayleyChart, ChartDomainError, GroupElement, damped_newton
 from .numutil import central_jacobian, nullspace, numerical_rank
 
@@ -135,54 +135,6 @@ def fiber_isotropy_defect(bundle, p):
     return float(np.max(np.abs(K.T @ O @ K)))
 
 
-class FirstIntegralsMap:
-    """Locally independent components of the conserved momentum pair.
-
-    Near a point whose body momentum has isotropy dimension k the raw pair
-    (spatial, body) has rank 2n - k; the reduction projects the raw values
-    onto the top left-singular directions of the chart Jacobian at the
-    center.  Phase-space coordinates are those of the cotangent chart at the
-    center: (Cayley chart of the group factor, body momentum).
-    """
-
-    def __init__(self, bundle, center):
-        self.bundle = bundle
-        self.center = center
-        self.dim = bundle.group.dim
-        self.phase_chart = CotangentChart(bundle.group, center.g)
-        self.chart = self.phase_chart.gchart
-        self.x0 = np.concatenate([np.zeros(self.dim), center.alpha])
-        self.raw0 = bundle.momentum_pair(center)
-        J0 = bundle.momentum_pair_jacobian_body(center)  # body matrix I at the centre
-        k = bundle.algebra.isotropy_dimension(center.alpha)
-        ell = 2 * self.dim - k
-        r = numerical_rank(J0)
-        if r != ell:
-            raise HypothesisError(
-                f"momentum-pair rank {r} disagrees with the isotropy count {ell} at the center"
-            )
-        U, s, Vt = np.linalg.svd(J0)
-        self.rank = ell
-        self.deficiency = k
-        self.reduce = U[:, :ell]
-        self.kernel = Vt[ell:].T
-        self.sigma_min = float(s[ell - 1])
-
-    def value(self, p):
-        return self.reduce.T @ (self.bundle.momentum_pair(p) - self.raw0)
-
-    def evaluate(self, adit, alpha, minv):
-        """Reduced values and reduced Jacobians on chart velocities at k points.
-
-        ``adit`` (k, dim, dim) are the coadjoint matrices Ad(g^-1)^T of the
-        group parts, ``alpha`` (k, dim) the body momenta and ``minv``
-        (k, dim, dim) the Cayley body matrices of the group parts.
-        """
-        J = self.reduce.T @ self.bundle.momentum_pair_jacobians(adit, alpha)
-        J[:, :, : self.dim] = J[:, :, : self.dim] @ minv
-        return (self.bundle.momentum_pairs(adit, alpha) - self.raw0) @ self.reduce, J
-
-
 class _NodeRows:
     """A chart's solved points as rows of stacked arrays; row 0 is the centre.
 
@@ -212,7 +164,14 @@ class _NodeRows:
 class CompleteSolutionChart:
     """Fiberwise parametrization of phase space near a center point.
 
-    Coordinates (lam, n): lam are the reduced momentum values, n are
+    The chart owns the reduction of the conserved momentum pair to its
+    locally independent components.  Near a centre whose body momentum has
+    isotropy dimension k the raw pair (spatial, body) has rank ell = 2 dim - k,
+    and ``reduce`` projects the raw values onto the top ell left-singular
+    directions of their Jacobian at the centre; the rows of ``trans`` span
+    its kernel.  Chart points x are (Cayley coordinates of the group part in
+    ``gchart``, the chart at the centre's, body momentum).  Coordinates
+    (lam, n): lam are the reduced momentum values, n = trans (x - x0) are
     transversal coordinates along the momentum fibers.  The chart solves for
     the phase point with prescribed (lam, n), carries exact derivatives from
     the inverted solve, and computes the generating function and the
@@ -222,17 +181,28 @@ class CompleteSolutionChart:
     def __init__(self, bundle, dyn_field, center, check=True):
         self.bundle = bundle
         self.field = dyn_field
-        self.integrals = FirstIntegralsMap(bundle, center)
-        self.trans = self.integrals.kernel.T
-        self.k = self.integrals.deficiency
-        self.ell = self.integrals.rank
-        ints = self.integrals
+        self.center = center
+        self.dim = bundle.group.dim
+        self.gchart = CayleyChart(bundle.group, center.g)
+        self.x0 = np.concatenate([np.zeros(self.dim), center.alpha])
+        self.raw0 = bundle.momentum_pair(center)
+        J0 = bundle.momentum_pair_jacobian_body(center)  # body matrix I at the centre
+        self.k = bundle.algebra.isotropy_dimension(center.alpha)
+        self.ell = 2 * self.dim - self.k
+        r = numerical_rank(J0)
+        if r != self.ell:
+            raise HypothesisError(
+                f"momentum-pair rank {r} disagrees with the isotropy count {self.ell} at the center"
+            )
+        U, s, Vt = np.linalg.svd(J0)
+        self.reduce = U[:, : self.ell]
+        self.trans = Vt[self.ell :]
+        self.sigma_min = float(s[self.ell - 1])
         # the centre as row 0, whose body matrix is I: the predictor of every
         # row that has no solved neighbour
-        S0 = np.vstack([self.trans, ints.reduce.T @ bundle.momentum_pair_jacobian_body(center)])
-        inv0 = np.linalg.inv(S0)
+        inv0 = np.linalg.inv(np.vstack([self.trans, self.reduce.T @ J0]))
         self.nodes = _NodeRows(
-            x=ints.x0, lam=np.zeros(self.ell), n=np.zeros(self.k), inv=inv0,
+            x=self.x0, lam=np.zeros(self.ell), n=np.zeros(self.k), inv=inv0,
             body=inv0, ljac=np.full((self.ell, self.k), np.nan))
         if check:
             self.check_hypotheses()
@@ -240,7 +210,7 @@ class CompleteSolutionChart:
     # -- hypothesis checks -----------------------------------------------
 
     def check_hypotheses(self):
-        d_iso = fiber_isotropy_defect(self.bundle, self.integrals.center)
+        d_iso = fiber_isotropy_defect(self.bundle, self.center)
         if d_iso > ISOTROPY_TOL:
             raise HypothesisError(
                 f"momentum fibers are not isotropic at the center (defect {d_iso:.3e})"
@@ -259,15 +229,14 @@ class CompleteSolutionChart:
         inversion and one stacked momentum-pair Jacobian; the field takes
         each point as an element.
         """
-        ints = self.integrals
-        dim = ints.dim
+        dim = self.dim
         rng = np.random.default_rng(TANGENCY_SEED)
-        X = ints.x0 + TANGENCY_RADIUS * np.vstack(
+        X = self.x0 + TANGENCY_RADIUS * np.vstack(
             [np.zeros(2 * dim), rng.standard_normal((TANGENCY_SAMPLES, 2 * dim))])
-        G, Ginv = ints.chart.from_coords(X[:, :dim])
+        G, Ginv = self.gchart.from_coords(X[:, :dim])
         W = np.array([self.field(PhasePoint(GroupElement(g, self.bundle.group, ginv), x[dim:])).concat()
                       for g, ginv, x in zip(G, Ginv, X)])
-        J = self.bundle.momentum_pair_jacobians(ints.chart.body_and_coadjoint(G, Ginv)[1], X[:, dim:])
+        J = self.bundle.momentum_pair_jacobians(self.gchart.body_and_coadjoint(G, Ginv)[1], X[:, dim:])
         img = np.einsum("ijk,ik->ij", J, W)
         return float(np.max(np.linalg.norm(img, axis=1) / np.maximum(1.0, np.linalg.norm(W, axis=1))))
 
@@ -278,9 +247,8 @@ class CompleteSolutionChart:
 
         No solve uses it: it is the forward map the tests check ``point`` against.
         """
-        ints = self.integrals
-        lam = ints.value(p)
-        n = self.trans @ (ints.phase_chart.to_coords(p) - ints.x0)
+        lam = self.reduce.T @ (self.bundle.momentum_pair(p) - self.raw0)
+        n = self.trans @ (np.concatenate([self.gchart.to_coords(p.g), p.alpha]) - self.x0)
         return lam, n
 
     def invert(self, lam, n, x, partial=False):
@@ -292,13 +260,13 @@ class CompleteSolutionChart:
         and the mask of the rows that met ``NEWTON_TOL``.
         A row that misses it raises ChartDomainError unless ``partial``.
         """
-        dim = self.integrals.dim
+        dim = self.dim
         tol = NEWTON_TOL * np.maximum(
             np.maximum(np.linalg.norm(lam, axis=1), np.linalg.norm(n, axis=1)), 1.0)
 
         def trial(rows, xx, _states):
             r, states = np.full(xx.shape, np.nan), [None] * len(rows)
-            ok = np.flatnonzero(self.integrals.chart.inside(xx[:, :dim]))
+            ok = np.flatnonzero(self.gchart.inside(xx[:, :dim]))
             if ok.size:
                 r[ok], S, minv = self._evaluate(lam[rows[ok]], n[rows[ok]], xx[ok])
                 for i, state in zip(ok, zip(S, minv)):
@@ -328,8 +296,8 @@ class CompleteSolutionChart:
 
     def _phase_points(self, rows):
         """The phase points of the rows of ``nodes``, their group parts from one stacked chart inversion."""
-        x, dim, group = self.nodes.x[rows], self.integrals.dim, self.bundle.group
-        G, Ginv = self.integrals.chart.from_coords(x[:, :dim])
+        x, dim, group = self.nodes.x[rows], self.dim, self.bundle.group
+        G, Ginv = self.gchart.from_coords(x[:, :dim])
         return [PhasePoint(GroupElement(g, group, ginv), a) for g, ginv, a in zip(G, Ginv, x[:, dim:])]
 
     def _evaluate(self, lam, n, X):
@@ -339,16 +307,16 @@ class CompleteSolutionChart:
         residuals, the system matrices and the Cayley body matrices, one row
         each.
         """
-        ints = self.integrals
-        dim, k = ints.dim, self.k
-        minv, adit = ints.chart.body_and_coadjoint(*ints.chart.from_coords(X[:, :dim]))
-        values, J = ints.evaluate(adit, X[:, dim:], minv)
-        r = np.empty_like(X)
-        r[:, :k] = (X - ints.x0) @ self.trans.T - n
-        r[:, k:] = values - lam
+        dim, k = self.dim, self.k
+        minv, adit = self.gchart.body_and_coadjoint(*self.gchart.from_coords(X[:, :dim]))
+        alpha = X[:, dim:]
         S = np.empty((len(X), 2 * dim, 2 * dim))
         S[:, :k] = self.trans
-        S[:, k:] = J
+        S[:, k:] = self.reduce.T @ self.bundle.momentum_pair_jacobians(adit, alpha)
+        S[:, k:, :dim] = S[:, k:, :dim] @ minv
+        r = np.empty_like(X)
+        r[:, :k] = (X - self.x0) @ self.trans.T - n
+        r[:, k:] = (self.bundle.momentum_pairs(adit, alpha) - self.raw0) @ self.reduce - lam
         return r, S, minv
 
     def _node(self, lam, n, from_node=None, partial=False):
@@ -381,8 +349,8 @@ class CompleteSolutionChart:
         near = np.zeros(m, int) if from_node is None else from_node
         step = np.concatenate([n - nodes.n[near], lam - nodes.lam[near]], axis=1)
         X = nodes.x[near] + np.einsum("ijk,ik->ij", nodes.inv[near], step)
-        dim = self.integrals.dim
-        live = np.flatnonzero(self.integrals.chart.inside(X[:, :dim]) if partial else np.ones(m, bool))
+        dim = self.dim
+        live = np.flatnonzero(self.gchart.inside(X[:, :dim]) if partial else np.ones(m, bool))
         out = np.full(m, -1)
         if not live.size:
             return out
@@ -406,23 +374,6 @@ class CompleteSolutionChart:
         out[live[ok]] = nodes.add(
             x=X[ok], lam=lam_l[ok], n=rows_l[ok], inv=inv[ok], body=body[ok])
         return out
-
-    def _nodes_near(self, solved, lam, n, partial=False):
-        """Solve the rows of n, each predicted from the nearest row of the list ``solved``.
-
-        ``solved`` holds row indices of ``nodes``; the centre predicts while
-        it is empty, and the new rows join it.  Returns the new row indices,
-        -1 for a row that failed under ``partial`` (``_node``'s).
-        """
-        lam = lam + np.zeros((len(n), 1))
-        from_node = None
-        if solved:
-            at = np.concatenate([self.nodes.n[solved], self.nodes.lam[solved]], axis=1)
-            gap = np.concatenate([n, lam], axis=1)[:, None] - at
-            from_node = np.asarray(solved)[np.argmin(np.sum(gap * gap, axis=2), axis=1)]
-        rows = self._node(lam, n, from_node, partial)
-        solved.extend(rows[rows >= 0])
-        return rows
 
     # -- quadratures -------------------------------------------------------
 
@@ -451,24 +402,26 @@ class CompleteSolutionChart:
     def _line_quad(self, solved, lam0, dlam, dn, value):
         """``_segment_quad`` of ``value(rows)`` at the rows (lam0 + s dlam, s dn) of ``nodes``.
 
-        The rows are solved by ``_nodes_near(solved, ..., partial=True)``, and
-        a row that fails reads NaN, which refuses its panel.
+        ``solved`` holds row indices of ``nodes``: each row is predicted from
+        the nearest of them, from the centre while it is empty, and the rows
+        solved join it.  A row that fails reads NaN, which refuses its panel.
         """
+        nodes = self.nodes
 
         def integrand(s):
-            rows = self._nodes_near(solved, lam0 + np.multiply.outer(s, dlam), np.multiply.outer(s, dn),
-                                    partial=True)
+            lam, n = lam0 + np.multiply.outer(s, dlam), np.multiply.outer(s, dn)
+            from_node = None
+            if solved:
+                gap = np.concatenate([n, lam], axis=1)[:, None] - np.concatenate(
+                    [nodes.n[solved], nodes.lam[solved]], axis=1)
+                from_node = np.asarray(solved)[np.argmin(np.sum(gap * gap, axis=2), axis=1)]
+            rows = self._node(lam, n, from_node, partial=True)
+            solved.extend(rows[rows >= 0])
             values = value(np.maximum(rows, 0))
             values[rows < 0] = np.nan
             return values
 
         return self._segment_quad(integrand)
-
-    def _phi_increment(self, lam, n):
-        """Integral of -omega(d_lam, d_s) = L dn along the fiber segment 0 -> n at lam, NaN if it gave up."""
-        if not np.any(n):
-            return np.zeros(self.ell)
-        return self._line_quad([], lam, np.zeros(self.ell), n, lambda rows: self.linearizing_jacobian(rows) @ n)
 
     def generating_function(self, lam, n):
         """Path integral of the tautological form over the standard path.
@@ -481,7 +434,7 @@ class CompleteSolutionChart:
         """
         lam, n = np.asarray(lam, float), np.asarray(n, float)
         zk, zl = np.zeros(self.k), np.zeros(self.ell)
-        dim, nodes = self.integrals.dim, self.nodes
+        dim, nodes = self.dim, self.nodes
         total, solved = 0.0, []
         # leg (lam0, dlam, dn): the point at s is (lam0 + s dlam, s dn)
         for lam0, dlam, dn in ((zl, lam, zk), (lam, zl, n)):
@@ -498,16 +451,20 @@ class CompleteSolutionChart:
     def linearizing_map(self, lam, n, method="fast"):
         """Momentum-direction derivative data of the generating function.
 
-        "fast" evaluates the fiber-leg integral of -omega(d_lam, d_s)
-        directly; this is the map that evolves linearly along the dynamics
-        (exactly, up to quadrature error).  "fd" central-differences the
+        "fast" evaluates the fiber-leg integral of -omega(d_lam, d_s) = L dn
+        along the segment 0 -> n at lam directly; this is the map that evolves
+        linearly along the dynamics (exactly, up to quadrature error).  "fd" central-differences the
         generating function over lam; it equals fast plus theta_pairing plus
         a function of lam alone, and the extra pairing term is generally not
         affine along the flow, so "fd" is a value-level cross-check, not an
         evolution coordinate.
         """
         if method == "fast":
-            return _settled(self._phi_increment(lam, np.asarray(n, float)))
+            n = np.asarray(n, float)
+            if not np.any(n):
+                return np.zeros(self.ell)
+            return _settled(self._line_quad(
+                [], lam, np.zeros(self.ell), n, lambda rows: self.linearizing_jacobian(rows) @ n))
         if method == "fd":
             h = LINMAP_FD_STEP * max(1.0, float(np.linalg.norm(lam)))
             return central_jacobian(lambda x: self.generating_function(x, n), lam, h)
@@ -516,8 +473,7 @@ class CompleteSolutionChart:
     def theta_pairing(self, lam, n):
         """Tautological form against the momentum-direction derivatives."""
         i = self._node(lam, [n])[0]
-        dim = self.integrals.dim
-        return self.nodes.x[i, dim:] @ self.nodes.body[i, :dim, self.k :]
+        return self.nodes.x[i, self.dim :] @ self.nodes.body[i, : self.dim, self.k :]
 
     def linearizing_jacobian(self, rows):
         """Exact n-derivatives of the fast linearizing map at m rows of ``nodes``.
@@ -529,7 +485,7 @@ class CompleteSolutionChart:
         todo = rows[np.isnan(nodes.ljac[rows]).any(axis=(1, 2))]
         if todo.size:
             B = nodes.body[todo]
-            O = self.bundle.omega_matrices(nodes.x[todo, self.integrals.dim :])
+            O = self.bundle.omega_matrices(nodes.x[todo, self.dim :])
             nodes.ljac[todo] = -(B[:, :, self.k :].swapaxes(1, 2) @ (O @ B[:, :, : self.k]))
         return nodes.ljac[rows]
 

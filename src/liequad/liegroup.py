@@ -472,8 +472,9 @@ def matrix_exp_oracle(group, xi, t=1.0):
     connection route calls this.  In the package it serves the vertical
     route's fallback, for a direction the quadrature exponential cannot take,
     and the seeded group elements of the scenario checks
-    (``validate_invariant_system``, ``random_point``).  Raises under the
-    purity guard.
+    (``validate_invariant_system``, ``random_point``) and of the invariance
+    check of ``build_mixed_field`` (``cotangent._validate_invariance``).
+    Raises under the purity guard.
     """
     if _oracle_state["forbidden"]:
         raise RuntimeError("matrix_exp_oracle invoked while the purity guard is active")

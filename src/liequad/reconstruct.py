@@ -90,7 +90,6 @@ GAUGE_ACCEPT = 1e-10         # stall floor still below every downstream toleranc
 GAUGE_MAXIT = 40
 GAUGE_COND = 1e-6            # singular-value cutoff for gauge-fixing steps
 CONNECTION_TOL = 1e-6        # reproduction of action generators by a connection
-CONNECTION_DIRS = 4          # sampled directions of the reproduction check
 CONNECTION_SUBSTEPS = 4      # fourth-order steps per grid interval of the connection route
 TRANSVERSALITY_FLOOR = 1e-6  # relative smallest singular value of stacked Jacobians
 SECTION_EPS = 1e-9           # section domain margin floor
@@ -466,16 +465,26 @@ def transversality_defect(sys, theta, m):
 
     The projection and the group-factor map are jointly immersive exactly
     when their kernels intersect trivially, which (dimensions adding up)
-    makes the two kernels span the tangent space.
+    makes the two kernels span the tangent space.  The Jacobians are
+    central differences on ``_chart_cross``'s stencil, whose factors come
+    from one ``factors`` call.
     """
     tchart = CayleyChart(sys.group, theta(m))
-
-    def both(x):
-        mx = sys.chart_points([x], [m])[0]
-        return np.concatenate([sys.project(mx), tchart.to_coords(theta(mx))])
-
-    s = np.linalg.svd(central_jacobian(both, sys.chart_coords([m], [m])[0], FD_STEP), compute_uv=False)
+    ms = _chart_cross(sys, m)[1:]
+    both = np.hstack([sys.projections(ms), np.array([tchart.to_coords(g) for g in theta.factors(ms)])])
+    s = np.linalg.svd((both[: sys.dim] - both[sys.dim :]).T / (2.0 * FD_STEP), compute_uv=False)
     return float(s[sys.dim - 1] / s[0])
+
+
+def _chart_cross(sys, m):
+    """The points at u and u +- ``FD_STEP`` e_i of m's own chart, u the coordinates of m there.
+
+    One ``chart_points`` call: the centre first, then the plus steps and
+    the minus steps, each in the order of the axes.
+    """
+    steps = FD_STEP * np.eye(sys.dim)
+    u = sys.chart_coords([m], [m])[0]
+    return sys.chart_points(u + np.vstack([np.zeros(sys.dim), steps, -steps]), [m] * (2 * sys.dim + 1))
 
 
 def _chart_ball(sys, m0, count, seed, radius):
@@ -525,16 +534,19 @@ def build_theta(sys, m0, use_exact=True):
     return theta
 
 
-def _algebra_fit(group, mat):
-    """Algebra coordinates of a matrix known only up to finite-difference noise."""
-    u = group.flat(mat)
+def _algebra_fit(group, mats):
+    """Algebra coordinates of matrices (..., N, N) known only up to finite-difference noise.
+
+    Every matrix is fitted by one ``lstsq``; returns the coordinates (..., dim).
+    """
+    u = np.array([group.flat(mat) for mat in np.reshape(mats, (-1, group.N, group.N))]).T
     coords, *_rest = np.linalg.lstsq(group._basis_flat.T, u, rcond=None)
-    resid = float(np.linalg.norm(group._basis_flat.T @ coords - u))
-    if resid > ALGEBRA_FIT_TOL * max(1.0, float(np.linalg.norm(u))):
+    resid = np.linalg.norm(group._basis_flat.T @ coords - u, axis=0)
+    if (resid > ALGEBRA_FIT_TOL * np.maximum(1.0, np.linalg.norm(u, axis=0))).any():
         raise ValueError(
-            f"{group.name}: matrix is not an algebra element (residual {resid:.2e})"
+            f"{group.name}: matrix is not an algebra element (residual {resid.max():.2e})"
         )
-    return coords
+    return coords.T.reshape(np.shape(mats)[:-2] + (group.dim,))
 
 
 # -- flow-equation gate --------------------------------------------------------
@@ -772,27 +784,22 @@ class ThetaConnection:
 
         The factor map is read at the points of that chart only, its centre
         too: at chart_points(chart_coords([m], [m]), [m]), not at m itself.
+        The centre and the central-difference stencil come from one
+        ``chart_points`` call, and the stencil's factors from one
+        ``factors`` call, warm-started at the centre's.
         """
         sys, theta = self.sys, self.theta
-        u = sys.chart_coords([m], [m])[0]
-        g0 = theta(sys.chart_points([u], [m])[0])
-        warm = theta.coords_of(g0)
-        g0inv = np.linalg.inv(g0.matrix)
-        D = central_jacobian(lambda x: theta(sys.chart_points([x], [m])[0], warm=warm).matrix, u, FD_STEP)
-        return np.stack([_algebra_fit(sys.group, D[..., i] @ g0inv) for i in range(sys.dim)], axis=-1)
+        centre, *stencil = _chart_cross(sys, m)
+        g0 = theta(centre)
+        G = np.array([g.matrix for g in theta.factors(stencil, warm=theta.coords_of(g0))])
+        D = (G[: sys.dim] - G[sys.dim :]) / (2.0 * FD_STEP)
+        return _algebra_fit(sys.group, D @ np.linalg.inv(g0.matrix)).T
 
 
-def connection_reproduction_defect(sys, connection, m, rng=None):
-    """Max |connection(action generator of xi) - xi| over sampled directions."""
-    rng = rng or np.random.default_rng(5)
-    A = connection.matrix(m)
-    W = fundamental_matrix(sys, m)
-    worst = 0.0
-    for _ in range(CONNECTION_DIRS):
-        xi = rng.standard_normal(sys.group.dim)
-        xi /= np.linalg.norm(xi)
-        worst = max(worst, float(np.linalg.norm(A @ (W @ xi) - xi)))
-    return worst
+def connection_reproduction_defect(sys, connection, m):
+    """Spectral norm of A W - I: the sup over unit xi of |connection(action generator of xi) - xi|."""
+    AW = connection.matrix(m) @ fundamental_matrix(sys, m)
+    return float(np.linalg.norm(AW - np.eye(len(AW)), 2))
 
 
 def _magnus_step(sys, gamma, t, h):

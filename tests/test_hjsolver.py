@@ -59,7 +59,7 @@ def test_abelian_reduction_structure():
     _b, chart, _a0 = abelian_chart()
     assert chart.k == 3
     assert chart.ell == 3
-    assert np.isclose(chart.integrals.sigma_min, np.sqrt(2.0), atol=1e-12)
+    assert np.isclose(chart.sigma_min, np.sqrt(2.0), atol=1e-12)
 
 
 def test_abelian_momentum_coordinate_norm():
@@ -73,7 +73,7 @@ def test_abelian_momentum_coordinate_norm():
 def test_abelian_generating_function_closed_form():
     # the fiber leg of the path integral is <alpha, displacement>
     b, chart, a0 = abelian_chart()
-    entry = chart.integrals.chart.to_coords
+    entry = chart.gchart.to_coords
     zl = np.zeros(3)
     n = np.array([0.3, 0.1, -0.2])
     q_n = entry(chart.point(zl, n).g)
@@ -87,7 +87,7 @@ def test_abelian_generating_function_closed_form():
 
 def test_abelian_linearizing_map_closed_form():
     _b, chart, a0 = abelian_chart()
-    entry = chart.integrals.chart.to_coords
+    entry = chart.gchart.to_coords
     zl = np.zeros(3)
     n = np.array([0.3, 0.1, -0.2])
     q_n = entry(chart.point(zl, n).g)
@@ -540,6 +540,19 @@ def test_momentum_breaking_dynamics_rejected():
     X = left_invariant_hamiltonian_field(b, lambda a: Q @ a, name="rigid")
     with pytest.raises(HypothesisError, match="not tangent"):
         CompleteSolutionChart(b, X, PhasePoint(b.group.identity(), np.array([0.7, -0.2, 0.4])))
+
+
+def test_momentum_pair_rank_checked_against_the_isotropy_count():
+    # the isotropy count is scale-free and reads 5 at any nonzero so3
+    # momentum, but the pair's ad* block scales with alpha: at 1e-9 the
+    # Jacobian ranks it as noise next to its identity blocks, rank 3
+    b = bundle_for("so3")
+    X = casimir_field_for(b)
+    alpha = np.array([0.7, -0.2, 0.4])
+    chart = CompleteSolutionChart(b, X, b.base_point(1e-6 * alpha))
+    assert (chart.k, chart.ell) == (1, 5)
+    with pytest.raises(HypothesisError, match="momentum-pair rank 3 disagrees with the isotropy count 5"):
+        CompleteSolutionChart(b, X, b.base_point(1e-9 * alpha))
 
 
 def test_fiber_varying_speed_rejected():

@@ -391,16 +391,17 @@ def test_one_closed_form_body_matrix_per_node(monkeypatch):
 def test_non_finite_node_system_raises_value_error(chart, monkeypatch, bad):
     # invert's damped_newton takes a ValueError for a failed trial;
     # the centre row meets the Newton tolerance at its predictor, so only
-    # the poisoned system can fail it
-    ints = chart.integrals
-    evaluate = ints.evaluate
+    # the poisoned system can fail it.  The poison reaches the chart's
+    # reduced Jacobian in its last momentum column, which no Cayley body
+    # matrix multiplies: an inf there times a zero would warn first
+    jacobians = chart.bundle.momentum_pair_jacobians
 
     def poisoned(*args):
-        values, J = evaluate(*args)
-        J[:, -1, 0] = bad
-        return values, J
+        J = jacobians(*args)
+        J[:, -1, -1] = bad
+        return J
 
-    monkeypatch.setattr(ints, "evaluate", poisoned)
+    monkeypatch.setattr(chart.bundle, "momentum_pair_jacobians", poisoned)
     with pytest.raises(ValueError):
         chart._node(np.zeros(chart.ell), np.zeros((1, chart.k)))
 

@@ -453,7 +453,31 @@ def test_connection_reproduces_action_generators():
     conn = ThetaConnection(sys_, tstar_theta())
     rng = np.random.default_rng(5)
     for _ in range(4):
-        assert connection_reproduction_defect(sys_, conn, sys_.random_point(rng), rng=rng) <= 1e-6
+        assert connection_reproduction_defect(sys_, conn, sys_.random_point(rng)) <= 1e-6
+
+
+def test_connection_matrix_reads_its_stencil_from_one_stacked_call_each(monkeypatch):
+    # tstar so3 has a 6-D chart: the centre and the 12 stencil points come
+    # from one chart_points call, and the stencil's factors from one solve
+    # after the centre's own (one-row calls, 13 of each, read them before)
+    sys_ = fiber_rotation_scenario()
+    theta = build_theta(sys_, sys_.section(np.array([0.7, -0.4, 0.5])), use_exact=False)
+    calls = {"chart_points": [], "factors": []}
+    chart_points, factors = sys_.chart_points, theta.factors
+
+    def counted_points(coords, centres):
+        calls["chart_points"].append(len(coords))
+        return chart_points(coords, centres)
+
+    def counted_factors(ms, warm=None):
+        calls["factors"].append(len(ms))
+        return factors(ms, warm)
+
+    monkeypatch.setattr(sys_, "chart_points", counted_points)
+    monkeypatch.setattr(theta, "factors", counted_factors)
+    A = ThetaConnection(sys_, theta).matrix(tstar_start()[0])
+    assert A.shape == (3, 6)
+    assert calls == {"chart_points": [13], "factors": [1, 12]}
 
 
 def test_lifted_route_matches_transport_route():
@@ -839,6 +863,9 @@ class ShiftedAtStart:
 
     def coords_of(self, g):
         return self.theta.coords_of(g)
+
+    def factors(self, ms, warm=None):
+        return [g @ self.shift if m is self.p0 else g for m, g in zip(ms, self.theta.factors(ms, warm))]
 
 
 @pytest.mark.parametrize("route", ["two-step", "connection", "vertical"])
