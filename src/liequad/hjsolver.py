@@ -16,11 +16,21 @@ import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 from .cotangent import PhasePoint
 from .liegroup import NEWTON_MAXIT, NEWTON_TOL, CayleyChart, ChartDomainError, GroupElement, damped_newton
-from .numutil import central_jacobian, nullspace, numerical_rank
+from .numutil import (
+    _CHEB_BARY,
+    _CHEB_DIFF,
+    _CHEB_INT,
+    _CHEB_X,
+    QUAD_TOL,
+    _resolved,
+    _walk,
+    central_jacobian,
+    nullspace,
+    numerical_rank,
+)
 
 GN_MAXIT = 20
 AUDIT_TOL = 1e-9
@@ -33,24 +43,9 @@ RATE_DRIFT_TOL = 1e-5
 RATE_DRIFT_DT = 1e-2     # the rate-drift probe row sits at -RATE_DRIFT_DT, on the fiber solve's backward side
 REACH_MARGIN = 0.8      # share of the Cayley reach along the flow that one chart serves
 RECENTER_LIMIT = 64
-QUAD_TOL = 1e-12        # relative bound on a panel's Chebyshev tail, of a fiber quadrature or a
-                        # time panel, and on a time panel's fiber residual
 LINMAP_FD_STEP = 1e-6   # relative step of the "fd" linearizing map
 HJ_FD_STEP = 1e-5       # difference step of the potential-property residual
 HJ_ORDER = 16           # Gauss-Legendre nodes of its path integrals
-CHEB_DEGREE = 16        # degree of a fiber-solve time panel: a flow is analytic inside its chart,
-                        # and 17 points resolve a whole so3 Killing-flow window to QUAD_TOL
-PANEL_HALVINGS = 8      # halvings of one panel walk, a flow side or a fiber quadrature: a walk into
-                        # the chart boundary gives up on panels 256x shorter than its span
-
-# Chebyshev-Lobatto points on [-1, 1], ascending, and the matrices that take values there to
-# Chebyshev coefficients, to derivative values and to integrals from -1, with the points'
-# barycentric weights (Trefethen, Approximation Theory and Approximation Practice, 2013, chs. 2-5)
-_CHEB_X = np.sin(0.5 * np.pi * np.arange(-CHEB_DEGREE, CHEB_DEGREE + 1, 2) / CHEB_DEGREE)
-_CHEB_COEFFS = np.linalg.inv(chebyshev.chebvander(_CHEB_X, CHEB_DEGREE))
-_CHEB_DIFF = chebyshev.chebvander(_CHEB_X, CHEB_DEGREE - 1) @ chebyshev.chebder(_CHEB_COEFFS)
-_CHEB_INT = chebyshev.chebvander(_CHEB_X, CHEB_DEGREE + 1) @ chebyshev.chebint(_CHEB_COEFFS, lbnd=-1)
-_CHEB_BARY = (-1.0) ** np.arange(CHEB_DEGREE + 1) * np.r_[0.5, np.ones(CHEB_DEGREE - 1), 0.5]
 
 
 class HypothesisError(ValueError):
@@ -75,37 +70,6 @@ def _settled(values):
         raise ChartDomainError(
             "quadrature gave up: a node left the chart or the panels did not resolve the integrand")
     return values
-
-
-def _walk(end, panel):
-    """The panels (a, b, result) that ``panel(a, b)`` accepts, from 0 outward to ``end``.
-
-    The first panel is the whole span, and each later one as wide as the
-    last accepted one, or what is left; ``panel`` refuses one by returning
-    None, and a refused panel is halved, at most ``PANEL_HALVINGS`` times,
-    after which the next refusal stops the walk where it got.
-    """
-    a, width, halvings = 0.0, end, 0
-    while a != end:
-        b = end if abs(end - a) <= abs(width) else a + width
-        result = panel(a, b)
-        if result is not None:
-            yield a, b, result
-            a = b
-        elif halvings == PANEL_HALVINGS:
-            return
-        else:
-            halvings, width = halvings + 1, 0.5 * width
-
-
-def _resolved(values):
-    """Whether the values (17, ...) at the Chebyshev-Lobatto points are finite and resolved.
-
-    Resolved: their interpolant's last two Chebyshev coefficients are within
-    ``QUAD_TOL`` of its largest, at least 1, all over the trailing axes.
-    """
-    coeffs = np.abs(_CHEB_COEFFS @ np.reshape(values, (len(values), -1))).max(axis=1)
-    return bool(np.isfinite(coeffs).all() and coeffs[-2:].max() <= QUAD_TOL * max(1.0, coeffs.max()))
 
 
 @dataclass

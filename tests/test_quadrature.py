@@ -12,13 +12,9 @@ import pytest
 from liequad.cotangent import CotangentBundle, PhasePoint, build_casimir_field
 from liequad.expquad import exp_semisimple
 from liequad.hjsolver import (
-    CHEB_DEGREE,
-    PANEL_HALVINGS,
-    QUAD_TOL,
     TANGENCY_SAMPLES,
     CompleteSolutionChart,
     _settled,
-    _walk,
     integrate_by_quadratures,
 )
 from liequad.liealg import killing_casimir
@@ -30,6 +26,7 @@ from liequad.liegroup import (
     make_group,
     matrix_exp_oracle,
 )
+from liequad.numutil import CHEB_DEGREE, PANEL_HALVINGS, QUAD_TOL, _walk
 
 
 def casimir_chart(key, a0=(0.7, -0.2, 0.4)):
