@@ -29,6 +29,12 @@ Three reconstruction routes are implemented.
   direction qualifies and by the series oracle otherwise, with the
   provenance flagged.
 
+The two-step and connection routes integrate the quotient curve first, as
+the reconstruction equations ask: a walk of Chebyshev-Picard panels on the
+17 Chebyshev-Lobatto points of the complete-solution flow's time panels, one
+stacked call of the quotient field per sweep, cut where the section margin
+runs out (``_default_quotient_integrator``).
+
 Every scenario gives its action generators W (the chart velocities of the
 one-parameter action flows) and the section's Jacobian Ds in closed form.
 The group factor is the identity on the section image, so there the field
@@ -53,7 +59,6 @@ those points in one stacked call, and builds every point once.
 from __future__ import annotations
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
 from .cotangent import CotangentBundle, PhasePoint
@@ -76,7 +81,7 @@ from .liegroup import (
     make_group,
     matrix_exp_oracle,
 )
-from .numutil import ball_sample, central_jacobian, nullspace
+from .numutil import _CHEB_BARY, _CHEB_INT, _CHEB_X, _resolved, _walk, ball_sample, central_jacobian, nullspace
 
 FLOW_RESIDUAL_TOL = 1e-5     # universal gate on reconstructed curves
 HORIZONTAL_TOL = 1e-6        # trivializing-submersion derivative along the field
@@ -94,8 +99,8 @@ CONNECTION_SUBSTEPS = 4      # fourth-order steps per grid interval of the conne
 TRANSVERSALITY_FLOOR = 1e-6  # relative smallest singular value of stacked Jacobians
 SECTION_EPS = 1e-9           # section domain margin floor
 FD_STEP = 1e-6
-QUOTIENT_RTOL = 1e-11
-QUOTIENT_ATOL = 1e-13
+PICARD_TOL = 1e-13           # relative move at which a quotient panel's Picard sweeps have settled
+PICARD_SWEEPS = 40           # sweeps a quotient panel may take to settle
 ISOTROPY_RTOL = 1e-8
 ALGEBRA_FIT_TOL = 1e-6       # relative residual of a difference-quotient algebra element
 THETA_BALL = (64, 11, 0.1)   # (count, seed, radius) of the points certifying a factor map
@@ -218,9 +223,9 @@ def section_split(sys, lams):
     """Connection rates eta and quotient fields Y at the section points over lams.
 
     ``lams`` is one vector of orbit coordinates, which gives one eta and one
-    Y, or k of them as the columns of a (quotient_dim, k) array, as a dense
-    ODE solution returns them, which gives the row stacks (k, dim) of eta
-    and (k, quotient_dim) of Y.
+    Y, or k of them as the columns of a (quotient_dim, k) array, as a
+    quotient curve returns them at a vector of times, which gives the row
+    stacks (k, dim) of eta and (k, quotient_dim) of Y.
     The group factor is the identity on the section image, so the field there
     is an action generator plus a section velocity: X = W eta + Ds Y, which
     gives both exactly.  Y is unique because the orbit and section tangents
@@ -601,8 +606,9 @@ def _certified(sys, p0, ts, factor, lam, quotient_tol, diagnostics, t_reached=No
     called once, for all of them, and returns the group factors at the
     times ts[owner] + offset as one stack; ``lam`` is called twice, with
     the vector of the output times and with the vector of the other times,
-    and returns the quotient points as columns (as a dense ODE solution
-    does).  The curve is one stacked ``sections`` and one ``actions`` call,
+    and returns the quotient points as columns (as the gamma of
+    ``_default_quotient_integrator`` does).  The curve is one stacked
+    ``sections`` and one ``actions`` call,
     and its emitted points one ``projections`` call.  It must start at p0,
     satisfy the flow equation (``flow_residual_rows`` on the stencils) and
     project onto the emitted quotient points within ``quotient_tol``;
@@ -615,8 +621,8 @@ def _certified(sys, p0, ts, factor, lam, quotient_tol, diagnostics, t_reached=No
     kept = ts[ts <= t_end + 1e-12]
     owner, offset, rows = _stencil(kept, t_end)
     k = len(kept)
-    # two reads, not one: read in one vector with the stencil times, a dense
-    # solution's rows at the output times can move in the last bit
+    # two reads, not one: the emitted points then never depend on the stencil,
+    # whatever interpolant a quotient integrator hands over
     lams = np.vstack([np.asarray(lam(t), float).T for t in (kept, kept[owner[k:]] + offset[k:])])
     curve = sys.actions(factor(owner, offset), sys.sections(lams))
     points = curve[:k]
@@ -664,40 +670,105 @@ def _output_grid(t_grid):
 
 
 def _default_quotient_integrator(sys):
-    """Dense quotient solution by adaptive integration, cut at the domain edge.
+    """Quotient curve on Chebyshev-Picard panels, cut at the section domain's edge.
 
     Returns (gamma, t_reached): gamma evaluates the quotient curve for
     t <= t_reached, at one time or, as columns, at a vector of times;
-    t_reached is the requested endpoint unless the section margin hit its
-    floor first.
+    t_reached is the requested endpoint unless the section margin falls to
+    ``SECTION_EPS`` first.
+
+    The curve is a ``_walk`` of panels from t_span[0] (Clenshaw and Norton,
+    Comput. J. 6, 1963; Bai and Junkins, J. Astronaut. Sci. 58, 2011).  The
+    values lam at a panel's Chebyshev-Lobatto times start at its start value
+    lam_a and sweep lam <- lam_a + (b - a)/2 ``_CHEB_INT`` Y(lam), one
+    stacked call of Y per sweep, its nodes as columns.  The panel is
+    accepted once a sweep moves lam by at most ``PICARD_TOL`` max(1, |lam|)
+    and lam is ``_resolved``.  It is refused when the moves stop shrinking
+    (two sweeps running bring no new least move), turn non-finite or
+    outlast ``PICARD_SWEEPS``, and when a node's margin is at most
+    ``SECTION_EPS``.  The last panel refused for the margin alone
+    marks the edge: when the walk stops there, t_reached is the root of the
+    margin minus ``SECTION_EPS`` along its interpolant, which gamma then
+    reads up to t_reached.  A walk that stops anywhere else raises
+    ReconstructionError.
+
+    gamma interpolates barycentrically on the panel of each time, summing
+    over the nodes entry by entry, so a time reads the same bits alone as in
+    any vector.
     """
 
     def integrator(Y, lam0, t_span):
-        def rhs(_t, lam):
-            return Y(lam)
+        t0, lam0 = float(t_span[0]), np.asarray(lam0, float)
+        bounded = np.isfinite(sys.section_margin(lam0))
+        panels, edge = [], []
 
-        def edge(_t, lam):
-            return sys.section_margin(lam) - SECTION_EPS
+        def panel(a, b):
+            start = panels[-1][2][-1] if panels else lam0
+            lam, least, stalls = np.tile(start, (len(_CHEB_X), 1)), np.inf, 0
+            # a panel too wide for the sweeps to contract overflows before it is refused
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(PICARD_SWEEPS):
+                    new = start + 0.5 * (b - a) * (_CHEB_INT @ Y(lam.T))
+                    new[0] = start  # the integral from a to a
+                    move, lam = np.max(np.abs(new - lam)), new
+                    if not np.isfinite(move):
+                        return None
+                    if move <= PICARD_TOL * max(1.0, np.max(np.abs(lam))):
+                        break
+                    stalls = stalls + 1 if move >= least else 0
+                    if stalls == 2:
+                        return None
+                    least = min(least, move)
+                else:
+                    return None
+            if not _resolved(lam):
+                return None
+            if bounded and min(sys.section_margin(row) for row in lam) <= SECTION_EPS:
+                edge[:] = [a, b, lam]
+                return None
+            return lam
 
-        edge.terminal = True
-        edge.direction = -1
-        sol = scipy.integrate.solve_ivp(
-            rhs,
-            t_span,
-            np.asarray(lam0, float),
-            method="RK45",
-            rtol=QUOTIENT_RTOL,
-            atol=QUOTIENT_ATOL,
-            dense_output=True,
-            events=[edge] if np.isfinite(sys.section_margin(lam0)) else None,
-        )
-        if sol.status == 1:
-            t_reached = float(sol.t_events[0][0])
-        elif sol.status == 0:
-            t_reached = float(t_span[1])
-        else:
-            raise ReconstructionError(f"quotient integration failed: {sol.message}")
-        return sol.sol, t_reached
+        end = float(t_span[1]) - t0
+        reached = 0.0
+        for a, reached, lam in _walk(end, panel):
+            panels.append((t0 + a, t0 + reached, lam))
+        t_reached = float(t_span[1])
+        if reached != end:
+            if not edge or edge[0] != reached:
+                raise ReconstructionError(
+                    f"quotient integration failed at t={t0 + reached:g}: "
+                    "its Picard sweeps settled on no panel there")
+            panels.append((t0 + edge[0], t0 + edge[1], edge[2]))
+        starts, ends, values = (np.array(part) for part in zip(*panels))
+
+        def gamma(t):
+            t = np.asarray(t, float)
+            flat = np.atleast_1d(t)
+            i = np.minimum(np.searchsorted(ends, flat), len(ends) - 1)
+            gap = (2.0 * flat - starts[i] - ends[i])[:, None] / (ends[i] - starts[i])[:, None] - _CHEB_X
+            hit = gap == 0.0
+            w = _CHEB_BARY / np.where(hit, 1.0, gap)
+            on = hit.any(axis=1)
+            w[on] = hit[on]  # a time on a node reads that node's value
+            rows = values[i]
+            num, den = w[:, 0, None] * rows[:, 0], w[:, 0].copy()
+            for j in range(1, len(_CHEB_X)):
+                num += w[:, j, None] * rows[:, j]
+                den += w[:, j]
+            out = num / den[:, None]
+            return out[0] if t.ndim == 0 else out.T
+
+        if reached != end:
+            # bisect along the edge panel, from its last node inside the margin to the next, to the last bit
+            out = next(j for j, row in enumerate(values[-1]) if sys.section_margin(row) <= SECTION_EPS)
+            times = starts[-1] + 0.5 * (ends[-1] - starts[-1]) * (_CHEB_X + 1.0)
+            lo, hi = times[max(out - 1, 0)], times[out]
+            mid = 0.5 * (lo + hi)
+            while lo < mid < hi:
+                lo, hi = (mid, hi) if sys.section_margin(gamma(mid)) > SECTION_EPS else (lo, mid)
+                mid = 0.5 * (lo + hi)
+            t_reached = float(lo)
+        return gamma, t_reached
 
     return integrator
 
@@ -736,12 +807,13 @@ def check_theta_horizontal(sys, p0):
 def two_step_reconstruct(sys, theta, p0, t_grid, quotient_integrator=None):
     """Reconstruct the trajectory through p0 as a moving section point.
 
-    The quotient curve is integrated first; the output is the section along
-    it, transported by the group factor g0 of the initial point.  The group
-    factor is checked to be constant along the field beforehand and along
-    the output afterwards, by one stacked solve of the emitted points'
-    factors from g0.  ``quotient_integrator`` returns what
-    ``_default_quotient_integrator``'s integrator does.
+    The quotient curve is integrated first, on Chebyshev-Picard panels
+    (``_default_quotient_integrator``) unless ``quotient_integrator`` is
+    given, which returns what that integrator does; the output is the
+    section along the curve, transported by the group factor g0 of the
+    initial point.  The group factor is checked to be constant along the
+    field beforehand and along the output afterwards, by one stacked solve
+    of the emitted points' factors from g0.
     """
     ts = _output_grid(t_grid)
     horiz = check_theta_horizontal(sys, p0)
@@ -837,10 +909,12 @@ def usual_reconstruct(sys, connection, p0, t_grid):
     action generators at p0.  Its horizontal spaces are the level sets of the
     group-factor map, which is the identity on the section image, so the
     horizontal lift of the quotient curve gamma through the section is the
-    section curve d(t) = section(gamma(t)) itself.  The group factor solves
-    the linear equation g' = g eta(t), eta the connection value of the field
-    at d(t), from g(0) = theta(p0) by fourth-order Cayley-Magnus steps on a
-    fine grid of ``CONNECTION_SUBSTEPS`` steps per grid interval; the output
+    section curve d(t) = section(gamma(t)) itself; gamma comes from
+    Chebyshev-Picard panels (``_default_quotient_integrator``).  The group
+    factor solves the linear equation g' = g eta(t), eta the connection
+    value of the field at d(t), from g(0) = theta(p0) by fourth-order
+    Cayley-Magnus steps on a fine grid of ``CONNECTION_SUBSTEPS`` steps per
+    grid interval; the output
     is act(g(t), d(t)), and no matrix exponential runs.  The stored factors
     are the running product of the steps.  Each of the gate's stencil points
     is one more step from the last stored factor at or before its time, so

@@ -7,11 +7,16 @@ re-exports count as uses when they are listed in ``__all__``.  Every
 module-level function, class and constant must be read somewhere in
 ``src/``, ``tests/`` or ``benchmarks/``, as a name, an attribute or an
 imported name.  Every entry point the traced benchmark wraps must resolve.
+The package runs without ``scipy.integrate``, which the tests and the
+benchmark keep as their independent reference.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -248,3 +253,11 @@ def test_traced_group_chart_is_the_cayley_chart():
     # be the chart the package inverts
     liegroup = importlib.import_module("liequad.liegroup")
     assert liegroup.GraphChart is liegroup.CayleyChart
+
+
+def test_package_does_not_import_scipy_integrate():
+    # the quotient curve is integrated on the package's own Chebyshev panels
+    code = "import sys, liequad.reconstruct; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -435,6 +437,95 @@ def test_gate_reads_the_quotient_curve_in_two_vector_calls():
     sample = two_step_reconstruct(sys_, theta, p0, TS, quotient_integrator=spied)
     assert len(sample.points) == len(TS)
     assert len(reads) == 2 and reads[0] == TS.shape
+
+
+# -- the quotient curve on Chebyshev-Picard panels ----------------------------------
+
+
+def counted_field(sys_):
+    """The quotient field of sys_ and the list of the arguments it was called with."""
+    Y, seen = quotient_field(sys_), []
+    return (lambda lam: seen.append(np.asarray(lam, float)) or Y(lam)), seen
+
+
+def quotient_case(case):
+    """(scenario, start, span) of a quotient curve the routes integrate."""
+    if case == "pairs-momentum":
+        sys_, _theta, p0 = pairs_momentum()
+        return sys_, sys_.project(p0), (0.0, 1.0)
+    _b, _fld, sys_ = anisotropic_scenario(case)
+    return sys_, np.array([0.7, -0.4, 0.5]), (0.0, 1.0)
+
+
+@pytest.mark.parametrize("case", ["so3", "su2", "sl2r", "pairs-momentum"])
+def test_quotient_curve_matches_dop853(case):
+    # the rigid body of the connection routes and the free particle of the
+    # two-step one, each field call one stack of a panel's 17 nodes
+    sys_, lam0, span = quotient_case(case)
+    Y, seen = counted_field(sys_)
+    gamma, t_reached = _default_quotient_integrator(sys_)(Y, lam0, span)
+    assert t_reached == span[1]
+    assert all(lam.shape == (len(lam0), 17) for lam in seen)
+    Yref = quotient_field(sys_)
+    ref = solve_ivp(lambda _t, lam: Yref(lam), span, lam0, method="DOP853", rtol=1e-13, atol=1e-15, t_eval=TS)
+    assert np.max(np.abs(gamma(TS) - ref.y)) <= 1e-12
+
+
+def test_connection_route_calls_the_quotient_field_in_few_stacks(monkeypatch):
+    # one stacked call per Picard sweep; one-row right-hand sides took 218 calls
+    run, calls = route_runner("connection"), []
+
+    def counted(sys_):
+        Y = quotient_field(sys_)
+        return lambda lam: calls.append(1) or Y(lam)
+
+    monkeypatch.setattr(reconstruct, "quotient_field", counted)
+    run(np.linspace(0.0, 1.0, 17))
+    assert 0 < len(calls) <= 25
+
+
+def test_quotient_curve_stops_at_the_margin_root():
+    # b - c^2/a decays like 2.5 exp(-4t) and a = 2, so a b - c^2 meets
+    # 2 SECTION_EPS at t = log(2.5e9)/4.  There it falls by 8e-9 per unit
+    # time: an error of 1e-14 in b moves the root by 2.5e-6
+    sys_, _theta, p0 = decay_start()
+    Y, seen = counted_field(sys_)
+    gamma, t_reached = _default_quotient_integrator(sys_)(Y, sys_.project(p0), (0.0, 8.0))
+    assert abs(t_reached - np.log(2.5e9) / 4.0) <= 1e-5
+    assert sys_.section_margin(gamma(t_reached)) > reconstruct.SECTION_EPS
+    assert all(lam.shape == (3, 17) for lam in seen)
+
+
+def test_diverging_quotient_panel_is_refused_and_halved(monkeypatch):
+    # on sl2r the whole-span panel's sweeps grow: it is refused, not
+    # overflowed, and the halves reach the end; gamma reads each time the
+    # same alone as in a vector, on panel ends and nodes too
+    sys_, lam0, span = quotient_case("sl2r")
+    Y, seen = counted_field(sys_)
+    walk, panels = reconstruct._walk, []
+
+    def spied(end, panel):
+        def counted(a, b):
+            before = len(seen)
+            result = panel(a, b)
+            panels.append((a, b, result is not None, seen[before:]))
+            return result
+
+        return walk(end, counted)
+
+    monkeypatch.setattr(reconstruct, "_walk", spied)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gamma, t_reached = _default_quotient_integrator(sys_)(Y, lam0, span)
+    (a, b, accepted, sweeps), (a2, b2, *_rest) = panels[:2]
+    assert (a, b, accepted, a2, b2) == (0.0, 1.0, False, 0.0, 0.5)
+    moves = [np.max(np.abs(x - y)) for x, y in zip(sweeps[1:], sweeps[:-1])]
+    assert moves[-1] > moves[0]
+    ends = [b for _a, b, accepted, _s in panels if accepted]
+    assert ends[-1] == t_reached == 1.0 and len(ends) > 1
+    ts = np.concatenate([TS, ends, 0.0625 * (1.0 + np.sin(0.5 * np.pi * np.arange(-16, 17, 2) / 16))])
+    columns = gamma(ts)
+    assert all(np.array_equal(columns[:, i], gamma(t)) for i, t in enumerate(ts))
 
 
 # -- lift through a connection ----------------------------------------------------
