@@ -45,7 +45,6 @@ REACH_MARGIN = 0.8      # share of the Cayley reach along the flow that one char
 RECENTER_LIMIT = 64
 LINMAP_FD_STEP = 1e-6   # relative step of the "fd" linearizing map
 HJ_FD_STEP = 1e-5       # difference step of the potential-property residual
-HJ_ORDER = 16           # Gauss-Legendre nodes of its path integrals
 
 
 class HypothesisError(ValueError):
@@ -687,7 +686,6 @@ def hj_residual(bundle, section, lam, n):
     """
     lam = np.asarray(lam, float)
     n = np.asarray(n, float)
-    nodes, weights = np.polynomial.legendre.leggauss(HJ_ORDER)
     grp = bundle.group
 
     def path_theta(nn, s):
@@ -700,7 +698,8 @@ def hj_residual(bundle, section, lam, n):
         return float(p.alpha @ grp.body_coords(p.g, grp.unflat(dg[:, 0])))
 
     def potential(nn):
-        return sum(w * path_theta(nn, s) for s, w in zip(0.5 * (nodes + 1.0), 0.5 * weights))
+        # Clenshaw-Curtis over [0, 1] on the 17 Chebyshev-Lobatto points of the panels
+        return sum(w * path_theta(nn, s) for s, w in zip(0.5 * (_CHEB_X + 1.0), 0.5 * _CHEB_INT[-1]))
 
     grad = central_jacobian(potential, n, HJ_FD_STEP * max(1.0, float(np.linalg.norm(n))))
     dg = central_jacobian(lambda nn: grp.flat(section(lam, nn).g.matrix), n, HJ_FD_STEP)
