@@ -699,13 +699,12 @@ def _default_quotient_integrator(sys):
 
     def integrator(Y, lam0, t_span):
         t0, lam0 = float(t_span[0]), np.asarray(lam0, float)
-        bounded = np.isfinite(sys.section_margin(lam0))
         panels, edge = [], []
 
         def panel(a, b):
             start = panels[-1][2][-1] if panels else lam0
             lam, least, stalls = np.tile(start, (len(_CHEB_X), 1)), np.inf, 0
-            # a panel too wide for the sweeps to contract overflows before it is refused
+            # the sweeps of a panel too wide to contract may overflow before it is refused
             with np.errstate(over="ignore", invalid="ignore"):
                 for _ in range(PICARD_SWEEPS):
                     new = start + 0.5 * (b - a) * (_CHEB_INT @ Y(lam.T))
@@ -723,7 +722,7 @@ def _default_quotient_integrator(sys):
                     return None
             if not _resolved(lam):
                 return None
-            if bounded and min(sys.section_margin(row) for row in lam) <= SECTION_EPS:
+            if min(sys.section_margin(row) for row in lam) <= SECTION_EPS:
                 edge[:] = [a, b, lam]
                 return None
             return lam

@@ -496,6 +496,14 @@ def test_quotient_curve_stops_at_the_margin_root():
     assert all(lam.shape == (3, 17) for lam in seen)
 
 
+def test_quotient_curve_that_blows_up_is_refused():
+    # lam' = lam^2 from 1 blows up at t = 1: the walk halves its way to just
+    # short of it, where no panel settles, and the route gets a typed error
+    sys_ = tstar_so3()
+    with pytest.raises(ReconstructionError, match=r"quotient integration failed at t=0\.98"):
+        _default_quotient_integrator(sys_)(lambda lam: (np.asarray(lam) ** 2).T, np.ones(3), (0.0, 2.0))
+
+
 def test_diverging_quotient_panel_is_refused_and_halved(monkeypatch):
     # on sl2r the whole-span panel's sweeps grow: it is refused, not
     # overflowed, and the halves reach the end; gamma reads each time the
