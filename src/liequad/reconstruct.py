@@ -608,11 +608,11 @@ def _certified(sys, p0, ts, factor, lam, quotient_tol, diagnostics, t_reached=No
     the vector of the output times and with the vector of the other times,
     and returns the quotient points as columns (as the gamma of
     ``_default_quotient_integrator`` does).  The curve is one stacked
-    ``sections`` and one ``actions`` call,
-    and its emitted points one ``projections`` call.  It must start at p0,
-    satisfy the flow equation (``flow_residual_rows`` on the stencils) and
-    project onto the emitted quotient points within ``quotient_tol``;
-    ``audit`` runs a route's own check on the emitted points.  A quotient
+    ``sections`` and one ``actions`` call, and its emitted points one
+    ``projections`` call.  It must start at p0, satisfy the flow equation
+    (``flow_residual_rows`` on the stencils) and project onto the emitted
+    quotient points within ``quotient_tol``; ``audit`` runs a route's own
+    check on the emitted points.  A quotient
     curve cut at ``t_reached`` raises SectionDomainError carrying the
     certified partial sample; no stencil point lies past ``t_reached``.
     """
@@ -686,10 +686,10 @@ def _default_quotient_integrator(sys):
     and lam is ``_resolved``.  It is refused when the moves stop shrinking
     (two sweeps running bring no new least move), turn non-finite or
     outlast ``PICARD_SWEEPS``, and when a node's margin is at most
-    ``SECTION_EPS``.  The last panel refused for the margin alone
-    marks the edge: when the walk stops there, t_reached is the root of the
-    margin minus ``SECTION_EPS`` along its interpolant, which gamma then
-    reads up to t_reached.  A walk that stops anywhere else raises
+    ``SECTION_EPS``.  The last panel refused for the margin alone marks the
+    edge: when the walk stops there, t_reached is the root of the margin
+    minus ``SECTION_EPS`` along its interpolant, which gamma then reads up
+    to t_reached.  A walk that stops anywhere else raises
     ReconstructionError.
 
     gamma interpolates barycentrically on the panel of each time, summing
@@ -1204,7 +1204,7 @@ def make_so3_scenario(field=None, section="position"):
 
     def sections(lams):
         # clamped radicands keep the map evaluable just past the domain
-        # edge, where adaptive event location probes it
+        # edge, where the quotient curve's last panel probes it
         a, b, c = abc(lams)
         m = np.zeros((len(a), 6))
         m[:, iq] = np.sqrt(np.maximum(a, 0.0))
