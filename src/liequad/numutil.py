@@ -84,13 +84,13 @@ def ball_sample(rng, m, n):
     return v * rng.uniform(0.0, 1.0, (m, 1)) ** (1.0 / n)
 
 
-def _walk(end, panel):
+def _walk(end, panel, most=PANEL_HALVINGS):
     """The panels (a, b, result) that ``panel(a, b)`` accepts, from 0 outward to ``end``.
 
     The first panel is the whole span, and each later one as wide as the
     last accepted one, or what is left; ``panel`` refuses one by returning
-    None, and a refused panel is halved, at most ``PANEL_HALVINGS`` times,
-    after which the next refusal stops the walk where it got.
+    None, and a refused panel is halved, at most ``most`` times, after which
+    the next refusal stops the walk where it got.
     """
     a, width, halvings = 0.0, end, 0
     while a != end:
@@ -99,7 +99,7 @@ def _walk(end, panel):
         if result is not None:
             yield a, b, result
             a = b
-        elif halvings == PANEL_HALVINGS:
+        elif halvings == most:
             return
         else:
             halvings, width = halvings + 1, 0.5 * width

@@ -101,6 +101,7 @@ SECTION_EPS = 1e-9           # section domain margin floor
 FD_STEP = 1e-6
 PICARD_TOL = 1e-13           # relative move at which a quotient panel's Picard sweeps have settled
 PICARD_SWEEPS = 40           # sweeps a quotient panel may take to settle
+QUOTIENT_HALVINGS = 24       # halvings of a quotient walk, whose span is the caller's, however long
 ISOTROPY_RTOL = 1e-8
 ALGEBRA_FIT_TOL = 1e-6       # relative residual of a difference-quotient algebra element
 THETA_BALL = (64, 11, 0.1)   # (count, seed, radius) of the points certifying a factor map
@@ -677,20 +678,19 @@ def _default_quotient_integrator(sys):
     t_reached is the requested endpoint unless the section margin falls to
     ``SECTION_EPS`` first.
 
-    The curve is a ``_walk`` of panels from t_span[0] (Clenshaw and Norton,
-    Comput. J. 6, 1963; Bai and Junkins, J. Astronaut. Sci. 58, 2011).  The
-    values lam at a panel's Chebyshev-Lobatto times start at its start value
-    lam_a and sweep lam <- lam_a + (b - a)/2 ``_CHEB_INT`` Y(lam), one
-    stacked call of Y per sweep, its nodes as columns.  The panel is
-    accepted once a sweep moves lam by at most ``PICARD_TOL`` max(1, |lam|)
-    and lam is ``_resolved``.  It is refused when the moves stop shrinking
-    (two sweeps running bring no new least move), turn non-finite or
-    outlast ``PICARD_SWEEPS``, and when a node's margin is at most
-    ``SECTION_EPS``.  The last panel refused for the margin alone marks the
-    edge: when the walk stops there, t_reached is the root of the margin
-    minus ``SECTION_EPS`` along its interpolant, which gamma then reads up
-    to t_reached.  A walk that stops anywhere else raises
-    ReconstructionError.
+    The curve is a ``_walk`` of panels from t_span[0] with up to
+    ``QUOTIENT_HALVINGS`` halvings (Clenshaw and Norton, Comput. J. 6, 1963;
+    Bai and Junkins, J. Astronaut. Sci. 58, 2011).  The values lam at a
+    panel's Chebyshev-Lobatto times start at its start value lam_a and sweep
+    lam <- lam_a + (b - a)/2 ``_CHEB_INT`` Y(lam), one stacked call of Y per
+    sweep, its nodes as columns.  The panel is accepted once a sweep moves
+    lam by at most ``PICARD_TOL`` max(1, |lam|) and lam is ``_resolved``.
+    It is refused when the moves stop shrinking (two sweeps running bring
+    no new least move), turn non-finite or outlast ``PICARD_SWEEPS``.  An
+    accepted panel with a node whose margin is at most ``SECTION_EPS`` ends
+    the walk: t_reached is the root of the margin minus ``SECTION_EPS``
+    along its interpolant, which gamma reads up to t_reached.  A walk that
+    stops short of t_span[1] anywhere else raises ReconstructionError.
 
     gamma interpolates barycentrically on the panel of each time, summing
     over the nodes entry by entry, so a time reads the same bits alone as in
@@ -699,13 +699,13 @@ def _default_quotient_integrator(sys):
 
     def integrator(Y, lam0, t_span):
         t0, lam0 = float(t_span[0]), np.asarray(lam0, float)
-        panels, edge = [], []
+        panels = []
 
         def panel(a, b):
             start = panels[-1][2][-1] if panels else lam0
             lam, least, stalls = np.tile(start, (len(_CHEB_X), 1)), np.inf, 0
             # the sweeps of a panel too wide to contract may overflow before it is refused
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 for _ in range(PICARD_SWEEPS):
                     new = start + 0.5 * (b - a) * (_CHEB_INT @ Y(lam.T))
                     new[0] = start  # the integral from a to a
@@ -720,24 +720,17 @@ def _default_quotient_integrator(sys):
                     least = min(least, move)
                 else:
                     return None
-            if not _resolved(lam):
-                return None
-            if min(sys.section_margin(row) for row in lam) <= SECTION_EPS:
-                edge[:] = [a, b, lam]
-                return None
-            return lam
+            return lam if _resolved(lam) else None
 
-        end = float(t_span[1]) - t0
-        reached = 0.0
-        for a, reached, lam in _walk(end, panel):
+        end, reached, out = float(t_span[1]) - t0, 0.0, None
+        for a, reached, lam in _walk(end, panel, QUOTIENT_HALVINGS):
             panels.append((t0 + a, t0 + reached, lam))
-        t_reached = float(t_span[1])
-        if reached != end:
-            if not edge or edge[0] != reached:
-                raise ReconstructionError(
-                    f"quotient integration failed at t={t0 + reached:g}: "
-                    "its Picard sweeps settled on no panel there")
-            panels.append((t0 + edge[0], t0 + edge[1], edge[2]))
+            out = next((j for j, row in enumerate(lam) if sys.section_margin(row) <= SECTION_EPS), None)
+            if out is not None:
+                break
+        if out is None and reached != end:
+            raise ReconstructionError(
+                f"quotient integration failed at t={t0 + reached:g}: its Picard sweeps settled on no panel there")
         starts, ends, values = (np.array(part) for part in zip(*panels))
 
         def gamma(t):
@@ -757,9 +750,9 @@ def _default_quotient_integrator(sys):
             out = num / den[:, None]
             return out[0] if t.ndim == 0 else out.T
 
-        if reached != end:
-            # bisect along the edge panel, from its last node inside the margin to the next, to the last bit
-            out = next(j for j, row in enumerate(values[-1]) if sys.section_margin(row) <= SECTION_EPS)
+        t_reached = float(t_span[1])
+        if out is not None:
+            # bisect along the edge panel, from its last node inside the margin to the first out, to the last bit
             times = starts[-1] + 0.5 * (ends[-1] - starts[-1]) * (_CHEB_X + 1.0)
             lo, hi = times[max(out - 1, 0)], times[out]
             mid = 0.5 * (lo + hi)

@@ -500,8 +500,20 @@ def test_quotient_curve_that_blows_up_is_refused():
     # lam' = lam^2 from 1 blows up at t = 1: the walk halves its way to just
     # short of it, where no panel settles, and the route gets a typed error
     sys_ = tstar_so3()
-    with pytest.raises(ReconstructionError, match=r"quotient integration failed at t=0\.98"):
+    with pytest.raises(ReconstructionError, match="quotient integration failed at t="):
         _default_quotient_integrator(sys_)(lambda lam: (np.asarray(lam) ** 2).T, np.ones(3), (0.0, 2.0))
+
+
+def test_quotient_curve_walks_a_span_long_against_its_field():
+    # a rotation of period 2 pi over [0, 1000]: the opening panels are
+    # refused down to 1000/2^9, about two units of time, and the walk keeps
+    # that width to the end, more halvings than a flow's walk may take
+    sys_ = tstar_so3()
+    gamma, t_reached = _default_quotient_integrator(sys_)(
+        lambda lam: np.stack([lam[1], -lam[0], 0.0 * lam[2]], axis=1), np.array([1.0, 0.0, 0.0]), (0.0, 1000.0))
+    ts = np.linspace(0.0, 1000.0, 101)
+    assert t_reached == 1000.0
+    assert np.max(np.abs(gamma(ts)[:2] - np.array([np.cos(ts), -np.sin(ts)]))) <= 1e-9
 
 
 def test_diverging_quotient_panel_is_refused_and_halved(monkeypatch):
@@ -512,14 +524,14 @@ def test_diverging_quotient_panel_is_refused_and_halved(monkeypatch):
     Y, seen = counted_field(sys_)
     walk, panels = reconstruct._walk, []
 
-    def spied(end, panel):
+    def spied(end, panel, most):
         def counted(a, b):
             before = len(seen)
             result = panel(a, b)
             panels.append((a, b, result is not None, seen[before:]))
             return result
 
-        return walk(end, counted)
+        return walk(end, counted, most)
 
     monkeypatch.setattr(reconstruct, "_walk", spied)
     with warnings.catch_warnings():
