@@ -15,8 +15,8 @@ QUAD_TOL = 1e-12        # relative bound on a panel's Chebyshev tail, of a fiber
                         # time panel, and on a time panel's fiber residual
 CHEB_DEGREE = 16        # degree of every panel, a fiber-solve time panel too: a flow is analytic inside
                         # its chart, and 17 points resolve a whole so3 Killing-flow window to QUAD_TOL
-PANEL_HALVINGS = 8      # halvings of one panel walk, a flow side, a fiber quadrature or a quotient curve:
-                        # a walk into a domain boundary gives up on panels 256x shorter than its span
+PANEL_HALVINGS = 8      # halvings of one panel walk, a flow side or a fiber quadrature: a walk into
+                        # the chart boundary gives up on panels 256x shorter than its span
 
 # Chebyshev-Lobatto points on [-1, 1], ascending, and the matrices that take values there to
 # Chebyshev coefficients, to derivative values and to integrals from -1, with the points'

@@ -722,13 +722,14 @@ def _default_quotient_integrator(sys):
                     return None
             return lam if _resolved(lam) else None
 
-        end, reached, out = float(t_span[1]) - t0, 0.0, None
+        # cut: the first node of the last panel at or below the margin, if any
+        end, reached, cut = float(t_span[1]) - t0, 0.0, None
         for a, reached, lam in _walk(end, panel, QUOTIENT_HALVINGS):
             panels.append((t0 + a, t0 + reached, lam))
-            out = next((j for j, row in enumerate(lam) if sys.section_margin(row) <= SECTION_EPS), None)
-            if out is not None:
+            cut = next((j for j, row in enumerate(lam) if sys.section_margin(row) <= SECTION_EPS), None)
+            if cut is not None:
                 break
-        if out is None and reached != end:
+        if cut is None and reached != end:
             raise ReconstructionError(
                 f"quotient integration failed at t={t0 + reached:g}: its Picard sweeps settled on no panel there")
         starts, ends, values = (np.array(part) for part in zip(*panels))
@@ -747,14 +748,14 @@ def _default_quotient_integrator(sys):
             for j in range(1, len(_CHEB_X)):
                 num += w[:, j, None] * rows[:, j]
                 den += w[:, j]
-            out = num / den[:, None]
-            return out[0] if t.ndim == 0 else out.T
+            lams = num / den[:, None]
+            return lams[0] if t.ndim == 0 else lams.T
 
         t_reached = float(t_span[1])
-        if out is not None:
-            # bisect along the edge panel, from its last node inside the margin to the first out, to the last bit
+        if cut is not None:
+            # bisect along the last panel, from its last node inside the margin to the first out, to the last bit
             times = starts[-1] + 0.5 * (ends[-1] - starts[-1]) * (_CHEB_X + 1.0)
-            lo, hi = times[max(out - 1, 0)], times[out]
+            lo, hi = times[max(cut - 1, 0)], times[cut]
             mid = 0.5 * (lo + hi)
             while lo < mid < hi:
                 lo, hi = (mid, hi) if sys.section_margin(gamma(mid)) > SECTION_EPS else (lo, mid)
