@@ -7,9 +7,9 @@ a generating function and a linearizing map by one-dimensional quadratures,
 (4) evolve linearly in the linearized coordinates and map back.  Inside one
 chart the linearized coordinates move affinely, phi(n(t)) = t beta, so step
 (4) collocates the fiber rows n(t) on Chebyshev time panels outward from the
-centre and interpolates the output times inside them; a probe row backward in
-time checks by its flow rate that beta is constant.  No matrix exponential is
-used.
+centre and interpolates the output times inside them; a probe row, one more
+interpolated time on the side already walked, checks by its flow rate that
+beta is constant.  No matrix exponential is used.
 """
 
 import contextlib
@@ -40,7 +40,7 @@ TANGENCY_SAMPLES = 8     # seeded chart points the tangency check draws around t
 TANGENCY_SEED = 4321
 TANGENCY_RADIUS = 0.1
 RATE_DRIFT_TOL = 1e-5
-RATE_DRIFT_DT = 1e-2     # the rate-drift probe row sits at -RATE_DRIFT_DT, on the fiber solve's backward side
+RATE_DRIFT_DT = 1e-2     # |t| of the rate-drift probe row, on the side of the farthest output time
 REACH_MARGIN = 0.8      # share of the Cayley reach along the flow that one chart serves
 RECENTER_LIMIT = 64
 LINMAP_FD_STEP = 1e-6   # relative step of the "fd" linearizing map
@@ -465,21 +465,24 @@ class CompleteSolutionChart:
         Every time t is the fiber row where the linearizing map reaches
         t * rate, and one ``_gauss_newton`` solves all of them on time panels
         outward from the centre, whatever their order, sign or repeats.  Its
-        times lead with the rate-drift probe at -``RATE_DRIFT_DT``, then
-        t = 0: the probe sits on the backward side, so no positive time
-        depends on it.  The times must lie within one ``chart_window`` of the
-        centre; a time whose solve fails raises ChartDomainError whose
-        ``t_achieved`` is the time before it in ts, 0.0 for the first and for
-        the probe; a ValueError or LinAlgError out of the solve also becomes
-        ChartDomainError, with ``t_achieved`` 0.0.  A flow rate at the probe
-        off the centre's by more than ``RATE_DRIFT_TOL`` relative raises
-        HypothesisError.  The diagnostics hold that drift and each sample's
-        audit residual against the linear target, and their sup.
+        times lead with the rate-drift probe at +-``RATE_DRIFT_DT``, signed
+        as the farthest time (forward on a tie or with none) by the values of
+        ts, not their order, then t = 0: the probe is one more interpolated
+        time on a side already walked.  The times must lie
+        within one ``chart_window`` of the centre; a time whose solve fails
+        raises ChartDomainError whose ``t_achieved`` is the time before it in
+        ts, 0.0 for the first and for the probe; a ValueError or LinAlgError
+        out of the solve also becomes ChartDomainError, with ``t_achieved``
+        0.0.  A flow rate at the probe off the centre's by more than
+        ``RATE_DRIFT_TOL`` relative raises HypothesisError.  The diagnostics
+        hold that drift and each sample's audit residual against the linear
+        target, and their sup.
         """
         ts = np.asarray(ts, float)
         beta = self.flow_rate(0)
+        probe = RATE_DRIFT_DT if np.max(ts, initial=0.0) >= -np.min(ts, initial=0.0) else -RATE_DRIFT_DT
         try:
-            rows, phis = self._gauss_newton(beta, np.concatenate([[-RATE_DRIFT_DT, 0.0], ts]))
+            rows, phis = self._gauss_newton(beta, np.concatenate([[probe, 0.0], ts]))
         except (ValueError, np.linalg.LinAlgError) as err:
             raise ChartDomainError(f"linear flow failed: {err}", t_achieved=0.0) from err
         drift = float(np.linalg.norm(self.flow_rate(rows[0]) - beta) / max(1.0, np.linalg.norm(beta)))
@@ -497,18 +500,18 @@ class CompleteSolutionChart:
         """Rows of ``nodes`` and linearizing-map values phi at the times ts, as one stack.
 
         phi is relative to the centre (row 0), and each nonzero time t is the
-        fiber row where phi(n) = t beta.  Each side of t = 0 is one ``_walk``
-        of ``_panel`` solves outward from the centre, each starting from the
-        last row of the one before.  A time on a panel's Chebyshev-Lobatto
-        time takes that panel row and its phi.  Every other time's row and phi
-        are interpolated in its panel, barycentrically from the increments
-        over the panel's first row, which keeps their relative accuracy near
-        the panel start, and those rows are solved as one node stack, each
-        predicted from the nearest panel row.  A time that no panel reached,
-        or whose row fails, raises ChartDomainError, ``t_achieved`` the entry
-        of ts before the first that failed (0.0 for the first).  Returns the
-        row indices and the phi values at the entries of ts (row 0 and 0
-        where t = 0).
+        fiber row where phi(n) = t beta.  Each side of t = 0 that holds a time
+        is one ``_walk`` of ``_panel`` solves outward from the centre to its
+        farthest time, each starting from the last row of the one before.  A
+        time on a panel's Chebyshev-Lobatto time takes that panel row and its
+        phi.  Every other time's row and phi are interpolated in its panel,
+        barycentrically from the increments over the panel's first row, which
+        keeps their relative accuracy near the panel start, and those rows are
+        solved as one node stack, each predicted from the nearest panel row.
+        A time that no panel reached, or whose row fails, raises
+        ChartDomainError, ``t_achieved`` the entry of ts before the first that
+        failed (0.0 for the first).  Returns the row indices and the phi
+        values at the entries of ts (row 0 and 0 where t = 0).
         """
         nodes, k = self.nodes, self.k
         rows, phis = np.zeros(len(ts), int), np.zeros((len(ts), self.ell))
@@ -646,7 +649,7 @@ def integrate_by_quadratures(bundle, dyn_field, p0, ts):
     Chebyshev time panels, and the next is centred at the last time served
     when the next time lies within one window of it, else at the window's
     edge toward the next time; each checks its rate drift with a probe row
-    backward in time, the largest drift in the diagnostics.  The charts are
+    on its walked side, the largest drift in the diagnostics.  The charts are
     planned up front, so more than ``RECENTER_LIMIT`` re-centres raise
     ChartDomainError before any solve; a fiber solve that fails raises it
     with the absolute time reached as ``t_achieved``.  A time that is not

@@ -279,15 +279,16 @@ def test_one_chart_serves_a_grid_in_any_order():
 
 
 def test_grid_that_holds_the_rate_drift_probe_time():
-    # the grid straddles 0 and holds -RATE_DRIFT_DT, the time of the stack's
-    # own probe row: the grid gets exactly its samples, the probe none of its
-    # own, and each point does not depend on the order of the grid
+    # the grid straddles 0 and holds +-RATE_DRIFT_DT, the times the stack's
+    # own probe row can take (+ here, the side of 0.5): the grid gets exactly
+    # its samples, the probe none of its own, and each point does not depend
+    # on the order of the grid
     b = bundle_for("so3")
     grp = b.group
     X = casimir_field_for(b)
     a0 = np.array([0.7, -0.2, 0.4])
     p0 = PhasePoint(grp.identity(), a0)
-    ts = np.array([0.25, -RATE_DRIFT_DT, 0.0, -0.4, 0.5, -0.1])
+    ts = np.array([0.25, -RATE_DRIFT_DT, 0.0, -0.4, 0.5, RATE_DRIFT_DT, -0.1])
     with forbid_exp_oracle():
         s = integrate_by_quadratures(b, X, p0, ts)
         ref = integrate_by_quadratures(b, X, p0, ts[::-1])
@@ -300,8 +301,8 @@ def test_grid_that_holds_the_rate_drift_probe_time():
 
 
 def test_failed_rate_drift_probe_reaches_nothing(monkeypatch):
-    # with the probe row pushed behind the centre past the Cayley boundary,
-    # the output times still meet the audit and the probe alone fails: the
+    # with the probe row pushed past the Cayley boundary on the walked side,
+    # the walk still reaches the output times and the probe alone fails: the
     # failure must not name the last output time as reached
     monkeypatch.setattr(hjsolver, "RATE_DRIFT_DT", 6.0)
     b = bundle_for("so3")
@@ -555,18 +556,72 @@ def test_momentum_pair_rank_checked_against_the_isotropy_count():
         CompleteSolutionChart(b, X, b.base_point(1e-9 * alpha))
 
 
-def test_fiber_varying_speed_rejected():
-    # tangent to the fibers, but the speed wobbles along them, so the
-    # linearized evolution cannot be affine
-    b = bundle_for("so3")
+def wobble_field(b):
+    """Tangent to the fibers, but its speed wobbles along them, so the linearized evolution cannot be affine."""
     Binv = np.linalg.inv(b.algebra.killing_form())
 
     def wobble(p):
         scale = 1.0 + 0.4 * np.sin(3.0 * p.g.matrix[0, 1])
         return TangentPhaseVector(scale * (Binv @ p.alpha), np.zeros(3))
 
-    X = InvariantField(b, wobble, name="wobble")
+    return InvariantField(b, wobble, name="wobble")
+
+
+def test_fiber_varying_speed_rejected():
+    b = bundle_for("so3")
+    X = wobble_field(b)
     p0 = PhasePoint(b.group.identity(), np.array([0.7, -0.2, 0.4]))
     with pytest.raises(HypothesisError, match="drift"):
         with forbid_exp_oracle():
             integrate_by_quadratures(b, X, p0, np.linspace(0.0, 1.0, 5))
+
+
+def test_fiber_varying_speed_rejected_on_a_negative_grid():
+    # the probe row sits at -RATE_DRIFT_DT on a grid that runs backward, and
+    # the drift shows there as it does forward
+    b = bundle_for("so3")
+    X = wobble_field(b)
+    p0 = PhasePoint(b.group.identity(), np.array([0.7, -0.2, 0.4]))
+    with pytest.raises(HypothesisError, match="drift"):
+        with forbid_exp_oracle():
+            integrate_by_quadratures(b, X, p0, np.linspace(0.0, -1.0, 5))
+
+
+@pytest.mark.parametrize("end", [1.0, -1.0])
+def test_rate_drift_probe_walks_no_panel_across_the_centre(monkeypatch, end):
+    # the probe is one more interpolated time on the side the grid walks, so
+    # a grid of one sign asks _panel for no span on the other side of 0
+    spans = []
+    panel = CompleteSolutionChart._panel
+
+    def spied(chart, beta, a, b, start):
+        spans.append((a, b))
+        return panel(chart, beta, a, b, start)
+
+    monkeypatch.setattr(CompleteSolutionChart, "_panel", spied)
+    b = bundle_for("so3")
+    X = casimir_field_for(b)
+    a0 = np.array([0.7, -0.2, 0.4])
+    ts = np.linspace(0.0, end, 9)
+    with forbid_exp_oracle():
+        s = integrate_by_quadratures(b, X, PhasePoint(b.group.identity(), a0), ts)
+    assert spans and all(lo * end >= 0.0 and hi * end >= 0.0 for lo, hi in spans)
+    assert 0.0 <= s.diagnostics["rate_drift_max"] <= RATE_DRIFT_TOL
+    xi = np.linalg.solve(b.algebra.killing_form(), a0)
+    for t, p in zip(ts, s.points):
+        assert np.linalg.norm(p.g.matrix - expm(t * b.group.algebra_matrix(xi))) <= 1e-8
+
+
+def test_grid_shorter_than_the_rate_drift_probe():
+    # the walk runs on past 0.005 to the probe at RATE_DRIFT_DT
+    b = bundle_for("so3")
+    X = casimir_field_for(b)
+    a0 = np.array([0.7, -0.2, 0.4])
+    ts = np.array([0.0, 0.005])
+    assert ts[-1] < RATE_DRIFT_DT
+    with forbid_exp_oracle():
+        s = integrate_by_quadratures(b, X, PhasePoint(b.group.identity(), a0), ts)
+    assert len(s.points) == 2 and 0.0 <= s.diagnostics["rate_drift_max"] <= RATE_DRIFT_TOL
+    xi = np.linalg.solve(b.algebra.killing_form(), a0)
+    for t, p in zip(ts, s.points):
+        assert np.linalg.norm(p.g.matrix - expm(t * b.group.algebra_matrix(xi))) <= 1e-8

@@ -240,28 +240,31 @@ def one_exponential():
 
 
 def test_node_solves_behind_one_exponential(monkeypatch):
-    # work-count guard: 110 node solves on Chebyshev time panels, 16 rows per
-    # panel round and 14 output rows; the output times 0.5 and 1 and the
-    # rate-drift probe lie on panel rows and take them (113 when they were
-    # solved again, 164 with the chained Gauss-Newton, 193 on the graph
-    # chart); the ceiling is 10% more
+    # work-count guard: 79 node solves on one Chebyshev time panel [0, 1], 16
+    # rows in each of its 4 rounds and 15 output rows: 14 output times and
+    # the rate-drift probe at +RATE_DRIFT_DT, interpolated in the same panel;
+    # the output times 0.5 and 1 lie on panel rows and take them (110 when
+    # the probe walked a panel of its own behind the centre, 113 when the
+    # times on panel rows were solved again, 164 with the chained
+    # Gauss-Newton, 193 on the graph chart); the ceiling is 10% more
     count = NodeCount(monkeypatch)
     one_exponential()
-    assert count.calls <= 121
+    assert count.calls <= 87
 
 
 def test_panel_nodes_are_solved_as_stacks(monkeypatch):
-    # batching guard: the 110 nodes come from 7 kernel calls, one per panel
-    # round and one for the output rows (ceiling: 10% more), so a fall-back to
-    # one solve per node fails here
+    # batching guard: the 79 nodes come from 5 kernel calls, one per panel
+    # round and one for the output rows (ceiling: 10% more, rounded down), so
+    # a fall-back to one solve per node, or a panel walked for the probe
+    # alone (7 calls), fails here
     count = NodeCount(monkeypatch)
     one_exponential()
-    assert count.kernel_calls <= 8
+    assert count.kernel_calls <= 5
 
 
 def test_output_times_are_solved_as_one_stack(monkeypatch):
     # batching guard: the chart's output rows are one node stack after the
-    # panels, 7 kernel calls in all, so a fall-back to one solve per output
+    # panels, 5 kernel calls in all, so a fall-back to one solve per output
     # time (17 more calls) fails here
     count = NodeCount(monkeypatch)
     one_exponential()
@@ -270,8 +273,9 @@ def test_output_times_are_solved_as_one_stack(monkeypatch):
 
 def test_one_fiber_solve_behind_one_exponential(monkeypatch):
     # work-count guard: the rate-drift probe is one more output time of the
-    # chart's fiber solve, its panel [-RATE_DRIFT_DT, 0] inside the same call,
-    # so the exponential makes one fiber solve and 7 kernel calls
+    # chart's fiber solve, at +RATE_DRIFT_DT inside the panel [0, 1] that the
+    # output times walk, so the exponential makes one fiber solve and 5
+    # kernel calls
     solves = []
     gauss_newton = CompleteSolutionChart._gauss_newton
 
@@ -282,7 +286,7 @@ def test_one_fiber_solve_behind_one_exponential(monkeypatch):
     monkeypatch.setattr(CompleteSolutionChart, "_gauss_newton", counted)
     count = NodeCount(monkeypatch)
     one_exponential()
-    assert len(solves) == 1 and count.kernel_calls <= 9
+    assert len(solves) == 1 and count.kernel_calls <= 5
 
 
 class NodeCount:
@@ -404,35 +408,37 @@ def test_non_finite_node_system_raises_value_error(chart, monkeypatch, bad):
 
 
 def test_node_solves_behind_a_long_exponential(monkeypatch):
-    # work-count guard: 106 node solves with the doubling count predicted from
-    # the Cayley chart's reach (109 when output times on panel rows were
-    # solved again, 128 with the chained Gauss-Newton, 673 on the graph chart,
-    # whose first attempt on the full grid was thrown away); the ceiling is
-    # 10% more
+    # work-count guard: 75 node solves with the doubling count predicted from
+    # the Cayley chart's reach (106 when the rate-drift probe walked a panel
+    # of its own, 109 when output times on panel rows were solved again, 128
+    # with the chained Gauss-Newton, 673 on the graph chart, whose first
+    # attempt on the full grid was thrown away); the ceiling is 10% more
     count = NodeCount(monkeypatch)
     exp_semisimple(make_group("so3"), np.array([0.0, 0.0, 1.0]), np.linspace(0.0, 6.0, 13))
-    assert count.calls <= 116
+    assert count.calls <= 82
 
 
 def test_node_solves_behind_a_long_casimir_flow(monkeypatch):
-    # work-count guard: 244 node solves on Chebyshev time panels (250 when
-    # output times on panel rows were solved again, 396 with the chained
-    # Gauss-Newton, 1239 on the graph chart); the flow re-centres once on
-    # [0, 6], and the ceiling is 10% more
+    # work-count guard: 182 node solves on Chebyshev time panels (244 when
+    # the rate-drift probe walked a panel of its own, 250 when output times on
+    # panel rows were solved again, 396 with the chained Gauss-Newton, 1239
+    # on the graph chart); the flow re-centres once on [0, 6], and the
+    # ceiling is 10% more
     count = NodeCount(monkeypatch)
     b = CotangentBundle(make_group("so3"))
     X = build_casimir_field(b, killing_casimir(b.algebra))
     p0 = PhasePoint(b.group.identity(), np.array([0.7, -0.2, 0.4]))
     s = integrate_by_quadratures(b, X, p0, np.linspace(0.0, 6.0, 25))
     assert len(s.points) == 25 and s.diagnostics["recenters"] == 1
-    assert count.calls <= 268
+    assert count.calls <= 200
 
 
 def test_a_casimir_flow_past_a_half_turn_recenters(monkeypatch):
     # the flow turns by about 5 rad on [0, 12], past what one Cayley chart
-    # covers; 488 node solves on Chebyshev time panels (500 when output times
-    # on panel rows were solved again, 792 with the chained Gauss-Newton, 2673
-    # on the graph chart), and the ceiling is 10% more
+    # covers; 364 node solves on Chebyshev time panels (488 when the
+    # rate-drift probe walked a panel of its own, 500 when output times on
+    # panel rows were solved again, 792 with the chained Gauss-Newton, 2673 on
+    # the graph chart), and the ceiling is 10% more
     count = NodeCount(monkeypatch)
     b = CotangentBundle(make_group("so3"))
     X = build_casimir_field(b, killing_casimir(b.algebra))
@@ -441,7 +447,7 @@ def test_a_casimir_flow_past_a_half_turn_recenters(monkeypatch):
     with forbid_exp_oracle():
         s = integrate_by_quadratures(b, X, PhasePoint(b.group.identity(), a0), ts)
     assert len(s.points) == len(ts) and s.diagnostics["recenters"] >= 1
-    assert count.calls <= 536
+    assert count.calls <= 400
     xi = np.linalg.solve(b.algebra.killing_form(), a0)
     for t, p in zip(ts, s.points):
         assert np.linalg.norm(p.g.matrix - matrix_exp_oracle(b.group, xi, t).matrix) <= 1e-8
