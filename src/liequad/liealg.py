@@ -21,7 +21,7 @@ import os
 
 import numpy as np
 
-from .numutil import nullspace, numerical_rank
+from .numutil import RANK_RTOL, nullspace, numerical_rank
 
 STRUCTURE_TOL = 1e-12
 _GENERIC_SAMPLES = 256
@@ -256,7 +256,9 @@ class CasimirForm:
     """A map alpha -> xi(alpha) with ad_star(xi(alpha), alpha) = 0 on its domain.
 
     Used to build vertical Hamiltonian fields whose flows are one-parameter
-    subgroup motions.  domain_radius = inf means globally defined.
+    subgroup motions.  domain_radius = inf means globally defined.  The
+    evaluator takes one covector (dim,) or a (k, dim) stack and returns xi in
+    the same shape, row by row.
     """
 
     def __init__(self, algebra, evaluator, domain_center=None, domain_radius=np.inf, name=""):
@@ -269,10 +271,10 @@ class CasimirForm:
         self.name = name
 
     def contains(self, alpha):
-        return np.linalg.norm(np.asarray(alpha, float) - self.domain_center) <= self.domain_radius
+        return np.linalg.norm(np.asarray(alpha, float) - self.domain_center, axis=-1) <= self.domain_radius
 
     def __call__(self, alpha):
-        if not self.contains(alpha):
+        if not np.all(self.contains(alpha)):
             raise ValueError(
                 f"covector outside the domain of Casimir form {self.name!r} "
                 f"(radius {self.domain_radius:.3g} about its center)"
@@ -281,14 +283,17 @@ class CasimirForm:
 
 
 def casimir_check(algebra, phi, alphas):
-    """Max norm of ad_star(phi(alpha), alpha) over the samples; raises off-domain."""
-    worst = 0.0
-    for alpha in alphas:
-        if isinstance(phi, CasimirForm) and not phi.contains(alpha):
-            raise ValueError("sample outside the Casimir form's domain")
-        xi = phi(alpha)
-        worst = max(worst, float(np.linalg.norm(algebra.ad_star(xi, alpha))))
-    return worst
+    """Max norm of ad_star(phi(alpha), alpha) over the samples; raises off-domain.
+
+    The samples are one (k, dim) stack: one domain test, one evaluation of the
+    form and one einsum of their ad_star matrices.  A bare callable, a map of
+    one covector, is taken as a global form evaluated row by row.
+    """
+    alphas = np.reshape(np.asarray(alphas, float), (-1, algebra.dim))
+    if not isinstance(phi, CasimirForm):
+        phi = CasimirForm(algebra, lambda a, f=phi: np.reshape([f(r) for r in a], a.shape))
+    defect = np.einsum("kij,kj->ki", algebra.ad_star_matrix(alphas), phi(alphas))
+    return float(np.linalg.norm(defect, axis=1).max(initial=0.0))
 
 
 def killing_casimir(algebra):
@@ -302,7 +307,7 @@ def killing_casimir(algebra):
     if numerical_rank(B) < algebra.dim:
         raise ValueError(f"Killing form of {algebra.name} is degenerate; no inverse form")
     Binv = np.linalg.inv(B)
-    form = CasimirForm(algebra, lambda a: Binv @ a, name=f"{algebra.name}:killing-sharp")
+    form = CasimirForm(algebra, lambda a: (Binv @ a.T).T, name=f"{algebra.name}:killing-sharp")
     form.energy = lambda a: 0.5 * float(np.asarray(a, float) @ (Binv @ np.asarray(a, float)))
     return form
 
@@ -312,7 +317,7 @@ def central_casimir(algebra):
     Z = algebra.center_basis()
     if Z.shape[1] == 0:
         raise ValueError(f"{algebra.name} has trivial center; no central form")
-    return CasimirForm(algebra, lambda a: Z @ (Z.T @ a), name=f"{algebra.name}:central")
+    return CasimirForm(algebra, lambda a: (Z @ (Z.T @ a.T)).T, name=f"{algebra.name}:central")
 
 
 def casimir_through_point(algebra, xi, alpha0):
@@ -344,8 +349,13 @@ def casimir_through_point(algebra, xi, alpha0):
         raise ValueError("could not find a ball of constant isotropy dimension about alpha0")
 
     def evaluator(alpha):
-        Q = algebra.isotropy_basis(alpha)
-        return Q @ (Q.T @ xi)
+        # isotropy_basis row by row: the rows of each SVD's vt whose s is at most
+        # RANK_RTOL max(s0, bracket_scale |alpha|), the others zeroed, as contiguous
+        # columns as isotropy_basis lays them out, so one covector gets its bits
+        _, s, vt = np.linalg.svd(algebra.ad_star_matrix(alpha))
+        ref = np.maximum(s[..., :1], algebra.bracket_scale() * np.linalg.norm(alpha, axis=-1)[..., None])
+        Q = np.ascontiguousarray(np.swapaxes(vt * (s <= RANK_RTOL * ref)[..., None], -1, -2))
+        return (Q @ (xi @ Q)[..., None])[..., 0]
 
     return CasimirForm(
         algebra, evaluator, domain_center=alpha0, domain_radius=radius,

@@ -418,3 +418,67 @@ def test_casimir_ball_takes_one_svd_per_radius(svd_shapes):
     assert phi.domain_radius == 0.5
     # regularity of alpha0 and its dimension, then one stack per radius
     assert svd_shapes == [(3, 3)] * 2 + [(_BOUNDARY_SAMPLES, 3, 3)] * 2
+
+
+def stacked_forms():
+    """(algebra, form, its single-covector formula, samples in its domain) over the package's builders."""
+    rng = np.random.default_rng(23)
+    cases = []
+    for key in ("so3", "su2", "sl2r"):
+        a = make_algebra(key)
+        Binv = np.linalg.inv(a.killing_form())
+        cases.append((a, killing_casimir(a), lambda al, Binv=Binv: Binv @ al, rng.standard_normal((32, 3))))
+    h = make_algebra("heis3")
+    Z = h.center_basis()
+    cases.append((h, central_casimir(h), lambda al: Z @ (Z.T @ al), rng.standard_normal((32, 3))))
+    for key, alpha0 in (("so3", np.array([0.4, -0.3, 1.2])), ("sl2r", np.array([0.3, 0.2, 1.0]))):
+        a = make_algebra(key)
+        xi = 1.7 * a.isotropy_basis(alpha0)[:, 0]
+        phi = casimir_through_point(a, xi, alpha0)
+
+        def single(al, a=a, xi=xi):
+            Q = a.isotropy_basis(al)
+            return Q @ (Q.T @ xi)
+
+        cases.append((a, phi, single, alpha0 + 0.9 * phi.domain_radius * ball_sample(rng, 32, 3)))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(6), ids=[
+    "so3-killing", "su2-killing", "sl2r-killing", "heis3-central", "so3-through-point", "sl2r-through-point"])
+def test_casimir_forms_take_stacks(case):
+    a, phi, single, alphas = stacked_forms()[case]
+    # the stacked check is the row-by-row max defect
+    rows = max(float(np.linalg.norm(a.ad_star(single(al), al))) for al in alphas)
+    assert abs(casimir_check(a, phi, alphas) - rows) <= 1e-15 * max(1.0, rows)
+    # one covector gets what the single-covector formula gives, bit for bit:
+    # the flow's field reads it
+    for al in alphas:
+        assert np.array_equal(phi(al), single(al))
+    if np.isfinite(phi.domain_radius):
+        outside = alphas.copy()
+        outside[5] = phi.domain_center + 1.5 * phi.domain_radius * np.array([0.0, 0.6, 0.8])
+        with pytest.raises(ValueError, match="domain"):
+            casimir_check(a, phi, outside)
+        with pytest.raises(ValueError, match="domain"):
+            phi(outside)
+
+
+def test_casimir_check_evaluates_one_stack():
+    # one evaluation of the whole (k, dim) stack; a bare callable is taken
+    # one covector at a time
+    a = make_algebra("so3")
+    Binv = np.linalg.inv(a.killing_form())
+    shapes = []
+
+    def form(al):
+        shapes.append(np.shape(al))
+        return (Binv @ al.T).T
+
+    alphas = np.random.default_rng(24).standard_normal((32, 3))
+    assert casimir_check(a, CasimirForm(a, form), alphas) <= 1e-15
+    assert shapes == [(32, 3)]
+    shapes.clear()
+    assert casimir_check(a, form, alphas) <= 1e-15
+    assert shapes == [(3,)] * 32
+    assert casimir_check(a, form, np.empty((0, 3))) == 0.0
