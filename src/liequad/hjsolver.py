@@ -468,12 +468,12 @@ class CompleteSolutionChart:
         times lead with the rate-drift probe at +-``RATE_DRIFT_DT``, signed
         as the farthest time (forward on a tie or with none) by the values of
         ts, not their order, then t = 0: the probe is one more interpolated
-        time on a side already walked.  The times must lie
-        within one ``chart_window`` of the centre; a time whose solve fails
-        raises ChartDomainError whose ``t_achieved`` is the time before it in
-        ts, 0.0 for the first and for the probe; a ValueError or LinAlgError
-        out of the solve also becomes ChartDomainError, with ``t_achieved``
-        0.0.  A flow rate at the probe off the centre's by more than
+        time on a side already walked.  The times must lie within one
+        ``chart_window`` of the centre; a time whose solve fails raises
+        ChartDomainError whose ``t_achieved`` is the time before it in ts, 0.0
+        for the first and for the probe; a ValueError or LinAlgError out of
+        the solve also becomes ChartDomainError, with ``t_achieved`` 0.0.  A
+        flow rate at the probe off the centre's by more than
         ``RATE_DRIFT_TOL`` relative raises HypothesisError.  The diagnostics
         hold that drift and each sample's audit residual against the linear
         target, and their sup.
