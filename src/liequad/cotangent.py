@@ -226,7 +226,7 @@ def build_casimir_field(bundle, phi):
     else:
         samples = ball_sample(rng, n_check, alg.dim)
     defect = casimir_check(alg, phi, samples)
-    if defect > 1e-10:
+    if not defect <= 1e-10:  # a NaN defect is refused too
         raise ValueError(f"form is not a Casimir on its domain (defect {defect:.3e})")
 
     n = alg.dim

@@ -236,14 +236,16 @@ class MatrixGroup:
         return m.reshape(-1).astype(float, copy=True)
 
     def unflat(self, u):
-        n2 = self.N * self.N
+        """The matrix of flat coordinates u, or the stack (k, N, N) of flat rows (k, flat_dim)."""
+        n2, shape = self.N * self.N, np.shape(u)[:-1] + (self.N, self.N)
         if self.is_complex:
-            return u[:n2].reshape(self.N, self.N) + 1j * u[n2:].reshape(self.N, self.N)
-        return u.reshape(self.N, self.N).copy()
+            return u[..., :n2].reshape(shape) + 1j * u[..., n2:].reshape(shape)
+        return u.reshape(shape).copy()
 
     def algebra_matrix(self, xi):
-        """Represent algebra coordinates as a matrix."""
-        return (np.asarray(xi, float) @ self._basis_rows).reshape(self.N, self.N)
+        """Represent algebra coordinates as a matrix, or rows (k, dim) of them as a stack (k, N, N)."""
+        xi = np.asarray(xi, float)
+        return (xi @ self._basis_rows).reshape(xi.shape[:-1] + (self.N, self.N))
 
     def algebra_coords(self, matrix):
         """Expand an algebra-valued matrix in the basis; error if it does not fit."""

@@ -20,8 +20,8 @@ Three reconstruction routes are implemented.
   trivializing submersion.
 * ``usual_reconstruct``: the horizontal lift of the quotient curve through the
   section is the section curve; the group factor solves the linear equation
-  g' = g eta, eta the connection value of the field there, by fourth-order
-  Cayley-Magnus steps g cay(Omega - Omega^3/12).  Free actions only.  No
+  g' = g eta, eta the connection value of the field there, on the same panels
+  as the quotient curve, as one system with it.  Free actions only.  No
   matrix exponential runs on this route.
 * ``vertical_integrate``: for fields tangent to the orbits the whole motion
   is a one-parameter group factor exp(t eta) acting on a frozen section
@@ -29,11 +29,12 @@ Three reconstruction routes are implemented.
   direction qualifies and by the series oracle otherwise, with the
   provenance flagged.
 
-The two-step and connection routes integrate the quotient curve first, as
-the reconstruction equations ask: a walk of Chebyshev-Picard panels on the
-17 Chebyshev-Lobatto points of the complete-solution flow's time panels, one
-stacked call of the quotient field per sweep, cut where the section margin
-runs out (``_default_quotient_integrator``).
+The two-step and connection routes integrate the reconstruction equations
+lam' = Y(lam), and g' = g eta(lam) on the connection route, with one
+integrator: a walk of Chebyshev-Picard panels on the 17 Chebyshev-Lobatto
+points of the complete-solution flow's time panels, one stacked split per
+sweep, cut where the section margin of lam runs out
+(``_default_quotient_integrator``).
 
 Every scenario gives its action generators W (the chart velocities of the
 one-parameter action flows) and the section's Jacobian Ds in closed form.
@@ -59,7 +60,6 @@ those points in one stacked call, and builds every point once.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .cotangent import CotangentBundle, PhasePoint
 from .expquad import NoAdmissibleCovectorError, exp_general
@@ -95,7 +95,6 @@ GAUGE_ACCEPT = 1e-10         # stall floor still below every downstream toleranc
 GAUGE_MAXIT = 40
 GAUGE_COND = 1e-6            # singular-value cutoff for gauge-fixing steps
 CONNECTION_TOL = 1e-6        # reproduction of action generators by a connection
-CONNECTION_SUBSTEPS = 4      # fourth-order steps per grid interval of the connection route
 TRANSVERSALITY_FLOOR = 1e-6  # relative smallest singular value of stacked Jacobians
 SECTION_EPS = 1e-9           # section domain margin floor
 FD_STEP = 1e-6
@@ -234,8 +233,8 @@ def section_split(sys, lams):
     stacked form gives every [W Ds] and every field value, in the section
     points' own charts.  For a free action [W Ds] is square and
     nonsingular, and one stacked solve takes every point; under a
-    stabilizer each point is a least-squares solve and eta the minimum-norm
-    rate.
+    stabilizer one stacked pseudo-inverse gives the least-squares solutions,
+    and eta is the minimum-norm rate.
     """
     lams = np.asarray(lams, float)
     rows = lams.reshape(sys.quotient_dim, -1).T
@@ -245,7 +244,7 @@ def section_split(sys, lams):
     if sys.free:
         sol = np.linalg.solve(splits, rates[..., None])[..., 0]
     else:
-        sol = np.array([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(splits, rates)])
+        sol = (np.linalg.pinv(splits) @ rates[..., None])[..., 0]
     k = sys.group.dim
     if lams.ndim == 1:
         return sol[0, :k], sol[0, k:]
@@ -422,8 +421,8 @@ class HorizontalSubmersion(_GroupFactor):
             g, moved = zip(*states)
             # small singular values are stabilizer directions; truncating
             # them keeps the step minimal-norm and bounded
-            return np.array([scipy.linalg.lstsq(J, -ri, cond=GAUGE_COND, lapack_driver="gelsd")[0]
-                             for J, ri in zip(self.jacobians([ms[i] for i in rows], moved, g), r)])
+            J = self.jacobians([ms[i] for i in rows], moved, g)
+            return -(np.linalg.pinv(J, GAUGE_COND) @ r[..., None])[..., 0]
 
         try:
             _n, _r, rn, states = damped_newton(n, trial, step, GAUGE_TOL, GAUGE_MAXIT, 20)
@@ -673,14 +672,16 @@ def _output_grid(t_grid):
 def _default_quotient_integrator(sys):
     """Quotient curve on Chebyshev-Picard panels, cut at the section domain's edge.
 
-    Returns (gamma, t_reached): gamma evaluates the quotient curve for
+    Returns (gamma, t_reached): gamma evaluates the curve for
     t <= t_reached, at one time or, as columns, at a vector of times;
     t_reached is the requested endpoint unless the section margin falls to
-    ``SECTION_EPS`` first.
+    ``SECTION_EPS`` first.  The state's first ``quotient_dim`` entries are
+    orbit coordinates, which the margin reads; any further entries ride
+    along, as the group factor of the connection route does.
 
     The curve is a ``_walk`` of panels from t_span[0] with up to
     ``QUOTIENT_HALVINGS`` halvings (Clenshaw and Norton, Comput. J. 6, 1963;
-    Bai and Junkins, J. Astronaut. Sci. 58, 2011).  The values lam at a
+    Bai and Junkins, J. Astronaut. Sci. 58, 2011).  The states lam at a
     panel's Chebyshev-Lobatto times start at its start value lam_a and sweep
     lam <- lam_a + (b - a)/2 ``_CHEB_INT`` Y(lam), one stacked call of Y per
     sweep, its nodes as columns.  The panel is accepted once a sweep moves
@@ -700,6 +701,9 @@ def _default_quotient_integrator(sys):
     def integrator(Y, lam0, t_span):
         t0, lam0 = float(t_span[0]), np.asarray(lam0, float)
         panels = []
+
+        def margin(state):
+            return sys.section_margin(state[: sys.quotient_dim])
 
         def panel(a, b):
             start = panels[-1][2][-1] if panels else lam0
@@ -726,7 +730,7 @@ def _default_quotient_integrator(sys):
         end, reached, cut = float(t_span[1]) - t0, 0.0, None
         for a, reached, lam in _walk(end, panel, QUOTIENT_HALVINGS):
             panels.append((t0 + a, t0 + reached, lam))
-            cut = next((j for j, row in enumerate(lam) if sys.section_margin(row) <= SECTION_EPS), None)
+            cut = next((j for j, row in enumerate(lam) if margin(row) <= SECTION_EPS), None)
             if cut is not None:
                 break
         if cut is None and reached != end:
@@ -758,7 +762,7 @@ def _default_quotient_integrator(sys):
             lo, hi = times[max(cut - 1, 0)], times[cut]
             mid = 0.5 * (lo + hi)
             while lo < mid < hi:
-                lo, hi = (mid, hi) if sys.section_margin(gamma(mid)) > SECTION_EPS else (lo, mid)
+                lo, hi = (mid, hi) if margin(gamma(mid)) > SECTION_EPS else (lo, mid)
                 mid = 0.5 * (lo + hi)
             t_reached = float(lo)
         return gamma, t_reached
@@ -867,58 +871,24 @@ def connection_reproduction_defect(sys, connection, m):
     return float(np.linalg.norm(AW - np.eye(len(AW)), 2))
 
 
-def _magnus_step(sys, gamma, t, h):
-    """Factors of fourth-order Cayley-Magnus steps of g' = g eta(t), as a stack (k, N, N).
-
-    Step i starts at t[i] and lasts h[i].  eta is the connection rate of the
-    field at the section over the quotient curve gamma (``split_eta``),
-    taken at the two Gauss nodes of every step, all from one call of gamma
-    and one stacked split.  With Omega = h/2 (eta1 + eta2) + sqrt(3) h^2/12
-    [eta1, eta2], the fourth-order Magnus exponent as a matrix, the factor
-    is C = cay(Omega - Omega^3/12).  cay(X) = exp(X + X^3/12 + O(X^5)), so
-    C = exp(Omega) + O(h^5) and no exponential is taken (Iserles, Found.
-    Comput. Math. 1, 2001; Marthinsen and Owren, Appl. Numer. Math. 39,
-    2001).  Omega^3 lies in the algebra of every catalogued group.  cay is
-    the identity-centred ``CayleyChart``, so C lies on the group by
-    construction, and a step past the chart raises its ChartDomainError.
-    """
-    t, h = np.asarray(t, float), np.asarray(h, float)
-    c = np.sqrt(3.0) / 6.0
-    k = len(t)
-    eta = split_eta(sys, gamma(np.concatenate([t + (0.5 - c) * h, t + (0.5 + c) * h])))
-    eta1, eta2 = eta[:k], eta[k:]
-    grp = sys.group
-    bracket = np.einsum("ki,kj,ijl->kl", eta1, eta2, grp.algebra.c)
-    omega = (0.5 * h)[:, None] * (eta1 + eta2) + (np.sqrt(3.0) * h * h / 12.0)[:, None] * bracket
-    om = (omega @ grp._basis_rows).reshape(k, grp.N, grp.N)
-    x = omega - grp._algebra_coords_stack(om @ om @ om) / 12.0
-    return CayleyChart(grp).from_coords(x)[0]
-
-
 def usual_reconstruct(sys, connection, p0, t_grid):
     """Reconstruct through the section curve and the reconstruction equation.
 
     Free-action scenarios only.  The connection must first reproduce the
     action generators at p0.  Its horizontal spaces are the level sets of the
     group-factor map, which is the identity on the section image, so the
-    horizontal lift of the quotient curve gamma through the section is the
-    section curve d(t) = section(gamma(t)) itself; gamma comes from
-    Chebyshev-Picard panels (``_default_quotient_integrator``).  The group
-    factor solves the linear equation g' = g eta(t), eta the connection
-    value of the field at d(t), from g(0) = theta(p0) by fourth-order
-    Cayley-Magnus steps on a fine grid of ``CONNECTION_SUBSTEPS`` steps per
-    grid interval; the output
-    is act(g(t), d(t)), and no matrix exponential runs.  The stored factors
-    are the running product of the steps.  Each of the gate's stencil points
-    is one more step from the last stored factor at or before its time, so
-    a backward point steps across the stored node it checks.  The fine
-    steps and those partial steps, taken from the times the gate asks for,
-    are one ``_magnus_step`` stack, so every eta comes from one stacked
-    split, and every factor the curve reads passes one ``elements`` check.
-    eta and the quotient field both come from the linear split at the
-    section (``section_split``), so the route never differentiates the
-    group-factor map; the connection's own derivative serves only the
-    reproduction check.
+    horizontal lift of the quotient curve lam through the section is the
+    section curve d(t) = section(lam(t)) itself.  The group factor solves
+    the linear equation g' = g eta(t), eta the connection value of the field
+    at d(t), from g(0) = theta(p0); the output is act(g(t), d(t)), and no
+    matrix exponential runs.  lam and the flat entries of g are one state,
+    integrated on the Chebyshev-Picard panels of the quotient curve
+    (``_default_quotient_integrator``): each sweep takes eta and lam' = Y
+    from one stacked ``section_split`` at the panel's nodes, so the route
+    never differentiates the group-factor map, and the connection's own
+    derivative serves only the reproduction check.  The factors at the
+    output times and at the gate's stencil points are read from that one
+    interpolant and pass one ``elements`` check.
     """
     if not sys.free:
         raise ReconstructionError(
@@ -931,35 +901,24 @@ def usual_reconstruct(sys, connection, p0, t_grid):
         raise ReconstructionError(
             f"connection does not reproduce action generators (defect {rep:.3e})"
         )
-    gamma, t_reached = _default_quotient_integrator(sys)(
-        quotient_field(sys), sys.project(p0), (float(ts[0]), float(ts[-1]))
-    )
-    kept = ts[ts <= t_reached + 1e-12]
-    fine_ts = [float(kept[0])]
-    for a, b in zip(kept[:-1], kept[1:]):
-        fine_ts.extend(np.linspace(a, b, CONNECTION_SUBSTEPS + 1)[1:])
-    fine_ts = np.asarray(fine_ts)
-    n = len(fine_ts) - 1
+    grp, q = sys.group, sys.quotient_dim
+
+    def rates(states):
+        eta, y = section_split(sys, states[:q])
+        return np.hstack([y, grp._flat_stack(grp.unflat(states[q:].T) @ grp.algebra_matrix(eta))])
+
+    state0 = np.concatenate([sys.project(p0), grp.flat(connection.theta(p0).matrix)])
+    gamma, t_reached = _default_quotient_integrator(sys)(rates, state0, (float(ts[0]), float(ts[-1])))
     diagnostics = {"route": "connection", "connection_reproduction": rep}
 
     def factor(owner, offset):
-        times = kept[owner] + offset
-        # the last stored factor at or before each time, and the partial step past it
-        base = np.searchsorted(fine_ts, times + 1e-14, side="right") - 1
-        past = times - fine_ts[base]
-        partial = np.flatnonzero(past > 1e-14)
-        steps = _magnus_step(sys, gamma, np.concatenate([fine_ts[:-1], fine_ts[base[partial]]]),
-                             np.concatenate([np.diff(fine_ts), past[partial]]))
-        mats = [connection.theta(p0).matrix]
-        for c in steps[:n]:
-            mats.append(mats[-1] @ c)
-        mats = np.array(mats)[base]
-        mats[partial] = mats[partial] @ steps[n:]
-        membership = sys.group.membership_residuals(mats)
+        # the tail's times are ts[owner] + offset, owner an index into a leading run of ts
+        mats = grp.unflat(gamma(ts[owner] + offset)[q:].T)
+        membership = grp.membership_residuals(mats)
         diagnostics["membership_max"] = float(membership.max())
-        return sys.group.elements(mats, membership)
+        return grp.elements(mats, membership)
 
-    return _certified(sys, p0, ts, factor, gamma, QUOTIENT_MATCH_TOL, diagnostics, t_reached)
+    return _certified(sys, p0, ts, factor, lambda t: gamma(t)[:q], QUOTIENT_MATCH_TOL, diagnostics, t_reached)
 
 
 # -- vertical route ----------------------------------------------------------------

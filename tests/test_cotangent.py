@@ -251,6 +251,13 @@ def test_casimir_field_rejects_non_casimir():
         build_casimir_field(b, lambda a: np.array([1.0, 0.0, 0.0]))
 
 
+def test_casimir_field_rejects_a_nan_form():
+    # a NaN defect compares false with any bound, so the gate must ask for a small one
+    b = bundle_for("so3")
+    with pytest.raises(ValueError, match=r"not a Casimir on its domain \(defect nan\)"):
+        build_casimir_field(b, lambda a: np.full(3, np.nan))
+
+
 def test_momenta_constant_along_casimir_flow():
     # both momenta are first integrals of the Casimir field flow
     rng = np.random.default_rng(11)

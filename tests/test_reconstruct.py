@@ -15,7 +15,6 @@ from liequad import reconstruct
 from liequad.expquad import exp_general
 from liequad.liegroup import ChartDomainError, MatrixGroup, forbid_exp_oracle, make_group, matrix_exp_oracle
 from liequad.reconstruct import (
-    CONNECTION_SUBSTEPS,
     FD_STEP,
     HorizontalityError,
     HorizontalSubmersion,
@@ -24,7 +23,6 @@ from liequad.reconstruct import (
     ThetaConnection,
     VerticalityError,
     _default_quotient_integrator,
-    _magnus_step,
     build_theta,
     connection_reproduction_defect,
     flow_residual_rows,
@@ -36,7 +34,6 @@ from liequad.reconstruct import (
     momentum_defect,
     projected_field_defect,
     quotient_field,
-    split_eta,
     transversality_defect,
     two_step_reconstruct,
     usual_reconstruct,
@@ -472,16 +469,13 @@ def test_quotient_curve_matches_dop853(case):
 
 
 def test_connection_route_calls_the_quotient_field_in_few_stacks(monkeypatch):
-    # one stacked call per Picard sweep; one-row right-hand sides took 218 calls
-    run, calls = route_runner("connection"), []
-
-    def counted(sys_):
-        Y = quotient_field(sys_)
-        return lambda lam: calls.append(1) or Y(lam)
-
-    monkeypatch.setattr(reconstruct, "quotient_field", counted)
+    # lam and g are one state on the quotient panels: one stacked split of the
+    # panel's 17 nodes per Picard sweep gives both rates, and nothing else splits
+    run, calls, split = route_runner("connection"), [], reconstruct.section_split
+    monkeypatch.setattr(reconstruct, "section_split", lambda s, lams: calls.append(np.shape(lams)) or split(s, lams))
     run(np.linspace(0.0, 1.0, 17))
     assert 0 < len(calls) <= 25
+    assert set(calls) == {(3, 17)}
 
 
 def test_quotient_curve_stops_at_the_margin_root():
@@ -659,7 +653,7 @@ def test_lifted_route_off_so3_vs_adaptive_oracle(group_name):
 
 @pytest.mark.parametrize("group_name", ["so3", "su2", "sl2r"])
 def test_connection_route_needs_no_oracle(group_name):
-    # the Cayley-Magnus steps take no matrix exponential
+    # the Picard panels of lam and g take no matrix exponential
     b, _fld, sys_ = anisotropic_scenario(group_name)
     theta = build_theta(sys_, sys_.section(np.array([0.7, -0.4, 0.5])))
     p0 = PhasePoint(matrix_exp_oracle(b.group, np.array([0.2, 0.1, -0.3])), np.array([0.7, -0.4, 0.5]))
@@ -681,59 +675,56 @@ def test_lifted_route_with_solved_factor_matches_closed_form():
     assert max(phase_gap(a, b) for a, b in zip(runs[0].points, runs[1].points)) <= 1e-8
 
 
-def test_connection_route_evaluates_eta_once_per_stage_time(monkeypatch):
-    # eta depends on t alone: the route evaluates it once per distinct stage
-    # time, and its points equal those of the Magnus steps taken one by one
+def test_connection_route_emits_the_curve_of_its_integrator(monkeypatch):
+    # every emitted point is act(g(t), section(lam(t))) of the one curve the
+    # quotient integrator returned, read at its output time alone, to the bit
     _b, _fld, sys_ = anisotropic_scenario("so3")
     conn = ThetaConnection(sys_, build_theta(sys_, sys_.section(np.array([0.7, -0.4, 0.5]))))
     p0, _ = tstar_start()
     grid = np.linspace(0.0, 1.0, 9)
-    seen = []
+    make, curves = reconstruct._default_quotient_integrator, []
 
-    def counted(s, lams):
-        seen.extend(col.tobytes() for col in np.asarray(lams, float).reshape(len(p0.alpha), -1).T)
-        return split_eta(s, lams)
+    def spied(s):
+        inner = make(s)
+        return lambda *args: curves.append(inner(*args)) or curves[-1]
 
-    monkeypatch.setattr(reconstruct, "split_eta", counted)
+    monkeypatch.setattr(reconstruct, "_default_quotient_integrator", spied)
     sample = usual_reconstruct(sys_, conn, p0, grid)
-    monkeypatch.undo()
-    assert len(seen) == len(set(seen))
-
-    gamma, _ = _default_quotient_integrator(sys_)(quotient_field(sys_), sys_.project(p0), (0.0, 1.0))
-    fine = [0.0]
-    for a, b in zip(grid[:-1], grid[1:]):
-        fine.extend(np.linspace(a, b, CONNECTION_SUBSTEPS + 1)[1:])
-    factors = [conn.theta(p0).matrix]
-    for t, t_next in zip(fine[:-1], fine[1:]):
-        factors.append(factors[-1] @ _magnus_step(sys_, gamma, [t], [t_next - t])[0])
-    for pt, g, t in zip(sample.points, factors[::CONNECTION_SUBSTEPS], grid):
-        ref = sys_.act(sys_.group.element(g), sys_.section(np.asarray(gamma(t), float)))
+    (gamma, t_reached), = curves
+    assert t_reached == 1.0
+    grp = sys_.group
+    for pt, t in zip(sample.points, grid):
+        state = gamma(t)
+        ref = sys_.act(grp.element(grp.unflat(state[3:])), sys_.section(state[:3]))
         assert np.array_equal(pt.g.matrix, ref.g.matrix) and np.array_equal(pt.alpha, ref.alpha)
 
 
-def test_magnus_step_is_fourth_order(monkeypatch):
-    # g' = g eta(t) with eta quadratic in t: halving the step must cut the
-    # error by about 16; a second-order step (a wrong commutator) gives 4
-    grp = make_group("so3")
-    coef = np.random.default_rng(11).standard_normal((3, 3))
+@pytest.mark.parametrize("group_name, end", [("so3", 1.0), ("su2", 1.0), ("sl2r", 1.0), ("sl2r", 4.0)])
+def test_connection_route_matches_dop853(group_name, end):
+    # lam and g on the same Chebyshev panels carry the panels' accuracy to the
+    # curve; four fourth-order steps per output interval were off by 2e-10 to
+    # 2e-7 on [0, 1], and on [0, 4], where the sl2r factor grows to |g| of
+    # about 70, the gate refused them
+    b, fld, sys_ = anisotropic_scenario(group_name)
+    theta = build_theta(sys_, sys_.section(np.array([0.7, -0.4, 0.5])))
+    p0 = PhasePoint(matrix_exp_oracle(b.group, np.array([0.2, 0.1, -0.3])), np.array([0.7, -0.4, 0.5]))
+    grid = np.linspace(0.0, end, 17)
+    sample = usual_reconstruct(sys_, ThetaConnection(sys_, theta), p0, grid)
+    ref = solve_ivp(b.ambient_rhs(fld), (0.0, end), b.ambient_coords(p0), method="DOP853", rtol=1e-13, atol=1e-15,
+                    t_eval=grid)
+    gaps = [np.linalg.norm(b.ambient_coords(p) - y) / np.linalg.norm(y) for p, y in zip(sample.points, ref.y.T)]
+    assert max(gaps) <= 1e-10
 
-    def eta(t):
-        return coef[0] + np.multiply.outer(t, coef[1]) + np.multiply.outer(t * t, coef[2])
 
-    ref = solve_ivp(
-        lambda t, y: (y.reshape(3, 3) @ grp.algebra_matrix(eta(t))).ravel(),
-        (0.0, 1.0), np.eye(3).ravel(), method="DOP853", rtol=1e-13, atol=1e-14,
-    ).y[:, -1].reshape(3, 3)
-    # the quotient curve is the time itself and eta is read off it
-    monkeypatch.setattr(reconstruct, "split_eta", lambda _s, lams: eta(lams[0]))
-    sys_ = make_tstar_scenario(grp)
-    errs = []
-    for n in (4, 8):
-        g = np.eye(3)
-        for step in _magnus_step(sys_, np.atleast_2d, np.arange(n) / n, np.full(n, 1.0 / n)):
-            g = g @ step
-        errs.append(float(np.max(np.abs(g - ref))))
-    assert errs[0] >= 12.0 * errs[1]
+@pytest.mark.parametrize("grid", [[0.0, 0.5], np.linspace(0.0, 2.0, 3)])
+def test_connection_route_accuracy_does_not_follow_the_output_grid(grid):
+    # the route's step is its panels', not the caller's spacing: these coarse
+    # grids pass the unchanged gate, where steps of a quarter interval failed it
+    _b, _fld, sys_ = anisotropic_scenario("so3")
+    m0 = sys_.section(np.array([0.7, -0.4, 0.5]))
+    sample = usual_reconstruct(sys_, ThetaConnection(sys_, build_theta(sys_, m0)), m0, grid)
+    assert len(sample.points) == len(grid)
+    assert sample.diagnostics["flow_residual_max"] <= 1e-8
 
 
 def test_connection_gate_rejects_a_scaled_rate(monkeypatch):
@@ -742,25 +733,33 @@ def test_connection_gate_rejects_a_scaled_rate(monkeypatch):
     _b, _fld, sys_ = anisotropic_scenario("so3")
     conn = ThetaConnection(sys_, build_theta(sys_, sys_.section(np.array([0.7, -0.4, 0.5]))))
     p0, _ = tstar_start()
-    monkeypatch.setattr(reconstruct, "split_eta", lambda s, lam: 1.0001 * split_eta(s, lam))
+    split = reconstruct.section_split
+
+    def scaled(s, lams):
+        eta, y = split(s, lams)
+        return 1.0001 * eta, y
+
+    monkeypatch.setattr(reconstruct, "section_split", scaled)
     with pytest.raises(ReconstructionError, match="flow-equation"):
         usual_reconstruct(sys_, conn, p0, np.linspace(0.0, 1.0, 9))
 
 
 def test_connection_gate_sees_the_stored_factors(monkeypatch):
-    # every full step runs 0.1% long, so the emitted curve drifts 2.4e-3 off
-    # the flow while the short steps to the gate's offsets stay exact: the
-    # gate sees that only if its backward point steps across a stored node
+    # the integrator hands over g entries that run 0.1% fast, g(1.001 t), next
+    # to the right lam(t): the curve starts at p0 but leaves the flow
     _b, _fld, sys_ = anisotropic_scenario("so3")
     conn = ThetaConnection(sys_, build_theta(sys_, sys_.section(np.array([0.7, -0.4, 0.5]))))
     p0, _ = tstar_start()
-    step = _magnus_step
+    make = reconstruct._default_quotient_integrator
 
-    def long_step(s, gamma, t, h):
-        h = np.asarray(h)
-        return step(s, gamma, t, np.where(h > 1e-3, 1.001 * h, h))
+    def fast(s):
+        def integrator(Y, state0, t_span):
+            gamma, _t_reached = make(s)(Y, state0, (t_span[0], 1.001 * t_span[1]))
+            return (lambda t: np.concatenate([gamma(t)[:3], gamma(1.001 * np.asarray(t))[3:]])), t_span[1]
 
-    monkeypatch.setattr(reconstruct, "_magnus_step", long_step)
+        return integrator
+
+    monkeypatch.setattr(reconstruct, "_default_quotient_integrator", fast)
     with pytest.raises(ReconstructionError, match="flow-equation"):
         usual_reconstruct(sys_, conn, p0, np.linspace(0.0, 1.0, 9))
 
